@@ -10,10 +10,12 @@ from .trials import (
     Posture,
     Technique,
     Trial,
+    TrialTable,
     Violation,
     collapse_over,
     group_by_condition,
     read_trial_log,
+    sample_sd,
     validate_log,
     write_trial_log,
 )

@@ -23,11 +23,12 @@ from .throughput import render_throughput_records, throughput_by_group
 from .trials import (
     IncompleteGridError,
     LogFormatError,
+    TrialTable,
     read_trial_log,
     validate_log,
     write_trial_log,
 )
-from .sim.study import ConfigError, generate_study, load_study_config
+from .sim.study import generate_study, load_study_config
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -94,12 +95,12 @@ def _amplitude_modes(flag: str) -> list[AmplitudeMode]:
     return [AmplitudeMode(flag)]
 
 
-def _read_log_or_fail(path: str):
+def _read_log_or_fail(path: str) -> TrialTable:
     trials = read_trial_log(path)
     violations = validate_log(trials)
     if violations:
         v = violations[0]
-        raise LogFormatError(f"{v.message} ({v.field})", v.trial_index + 2)
+        raise LogFormatError(f"{v.message} ({v.field})", trials.line_number(v.trial_index))
     return trials
 
 
@@ -126,7 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     trials = read_trial_log(args.input)
     violations = validate_log(trials)
     for v in violations:
-        print(f"line {v.trial_index + 2}: {v.field}: {v.message}")
+        print(f"line {trials.line_number(v.trial_index)}: {v.field}: {v.message}")
     print(f"{len(violations)} violations in {len(trials)} trials")
     return EXIT_OK if not violations else EXIT_INPUT
 
@@ -202,12 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ConfigError, LogFormatError, ValueError) as exc:
-        if isinstance(exc, IncompleteGridError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INCOMPLETE
+    except ValueError as exc:  # ConfigError and LogFormatError included
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INCOMPLETE if isinstance(exc, IncompleteGridError) else EXIT_INPUT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

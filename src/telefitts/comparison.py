@@ -385,14 +385,79 @@ def render_records(reports: Sequence[ComparisonReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NUMBER = (int, float)
+
+#: Type of every record field that parse_records reads. Other fields (the
+#: grades and the signed equation) are derived data and are not read back.
+_RECORD_SCHEMA = {
+    "group": str,
+    "amplitude_mode": str,
+    "n_cells": int,
+    "model": str,
+    "fit": dict,
+    "delta_aic": _NUMBER,
+    "delta_bic": _NUMBER,
+    "rank_aic": int,
+    "rank_bic": int,
+    "equation": str,
+    "nested_f_vs_standard": (list, type(None)),
+}
+_FIT_SCHEMA = {
+    "coefficients": list,
+    "rss": _NUMBER,
+    "r2": _NUMBER,
+    "adj_r2": _NUMBER,
+    "f_stat": _NUMBER,
+    "p_value": _NUMBER,
+    "aic": _NUMBER,
+    "bic": _NUMBER,
+    "n": int,
+    "p": int,
+}
+
+
+def _check_fields(obj: object, schema: Mapping[str, type | tuple], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for name, types in schema.items():
+        if name not in obj:
+            raise ValueError(f"{where}: missing field {name!r}")
+        value = obj[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{where}: field {name!r} has the wrong type ({value!r})")
+
+
+def _check_record(rec: object, line_no: int) -> None:
+    """Raise ValueError naming the line unless ``rec`` has every field that
+    parse_records reads, with the right JSON type."""
+    where = f"record on line {line_no}"
+    _check_fields(rec, _RECORD_SCHEMA, where)
+    _check_fields(rec["fit"], _FIT_SCHEMA, f"{where}, fit")
+    numbers = list(rec["fit"]["coefficients"])
+    if rec["nested_f_vs_standard"] is not None:
+        if len(rec["nested_f_vs_standard"]) != 2:
+            raise ValueError(f"{where}: nested_f_vs_standard must hold two numbers")
+        numbers += rec["nested_f_vs_standard"]
+    if any(isinstance(x, bool) or not isinstance(x, _NUMBER) for x in numbers):
+        raise ValueError(f"{where}: coefficients and nested F must be numbers")
+
+
 def parse_records(text: str) -> list[ComparisonReport]:
-    """Rebuild reports from the record stream; inverse of render_records."""
+    """Rebuild reports from the record stream; inverse of render_records.
+
+    Raises ValueError, naming the line, on a record that is not JSON or
+    lacks a field or gives it the wrong type.
+    """
     by_group: dict[tuple[str, str], dict[ModelKind, dict]] = {}
     group_order: list[tuple[str, str]] = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"record on line {line_no}: invalid JSON ({exc})") from None
+        _check_record(rec, line_no)
         gkey = (rec["group"], rec["amplitude_mode"])
         if gkey not in by_group:
             by_group[gkey] = {}

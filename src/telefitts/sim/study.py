@@ -24,7 +24,7 @@ from ..models import (
     geometry_for_condition,
     predict_mt,
 )
-from ..trials import Posture, Technique, Trial
+from ..trials import POSTURES, TECHNIQUES, Posture, Technique, TrialTable
 
 
 class ConfigError(ValueError):
@@ -111,10 +111,26 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.participants < 1:
             raise ConfigError(f"participants must be >= 1, got {self.participants}")
+        for name, values in (
+            ("mt_noise_sd_s", [self.mt_noise_sd_s]),
+            ("endpoint_sd_fraction_of_width", [self.endpoint_sd_fraction_of_width]),
+            ("technique_offsets_s", list(self.technique_offsets_s.values())),
+            ("start_cube_depth_m", [self.start_cube_depth_m]),
+            ("widths_m", self.widths_m),
+            ("distances_m", self.distances_m),
+            ("heights_m", self.heights_m),
+            ("angles_deg", self.angles_deg),
+            ("ground_truth.coefficients", self.ground_truth.coefficients),
+        ):
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"{name} must be finite, got {bad[0]!r}")
         if self.mt_noise_sd_s < 0 or self.endpoint_sd_fraction_of_width < 0:
             raise ConfigError("noise parameters must be non-negative")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if not (self.widths_m and self.distances_m and self.heights_m and self.angles_deg):
+            raise ConfigError("the condition grid and the angle choices must be non-empty")
 
     @property
     def trials_per_participant(self) -> int:
@@ -163,14 +179,15 @@ def model_exact_preset(
 _MAX_REDRAWS = 1000
 
 
-def generate_study(config: StudyConfig) -> list[Trial]:
+def generate_study(config: StudyConfig) -> TrialTable:
     """Simulate the full within-subjects study for every participant.
 
     Each participant runs all 10 technique x posture blocks, ordered by
     their row of the balanced Latin square (participant index mod 10), with
     the size/distance/height grid shuffled within each block. Per-participant
     RNG streams are spawned from the study seed, so the log is byte-stable
-    regardless of scheduling.
+    regardless of scheduling. The table is filled one block at a time from
+    the arrays drawn for that block.
     """
     combos = [(t, p) for t in Technique for p in Posture]
     square = balanced_latin_square(len(combos))
@@ -182,8 +199,9 @@ def generate_study(config: StudyConfig) -> list[Trial]:
         for d in config.distances_m
         for h in config.heights_m
     ]
-    base_mt = {
-        cell: predict_mt(
+    cell_w, cell_d, cell_h = (np.array(axis, dtype=float) for axis in zip(*cell_grid))
+    base_mt = np.array([
+        predict_mt(
             config.ground_truth.kind,
             config.ground_truth.coefficients,
             geometry_for_condition(
@@ -191,31 +209,47 @@ def generate_study(config: StudyConfig) -> list[Trial]:
             ),
         )
         for cell in cell_grid
+    ])
+    angle_choices = np.asarray(config.angles_deg, float)
+    block_cells = np.repeat(np.arange(len(cell_grid)), config.repetitions)
+    n_block = len(block_cells)
+    n_total = config.participants * len(combos) * n_block
+    columns = {
+        "participant_code": np.repeat(np.arange(config.participants), len(combos) * n_block),
+        "technique_code": np.empty(n_total, np.int8),
+        "posture_code": np.empty(n_total, np.int8),
+        "block": np.empty(n_total, np.int64),
+        "trial_index": np.tile(np.arange(n_block), config.participants * len(combos)),
+        "width_m": np.empty(n_total),
+        "distance_m": np.empty(n_total),
+        "height_m": np.empty(n_total),
+        "angle_deg": np.empty(n_total),
+        "movement_time_s": np.empty(n_total),
+        "endpoint_deviation_m": np.empty(n_total),
+        "error_attempts": np.empty(n_total, np.int64),
+        "success": np.ones(n_total, bool),
     }
 
-    trials: list[Trial] = []
+    start = 0
     for pi in range(config.participants):
         rng = np.random.default_rng(streams[pi])
-        participant_id = f"P{pi + 1:02d}"
         row = square[pi % len(square)]
         for block_idx, combo_idx in enumerate(row):
             technique, posture = combos[combo_idx]
             offset = config.technique_offsets_s.get(technique, 0.0)
-            block_cells = [cell for cell in cell_grid for _ in range(config.repetitions)]
-            order = rng.permutation(len(block_cells))
-            ordered = [block_cells[i] for i in order]
+            ordered = block_cells[rng.permutation(n_block)]
 
-            angles = rng.choice(np.asarray(config.angles_deg, float), size=len(ordered))
-            widths = np.array([c[0] for c in ordered])
-            mt_mean = np.array([base_mt[c] + offset for c in ordered])
+            angles = rng.choice(angle_choices, size=n_block)
+            widths = cell_w[ordered]
+            mt_mean = base_mt[ordered] + offset
 
-            mt = mt_mean + rng.normal(0.0, config.mt_noise_sd_s, len(ordered)) \
+            mt = mt_mean + rng.normal(0.0, config.mt_noise_sd_s, n_block) \
                 if config.mt_noise_sd_s > 0 else mt_mean.copy()
             bad = mt <= 0
             redraws = 0
             while bad.any():
                 if config.mt_noise_sd_s == 0.0 or redraws >= _MAX_REDRAWS:
-                    cell = ordered[int(np.argmax(bad))]
+                    cell = cell_grid[ordered[int(np.argmax(bad))]]
                     raise ConfigError(
                         f"ground truth produces non-positive movement time for "
                         f"cell W={cell[0]} D={cell[1]} H={cell[2]}"
@@ -226,37 +260,40 @@ def generate_study(config: StudyConfig) -> list[Trial]:
 
             sigma = config.endpoint_sd_fraction_of_width * widths
             if config.endpoint_sd_fraction_of_width > 0:
-                dev = np.abs(rng.normal(0.0, 1.0, len(ordered))) * sigma
+                dev = np.abs(rng.normal(0.0, 1.0, n_block)) * sigma
             else:
-                dev = np.zeros(len(ordered))
-            attempts = np.zeros(len(ordered), dtype=int)
+                dev = np.zeros(n_block)
+            attempts = np.zeros(n_block, dtype=int)
             outside = dev > widths / 2.0
+            redraws = 0
             while outside.any():
+                if redraws >= _MAX_REDRAWS:
+                    raise ConfigError(
+                        f"endpoint deviations still land outside the target after "
+                        f"{_MAX_REDRAWS} redraws; endpoint_sd_fraction_of_width="
+                        f"{config.endpoint_sd_fraction_of_width} is too large"
+                    )
                 attempts[outside] += 1
                 dev[outside] = np.abs(
                     rng.normal(0.0, 1.0, int(outside.sum()))
                 ) * sigma[outside]
                 outside = dev > widths / 2.0
+                redraws += 1
 
-            for ti, cell in enumerate(ordered):
-                trials.append(
-                    Trial(
-                        participant_id=participant_id,
-                        technique=technique,
-                        posture=posture,
-                        block=block_idx,
-                        trial_index=ti,
-                        width_m=cell[0],
-                        distance_m=cell[1],
-                        height_m=cell[2],
-                        angle_deg=float(angles[ti]),
-                        movement_time_s=float(mt[ti]),
-                        endpoint_deviation_m=float(dev[ti]),
-                        error_attempts=int(attempts[ti]),
-                        success=True,
-                    )
-                )
-    return trials
+            block = slice(start, start + n_block)
+            columns["technique_code"][block] = TECHNIQUES.index(technique)
+            columns["posture_code"][block] = POSTURES.index(posture)
+            columns["block"][block] = block_idx
+            columns["width_m"][block] = widths
+            columns["distance_m"][block] = cell_d[ordered]
+            columns["height_m"][block] = cell_h[ordered]
+            columns["angle_deg"][block] = angles
+            columns["movement_time_s"][block] = mt
+            columns["endpoint_deviation_m"][block] = dev
+            columns["error_attempts"][block] = attempts
+            start += n_block
+    participant_ids = [f"P{pi + 1:02d}" for pi in range(config.participants)]
+    return TrialTable(participant_ids, **columns)
 
 
 # --- config files -------------------------------------------------------
@@ -295,13 +332,13 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
         raise ConfigError("missing required field: seed")
     try:
         seed = int(seed)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"seed must be an integer, got {raw.get('seed')!r}") from None
 
     participants = raw.get("participants", 20)
     try:
         participants = int(participants)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"participants must be an integer, got {participants!r}") from None
 
     preset = raw.get("preset", "realistic")
@@ -316,12 +353,9 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
         if preset == "custom":
             config = replace(config, preset="custom")
 
-    if "mt_noise_sd_s" in raw:
-        config = replace(config, mt_noise_sd_s=float(raw["mt_noise_sd_s"]))
-    if "endpoint_sd_fraction_of_width" in raw:
-        config = replace(
-            config, endpoint_sd_fraction_of_width=float(raw["endpoint_sd_fraction_of_width"])
-        )
+    for name in ("mt_noise_sd_s", "endpoint_sd_fraction_of_width"):
+        if name in raw:
+            config = replace(config, **{name: _config_float(name, raw[name])})
     if "technique_offsets_s" in raw:
         offsets = raw["technique_offsets_s"]
         if not isinstance(offsets, dict):
@@ -330,7 +364,7 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
         for name, value in offsets.items():
             if name not in Technique.__members__:
                 raise ConfigError(f"unknown technique in offsets: {name}")
-            parsed[Technique[name]] = float(value)
+            parsed[Technique[name]] = _config_float(f"technique_offsets_s.{name}", value)
         config = replace(config, technique_offsets_s=parsed)
     if "amplitude_mode" in raw:
         try:
@@ -341,6 +375,13 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
                 f"{[m.value for m in AmplitudeMode]}, got {raw['amplitude_mode']!r}"
             ) from None
     return config
+
+
+def _config_float(name: str, value: object) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
 def _parse_ground_truth(raw: object) -> GroundTruth:
@@ -357,7 +398,7 @@ def _parse_ground_truth(raw: object) -> GroundTruth:
     coeffs = raw.get("coefficients")
     if not isinstance(coeffs, (list, tuple)):
         raise ConfigError("ground_truth.coefficients must be a list")
-    coeffs = tuple(float(c) for c in coeffs)
+    coeffs = tuple(_config_float("ground_truth.coefficients", c) for c in coeffs)
     from ..models import MODEL_SPECS
 
     expected = MODEL_SPECS[kind].predictor_count + 1

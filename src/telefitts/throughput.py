@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .models import AmplitudeMode, amplitude_from_grid
-from .trials import IncompleteGridError, Posture, Technique, Trial
+from .trials import (
+    ConditionSummary,
+    IncompleteGridError,
+    Posture,
+    Technique,
+    Trial,
+    group_by_condition,
+    sample_sd,
+)
 
 #: Endpoint-spread multiplier mapping an SD to the width containing ~96% of hits.
 WE_SD_FACTOR = 4.133
@@ -32,7 +40,7 @@ def effective_width(endpoint_deviations_m: Sequence[float]) -> float:
         raise ValueError(
             f"effective width needs >= 2 endpoint samples, got {len(endpoint_deviations_m)}"
         )
-    return WE_SD_FACTOR * statistics.stdev(endpoint_deviations_m)
+    return WE_SD_FACTOR * sample_sd(endpoint_deviations_m)
 
 
 def effective_amplitude(amplitudes_m: Sequence[float]) -> float:
@@ -110,72 +118,65 @@ def throughput_by_group(
 ) -> list[ThroughputSummary]:
     """Throughput for every (technique, posture) present in the log.
 
-    Logs carry no realized pointer amplitudes, so A_e falls back to the
-    nominal grid amplitude. Cells whose endpoint spread is exactly zero
-    cannot produce a finite ID_e; they are dropped and counted, shrinking
-    that group's cell average.
+    Cells are the condition cells of ``group_by_condition``: W_e is 4.133 x
+    a cell's ``sd_deviation_m`` and MT its ``mean_mt_s``. Logs carry no
+    realized pointer amplitudes, so A_e falls back to the nominal grid
+    amplitude. Cells whose endpoint spread is exactly zero cannot produce a
+    finite ID_e; they are dropped and counted, shrinking that group's cell
+    average.
     """
-    groups: dict[tuple[Technique, Posture], dict[tuple[float, float, float], list[Trial]]] = {}
-    for t in trials:
-        cellkey = (round(t.distance_m, 3), round(t.height_m, 3), round(t.width_m, 3))
-        groups.setdefault((t.technique, t.posture), {}).setdefault(cellkey, []).append(t)
+    groups: dict[tuple[Technique, Posture], list[ConditionSummary]] = {}
+    for key, summary in group_by_condition(trials).items():
+        groups.setdefault((key.technique, key.posture), []).append(summary)
 
     summaries: list[ThroughputSummary] = []
-    tech_order = {t: i for i, t in enumerate(Technique)}
-    post_order = {p: i for i, p in enumerate(Posture)}
-    for gkey in sorted(groups, key=lambda g: (tech_order[g[0]], post_order[g[1]])):
-        cells_by_key = groups[gkey]
+    for (technique, posture), group in groups.items():
         if not allow_partial_grid:
+            have = {(s.key.distance_m, s.key.height_m, s.key.width_m) for s in group}
             missing = [
-                f"{gkey[0].value}/{gkey[1].value} D={d}m H={h}m W={w}m"
+                f"{technique.value}/{posture.value} D={d}m H={h}m W={w}m"
                 for d in GRID_DISTANCES_M
                 for h in GRID_HEIGHTS_M
                 for w in GRID_WIDTHS_M
-                if (d, h, w) not in cells_by_key
+                if (d, h, w) not in have
             ]
             if missing:
                 raise IncompleteGridError(missing)
         cells: list[ThroughputCell] = []
         degenerate = 0
-        for cellkey in sorted(cells_by_key):
-            cell_trials = cells_by_key[cellkey]
-            d, h, w = cellkey
-            devs = [t.endpoint_deviation_m for t in cell_trials]
-            if len(devs) < 2:
+        for s in sorted(group, key=lambda s: (s.key.distance_m, s.key.height_m, s.key.width_m)):
+            we = WE_SD_FACTOR * s.sd_deviation_m
+            if s.n_trials < 2 or we == 0.0:
                 degenerate += 1
                 continue
-            we = effective_width(devs)
-            if we == 0.0:
-                degenerate += 1
-                continue
-            ae = amplitude_from_grid(d, h, amplitude_mode)
+            k = s.key
+            ae = amplitude_from_grid(k.distance_m, k.height_m, amplitude_mode)
             ide = effective_id(ae, we)
-            mean_mt = statistics.fmean(t.movement_time_s for t in cell_trials)
             cells.append(
                 ThroughputCell(
-                    technique=gkey[0],
-                    posture=gkey[1],
-                    width_m=w,
-                    distance_m=d,
-                    height_m=h,
-                    n_trials=len(cell_trials),
+                    technique=technique,
+                    posture=posture,
+                    width_m=k.width_m,
+                    distance_m=k.distance_m,
+                    height_m=k.height_m,
+                    n_trials=s.n_trials,
                     ae_m=ae,
                     we_m=we,
                     ide_bits=ide,
-                    mean_mt_s=mean_mt,
-                    tp_bits_per_s=ide / mean_mt,
+                    mean_mt_s=s.mean_mt_s,
+                    tp_bits_per_s=ide / s.mean_mt_s,
                 )
             )
         if not cells:
             raise ValueError(
-                f"all cells of group {gkey[0].value}/{gkey[1].value} have zero "
+                f"all cells of group {technique.value}/{posture.value} have zero "
                 f"endpoint spread; throughput undefined"
             )
         tp = throughput_mean_of_means(cells, require_full_grid=False)
         summaries.append(
             ThroughputSummary(
-                technique=gkey[0],
-                posture=gkey[1],
+                technique=technique,
+                posture=posture,
                 tp_bits_per_s=tp,
                 cells=tuple(cells),
                 degenerate_cells=degenerate,

@@ -4,17 +4,23 @@ A trial log is a flat sequence of teleportation attempts. Regression and
 throughput never consume raw trials directly: they work on per-condition
 means (means-of-means), so the aggregation path here is the single source
 of the observation units used downstream.
+
+Logs are held column-wise in a :class:`TrialTable`; :class:`Trial` rows are
+built only when a caller indexes or iterates the table.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import statistics
-from dataclasses import dataclass, replace
+import operator
+import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 from scipy import stats as _sstats
 
 
@@ -39,6 +45,12 @@ TRIAL_LOG_HEADER = (
     "participant_id,technique,posture,block,trial_index,width_m,distance_m,"
     "height_m,angle_deg,movement_time_s,endpoint_deviation_m,error_attempts,success"
 )
+
+#: Integer codes of the enum columns: a code is the member's declaration index.
+TECHNIQUES = tuple(Technique)
+POSTURES = tuple(Posture)
+_TECHNIQUE_CODE = {t: i for i, t in enumerate(TECHNIQUES)}
+_POSTURE_CODE = {p: i for i, p in enumerate(POSTURES)}
 
 
 @dataclass(frozen=True)
@@ -65,9 +77,158 @@ class Trial:
     success: bool
 
 
+_INT_COLUMNS = ("block", "trial_index", "error_attempts")
+_FLOAT_COLUMNS = (
+    "width_m", "distance_m", "height_m", "angle_deg",
+    "movement_time_s", "endpoint_deviation_m",
+)
+#: Rows converted to Trial objects or log lines, or parsed from a log, at a
+#: time; bounds the Python objects held at once.
+_CHUNK_ROWS = 1024
+
+#: (column, dtype) of every TrialTable column; participant first.
+_COLUMNS = (
+    ("participant_code", np.int64),
+    ("technique_code", np.int8),
+    ("posture_code", np.int8),
+    *((name, np.int64) for name in _INT_COLUMNS),
+    *((name, np.float64) for name in _FLOAT_COLUMNS),
+    ("success", np.bool_),
+)
+
+
+def _float_objects(column: np.ndarray) -> list[float]:
+    """The column as Python floats, one object per distinct bit pattern, so
+    that grid-valued columns do not hold one float object per row."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    return [values[i] for i in inverse.tolist()]
+
+
+class TrialTable(Sequence):
+    """A trial log as one numpy column per :class:`Trial` field.
+
+    Participant, technique and posture are integer codes: ``participant_code``
+    indexes ``participant_ids``, and the enum codes index ``TECHNIQUES`` and
+    ``POSTURES``. The columns are read-only. As a ``Sequence[Trial]`` the
+    table builds rows only when indexed or iterated, and it compares equal to
+    a list of the same trials.
+
+    ``line_numbers`` holds each row's 1-based line in the file it was read
+    from, or is None for tables that were not read from a file.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, participant_ids: Sequence[str], *, line_numbers=None, **columns):
+        if set(columns) != {name for name, _ in _COLUMNS}:
+            raise TypeError(f"TrialTable needs exactly the columns {[n for n, _ in _COLUMNS]}")
+        self.participant_ids = tuple(participant_ids)
+        n = None
+        for name, dtype in _COLUMNS:
+            col = np.asarray(columns[name], dtype=dtype)
+            if col.ndim != 1 or (n is not None and len(col) != n):
+                raise ValueError(f"column {name} must be one-dimensional, of one length")
+            n = len(col)
+            col = col.view()
+            col.flags.writeable = False
+            setattr(self, name, col)
+        if line_numbers is not None:
+            line_numbers = np.asarray(line_numbers, dtype=np.int64)
+            if len(line_numbers) != n:
+                raise ValueError("line_numbers must have one entry per row")
+        self.line_numbers = line_numbers
+
+    @classmethod
+    def from_trials(cls, trials: Iterable[Trial]) -> "TrialTable":
+        """Columns of a sequence of trials; a table is returned as is."""
+        if isinstance(trials, TrialTable):
+            return trials
+        rows = list(trials)
+        ids: dict[str, int] = {}
+        codes = [ids.setdefault(t.participant_id, len(ids)) for t in rows]
+
+        def column(name: str) -> list:
+            return list(map(operator.attrgetter(name), rows))
+
+        return cls(
+            ids,
+            participant_code=codes,
+            technique_code=[_TECHNIQUE_CODE[t.technique] for t in rows],
+            posture_code=[_POSTURE_CODE[t.posture] for t in rows],
+            success=column("success"),
+            **{name: column(name) for name in _INT_COLUMNS + _FLOAT_COLUMNS},
+        )
+
+    def __len__(self) -> int:
+        return len(self.trial_index)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            lines = None if self.line_numbers is None else self.line_numbers[index]
+            return TrialTable(
+                self.participant_ids, line_numbers=lines,
+                **{name: getattr(self, name)[index] for name, _ in _COLUMNS},
+            )
+        i = range(len(self))[index]
+        return Trial(
+            self.participant_ids[self.participant_code[i]],
+            TECHNIQUES[self.technique_code[i]],
+            POSTURES[self.posture_code[i]],
+            int(self.block[i]),
+            int(self.trial_index[i]),
+            *(float(getattr(self, name)[i]) for name in _FLOAT_COLUMNS),
+            int(self.error_attempts[i]),
+            bool(self.success[i]),
+        )
+
+    def __iter__(self) -> Iterator[Trial]:
+        ids = self.participant_ids
+        for start in range(0, len(self), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            yield from map(
+                Trial,
+                [ids[c] for c in self.participant_code[rows].tolist()],
+                [TECHNIQUES[c] for c in self.technique_code[rows].tolist()],
+                [POSTURES[c] for c in self.posture_code[rows].tolist()],
+                self.block[rows].tolist(),
+                self.trial_index[rows].tolist(),
+                *(_float_objects(getattr(self, name)[rows]) for name in _FLOAT_COLUMNS),
+                self.error_attempts[rows].tolist(),
+                self.success[rows].tolist(),
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TrialTable):
+            if len(self) != len(other) or not all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name, _ in _COLUMNS[1:]
+            ):
+                return False
+            if self.participant_ids == other.participant_ids:
+                return bool(np.array_equal(self.participant_code, other.participant_code))
+            ids = [np.array(t.participant_ids, dtype=object)[t.participant_code]
+                   for t in (self, other)]
+            return bool(np.all(ids[0] == ids[1]))
+        if isinstance(other, list):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def line_number(self, index: int) -> int:
+        """Line of row ``index`` in its source file; for a table not read
+        from a file, the line the row takes when written by write_trial_log."""
+        if self.line_numbers is None:
+            return index + 2
+        return int(self.line_numbers[index])
+
+    def __repr__(self) -> str:
+        return f"TrialTable({len(self)} trials, {len(self.participant_ids)} participants)"
+
+
 @dataclass(frozen=True)
 class Violation:
-    """One invariant violation found in a trial log."""
+    """One invariant violation found in a trial log; ``trial_index`` is the
+    row's position in the log."""
 
     trial_index: int
     field: str
@@ -77,38 +238,29 @@ class Violation:
 def validate_log(trials: Sequence[Trial]) -> list[Violation]:
     """Check every trial against the data-model invariants.
 
-    Returns an empty list iff the log is clean. Violations are data, not
-    exceptions: a dirty log is a legitimate thing to inspect.
+    Returns an empty list iff the log is clean, ordered by row and, within a
+    row, by field. Violations are data, not exceptions: a dirty log is a
+    legitimate thing to inspect.
     """
-    report: list[Violation] = []
-    for i, t in enumerate(trials):
-        if not (math.isfinite(t.movement_time_s) and t.movement_time_s > 0):
-            report.append(Violation(i, "movement_time_s", "non-positive movement time"))
-        if not (math.isfinite(t.width_m) and t.width_m > 0):
-            report.append(Violation(i, "width_m", "non-positive target width"))
-        if not (math.isfinite(t.distance_m) and t.distance_m > 0):
-            report.append(Violation(i, "distance_m", "non-positive target distance"))
-        if not (math.isfinite(t.height_m) and t.height_m >= 0):
-            report.append(Violation(i, "height_m", "negative target height"))
-        if not (math.isfinite(t.endpoint_deviation_m) and t.endpoint_deviation_m >= 0):
-            report.append(Violation(i, "endpoint_deviation_m", "negative endpoint deviation"))
-        elif t.success and t.endpoint_deviation_m > t.width_m / 2:
-            report.append(
-                Violation(
-                    i,
-                    "endpoint_deviation_m",
-                    "successful selection landed outside the target radius",
-                )
-            )
-        if t.error_attempts < 0:
-            report.append(Violation(i, "error_attempts", "negative error count"))
-        if t.block < 0:
-            report.append(Violation(i, "block", "negative block index"))
-        if t.trial_index < 0:
-            report.append(Violation(i, "trial_index", "negative trial index"))
-        if not math.isfinite(t.angle_deg):
-            report.append(Violation(i, "angle_deg", "non-finite viewing angle"))
-    return report
+    table = TrialTable.from_trials(trials)
+    mt, w, d, h = table.movement_time_s, table.width_m, table.distance_m, table.height_m
+    dev = table.endpoint_deviation_m
+    dev_ok = np.isfinite(dev) & (dev >= 0)
+    checks = (
+        (~(np.isfinite(mt) & (mt > 0)), "movement_time_s", "non-positive movement time"),
+        (~(np.isfinite(w) & (w > 0)), "width_m", "non-positive target width"),
+        (~(np.isfinite(d) & (d > 0)), "distance_m", "non-positive target distance"),
+        (~(np.isfinite(h) & (h >= 0)), "height_m", "negative target height"),
+        (~dev_ok, "endpoint_deviation_m", "negative endpoint deviation"),
+        (dev_ok & table.success & (dev > w / 2), "endpoint_deviation_m",
+         "successful selection landed outside the target radius"),
+        (table.error_attempts < 0, "error_attempts", "negative error count"),
+        (table.block < 0, "block", "negative block index"),
+        (table.trial_index < 0, "trial_index", "negative trial index"),
+        (~np.isfinite(table.angle_deg), "angle_deg", "non-finite viewing angle"),
+    )
+    found = [(int(i), k) for k, (mask, _, _) in enumerate(checks) for i in np.flatnonzero(mask)]
+    return [Violation(i, checks[k][1], checks[k][2]) for i, k in sorted(found)]
 
 
 def _quantize_mm(value: float) -> float:
@@ -159,46 +311,161 @@ class ConditionSummary:
     ci95_mt_s: float | None
 
 
-def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    m = statistics.fmean(values)
-    sd = statistics.stdev(values) if len(values) >= 2 else 0.0
-    return m, sd
+# --- exact sample standard deviation ------------------------------------
+
+#: Bits of the scaled radicand in _sqrt_of_ratio: twice the float precision
+#: plus guard bits, so the integer root carries the round-to-odd sticky bit
+#: below every bit that the final rounding looks at.
+_RADICAND_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """Correctly rounded square root of num/den (num >= 0, den > 0).
+
+    The integer root of the scaled ratio is rounded to odd (its last bit
+    records whether anything was cut off), so the one int-to-float rounding
+    at the end rounds to nearest as if the root were exact.
+    """
+    shift = (num.bit_length() - den.bit_length() - _RADICAND_BITS) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+def _sd_of_scaled(cell: list[int], exp: int) -> float:
+    """Sample SD of the values ``m * 2**exp`` for the integers m in ``cell``.
+
+    The sum of squared deviations is exactly
+    2**(2 exp) * (n * sum(m**2) - sum(m)**2) / n, so its correctly rounded
+    root over n - 1 is what ``statistics.stdev`` returns, bit for bit.
+    """
+    n = len(cell)
+    s1 = sum(cell)
+    num = n * sum(map(operator.mul, cell, cell)) - s1 * s1
+    if exp >= 0:
+        return _sqrt_of_ratio(num << 2 * exp, n * (n - 1))
+    return _sqrt_of_ratio(num, n * (n - 1) << -2 * exp)
+
+
+def sample_sd(values: Sequence[float]) -> float:
+    """Sample standard deviation (n - 1 denominator), equal bit for bit to
+    ``statistics.stdev`` on finite floats; nan if a value is not finite."""
+    if len(values) < 2:
+        raise ValueError(f"sample SD needs >= 2 values, got {len(values)}")
+    try:
+        ratios = [float(x).as_integer_ratio() for x in values]
+    except (OverflowError, ValueError):
+        return math.nan
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    return _sd_of_scaled([m * (den // d) for m, d in ratios], 1 - den.bit_length())
+
+
+def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float]:
+    """``sample_sd`` of each cell ``values[start:start + n]`` at once; cells
+    of fewer than two values get 0.0.
+
+    Each float is m * 2**e with an integer m; ``frexp`` takes the whole
+    column apart, and within a cell every m is shifted onto the cell's
+    smallest exponent so that ``_sd_of_scaled`` sees integers.
+    """
+    finite = np.isfinite(values)
+    mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
+    digits = (mantissa * 2.0 ** sys.float_info.mant_dig).astype(np.int64)
+    exponent = exponent.astype(np.int64) - sys.float_info.mant_dig
+    zero = digits == 0
+    exponent[zero] = np.iinfo(np.int64).max
+    cell_exp = np.minimum.reduceat(exponent, starts)
+    cell_exp[cell_exp == np.iinfo(np.int64).max] = 0  # cells of zeros only
+    shifts = np.where(zero, 0, exponent - np.repeat(cell_exp, counts))
+    scaled = list(map(operator.lshift, digits.tolist(), shifts.tolist()))
+    all_finite = np.logical_and.reduceat(finite, starts).tolist()
+    return [
+        0.0 if n < 2 else _sd_of_scaled(scaled[a:a + n], e) if ok else math.nan
+        for a, n, e, ok in zip(starts.tolist(), counts.tolist(), cell_exp.tolist(), all_finite)
+    ]
+
+
+# --- aggregation --------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1024)
+def _t975(df: int) -> float:
+    return float(_sstats.t.ppf(0.975, df))
 
 
 def _ci95_halfwidth(sd: float, n: int) -> float | None:
     if n < 2:
         return None
-    t = float(_sstats.t.ppf(0.975, n - 1))
-    return t * sd / math.sqrt(n)
+    return _t975(n - 1) * sd / math.sqrt(n)
+
+
+def _quantized_codes(column: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Integer code of each row's 1 mm-quantized value, and the quantized
+    level of each code in ascending order. Only the distinct raw values are
+    rounded; raw values that round alike share a code."""
+    raw, inverse = np.unique(column, return_inverse=True)
+    levels: list[float] = []
+    code_of_raw = []
+    for q in map(_quantize_mm, raw.tolist()):
+        if not levels or q != levels[-1]:
+            levels.append(q)
+        code_of_raw.append(len(levels) - 1)
+    return np.asarray(code_of_raw, dtype=np.int64)[inverse.reshape(-1)], levels
 
 
 def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionSummary]:
     """Aggregate trials into per-condition cells.
 
-    Every trial lands in exactly one cell. Standard deviations use the n-1
-    denominator; singleton cells get sd 0 by convention and no CI.
+    Every trial lands in exactly one cell; cells come in (technique, posture,
+    width, distance, height) order. Standard deviations use the n-1
+    denominator; singleton cells get sd 0 by convention and no CI. Means and
+    SDs equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit.
     """
-    buckets: dict[ConditionKey, list[Trial]] = {}
-    for t in trials:
-        buckets.setdefault(ConditionKey.for_trial(t), []).append(t)
+    table = TrialTable.from_trials(trials)
+    if len(table) == 0:
+        return {}
+    w_codes, widths = _quantized_codes(table.width_m)
+    d_codes, distances = _quantized_codes(table.distance_m)
+    h_codes, heights = _quantized_codes(table.height_m)
+    codes = (table.technique_code, table.posture_code, w_codes, d_codes, h_codes)
+    dims = (len(TECHNIQUES), len(POSTURES), len(widths), len(distances), len(heights))
+    try:
+        cell_of_row = np.ravel_multi_index(codes, dims)
+    except ValueError:  # too many distinct levels to number in one int64
+        cell_of_row = np.unique(np.stack(codes, axis=1), axis=0, return_inverse=True)[1]
+    order = np.argsort(cell_of_row, kind="stable")
+    sorted_cells = cell_of_row[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1])))
+    counts = np.diff(np.append(starts, len(order)))
+
+    mts = table.movement_time_s[order]
+    devs = table.endpoint_deviation_m[order]
+    sd_mts = _cell_sds(mts, starts, counts)
+    sd_devs = _cell_sds(devs, starts, counts)
+    mts, devs = mts.tolist(), devs.tolist()
+    with_errors = np.add.reduceat((table.error_attempts[order] > 0).astype(np.int64), starts)
+    cells = zip(starts.tolist(), counts.tolist(), with_errors.tolist(),
+                order[starts].tolist(), sd_mts, sd_devs)
 
     out: dict[ConditionKey, ConditionSummary] = {}
-    for key in sorted(buckets, key=_key_sort_token):
-        cell = buckets[key]
-        mts = [t.movement_time_s for t in cell]
-        devs = [t.endpoint_deviation_m for t in cell]
-        mean_mt, sd_mt = _mean_sd(mts)
-        mean_dev, sd_dev = _mean_sd(devs)
-        err = sum(1 for t in cell if t.error_attempts > 0) / len(cell)
+    for a, n, errs, r, sd_mt, sd_dev in cells:
+        key = ConditionKey(
+            TECHNIQUES[table.technique_code[r]], POSTURES[table.posture_code[r]],
+            widths[w_codes[r]], distances[d_codes[r]], heights[h_codes[r]],
+        )
         out[key] = ConditionSummary(
             key=key,
-            n_trials=len(cell),
-            mean_mt_s=mean_mt,
+            n_trials=n,
+            mean_mt_s=math.fsum(mts[a:a + n]) / n,
             sd_mt_s=sd_mt,
-            mean_deviation_m=mean_dev,
+            mean_deviation_m=math.fsum(devs[a:a + n]) / n,
             sd_deviation_m=sd_dev,
-            error_rate=err,
-            ci95_mt_s=_ci95_halfwidth(sd_mt, len(cell)),
+            error_rate=errs / n,
+            ci95_mt_s=_ci95_halfwidth(sd_mt, n),
         )
     return out
 
@@ -207,8 +474,8 @@ _COLLAPSIBLE = ("technique", "posture")
 
 
 def _key_sort_token(key: ConditionKey) -> tuple:
-    tech = -1 if key.technique is None else list(Technique).index(key.technique)
-    post = -1 if key.posture is None else list(Posture).index(key.posture)
+    tech = -1 if key.technique is None else _TECHNIQUE_CODE[key.technique]
+    post = -1 if key.posture is None else _POSTURE_CODE[key.posture]
     return (tech, post, key.width_m, key.distance_m, key.height_m)
 
 
@@ -232,10 +499,10 @@ def collapse_over(
 
     merged: dict[ConditionKey, list[ConditionSummary]] = {}
     for key, summary in summaries.items():
-        new_key = replace(
-            key,
-            technique=None if "technique" in drop else key.technique,
-            posture=None if "posture" in drop else key.posture,
+        new_key = ConditionKey(
+            None if "technique" in drop else key.technique,
+            None if "posture" in drop else key.posture,
+            key.width_m, key.distance_m, key.height_m,
         )
         merged.setdefault(new_key, []).append(summary)
 
@@ -257,9 +524,8 @@ def collapse_over(
                                 [c.sd_deviation_m for c in cells], mean_dev)
             ci = _ci95_halfwidth(sd_mt, n_total)
         else:
-            cell_means = [c.mean_mt_s for c in cells]
-            sd_mt = statistics.stdev(cell_means) if len(cells) >= 2 else 0.0
-            sd_dev = (statistics.stdev([c.mean_deviation_m for c in cells])
+            sd_mt = sample_sd([c.mean_mt_s for c in cells]) if len(cells) >= 2 else 0.0
+            sd_dev = (sample_sd([c.mean_deviation_m for c in cells])
                       if len(cells) >= 2 else 0.0)
             ci = _ci95_halfwidth(sd_mt, len(cells))
         out[key] = ConditionSummary(
@@ -285,6 +551,9 @@ def _pooled_sd(ns: Sequence[int], means: Sequence[float], sds: Sequence[float],
     return math.sqrt(ss / (n_total - 1))
 
 
+# --- CSV logs ------------------------------------------------------------
+
+
 class LogFormatError(ValueError):
     """Raised when a trial-log file cannot be parsed; carries the 1-based line."""
 
@@ -301,85 +570,129 @@ class IncompleteGridError(ValueError):
         self.missing = tuple(missing)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+#: One log line; %r of a Python float is its shortest round-trip repr.
+_LOG_LINE = "%s,%s,%s,%d,%d,%r,%r,%r,%r,%r,%r,%d,%s\n"
+_TECHNIQUE_TEXT = tuple(t.value for t in TECHNIQUES)
+_POSTURE_TEXT = tuple(p.value for p in POSTURES)
+
+
+def _log_lines(table: TrialTable) -> Iterator[str]:
+    ids = table.participant_ids
+    fields = [
+        [ids[c] for c in table.participant_code.tolist()],
+        [_TECHNIQUE_TEXT[c] for c in table.technique_code.tolist()],
+        [_POSTURE_TEXT[c] for c in table.posture_code.tolist()],
+        table.block.tolist(),
+        table.trial_index.tolist(),
+        *(getattr(table, name).tolist() for name in _FLOAT_COLUMNS),
+        table.error_attempts.tolist(),
+        ["true" if s else "false" for s in table.success.tolist()],
+    ]
+    return map(_LOG_LINE.__mod__, zip(*fields))
 
 
 def write_trial_log(trials: Sequence[Trial], path: str) -> None:
-    """Write a UTF-8 CSV log with full round-trip float precision."""
+    """Write a UTF-8 CSV log with full round-trip float precision.
+
+    Floats are written as ``repr`` of Python floats, so the bytes do not
+    depend on how numpy formats its own scalars.
+    """
+    table = TrialTable.from_trials(trials)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRIAL_LOG_HEADER + "\n")
-        for t in trials:
-            row = [
-                t.participant_id,
-                t.technique.value,
-                t.posture.value,
-                str(t.block),
-                str(t.trial_index),
-                _format_float(t.width_m),
-                _format_float(t.distance_m),
-                _format_float(t.height_m),
-                _format_float(t.angle_deg),
-                _format_float(t.movement_time_s),
-                _format_float(t.endpoint_deviation_m),
-                str(t.error_attempts),
-                "true" if t.success else "false",
-            ]
-            fh.write(",".join(row) + "\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            fh.writelines(_log_lines(table[start:start + _CHUNK_ROWS]))
 
 
-def read_trial_log(path: str) -> list[Trial]:
-    """Parse a trial log, raising LogFormatError with the offending line number."""
+_INT64_RANGE = range(-(2 ** 63), 2 ** 63)
+_TECHNIQUE_BY_TEXT = {text: i for i, text in enumerate(_TECHNIQUE_TEXT)}
+_POSTURE_BY_TEXT = {text.lower(): i for i, text in enumerate(_POSTURE_TEXT)}
+_BOOL_BY_TEXT = {"true": True, "false": False}
+
+
+def _parse_int(text: str) -> int:
+    value = int(text)
+    if value not in _INT64_RANGE:
+        raise ValueError(f"integer {text!r} is out of range")
+    return value
+
+
+def _parse_row(row: list[str], line_no: int) -> None:
+    """Parse one row field by field, raising LogFormatError at the first
+    bad field; the slow path that names a bad line exactly."""
+    if len(row) != 13:
+        raise LogFormatError(f"expected 13 fields, found {len(row)}", line_no)
+    try:
+        Technique(row[1])
+        if row[2].lower() not in _POSTURE_BY_TEXT:
+            raise ValueError(f"'{row[2]}' is not a valid Posture")
+        for text in row[3:5]:
+            _parse_int(text)
+        for text in row[5:11]:
+            float(text)
+        _parse_int(row[11])
+    except ValueError as exc:
+        raise LogFormatError(str(exc), line_no) from None
+    if row[12].strip().lower() not in _BOOL_BY_TEXT:
+        raise LogFormatError(f"'{row[12]}' is not a boolean (expected true/false)", line_no)
+
+
+def _parse_columns(rows: list[list[str]], ids: dict[str, int]) -> dict[str, np.ndarray]:
+    """The fast path: whole columns at once. Raises ValueError, KeyError or
+    OverflowError on any bad field, without saying where."""
+    if any(len(row) != 13 for row in rows):
+        raise ValueError("ragged rows")
+    cols = list(zip(*rows)) or [()] * 13
+    parsed = {
+        "participant_code": [ids.setdefault(p, len(ids)) for p in cols[0]],
+        "technique_code": [_TECHNIQUE_BY_TEXT[t] for t in cols[1]],
+        "posture_code": [_POSTURE_BY_TEXT[p.lower()] for p in cols[2]],
+        "block": list(map(int, cols[3])),
+        "trial_index": list(map(int, cols[4])),
+        **{name: list(map(float, col)) for name, col in zip(_FLOAT_COLUMNS, cols[5:11])},
+        "error_attempts": list(map(int, cols[11])),
+        "success": [_BOOL_BY_TEXT[s.strip().lower()] for s in cols[12]],
+    }
+    return {name: np.array(parsed[name], dtype=dtype) for name, dtype in _COLUMNS}
+
+
+def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dict[str, np.ndarray]:
+    """Columns of ``chunk``'s (row, line) pairs, or LogFormatError at the
+    first bad row."""
+    try:
+        columns = _parse_columns([row for row, _ in chunk], ids)
+    except (ValueError, KeyError, OverflowError):
+        for row, line_no in chunk:
+            _parse_row(row, line_no)
+        raise AssertionError("column parse failed on rows that parse one by one") from None
+    columns["line_numbers"] = np.array([line for _, line in chunk], dtype=np.int64)
+    return columns
+
+
+def read_trial_log(path: str) -> TrialTable:
+    """Parse a trial log into a table, raising LogFormatError with the
+    1-based line of the first bad row. Blank lines are skipped; every row
+    keeps its physical line number in ``line_numbers``."""
+    ids: dict[str, int] = {}
+    parts = []
+    chunk: list[tuple[list[str], int]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise LogFormatError("empty file, expected header row", 1) from None
-        if ",".join(header) != TRIAL_LOG_HEADER:
-            raise LogFormatError("unexpected header row", 1)
-        trials: list[Trial] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 13:
-                raise LogFormatError(f"expected 13 fields, found {len(row)}", line_no)
-            try:
-                trials.append(
-                    Trial(
-                        participant_id=row[0],
-                        technique=Technique(row[1]),
-                        posture=_parse_posture(row[2]),
-                        block=int(row[3]),
-                        trial_index=int(row[4]),
-                        width_m=float(row[5]),
-                        distance_m=float(row[6]),
-                        height_m=float(row[7]),
-                        angle_deg=float(row[8]),
-                        movement_time_s=float(row[9]),
-                        endpoint_deviation_m=float(row[10]),
-                        error_attempts=int(row[11]),
-                        success=_parse_bool(row[12], line_no),
-                    )
-                )
-            except LogFormatError:
-                raise
-            except ValueError as exc:
-                raise LogFormatError(str(exc), line_no) from None
-    return trials
-
-
-def _parse_posture(text: str) -> Posture:
-    for p in Posture:
-        if text.lower() == p.value.lower():
-            return p
-    raise ValueError(f"'{text}' is not a valid Posture")
-
-
-def _parse_bool(text: str, line_no: int) -> bool:
-    lowered = text.strip().lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    raise LogFormatError(f"'{text}' is not a boolean (expected true/false)", line_no)
+            header = next(reader, None)
+            if header is None:
+                raise LogFormatError("empty file, expected header row", 1)
+            if ",".join(header) != TRIAL_LOG_HEADER:
+                raise LogFormatError("unexpected header row", 1)
+            for row in reader:
+                if row:
+                    chunk.append((row, reader.line_num))
+                    if len(chunk) == _CHUNK_ROWS:
+                        parts.append(_parse_chunk(chunk, ids))
+                        chunk = []
+        except csv.Error as exc:
+            _parse_chunk(chunk, ids)  # a bad row before the malformed line comes first
+            raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
+    parts.append(_parse_chunk(chunk, ids))
+    columns = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+    return TrialTable(ids, **columns)

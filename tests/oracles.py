@@ -3,16 +3,38 @@
 Everything here is deliberately written against a different method than the
 code under test: pseudo-inverse and grid search instead of QR, adaptive
 quadrature of the F density instead of the incomplete beta function, scalar
-textbook Kalman recursion instead of the vectorized filter, and RK4 flight
-integration instead of the closed-form landing solution.
+textbook Kalman recursion instead of the vectorized filter, RK4 flight
+integration instead of the closed-form landing solution, and per-trial
+dictionary grouping with ``statistics`` instead of the integer-coded
+column group-by.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
+from dataclasses import replace
 
 import numpy as np
+from scipy import stats as sstats
 from scipy.integrate import quad
+
+from telefitts.models import amplitude_from_grid
+from telefitts.throughput import (
+    GRID_DISTANCES_M,
+    GRID_HEIGHTS_M,
+    GRID_WIDTHS_M,
+    ThroughputCell,
+    ThroughputSummary,
+    effective_id,
+)
+from telefitts.trials import (
+    ConditionKey,
+    ConditionSummary,
+    IncompleteGridError,
+    Posture,
+    Technique,
+)
 
 
 def pinv_ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -102,42 +124,6 @@ def scalar_kalman_positions(
     return out
 
 
-def rk4_landing(
-    origin: np.ndarray,
-    velocity: np.ndarray,
-    gravity: float,
-    landing_height: float,
-    dt: float = 1e-4,
-    t_max: float = 60.0,
-) -> tuple[np.ndarray, float] | None:
-    """Integrate the flight with fixed-step RK4 until the arc crosses the
-    landing plane on the way down, then interpolate the crossing."""
-    g_vec = np.array([0.0, -gravity, 0.0])
-
-    def deriv(state: np.ndarray) -> np.ndarray:
-        return np.concatenate([state[3:], g_vec])
-
-    state = np.concatenate([np.asarray(origin, float), np.asarray(velocity, float)])
-    if state[1] == landing_height and state[4] <= 0:
-        return np.asarray(origin, float).copy(), 0.0
-    t = 0.0
-    prev = state.copy()
-    while t < t_max:
-        k1 = deriv(state)
-        k2 = deriv(state + 0.5 * dt * k1)
-        k3 = deriv(state + 0.5 * dt * k2)
-        k4 = deriv(state + dt * k3)
-        nxt = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        if nxt[4] <= 0 and prev[1] >= landing_height >= nxt[1]:
-            w = (prev[1] - landing_height) / (prev[1] - nxt[1]) if prev[1] != nxt[1] else 1.0
-            cross = prev + w * (nxt - prev)
-            return cross[:3], t - dt + w * dt
-        prev = nxt
-        state = nxt
-    return None
-
-
 def rk4_landing_batch(
     origins: np.ndarray,
     velocities: np.ndarray,
@@ -185,3 +171,145 @@ def rk4_landing_batch(
             done[i] = True
         prev = nxt
     return results
+
+
+# --- aggregation by per-trial dictionaries ----------------------------------
+
+
+def _ci95(sd, n):
+    if n < 2:
+        return None
+    return float(sstats.t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
+
+
+def _key_order(key):
+    tech = -1 if key.technique is None else list(Technique).index(key.technique)
+    post = -1 if key.posture is None else list(Posture).index(key.posture)
+    return (tech, post, key.width_m, key.distance_m, key.height_m)
+
+
+def group_by_condition_reference(trials):
+    """One ConditionKey per trial, a dict of lists, ``statistics`` per cell."""
+    buckets = {}
+    for t in trials:
+        buckets.setdefault(ConditionKey.for_trial(t), []).append(t)
+    out = {}
+    for key in sorted(buckets, key=_key_order):
+        cell = buckets[key]
+        mts = [t.movement_time_s for t in cell]
+        devs = [t.endpoint_deviation_m for t in cell]
+        sd_mt = statistics.stdev(mts) if len(cell) >= 2 else 0.0
+        out[key] = ConditionSummary(
+            key=key,
+            n_trials=len(cell),
+            mean_mt_s=statistics.fmean(mts),
+            sd_mt_s=sd_mt,
+            mean_deviation_m=statistics.fmean(devs),
+            sd_deviation_m=statistics.stdev(devs) if len(cell) >= 2 else 0.0,
+            error_rate=sum(1 for t in cell if t.error_attempts > 0) / len(cell),
+            ci95_mt_s=_ci95(sd_mt, len(cell)),
+        )
+    return out
+
+
+def _pooled_sd(ns, means, sds, grand_mean):
+    n_total = sum(ns)
+    if n_total < 2:
+        return 0.0
+    ss = sum((n - 1) * sd * sd + n * (m - grand_mean) ** 2
+             for n, m, sd in zip(ns, means, sds))
+    return math.sqrt(ss / (n_total - 1))
+
+
+def collapse_over_reference(summaries, drop, pooled=False):
+    """Merge cells by rewriting keys, SDs of cell means by ``statistics``."""
+    drop = set(drop)
+    if not drop:
+        return dict(summaries)
+    merged = {}
+    for key, summary in summaries.items():
+        new_key = replace(
+            key,
+            technique=None if "technique" in drop else key.technique,
+            posture=None if "posture" in drop else key.posture,
+        )
+        merged.setdefault(new_key, []).append(summary)
+    out = {}
+    for key in sorted(merged, key=_key_order):
+        cells = merged[key]
+        n_total = sum(c.n_trials for c in cells)
+        if pooled:
+            w = [c.n_trials / n_total for c in cells]
+        else:
+            w = [1.0 / len(cells)] * len(cells)
+        mean_mt = sum(wi * c.mean_mt_s for wi, c in zip(w, cells))
+        mean_dev = sum(wi * c.mean_deviation_m for wi, c in zip(w, cells))
+        err = sum(wi * c.error_rate for wi, c in zip(w, cells))
+        if pooled:
+            ns = [c.n_trials for c in cells]
+            sd_mt = _pooled_sd(ns, [c.mean_mt_s for c in cells],
+                               [c.sd_mt_s for c in cells], mean_mt)
+            sd_dev = _pooled_sd(ns, [c.mean_deviation_m for c in cells],
+                                [c.sd_deviation_m for c in cells], mean_dev)
+            ci = _ci95(sd_mt, n_total)
+        else:
+            two = len(cells) >= 2
+            sd_mt = statistics.stdev([c.mean_mt_s for c in cells]) if two else 0.0
+            sd_dev = statistics.stdev([c.mean_deviation_m for c in cells]) if two else 0.0
+            ci = _ci95(sd_mt, len(cells))
+        out[key] = ConditionSummary(
+            key=key, n_trials=n_total, mean_mt_s=mean_mt, sd_mt_s=sd_mt,
+            mean_deviation_m=mean_dev, sd_deviation_m=sd_dev, error_rate=err,
+            ci95_mt_s=ci,
+        )
+    return out
+
+
+def throughput_by_group_reference(trials, amplitude_mode, allow_partial_grid=False):
+    """Throughput grouped by rounded (D, H, W) tuples, W_e from ``statistics``."""
+    groups = {}
+    for t in trials:
+        cellkey = (round(t.distance_m, 3), round(t.height_m, 3), round(t.width_m, 3))
+        groups.setdefault((t.technique, t.posture), {}).setdefault(cellkey, []).append(t)
+    tech_order = {t: i for i, t in enumerate(Technique)}
+    post_order = {p: i for i, p in enumerate(Posture)}
+    summaries = []
+    for gkey in sorted(groups, key=lambda g: (tech_order[g[0]], post_order[g[1]])):
+        cells_by_key = groups[gkey]
+        if not allow_partial_grid:
+            missing = [
+                f"{gkey[0].value}/{gkey[1].value} D={d}m H={h}m W={w}m"
+                for d in GRID_DISTANCES_M for h in GRID_HEIGHTS_M for w in GRID_WIDTHS_M
+                if (d, h, w) not in cells_by_key
+            ]
+            if missing:
+                raise IncompleteGridError(missing)
+        cells = []
+        degenerate = 0
+        for cellkey in sorted(cells_by_key):
+            cell_trials = cells_by_key[cellkey]
+            d, h, w = cellkey
+            devs = [t.endpoint_deviation_m for t in cell_trials]
+            if len(devs) < 2:
+                degenerate += 1
+                continue
+            we = 4.133 * statistics.stdev(devs)
+            if we == 0.0:
+                degenerate += 1
+                continue
+            ae = amplitude_from_grid(d, h, amplitude_mode)
+            ide = effective_id(ae, we)
+            mean_mt = statistics.fmean(t.movement_time_s for t in cell_trials)
+            cells.append(ThroughputCell(
+                technique=gkey[0], posture=gkey[1], width_m=w, distance_m=d, height_m=h,
+                n_trials=len(cell_trials), ae_m=ae, we_m=we, ide_bits=ide,
+                mean_mt_s=mean_mt, tp_bits_per_s=ide / mean_mt,
+            ))
+        if not cells:
+            raise ValueError("all cells degenerate")
+        summaries.append(ThroughputSummary(
+            technique=gkey[0], posture=gkey[1],
+            tp_bits_per_s=statistics.fmean(c.tp_bits_per_s for c in cells),
+            cells=tuple(cells), degenerate_cells=degenerate,
+        ))
+    return summaries

@@ -184,6 +184,80 @@ class TestThroughput:
         ]) == 0
 
 
+class TestInputBoundary:
+    """Every bad input ends in exit 2 with a one-line message."""
+
+    @staticmethod
+    def _one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_endpoint_redraws_are_capped(self, tmp_path, capsys, deadline):
+        cfg = tmp_path / "wide.yaml"
+        cfg.write_text("preset: realistic\nparticipants: 1\nseed: 3\n"
+                       "endpoint_sd_fraction_of_width: 1.0e7\n")
+        with deadline(20):
+            code = main(["simulate", "--input", str(cfg), "--output", str(tmp_path / "l.csv")])
+        assert code == 2
+        assert "endpoint_sd_fraction_of_width" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("line", [
+        "mt_noise_sd_s: .nan",
+        "mt_noise_sd_s: .inf",
+        "endpoint_sd_fraction_of_width: .nan",
+        "technique_offsets_s: {RPRG: .nan}",
+        "mt_noise_sd_s: [1, 2]",
+        "participants: .inf",
+    ])
+    def test_non_finite_or_mistyped_config_floats(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"preset: realistic\nparticipants: 1\nseed: 3\n{line}\n")
+        out = tmp_path / "l.csv"
+        assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
+        assert line.split(":")[0] in self._one_line_error(capsys)
+        assert not out.exists()
+
+    def test_bad_row_after_blank_lines_reports_its_physical_line(
+        self, small_log, tmp_path, capsys
+    ):
+        lines = open(small_log).read().splitlines()
+        lines[2:2] = ["", ""]  # physical lines 3 and 4 are blank
+        parts = lines[5].split(",")  # physical line 6
+        parts[9] = "-1.0"
+        lines[5] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--input", str(bad)]) == 2
+        assert capsys.readouterr().out.startswith("line 6: movement_time_s")
+        assert main(["compare", "--input", str(bad)]) == 2
+        assert "line 6:" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("damage", ["drop-fit", "not-an-object", "wrong-type", "bad-json"])
+    def test_report_on_malformed_records_exits_2(self, small_log, tmp_path, capsys, damage):
+        records = tmp_path / "r.jsonl"
+        assert main([
+            "compare", "--input", small_log, "--output", str(records),
+            "--format", "records", "--amplitude-mode", "euclidean",
+        ]) == 0
+        lines = records.read_text().splitlines()
+        recs = [json.loads(line) for line in lines]
+        if damage == "drop-fit":
+            for rec in recs[:4]:
+                del rec["fit"]
+        elif damage == "wrong-type":
+            recs[2]["fit"]["aic"] = "low"
+        lines = [json.dumps(r) for r in recs]
+        if damage == "not-an-object":
+            lines[1] = "[1, 2, 3]"
+        elif damage == "bad-json":
+            lines[1] = "{not json"
+        records.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--input", str(records)]) == 2
+        assert "line" in self._one_line_error(capsys)
+
+
 class TestFitAndReport:
     def test_fit_prints_all_models(self, small_log, capsys):
         assert main(["fit", "--input", small_log, "--amplitude-mode", "euclidean"]) == 0

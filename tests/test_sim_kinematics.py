@@ -3,7 +3,7 @@ import pytest
 
 from telefitts.sim import parabola_landing, sphere_hit_test
 
-from oracles import rk4_landing
+from oracles import rk4_landing_batch
 
 
 class TestParabolaLanding:
@@ -45,13 +45,17 @@ class TestParabolaLanding:
 
     def test_matches_rk4_oracle(self):
         rng = np.random.default_rng(7)
-        checked = 0
+        launches = []
         for _ in range(60):
             origin = rng.uniform([-2, 0.8, -2], [2, 1.8, 2])
             vel = rng.uniform([-4, 0.0, 1.0], [4, 7.0, 10.0])
             h = float(rng.uniform(0.0, 0.5))
+            launches.append((origin, vel, h))
+        origins, velocities, heights = (np.array(column) for column in zip(*launches))
+        oracles = rk4_landing_batch(origins, velocities, 9.81, heights, dt=1e-4, t_max=60.0)
+        checked = 0
+        for (origin, vel, h), oracle in zip(launches, oracles):
             mine = parabola_landing(origin, vel, 9.81, h)
-            oracle = rk4_landing(origin, vel, 9.81, h)
             if mine is None:
                 assert oracle is None
                 continue

@@ -1,5 +1,7 @@
+import math
 import statistics
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -135,6 +137,42 @@ class TestGenerateStudy:
             for b in Technique:
                 if offsets[a] < offsets[b] - 0.05:
                     assert means[a] < means[b]
+
+
+class TestConfigBoundary:
+    def test_endpoint_redraw_loop_is_capped(self, deadline):
+        config = model_exact_preset(
+            REFERENCE_STANDARD_ALL, participants=1, seed=0,
+            endpoint_sd_fraction_of_width=1.0e7,
+        )
+        with deadline(20), pytest.raises(ConfigError, match="redraws"):
+            generate_study(config)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mt_noise_sd_s", math.nan),
+        ("endpoint_sd_fraction_of_width", math.inf),
+        ("start_cube_depth_m", math.nan),
+        ("technique_offsets_s", {Technique.RPRG: math.nan}),
+        ("widths_m", (0.2, math.nan)),
+        ("distances_m", (3.0, -math.inf)),
+        ("heights_m", (math.nan, 3.0)),
+        ("angles_deg", (0.0, math.inf)),
+        ("ground_truth", GroundTruth(ModelKind.STANDARD, (math.nan, 0.83))),
+    ])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            replace(realistic_preset(participants=1, seed=0), **{field: value})
+
+    @pytest.mark.parametrize("field", ["widths_m", "heights_m", "angles_deg"])
+    def test_empty_grid_axis_rejected(self, field):
+        with pytest.raises(ConfigError, match="non-empty"):
+            replace(realistic_preset(participants=1, seed=0), **{field: ()})
+
+    def test_nan_noise_in_config_file_rejected(self, tmp_path):
+        path = tmp_path / "study.yaml"
+        path.write_text("preset: realistic\nseed: 1\nmt_noise_sd_s: .nan\n")
+        with pytest.raises(ConfigError, match="mt_noise_sd_s"):
+            load_study_config(str(path))
 
 
 class TestStudyConfigFile:

@@ -1,0 +1,371 @@
+"""The columnar trial table and its group-by, checked for exact equality
+against the per-trial reference implementations in ``oracles``."""
+
+import math
+import random
+import statistics
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from telefitts import (
+    AmplitudeMode,
+    IncompleteGridError,
+    Posture,
+    TABLE_GROUPS,
+    Technique,
+    Trial,
+    TrialTable,
+    collapse_over,
+    group_by_condition,
+    group_summaries,
+    read_trial_log,
+    sample_sd,
+    throughput_by_group,
+    write_trial_log,
+)
+from telefitts import trials as trials_module
+from telefitts.sim import (
+    REFERENCE_STANDARD_ALL,
+    SIMULABLE_PROPOSED_ALL,
+    generate_study,
+    model_exact_preset,
+    realistic_preset,
+)
+
+from oracles import (
+    collapse_over_reference,
+    group_by_condition_reference,
+    throughput_by_group_reference,
+)
+
+PRESETS = {
+    "realistic": realistic_preset(participants=4, seed=11),
+    "standard-exact": model_exact_preset(REFERENCE_STANDARD_ALL, participants=3, seed=12),
+    "proposed-noisy": model_exact_preset(
+        SIMULABLE_PROPOSED_ALL, participants=3, seed=13,
+        mt_noise_sd_s=0.05, endpoint_sd_fraction_of_width=0.2,
+    ),
+}
+
+
+def assert_same_dict(got, expected):
+    assert got == expected
+    assert list(got) == list(expected)
+
+
+def random_trials(rng: random.Random, n: int, grid_jitter: bool = True) -> list[Trial]:
+    """Trials on a few widths/distances/heights, each written several ways
+    that differ by less than half a millimetre (so only the 1 mm quantization
+    merges them), with MT and deviation spread over many binades."""
+    def near(value: float) -> float:
+        return value + rng.choice([0.0, 3e-4, -4e-4, 1e-9]) if grid_jitter else value
+
+    out = []
+    for i in range(n):
+        out.append(Trial(
+            participant_id=rng.choice(["P01", "P02", "P10"]),
+            technique=rng.choice(list(Technique)),
+            posture=rng.choice(list(Posture)),
+            block=rng.randrange(10),
+            trial_index=i,
+            width_m=near(rng.choice([0.2, 1.35, 0.7])),
+            distance_m=near(rng.choice([3.0, 9.0])),
+            height_m=near(rng.choice([0.0, 3.0])),
+            angle_deg=rng.choice([-10.0, 0.0, 10.0]),
+            movement_time_s=rng.uniform(0.2, 6.0) * 2.0 ** rng.randint(-30, 30),
+            endpoint_deviation_m=abs(rng.gauss(0.0, 1.0)) * 10.0 ** rng.randint(-9, 0),
+            error_attempts=rng.choice([0, 0, 0, 1, 3]),
+            success=rng.random() < 0.9,
+        ))
+    return out
+
+
+class TestParityWithReference:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_group_by_condition_on_presets(self, preset):
+        table = generate_study(PRESETS[preset])
+        assert_same_dict(group_by_condition(table), group_by_condition_reference(list(table)))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_collapse_on_presets(self, preset, pooled):
+        summaries = group_by_condition(generate_study(PRESETS[preset]))
+        for drop in ({"technique"}, {"posture"}, {"technique", "posture"}):
+            assert_same_dict(
+                collapse_over(summaries, drop, pooled=pooled),
+                collapse_over_reference(summaries, drop, pooled=pooled),
+            )
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_table_groups_on_one_participant(self, pooled):
+        rows = [t for t in generate_study(PRESETS["realistic"]) if t.participant_id == "P02"]
+        summaries = group_by_condition(rows)
+        reference = group_by_condition_reference(rows)
+        assert_same_dict(summaries, reference)
+        for label in TABLE_GROUPS:
+            assert_same_dict(group_summaries(summaries, label, pooled=pooled),
+                             group_summaries(reference, label, pooled=pooled))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("mode", list(AmplitudeMode))
+    def test_throughput_on_presets(self, preset, mode):
+        table = generate_study(PRESETS[preset])
+        if preset == "standard-exact":  # no endpoint spread anywhere
+            with pytest.raises(ValueError, match="zero endpoint spread"):
+                throughput_by_group(table, mode)
+            with pytest.raises(ValueError):
+                throughput_by_group_reference(list(table), mode)
+            return
+        got = throughput_by_group(table, mode)
+        assert got == throughput_by_group_reference(list(table), mode)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_trials_with_off_grid_floats(self, seed):
+        trials = random_trials(random.Random(seed), 300)
+        summaries = group_by_condition(trials)
+        assert_same_dict(summaries, group_by_condition_reference(trials))
+        # quantization merged the jittered spellings of each grid value
+        assert {k.width_m for k in summaries} <= {0.2, 1.35, 0.7}
+        for pooled in (False, True):
+            assert_same_dict(
+                collapse_over(summaries, {"technique", "posture"}, pooled=pooled),
+                collapse_over_reference(summaries, {"technique", "posture"}, pooled=pooled),
+            )
+        got = throughput_by_group(trials, allow_partial_grid=True)
+        assert got == throughput_by_group_reference(
+            trials, AmplitudeMode.EUCLIDEAN, allow_partial_grid=True)
+
+    def test_singleton_cells_and_partial_grid(self):
+        def cell(t):
+            return (t.technique, t.posture, t.width_m, t.distance_m, t.height_m)
+
+        dropped = (Technique.RPRG, Posture.SITTING, 0.2, 3.0, 0.0)
+        single = (Technique.RPRG, Posture.SITTING, 1.35, 9.0, 3.0)
+        rows = [t for t in generate_study(PRESETS["realistic"])
+                if t.participant_id == "P01" and cell(t) != dropped]
+        first_single = next(i for i, t in enumerate(rows) if cell(t) == single)
+        rows = [t for i, t in enumerate(rows) if cell(t) != single or i == first_single]
+
+        summaries = group_by_condition(rows)
+        assert len(summaries) == 79
+        assert sum(s.n_trials == 1 for s in summaries.values()) == 1
+        assert_same_dict(summaries, group_by_condition_reference(rows))
+        for pooled in (False, True):
+            assert_same_dict(
+                collapse_over(summaries, {"posture"}, pooled=pooled),
+                collapse_over_reference(summaries, {"posture"}, pooled=pooled),
+            )
+        got = throughput_by_group(rows, allow_partial_grid=True)
+        assert got[0].degenerate_cells == 1
+        assert got == throughput_by_group_reference(
+            rows, AmplitudeMode.EUCLIDEAN, allow_partial_grid=True)
+        with pytest.raises(IncompleteGridError) as err:
+            throughput_by_group(rows)
+        with pytest.raises(IncompleteGridError) as expected:
+            throughput_by_group_reference(rows, AmplitudeMode.EUCLIDEAN)
+        assert err.value.missing == expected.value.missing
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(list(Technique)), st.sampled_from([0.2, 0.2004, 0.1996]),
+                  st.floats(1e-3, 1e3), st.floats(0.0, 1.0)),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_cells(self, rows):
+        trials = [
+            Trial("P01", tech, Posture.SITTING, 0, i, w, 3.0, 0.0, 0.0, mt, dev, 0, True)
+            for i, (tech, w, mt, dev) in enumerate(rows)
+        ]
+        assert_same_dict(group_by_condition(trials), group_by_condition_reference(trials))
+
+
+class TestSampleSd:
+    @pytest.mark.parametrize("values", [
+        [1.0, 1.0],
+        [0.1] * 17,
+        [0.0, 0.0, 0.0],
+        [2.5, -2.5],
+        [0.1, 0.2],
+        [1e-300, 1e300],
+        [5e-324, 1e-310, 2.2e-308],
+        [1e-17, 1.0, 1e17, -3.5],
+        [1.0 + 2.0 ** -52, 1.0, 1.0 - 2.0 ** -53],
+        [1e154, -1e154, 3e153],
+        [0.0, -0.0, 7.0],
+    ])
+    def test_adversarial_inputs(self, values):
+        assert sample_sd(values) == statistics.stdev(values)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150,
+                              max_value=1e150), min_size=2, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_random_floats(self, values):
+        assert sample_sd(values) == statistics.stdev(values)
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            values = (rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)).tolist()
+            assert sample_sd(values) == statistics.stdev(values)
+
+    def test_cell_sds_match_per_cell(self):
+        rng = np.random.default_rng(4)
+        cells = [rng.normal(size=int(k)) * 10.0 ** int(e)
+                 for k, e in zip(rng.integers(1, 30, 40), rng.integers(-200, 200, 40))]
+        cells.append(np.zeros(5))
+        counts = np.array([len(c) for c in cells])
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        got = trials_module._cell_sds(np.concatenate(cells), starts, counts)
+        expected = [statistics.stdev(c.tolist()) if len(c) >= 2 else 0.0 for c in cells]
+        assert got == expected
+
+    def test_non_finite_gives_nan(self):
+        assert math.isnan(sample_sd([1.0, math.inf]))
+        assert math.isnan(sample_sd([math.nan, 1.0, 2.0]))
+
+    def test_needs_two_values(self):
+        with pytest.raises(ValueError, match=">= 2"):
+            sample_sd([1.0])
+
+
+class TestTrialTable:
+    def test_sequence_of_trials(self):
+        table = generate_study(PRESETS["realistic"])
+        trials = list(table)
+        assert all(isinstance(t, Trial) for t in trials)
+        assert table == trials and trials == table
+        assert list(table) == trials
+        assert table[0] == trials[0] and table[-1] == trials[-1]
+        assert table[5:9] == trials[5:9]
+        with pytest.raises(IndexError):
+            table[len(trials)]
+
+    def test_from_trials_round_trip(self):
+        trials = random_trials(random.Random(9), 50)
+        table = TrialTable.from_trials(trials)
+        assert table == trials
+        assert list(table) == trials
+        assert TrialTable.from_trials(table) is table
+
+    def test_inequality(self):
+        trials = random_trials(random.Random(9), 20)
+        table = TrialTable.from_trials(trials)
+        assert table != trials[:-1]
+        assert table != trials[::-1]
+        renamed = [Trial("P99", *[getattr(t, f) for f in Trial.__dataclass_fields__][1:])
+                   if i == 3 else t for i, t in enumerate(trials)]
+        assert table != TrialTable.from_trials(renamed)
+
+    def test_columns_are_read_only(self):
+        table = generate_study(PRESETS["standard-exact"])
+        with pytest.raises(ValueError):
+            table.movement_time_s[0] = 1.0
+
+    def test_empty(self):
+        table = TrialTable.from_trials([])
+        assert len(table) == 0 and table == []
+        assert group_by_condition(table) == {}
+
+    def test_generated_columns_match_rows(self):
+        config = PRESETS["proposed-noisy"]
+        table = generate_study(config)
+        assert table.participant_ids == ("P01", "P02", "P03")
+        assert len(table) == 3 * 400
+        assert set(table.trial_index.tolist()) == set(range(40))
+
+
+class TestNoPerRowObjects:
+    def test_generate_then_group_builds_no_trial_and_one_key_per_cell(self, monkeypatch):
+        counts = {"Trial": 0, "ConditionKey": 0}
+        trial_init = Trial.__init__
+        key_post_init = trials_module.ConditionKey.__post_init__
+
+        def counting_trial_init(self, *args, **kwargs):
+            counts["Trial"] += 1
+            trial_init(self, *args, **kwargs)
+
+        def counting_key_post_init(self):
+            counts["ConditionKey"] += 1
+            key_post_init(self)
+
+        monkeypatch.setattr(Trial, "__init__", counting_trial_init)
+        monkeypatch.setattr(trials_module.ConditionKey, "__post_init__", counting_key_post_init)
+        summaries = group_by_condition(generate_study(realistic_preset(participants=5, seed=2)))
+        assert counts == {"Trial": 0, "ConditionKey": len(summaries)}
+        assert len(summaries) == 80
+
+
+class TestLogLines:
+    def test_read_records_physical_lines(self, tmp_path):
+        trials = random_trials(random.Random(1), 4)
+        path = tmp_path / "log.csv"
+        write_trial_log(trials, str(path))
+        lines = path.read_text().splitlines()
+        lines[2:2] = ["", ""]  # two blank lines before the second row
+        path.write_text("\n".join(lines) + "\n")
+        table = read_trial_log(str(path))
+        assert table == trials
+        assert table.line_numbers.tolist() == [2, 5, 6, 7]
+        assert [table.line_number(i) for i in range(4)] == [2, 5, 6, 7]
+        assert TrialTable.from_trials(trials).line_number(1) == 3
+
+    def test_chunked_read_and_write_round_trip(self, tmp_path):
+        table = generate_study(realistic_preset(participants=6, seed=4))
+        path = tmp_path / "log.csv"
+        write_trial_log(table, str(path))
+        assert len(table) > 2 * trials_module._CHUNK_ROWS
+        back = read_trial_log(str(path))
+        assert back == table
+        assert back.line_numbers.tolist() == list(range(2, len(table) + 2))
+
+    def test_bad_row_in_a_later_chunk_names_its_line(self, tmp_path):
+        table = generate_study(realistic_preset(participants=4, seed=4))
+        path = tmp_path / "log.csv"
+        write_trial_log(table, str(path))
+        lines = path.read_text().splitlines()
+        bad_line = trials_module._CHUNK_ROWS + 300
+        lines[bad_line - 1] = lines[bad_line - 1].replace("Sitting", "Lying").replace(
+            "Standing", "Lying")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(trials_module.LogFormatError) as err:
+            read_trial_log(str(path))
+        assert err.value.line_number == bad_line
+        assert "Posture" in str(err.value)
+
+    def test_integer_out_of_range_is_a_format_error(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_trial_log(random_trials(random.Random(2), 3), str(path))
+        lines = path.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[3] = str(2 ** 70)
+        lines[3] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(trials_module.LogFormatError) as err:
+            read_trial_log(str(path))
+        assert err.value.line_number == 4
+
+    def test_nul_byte_is_a_format_error(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_trial_log(random_trials(random.Random(2), 3), str(path))
+        text = path.read_text().splitlines()
+        text[2] = text[2] + "\0"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(trials_module.LogFormatError) as err:
+            read_trial_log(str(path))
+        assert err.value.line_number == 3
+
+    def test_header_only_log_is_empty(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_trial_log([], str(path))
+        assert len(read_trial_log(str(path))) == 0
+
+
+def test_float_columns_written_as_python_reprs(tmp_path):
+    # numpy 2 scalars repr as "np.float64(...)"; the log must hold plain floats
+    path = tmp_path / "log.csv"
+    write_trial_log(generate_study(PRESETS["realistic"])[:3], str(path))
+    assert "np." not in path.read_text()
