@@ -154,7 +154,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     lines: list[str] = []
     for mode in _amplitude_modes(args.amplitude_mode):
         cells = group_summaries(summaries, "All", pooled=pooled)
-        report = compare_models(cells, mode, group_label="All")
+        report = compare_models(cells, mode)
         lines.extend(_fit_lines(report.fits, mode))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -17,10 +17,10 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .models import (
+    MODEL_SPECS,
     AmplitudeMode,
     ModelKind,
     PredictorRow,
-    START_CUBE_DEPTH_M,
     geometry_for_condition,
     predictors_for,
 )
@@ -38,8 +38,21 @@ from .trials import (
 
 MODEL_ORDER = tuple(ModelKind)
 
-#: Group labels in report order: one per technique, one per posture, one overall.
-TABLE_GROUPS = ("RPRG", "LPLG", "RPLG", "LPRG", "RPDW", "All Sit", "All Stand", "All")
+#: Report groups in report order, one per technique, one per posture and one
+#: overall: label -> (key field, level, factors collapsed). A group keeps the
+#: cells whose key field holds the level (every cell when the field is None)
+#: and collapses the listed factors.
+_GROUPS: dict[str, tuple[str | None, Technique | Posture | None, tuple[str, ...]]] = {
+    **{
+        t.value: ("technique", t, ("posture",))
+        for t in (Technique.RPRG, Technique.LPLG, Technique.RPLG, Technique.LPRG,
+                  Technique.RPDW)
+    },
+    "All Sit": ("posture", Posture.SITTING, ("technique",)),
+    "All Stand": ("posture", Posture.STANDING, ("technique",)),
+    "All": (None, None, ("technique", "posture")),
+}
+TABLE_GROUPS = tuple(_GROUPS)
 
 
 class Criterion(Enum):
@@ -117,41 +130,15 @@ class ComparisonReport:
         return (self.ranking_aic if criterion is Criterion.AIC else self.ranking_bic)[0]
 
 
-def render_equation(kind: ModelKind, coefficients: Sequence[float]) -> str:
-    """Human equation string with slopes applied to the stored predictors."""
-    a = coefficients[0]
-    if kind is ModelKind.STANDARD:
-        return f"MT={coefficients[1]:.2f}*ID{a:+.2f}"
-    b1, b2 = coefficients[1], coefficients[2]
-    return f"MT={b1:.2f}*A{b2:+.2f}*B{a:+.2f}"
-
-
-def render_equation_signed(kind: ModelKind, coefficients: Sequence[float]) -> str:
-    """Equation with the negative-signed term written out explicitly."""
-    a = coefficients[0]
-    b1 = coefficients[1]
-    if kind is ModelKind.STANDARD:
-        return f"MT = {b1:.4f}*log2(A/W+1) {a:+.4f}"
-    b2 = coefficients[2]
-    if kind is ModelKind.TWO_PART:
-        return f"MT = {b1:.4f}*log2(A+W) - {b2:.4f}*log2(W) {a:+.4f}"
-    if kind is ModelKind.VERGENCE:
-        return f"MT = {b1:.4f}*log2(A/W+1) + {b2:.4f}*CTD {a:+.4f}"
-    return f"MT = {b1:.4f}*log2(A/W+1) - {b2:.4f}*log2(W/max(D,H)+1) {a:+.4f}"
-
-
 def rows_for_model(
     kind: ModelKind,
     summaries: Mapping[ConditionKey, ConditionSummary],
     amplitude_mode: AmplitudeMode,
-    start_depth_m: float = START_CUBE_DEPTH_M,
 ) -> list[PredictorRow]:
     rows = []
     for key in sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m)):
         s = summaries[key]
-        g = geometry_for_condition(
-            key.width_m, key.distance_m, key.height_m, amplitude_mode, start_depth_m
-        )
+        g = geometry_for_condition(key.width_m, key.distance_m, key.height_m, amplitude_mode)
         rows.append(PredictorRow(predictors_for(kind, g), s.mean_mt_s))
     return rows
 
@@ -173,7 +160,6 @@ def compare_models(
     summaries: Mapping[ConditionKey, ConditionSummary],
     amplitude_mode: AmplitudeMode = AmplitudeMode.EUCLIDEAN,
     group_label: str = "All",
-    start_depth_m: float = START_CUBE_DEPTH_M,
 ) -> ComparisonReport:
     """Fit every model on one group's condition means and grade the deltas.
 
@@ -186,7 +172,7 @@ def compare_models(
         )
     fits: dict[ModelKind, FitResult] = {}
     for kind in MODEL_ORDER:
-        rows = rows_for_model(kind, summaries, amplitude_mode, start_depth_m)
+        rows = rows_for_model(kind, summaries, amplitude_mode)
         fits[kind] = ols_fit(rows)
 
     delta_aic = _deltas({k: f.aic for k, f in fits.items()})
@@ -206,7 +192,7 @@ def compare_models(
         bic_grades={k: grade_delta(Criterion.BIC, d) for k, d in delta_bic.items()},
         ranking_aic=_ranking({k: f.aic for k, f in fits.items()}),
         ranking_bic=_ranking({k: f.bic for k, f in fits.items()}),
-        equations={k: render_equation(k, f.coefficients) for k, f in fits.items()},
+        equations={k: MODEL_SPECS[k].equations(f.coefficients)[0] for k, f in fits.items()},
         nested_f_vs_standard=nested,
     )
 
@@ -217,48 +203,37 @@ def group_summaries(
     pooled: bool = False,
 ) -> dict[ConditionKey, ConditionSummary]:
     """Select and collapse the cells belonging to one report group."""
-    if group_label in Technique.__members__:
-        tech = Technique[group_label]
-        subset = {k: s for k, s in summaries.items() if k.technique is tech}
-        return collapse_over(subset, {"posture"}, pooled=pooled)
-    if group_label == "All Sit":
-        subset = {k: s for k, s in summaries.items() if k.posture is Posture.SITTING}
-        return collapse_over(subset, {"technique"}, pooled=pooled)
-    if group_label == "All Stand":
-        subset = {k: s for k, s in summaries.items() if k.posture is Posture.STANDING}
-        return collapse_over(subset, {"technique"}, pooled=pooled)
-    if group_label == "All":
-        return collapse_over(summaries, {"technique", "posture"}, pooled=pooled)
-    raise ValueError(f"unknown group label: {group_label}")
+    if group_label not in _GROUPS:
+        raise ValueError(f"unknown group label: {group_label}")
+    field, level, collapsed = _GROUPS[group_label]
+    if field is not None:
+        summaries = {k: s for k, s in summaries.items() if getattr(k, field) is level}
+    return collapse_over(summaries, collapsed, pooled=pooled)
 
 
 def run_table1_suite(
     trials: Sequence[Trial],
     amplitude_mode: AmplitudeMode = AmplitudeMode.EUCLIDEAN,
     pooled: bool = False,
-    start_depth_m: float = START_CUBE_DEPTH_M,
 ) -> list[ComparisonReport]:
-    """The full 8-group comparison: per technique, per posture, and overall."""
+    """The full 8-group comparison: per technique, per posture, and overall.
+
+    Raises IncompleteGridError naming every technique or posture group
+    without cells, techniques first, each in declaration order.
+    """
     summaries = group_by_condition(trials)
-    missing: list[str] = []
-    techniques_present = {k.technique for k in summaries}
-    postures_present = {k.posture for k in summaries}
-    for tech in Technique:
-        if tech not in techniques_present:
-            missing.append(tech.value)
-    for post in Posture:
-        if post not in postures_present:
-            missing.append("All Sit" if post is Posture.SITTING else "All Stand")
-    if missing:
-        raise IncompleteGridError(missing)
+    empty = {
+        level: label
+        for label, (field, level, _) in _GROUPS.items()
+        if field is not None and all(getattr(k, field) is not level for k in summaries)
+    }
+    if empty:
+        raise IncompleteGridError([empty[v] for v in (*Technique, *Posture) if v in empty])
 
     reports = []
     for label in TABLE_GROUPS:
         cells = group_summaries(summaries, label, pooled=pooled)
-        reports.append(
-            compare_models(cells, amplitude_mode, group_label=label,
-                           start_depth_m=start_depth_m)
-        )
+        reports.append(compare_models(cells, amplitude_mode, group_label=label))
     return reports
 
 
@@ -376,9 +351,9 @@ def render_records(reports: Sequence[ComparisonReport]) -> str:
                 "rank_aic": rep.ranking_aic.index(kind),
                 "rank_bic": rep.ranking_bic.index(kind),
                 "equation": rep.equations[kind],
-                "equation_signed": render_equation_signed(
-                    kind, rep.fits[kind].coefficients
-                ),
+                "equation_signed": MODEL_SPECS[kind].equations(
+                    rep.fits[kind].coefficients
+                )[1],
                 "nested_f_vs_standard": None if nested is None else list(nested),
             }
             lines.append(json.dumps(record, sort_keys=True))
@@ -455,7 +430,7 @@ def parse_records(text: str) -> list[ComparisonReport]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"record on line {line_no}: invalid JSON ({exc})") from None
         _check_record(rec, line_no)
         gkey = (rec["group"], rec["amplitude_mode"])

@@ -8,8 +8,8 @@ All four variants are linear in their predictors:
     Proposed:  MT = a + b1 * log2(A/W + 1) - b2 * log2(W / max(D, H) + 1)
 
 Negative-signed terms are folded into the stored predictor, not the
-coefficient, so fitted slopes are expected positive across the board; the
-report layer re-renders equations in the conventional sign placement.
+coefficient, so fitted slopes are expected positive across the board;
+``MODEL_SPECS`` writes equations in the conventional sign placement.
 """
 
 from __future__ import annotations
@@ -17,11 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
+
+#: The study's condition grid: target widths W, teleport distances D and
+#: heights H, meters, and the yaw angles a target is placed at, degrees.
+GRID_WIDTHS_M = (0.2, 1.35)
+GRID_DISTANCES_M = (3.0, 9.0)
+GRID_HEIGHTS_M = (0.0, 3.0)
+GRID_ANGLES_DEG = (-10.0, 0.0, 10.0)
 
 #: Depth of the fixed start cube in front of the user, meters. Every trial
-#: re-homes at the cube, so the default change-in-target-depth for a target
-#: at depth D is |D - START_CUBE_DEPTH_M|.
+#: re-homes at the cube, so the change in target depth for a target at
+#: depth D is |D - START_CUBE_DEPTH_M|.
 START_CUBE_DEPTH_M = 0.59
 
 
@@ -38,20 +45,6 @@ class AmplitudeMode(Enum):
 
     EUCLIDEAN = "euclidean"
     DEPTH_ONLY = "depth"
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: ModelKind
-    predictor_count: int
-
-
-MODEL_SPECS: dict[ModelKind, ModelSpec] = {
-    ModelKind.STANDARD: ModelSpec(ModelKind.STANDARD, 1),
-    ModelKind.TWO_PART: ModelSpec(ModelKind.TWO_PART, 2),
-    ModelKind.VERGENCE: ModelSpec(ModelKind.VERGENCE, 2),
-    ModelKind.PROPOSED: ModelSpec(ModelKind.PROPOSED, 2),
-}
 
 
 @dataclass(frozen=True)
@@ -125,16 +118,60 @@ def predictors_proposed(g: TargetGeometry) -> tuple[float, ...]:
     )
 
 
-_PREDICTOR_FNS = {
-    ModelKind.STANDARD: predictors_standard,
-    ModelKind.TWO_PART: predictors_two_part,
-    ModelKind.VERGENCE: predictors_vergence,
-    ModelKind.PROPOSED: predictors_proposed,
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that defines one model.
+
+    ``labels`` name the slopes in the short equation and ``terms`` are the
+    same predictors written out with their conventional sign; both follow
+    the order of the tuple ``predictors`` returns.
+    """
+
+    kind: ModelKind
+    predictors: Callable[[TargetGeometry], tuple[float, ...]]
+    labels: tuple[str, ...]
+    terms: tuple[str, ...]
+
+    @property
+    def predictor_count(self) -> int:
+        return len(self.labels)
+
+    def equations(self, coefficients: Sequence[float]) -> tuple[str, str]:
+        """The short and the signed equation for (intercept, slopes...),
+        e.g. ``MT=0.83*ID-0.41`` and ``MT = 0.8300*log2(A/W+1) -0.4100``."""
+        intercept, slopes = coefficients[0], coefficients[1:]
+        short = "".join(f"{b:+.2f}*{label}" for b, label in zip(slopes, self.labels))
+        signed = " ".join(
+            f"{term[0]} {b:.4f}*{term[2:]}" for b, term in zip(slopes, self.terms)
+        )
+        # The first slope is written without a leading plus sign.
+        return (
+            f"MT={short.removeprefix('+')}{intercept:+.2f}",
+            f"MT = {signed.removeprefix('+ ')} {intercept:+.4f}",
+        )
+
+
+MODEL_SPECS: dict[ModelKind, ModelSpec] = {
+    ModelKind.STANDARD: ModelSpec(
+        ModelKind.STANDARD, predictors_standard, ("ID",), ("+ log2(A/W+1)",)
+    ),
+    ModelKind.TWO_PART: ModelSpec(
+        ModelKind.TWO_PART, predictors_two_part, ("A", "B"),
+        ("+ log2(A+W)", "- log2(W)"),
+    ),
+    ModelKind.VERGENCE: ModelSpec(
+        ModelKind.VERGENCE, predictors_vergence, ("A", "B"),
+        ("+ log2(A/W+1)", "+ CTD"),
+    ),
+    ModelKind.PROPOSED: ModelSpec(
+        ModelKind.PROPOSED, predictors_proposed, ("A", "B"),
+        ("+ log2(A/W+1)", "- log2(W/max(D,H)+1)"),
+    ),
 }
 
 
 def predictors_for(kind: ModelKind, g: TargetGeometry) -> tuple[float, ...]:
-    return _PREDICTOR_FNS[kind](g)
+    return MODEL_SPECS[kind].predictors(g)
 
 
 def predict_mt(kind: ModelKind, coefficients: Sequence[float], g: TargetGeometry) -> float:
@@ -170,7 +207,6 @@ def geometry_for_condition(
     distance_m: float,
     height_m: float,
     mode: AmplitudeMode = AmplitudeMode.EUCLIDEAN,
-    start_depth_m: float = START_CUBE_DEPTH_M,
 ) -> TargetGeometry:
     """Build the task geometry for one (W, D, H) grid cell."""
     return TargetGeometry(
@@ -178,5 +214,5 @@ def geometry_for_condition(
         width_m=width_m,
         depth_m=distance_m,
         altitude_m=height_m,
-        ctd_m=abs(distance_m - start_depth_m),
+        ctd_m=abs(distance_m - START_CUBE_DEPTH_M),
     )

@@ -120,16 +120,21 @@ def _design_matrix(rows: Sequence[PredictorRow]) -> tuple[np.ndarray, np.ndarray
     return x, y
 
 
-def _collinear_columns(x: np.ndarray) -> list[int]:
-    """Predictor indices (1-based within the slope block) that add no rank."""
-    bad: list[int] = []
-    rank = 1  # intercept column
-    for j in range(1, x.shape[1]):
-        new_rank = int(np.linalg.matrix_rank(x[:, : j + 1]))
-        if new_rank == rank:
-            bad.append(j)
-        rank = new_rank
-    return bad
+def _collinear_columns(x: np.ndarray, r: np.ndarray) -> list[int]:
+    """Predictor indices (1-based within the slope block) that add no rank.
+
+    ``r`` is the triangular QR factor of ``x``. Column j adds no rank when
+    |R[j, j]|, its distance from the span of the columns before it, is within
+    ``np.linalg.matrix_rank``'s tolerance for the leading j + 1 columns,
+    max(n, j + 1) * eps * norm, taking the Frobenius norm of those columns.
+    """
+    n = x.shape[0]
+    eps = np.finfo(x.dtype).eps
+    norms = np.sqrt(np.cumsum(np.sum(x * x, axis=0)))
+    return [
+        j for j in range(1, x.shape[1])
+        if abs(r[j, j]) <= max(n, j + 1) * eps * norms[j]
+    ]
 
 
 def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
@@ -141,11 +146,10 @@ def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     p = cols - 1
     if n < p + 2:
         raise ValueError(f"need at least p + 2 = {p + 2} observations, got {n}")
-    bad = _collinear_columns(x)
+    q, r = np.linalg.qr(x)
+    bad = _collinear_columns(x, r)
     if bad:
         raise CollinearPredictorsError(bad)
-
-    q, r = np.linalg.qr(x)
     coef = np.linalg.solve(r, q.T @ y)
     resid = y - x @ coef
     rss = float(resid @ resid)

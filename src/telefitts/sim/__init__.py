@@ -30,38 +30,3 @@ from .study import (
     realistic_preset,
     technique_offsets_from_means,
 )
-
-__all__ = [
-    "HandSample",
-    "StationaryHand",
-    "minimum_jerk_profile",
-    "synth_hand_trace",
-    "kalman_smooth",
-    "sample_at",
-    "spike_compensate",
-    "parabola_landing",
-    "sphere_hit_test",
-    "DwellState",
-    "LaunchSpeedModel",
-    "SceneSpec",
-    "TargetPlacement",
-    "TechniqueConfig",
-    "TechniqueState",
-    "TrialOutcome",
-    "dwell_update",
-    "run_trial",
-    "technique_step",
-    "ConfigError",
-    "GroundTruth",
-    "REFERENCE_PROPOSED_ALL",
-    "REFERENCE_STANDARD_ALL",
-    "SIMULABLE_PROPOSED_ALL",
-    "StudyConfig",
-    "TECHNIQUE_MEAN_MT_S",
-    "balanced_latin_square",
-    "generate_study",
-    "load_study_config",
-    "model_exact_preset",
-    "realistic_preset",
-    "technique_offsets_from_means",
-]

@@ -18,9 +18,13 @@ import numpy as np
 import yaml
 
 from ..models import (
+    GRID_ANGLES_DEG,
+    GRID_DISTANCES_M,
+    GRID_HEIGHTS_M,
+    GRID_WIDTHS_M,
+    MODEL_SPECS,
     AmplitudeMode,
     ModelKind,
-    START_CUBE_DEPTH_M,
     geometry_for_condition,
     predict_mt,
 )
@@ -90,6 +94,10 @@ REFERENCE_STANDARD_ALL = GroundTruth(ModelKind.STANDARD, (-0.41, 0.83))
 REFERENCE_PROPOSED_ALL = GroundTruth(ModelKind.PROPOSED, (-2.46, 1.21, 3.00))
 SIMULABLE_PROPOSED_ALL = GroundTruth(ModelKind.PROPOSED, (2.46, 1.21, 3.00))
 
+#: Most trials one study may generate (participants x trials per participant);
+#: the generated table holds every row in memory, about 100 bytes each.
+_MAX_TRIALS = 1_000_000
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -101,12 +109,11 @@ class StudyConfig:
     endpoint_sd_fraction_of_width: float = 0.0
     technique_offsets_s: dict[Technique, float] = field(default_factory=dict)
     amplitude_mode: AmplitudeMode = AmplitudeMode.EUCLIDEAN
-    start_cube_depth_m: float = START_CUBE_DEPTH_M
-    widths_m: tuple[float, ...] = (0.2, 1.35)
-    distances_m: tuple[float, ...] = (3.0, 9.0)
-    heights_m: tuple[float, ...] = (0.0, 3.0)
+    widths_m: tuple[float, ...] = GRID_WIDTHS_M
+    distances_m: tuple[float, ...] = GRID_DISTANCES_M
+    heights_m: tuple[float, ...] = GRID_HEIGHTS_M
     repetitions: int = 5
-    angles_deg: tuple[float, ...] = (-10.0, 0.0, 10.0)
+    angles_deg: tuple[float, ...] = GRID_ANGLES_DEG
 
     def __post_init__(self) -> None:
         if self.participants < 1:
@@ -115,7 +122,6 @@ class StudyConfig:
             ("mt_noise_sd_s", [self.mt_noise_sd_s]),
             ("endpoint_sd_fraction_of_width", [self.endpoint_sd_fraction_of_width]),
             ("technique_offsets_s", list(self.technique_offsets_s.values())),
-            ("start_cube_depth_m", [self.start_cube_depth_m]),
             ("widths_m", self.widths_m),
             ("distances_m", self.distances_m),
             ("heights_m", self.heights_m),
@@ -131,6 +137,12 @@ class StudyConfig:
             raise ConfigError("repetitions must be >= 1")
         if not (self.widths_m and self.distances_m and self.heights_m and self.angles_deg):
             raise ConfigError("the condition grid and the angle choices must be non-empty")
+        n_trials = self.participants * self.trials_per_participant
+        if n_trials > _MAX_TRIALS:
+            raise ConfigError(
+                f"{self.participants} participants x {self.trials_per_participant} "
+                f"trials = {n_trials} trials exceeds the limit of {_MAX_TRIALS}"
+            )
 
     @property
     def trials_per_participant(self) -> int:
@@ -204,9 +216,7 @@ def generate_study(config: StudyConfig) -> TrialTable:
         predict_mt(
             config.ground_truth.kind,
             config.ground_truth.coefficients,
-            geometry_for_condition(
-                *cell, config.amplitude_mode, config.start_cube_depth_m
-            ),
+            geometry_for_condition(*cell, config.amplitude_mode),
         )
         for cell in cell_grid
     ])
@@ -312,7 +322,7 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config file: {exc}") from None
     if raw is None:
         raw = {}
@@ -399,8 +409,6 @@ def _parse_ground_truth(raw: object) -> GroundTruth:
     if not isinstance(coeffs, (list, tuple)):
         raise ConfigError("ground_truth.coefficients must be a list")
     coeffs = tuple(_config_float("ground_truth.coefficients", c) for c in coeffs)
-    from ..models import MODEL_SPECS
-
     expected = MODEL_SPECS[kind].predictor_count + 1
     if len(coeffs) != expected:
         raise ConfigError(

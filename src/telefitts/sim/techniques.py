@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..models import START_CUBE_DEPTH_M
 from ..trials import Technique
 from .hands import HandSample
 from .kinematics import parabola_landing, sphere_hit_test
@@ -94,8 +95,6 @@ class SceneSpec:
     """Task scene: fixed start cube, one spherical target on its platform."""
 
     target: TargetPlacement
-    start_cube_depth_m: float = 0.59
-    platform_size_m: float = 1.0
     gravity_m_s2: float = 9.81
     launch: LaunchSpeedModel = LaunchSpeedModel()
     shoulder_m: tuple[float, float, float] = (0.0, 1.4, 0.0)
@@ -103,7 +102,7 @@ class SceneSpec:
     start_cube_height_m: float = 1.4
 
     def start_cube_center(self) -> np.ndarray:
-        return np.array([0.0, self.start_cube_height_m, self.start_cube_depth_m])
+        return np.array([0.0, self.start_cube_height_m, START_CUBE_DEPTH_M])
 
     def launch_velocity(self, sample: HandSample) -> np.ndarray:
         reach = float(np.linalg.norm(sample.position_m - np.asarray(self.shoulder_m)))

@@ -13,7 +13,13 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from .models import AmplitudeMode, amplitude_from_grid
+from .models import (
+    GRID_DISTANCES_M,
+    GRID_HEIGHTS_M,
+    GRID_WIDTHS_M,
+    AmplitudeMode,
+    amplitude_from_grid,
+)
 from .trials import (
     ConditionSummary,
     IncompleteGridError,
@@ -26,12 +32,6 @@ from .trials import (
 
 #: Endpoint-spread multiplier mapping an SD to the width containing ~96% of hits.
 WE_SD_FACTOR = 4.133
-
-#: The amplitude x width grid behind the means-of-means N: four (D, H)
-#: amplitude levels by two widths.
-GRID_DISTANCES_M = (3.0, 9.0)
-GRID_HEIGHTS_M = (0.0, 3.0)
-GRID_WIDTHS_M = (0.2, 1.35)
 
 
 def effective_width(endpoint_deviations_m: Sequence[float]) -> float:
@@ -87,6 +87,20 @@ class ThroughputSummary:
     degenerate_cells: int
 
 
+def _require_full_grid(have: set[tuple[float, float, float]], prefix: str = "") -> None:
+    """Raise IncompleteGridError naming each (D, H, W) cell of the amplitude x
+    width grid that ``have`` lacks, each name prefixed by ``prefix``."""
+    missing = [
+        f"{prefix}D={d}m H={h}m W={w}m"
+        for d in GRID_DISTANCES_M
+        for h in GRID_HEIGHTS_M
+        for w in GRID_WIDTHS_M
+        if (d, h, w) not in have
+    ]
+    if missing:
+        raise IncompleteGridError(missing)
+
+
 def throughput_mean_of_means(
     cells: Sequence[ThroughputCell], require_full_grid: bool = True
 ) -> float:
@@ -98,16 +112,7 @@ def throughput_mean_of_means(
     if not cells:
         raise ValueError("no throughput cells")
     if require_full_grid:
-        have = {(c.distance_m, c.height_m, c.width_m) for c in cells}
-        missing = [
-            f"D={d}m H={h}m W={w}m"
-            for d in GRID_DISTANCES_M
-            for h in GRID_HEIGHTS_M
-            for w in GRID_WIDTHS_M
-            if (d, h, w) not in have
-        ]
-        if missing:
-            raise IncompleteGridError(missing)
+        _require_full_grid({(c.distance_m, c.height_m, c.width_m) for c in cells})
     return statistics.fmean(c.tp_bits_per_s for c in cells)
 
 
@@ -132,16 +137,10 @@ def throughput_by_group(
     summaries: list[ThroughputSummary] = []
     for (technique, posture), group in groups.items():
         if not allow_partial_grid:
-            have = {(s.key.distance_m, s.key.height_m, s.key.width_m) for s in group}
-            missing = [
-                f"{technique.value}/{posture.value} D={d}m H={h}m W={w}m"
-                for d in GRID_DISTANCES_M
-                for h in GRID_HEIGHTS_M
-                for w in GRID_WIDTHS_M
-                if (d, h, w) not in have
-            ]
-            if missing:
-                raise IncompleteGridError(missing)
+            _require_full_grid(
+                {(s.key.distance_m, s.key.height_m, s.key.width_m) for s in group},
+                f"{technique.value}/{posture.value} ",
+            )
         cells: list[ThroughputCell] = []
         degenerate = 0
         for s in sorted(group, key=lambda s: (s.key.distance_m, s.key.height_m, s.key.width_m)):

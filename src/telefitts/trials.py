@@ -39,8 +39,6 @@ class Posture(Enum):
     STANDING = "Standing"
 
 
-PAPER_ANGLES_DEG = (-10.0, 0.0, 10.0)
-
 TRIAL_LOG_HEADER = (
     "participant_id,technique,posture,block,trial_index,width_m,distance_m,"
     "height_m,angle_deg,movement_time_s,endpoint_deviation_m,error_attempts,success"

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written against a different method than the
 code under test: pseudo-inverse and grid search instead of QR, adaptive
-quadrature of the F density instead of the incomplete beta function, scalar
-textbook Kalman recursion instead of the vectorized filter, RK4 flight
-integration instead of the closed-form landing solution, and per-trial
-dictionary grouping with ``statistics`` instead of the integer-coded
-column group-by.
+quadrature of the F density instead of the incomplete beta function, the
+rank of each leading block of columns (an SVD) instead of the QR diagonal
+for collinearity, scalar textbook Kalman recursion instead of the vectorized
+filter, RK4 flight integration instead of the closed-form landing solution,
+and per-trial dictionary grouping with ``statistics`` instead of the
+integer-coded column group-by.
 """
 
 from __future__ import annotations
@@ -60,6 +61,19 @@ def grid_search_ols(
             best_rss = rss
             best = coef
     return np.asarray(best)
+
+
+def collinear_columns_by_rank(x: np.ndarray) -> list[int]:
+    """Slope columns (1-based within the slope block) that leave
+    ``np.linalg.matrix_rank`` of the leading columns unchanged."""
+    bad: list[int] = []
+    rank = 1  # intercept column
+    for j in range(1, x.shape[1]):
+        new_rank = int(np.linalg.matrix_rank(x[:, : j + 1]))
+        if new_rank == rank:
+            bad.append(j)
+        rank = new_rank
+    return bad
 
 
 def f_pdf(t: float, d1: int, d2: int) -> float:

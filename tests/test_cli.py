@@ -203,6 +203,24 @@ class TestInputBoundary:
         assert code == 2
         assert "endpoint_sd_fraction_of_width" in self._one_line_error(capsys)
 
+    def test_study_size_is_capped(self, tmp_path, capsys, deadline):
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("preset: realistic\nparticipants: 100000000\nseed: 3\n")
+        out = tmp_path / "l.csv"
+        with deadline(20):
+            code = main(["simulate", "--input", str(cfg), "--output", str(out)])
+        assert code == 2
+        assert "limit of 1000000" in self._one_line_error(capsys)
+        assert not out.exists()
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.yaml"
+        cfg.write_text("seed: 3\nparticipants: " + "[" * 5000 + "]" * 5000 + "\n")
+        out = tmp_path / "l.csv"
+        assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
+        assert "cannot parse config file" in self._one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "mt_noise_sd_s: .nan",
         "mt_noise_sd_s: .inf",
@@ -234,7 +252,9 @@ class TestInputBoundary:
         assert main(["compare", "--input", str(bad)]) == 2
         assert "line 6:" in self._one_line_error(capsys)
 
-    @pytest.mark.parametrize("damage", ["drop-fit", "not-an-object", "wrong-type", "bad-json"])
+    @pytest.mark.parametrize(
+        "damage", ["drop-fit", "not-an-object", "wrong-type", "bad-json", "deep-nesting"]
+    )
     def test_report_on_malformed_records_exits_2(self, small_log, tmp_path, capsys, damage):
         records = tmp_path / "r.jsonl"
         assert main([
@@ -253,6 +273,8 @@ class TestInputBoundary:
             lines[1] = "[1, 2, 3]"
         elif damage == "bad-json":
             lines[1] = "{not json"
+        elif damage == "deep-nesting":
+            lines[1] = "[" * 100_000 + "]" * 100_000
         records.write_text("\n".join(lines) + "\n")
         assert main(["report", "--input", str(records)]) == 2
         assert "line" in self._one_line_error(capsys)

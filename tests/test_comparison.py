@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from telefitts import (
     ConditionSummary,
     Criterion,
     IncompleteGridError,
+    MODEL_SPECS,
     ModelKind,
     Posture,
     Technique,
@@ -263,3 +265,21 @@ class TestRendering:
         assert eq.startswith("MT=") and "*ID" in eq
         eq2 = reports[0].equations[ModelKind.PROPOSED]
         assert "*A" in eq2 and "*B" in eq2
+
+    @pytest.mark.parametrize("kind, equation, signed", [
+        (ModelKind.STANDARD, "MT=1.25*ID-0.50",
+         "MT = 1.2500*log2(A/W+1) -0.5000"),
+        (ModelKind.TWO_PART, "MT=1.25*A+0.75*B-0.50",
+         "MT = 1.2500*log2(A+W) - 0.7500*log2(W) -0.5000"),
+        (ModelKind.VERGENCE, "MT=1.25*A+0.75*B-0.50",
+         "MT = 1.2500*log2(A/W+1) + 0.7500*CTD -0.5000"),
+        (ModelKind.PROPOSED, "MT=1.25*A+0.75*B-0.50",
+         "MT = 1.2500*log2(A/W+1) - 0.7500*log2(W/max(D,H)+1) -0.5000"),
+    ])
+    def test_equation_strings(self, kind, equation, signed):
+        coefficients = (-0.5, 1.25, 0.75)[: MODEL_SPECS[kind].predictor_count + 1]
+        report = compare_models(summaries_from_model(kind, coefficients))
+        assert report.equations[kind] == equation
+        records = [json.loads(line) for line in render_records([report]).splitlines()]
+        record = next(r for r in records if r["model"] == kind.value)
+        assert (record["equation"], record["equation_signed"]) == (equation, signed)

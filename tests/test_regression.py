@@ -16,7 +16,7 @@ from telefitts import (
     partial_f,
 )
 
-from oracles import f_tail_by_quadrature, grid_search_ols, pinv_ols
+from oracles import collinear_columns_by_rank, f_tail_by_quadrature, grid_search_ols, pinv_ols
 
 
 def rows_from_xy(xs, ys):
@@ -45,6 +45,38 @@ class TestOlsFit:
         rows = [PredictorRow((1.0,), y) for y in [1.0, 2.0, 3.0]]
         with pytest.raises(CollinearPredictorsError):
             ols_fit(rows)
+
+    def test_collinear_columns_match_matrix_rank(self):
+        # Designs of 4-11 rows whose slope columns are drawn at scales from
+        # 1e-3 to 1e3 as random values, scaled copies of an earlier column,
+        # constants, or combinations of the earlier columns.
+        rng = np.random.default_rng(11)
+        flagged = 0
+        for _ in range(3000):
+            p = int(rng.integers(1, 4))
+            x = np.ones((int(rng.integers(p + 2, 12)), p + 1))
+            for j in range(1, p + 1):
+                scale = 10.0 ** rng.uniform(-3, 3)
+                kind = rng.choice(4, p=[0.55, 0.15, 0.15, 0.15])
+                if kind == 0:
+                    x[:, j] = rng.normal(0.0, scale, len(x))
+                elif kind == 1:
+                    x[:, j] = scale * x[:, rng.integers(j)]
+                elif kind == 2:
+                    x[:, j] = scale
+                else:
+                    x[:, j] = x[:, :j] @ rng.normal(0.0, scale, j)
+            rows = [PredictorRow(tuple(r[1:]), float(y))
+                    for r, y in zip(x, rng.normal(size=len(x)))]
+            expected = collinear_columns_by_rank(x)
+            if expected:
+                flagged += 1
+                with pytest.raises(CollinearPredictorsError) as err:
+                    ols_fit(rows)
+                assert err.value.columns == tuple(expected)
+            else:
+                ols_fit(rows)
+        assert 600 < flagged < 2400  # both outcomes are well represented
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="observations"):

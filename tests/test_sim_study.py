@@ -151,7 +151,7 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("field, value", [
         ("mt_noise_sd_s", math.nan),
         ("endpoint_sd_fraction_of_width", math.inf),
-        ("start_cube_depth_m", math.nan),
+        ("endpoint_sd_fraction_of_width", -math.inf),  # finiteness before sign
         ("technique_offsets_s", {Technique.RPRG: math.nan}),
         ("widths_m", (0.2, math.nan)),
         ("distances_m", (3.0, -math.inf)),
