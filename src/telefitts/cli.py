@@ -12,10 +12,12 @@ import sys
 
 from .comparison import (
     MODEL_ORDER,
+    compare_models,
+    group_summaries,
     parse_records,
     render_records,
     render_table,
-    run_table1_suite,
+    table1_cells,
 )
 from .models import AmplitudeMode
 from .regression import FitResult
@@ -24,6 +26,7 @@ from .trials import (
     IncompleteGridError,
     LogFormatError,
     TrialTable,
+    group_by_condition,
     read_trial_log,
     validate_log,
     write_trial_log,
@@ -145,27 +148,23 @@ def _fit_lines(fits: dict, mode: AmplitudeMode) -> list[str]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    from .comparison import compare_models, group_summaries
-    from .trials import group_by_condition
-
     trials = _read_log_or_fail(args.input)
-    summaries = group_by_condition(trials)
-    pooled = args.aggregation == "pooled"
+    cells = group_summaries(group_by_condition(trials), "All",
+                            pooled=args.aggregation == "pooled")
     lines: list[str] = []
     for mode in _amplitude_modes(args.amplitude_mode):
-        cells = group_summaries(summaries, "All", pooled=pooled)
-        report = compare_models(cells, mode)
-        lines.extend(_fit_lines(report.fits, mode))
+        lines.extend(_fit_lines(compare_models(cells, mode).fits, mode))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    trials = _read_log_or_fail(args.input)
-    pooled = args.aggregation == "pooled"
-    reports = []
-    for mode in _amplitude_modes(args.amplitude_mode):
-        reports.extend(run_table1_suite(trials, mode, pooled=pooled))
+    cells = table1_cells(_read_log_or_fail(args.input), pooled=args.aggregation == "pooled")
+    reports = [
+        compare_models(group, mode, group_label=label)
+        for mode in _amplitude_modes(args.amplitude_mode)
+        for label, group in cells.items()
+    ]
     text = render_records(reports) if args.format == "records" else render_table(reports)
     _emit(text, args.output)
     return EXIT_OK

@@ -211,12 +211,12 @@ def group_summaries(
     return collapse_over(summaries, collapsed, pooled=pooled)
 
 
-def run_table1_suite(
-    trials: Sequence[Trial],
-    amplitude_mode: AmplitudeMode = AmplitudeMode.EUCLIDEAN,
-    pooled: bool = False,
-) -> list[ComparisonReport]:
-    """The full 8-group comparison: per technique, per posture, and overall.
+def table1_cells(
+    trials: Sequence[Trial], pooled: bool = False
+) -> dict[str, dict[ConditionKey, ConditionSummary]]:
+    """The collapsed cells of every report group, in report order, from one
+    group-by; the amplitude mode changes only the predictors, so one set of
+    cells serves every mode.
 
     Raises IncompleteGridError naming every technique or posture group
     without cells, techniques first, each in declaration order.
@@ -229,12 +229,20 @@ def run_table1_suite(
     }
     if empty:
         raise IncompleteGridError([empty[v] for v in (*Technique, *Posture) if v in empty])
+    return {label: group_summaries(summaries, label, pooled=pooled) for label in TABLE_GROUPS}
 
-    reports = []
-    for label in TABLE_GROUPS:
-        cells = group_summaries(summaries, label, pooled=pooled)
-        reports.append(compare_models(cells, amplitude_mode, group_label=label))
-    return reports
+
+def run_table1_suite(
+    trials: Sequence[Trial],
+    amplitude_mode: AmplitudeMode = AmplitudeMode.EUCLIDEAN,
+    pooled: bool = False,
+) -> list[ComparisonReport]:
+    """The full 8-group comparison: per technique, per posture, and overall
+    (see :func:`table1_cells` for the incomplete-grid error)."""
+    return [
+        compare_models(cells, amplitude_mode, group_label=label)
+        for label, cells in table1_cells(trials, pooled).items()
+    ]
 
 
 # --- rendering ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """Headless teleportation-task simulator."""
 
-from .hands import HandSample, StationaryHand, minimum_jerk_profile, synth_hand_trace
+from .hands import HandSample, HandTrace, StationaryHand, minimum_jerk_profile, synth_hand_trace
 from .filters import kalman_smooth, sample_at, spike_compensate
 from .kinematics import parabola_landing, sphere_hit_test
 from .techniques import (
@@ -9,11 +9,9 @@ from .techniques import (
     SceneSpec,
     TargetPlacement,
     TechniqueConfig,
-    TechniqueState,
     TrialOutcome,
     dwell_update,
     run_trial,
-    technique_step,
 )
 from .study import (
     ConfigError,

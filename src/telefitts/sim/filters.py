@@ -3,65 +3,75 @@ last-moment rollback that cancels confirmation-gesture spikes."""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
+
 import numpy as np
 
-from .hands import HandSample, check_monotonic
+from .hands import HandSample, HandTrace
 
 
-def kalman_smooth(
-    trace: list[HandSample],
-    process_noise: float = 50.0,
-    measurement_noise: float = 1e-4,
-) -> list[HandSample]:
+def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
+                  measurement_noise: float = 1e-4) -> HandTrace:
     """Per-axis constant-velocity Kalman filter over positions and directions.
 
-    State per channel is (value, velocity); the six channels (three position
-    axes, three direction components) share one gain sequence because they
-    share the same noise model and time steps. Direction components are
-    renormalized to unit length after filtering. The filter initializes on
-    the first sample with zero velocity, so a constant trace passes through
-    untouched. Deterministic given the trace and the two noise scalars.
+    State per channel is (value, velocity). The six channels (three position
+    axes, three direction components) share one noise model, so one gain
+    sequence, computed from the time steps alone, serves all; each channel is
+    then one O(T) pass. Directions are renormalized to unit length after
+    filtering. The filter starts at the first sample with zero velocity, so a
+    constant trace passes through untouched.
     """
-    if process_noise <= 0 or measurement_noise <= 0:
-        raise ValueError("noise parameters must be positive")
-    if not trace:
-        return []
-    check_monotonic(trace)
+    if not all(math.isfinite(v) and v > 0 for v in (process_noise, measurement_noise)):
+        raise ValueError("noise parameters must be positive and finite")
+    trace = HandTrace.from_samples(trace)
+    if not len(trace):
+        return trace
+    gains = _kalman_gains(np.diff(trace.t_s).tolist(), process_noise, measurement_noise)
+    channels = np.hstack([trace.position_m, trace.direction]).T.tolist()
+    out = np.array([_filter_channel(z, gains) for z in channels]).T
+    return HandTrace(trace.t_s, out[:, :3], _unit(out[:, 3:]), trace.pinch)
 
-    q, r = float(process_noise), float(measurement_noise)
-    # channels: columns [px py pz dx dy dz]
-    z = np.array([np.concatenate([s.position_m, s.direction]) for s in trace])
-    x = np.zeros((2, 6))
-    x[0] = z[0]
-    p = np.array([[r, 0.0], [0.0, 1.0]])
 
-    out = [HandSample(trace[0].t_s, z[0, :3].copy(), _unit(z[0, 3:]), trace[0].pinch)]
-    for i in range(1, len(trace)):
-        dt = trace[i].t_s - trace[i - 1].t_s
-        f = np.array([[1.0, dt], [0.0, 1.0]])
-        qk = q * np.array(
-            [[dt ** 4 / 4.0, dt ** 3 / 2.0], [dt ** 3 / 2.0, dt ** 2]]
-        )
-        x = f @ x
-        p = f @ p @ f.T + qk
-        s = p[0, 0] + r
-        k = p[:, 0] / s  # gain for the scalar position measurement
-        innov = z[i] - x[0]
-        x = x + np.outer(k, innov)
-        p = p - np.outer(k, p[0, :])
-        out.append(HandSample(trace[i].t_s, x[0, :3].copy(), _unit(x[0, 3:]), trace[i].pinch))
+def _kalman_gains(dts: list[float], q: float, r: float) -> list[tuple[float, float, float]]:
+    """(dt, position gain, velocity gain) per step of the Riccati recursion
+    for a scalar position measurement, from P0 = diag(r, 1)."""
+    p00, p01, p10, p11 = r, 0.0, 0.0, 1.0
+    gains = []
+    for dt in dts:
+        # predict: P = F P F' + Q with F = [[1, dt], [0, 1]]
+        a, b = p00 + dt * p10, p01 + dt * p11
+        p00 = a + b * dt + q * dt ** 4 / 4.0
+        p01 = b + q * dt ** 3 / 2.0
+        p10 = p10 + dt * p11 + q * dt ** 3 / 2.0
+        p11 = p11 + q * dt ** 2
+        # update: K = P H' / (H P H' + r), P = (I - K H) P
+        k0, k1 = p00 / (p00 + r), p10 / (p00 + r)
+        p00, p01, p10, p11 = p00 - k0 * p00, p01 - k0 * p01, p10 - k1 * p00, p11 - k1 * p01
+        gains.append((dt, k0, k1))
+    return gains
+
+
+def _filter_channel(z: list[float], gains: list[tuple[float, float, float]]) -> list[float]:
+    x, v = z[0], 0.0
+    out = [x]
+    for (dt, k0, k1), measured in zip(gains, z[1:]):
+        x = x + dt * v
+        innovation = measured - x
+        x, v = x + k0 * innovation, v + k1 * innovation
+        out.append(x)
     return out
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        return np.array([0.0, 0.0, 1.0])
-    return v / norm
+    """``v`` scaled to unit length along its last axis; near-zero vectors become +z."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    small = norm < 1e-12
+    return np.where(small, np.array([0.0, 0.0, 1.0]), v / np.where(small, 1.0, norm))
 
 
 def spike_compensate(
-    trace: list[HandSample], confirmation_time_s: float, lookback_s: float = 0.1
+    trace: Sequence[HandSample], confirmation_time_s: float, lookback_s: float = 0.1
 ) -> HandSample:
     """Pointer sample used for the selection: the state ``lookback_s`` before
     the confirmation, linearly interpolated.
@@ -70,34 +80,27 @@ def spike_compensate(
     back to just before the gesture started. A lookback reaching past the
     trace start clamps to the first sample.
     """
-    if not trace:
+    trace = HandTrace.from_samples(trace)
+    if not len(trace):
         raise ValueError("empty trace")
-    check_monotonic(trace)
-    if lookback_s < 0:
+    if not lookback_s >= 0:
         raise ValueError(f"lookback_s must be non-negative, got {lookback_s}")
-    if not (trace[0].t_s <= confirmation_time_s <= trace[-1].t_s):
-        raise ValueError(
-            f"confirmation time {confirmation_time_s} outside trace span "
-            f"[{trace[0].t_s}, {trace[-1].t_s}]"
-        )
+    if not (trace.t_s[0] <= confirmation_time_s <= trace.t_s[-1]):
+        raise ValueError(f"confirmation time {confirmation_time_s} outside trace span "
+                         f"[{trace.t_s[0]}, {trace.t_s[-1]}]")
     return sample_at(trace, confirmation_time_s - lookback_s)
 
 
-def sample_at(trace: list[HandSample], t_s: float) -> HandSample:
+def sample_at(trace: Sequence[HandSample], t_s: float) -> HandSample:
     """Linearly interpolated sample at ``t_s``, clamped to the trace span."""
-    if t_s <= trace[0].t_s:
-        s = trace[0]
-        return HandSample(trace[0].t_s, s.position_m.copy(), s.direction.copy(), s.pinch)
-    if t_s >= trace[-1].t_s:
-        s = trace[-1]
-        return HandSample(trace[-1].t_s, s.position_m.copy(), s.direction.copy(), s.pinch)
-    times = [s.t_s for s in trace]
-    import bisect
-
-    hi = bisect.bisect_right(times, t_s)
+    trace = HandTrace.from_samples(trace)
+    if t_s <= trace.t_s[0]:
+        return trace[0]
+    if t_s >= trace.t_s[-1]:
+        return trace[-1]
+    hi = int(np.searchsorted(trace.t_s, t_s, side="right"))
     lo = hi - 1
-    a, b = trace[lo], trace[hi]
-    w = (t_s - a.t_s) / (b.t_s - a.t_s)
-    pos = a.position_m * (1 - w) + b.position_m * w
-    direction = _unit(a.direction * (1 - w) + b.direction * w)
-    return HandSample(t_s, pos, direction, a.pinch)
+    w = (t_s - trace.t_s[lo]) / (trace.t_s[hi] - trace.t_s[lo])
+    pos = trace.position_m[lo] * (1 - w) + trace.position_m[hi] * w
+    direction = _unit(trace.direction[lo] * (1 - w) + trace.direction[hi] * w)
+    return HandSample(t_s, pos, direction, bool(trace.pinch[lo]))

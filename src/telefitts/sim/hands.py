@@ -1,12 +1,14 @@
 """Synthetic hand-tracking traces.
 
-Coordinate frame: x right, y up, z forward (meters). A trace is a list of
+Coordinate frame: x right, y up, z forward (meters). A trace holds
 time-stamped samples with position, unit pointing direction, and the
-index-finger pinch state.
+index-finger pinch state, one array per field (:class:`HandTrace`).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,21 +27,88 @@ class HandSample:
         self.position_m = np.asarray(self.position_m, dtype=float)
         self.direction = np.asarray(self.direction, dtype=float)
         norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > _UNIT_TOL:
-            raise ValueError(f"direction must be unit length, |d| = {norm}")
+        if not (self.position_m.shape == self.direction.shape == (3,) and math.isfinite(self.t_s)
+                and np.isfinite(self.position_m).all() and abs(norm - 1.0) <= _UNIT_TOL):
+            raise ValueError(f"a hand sample needs a finite time and position and a unit "
+                             f"direction (3-vectors), got {self}")
 
 
-def check_monotonic(trace: list[HandSample]) -> None:
-    for a, b in zip(trace, trace[1:]):
-        if b.t_s <= a.t_s:
-            raise ValueError(
-                f"timestamps must be strictly increasing, got {a.t_s} -> {b.t_s}"
-            )
+class HandTrace(Sequence):
+    """A hand trace as read-only arrays: ``t_s`` (T,), ``position_m`` (T, 3),
+    ``direction`` (T, 3) and ``pinch`` (T,); checked like :class:`HandSample`,
+    with strictly increasing times. As a ``Sequence[HandSample]`` it builds
+    samples only when indexed (a slice is a trace viewing the same arrays),
+    and it compares equal to a list of the same samples.
+    """
+
+    def __init__(self, t_s, position_m, direction, pinch=None) -> None:
+        t_s, position_m, direction = (
+            np.asarray(c, dtype=float) for c in (t_s, position_m, direction))
+        pinch = np.zeros(t_s.shape, dtype=bool) if pinch is None else np.asarray(pinch, dtype=bool)
+        if t_s.ndim != 1 or pinch.shape != t_s.shape \
+                or not position_m.shape == direction.shape == (len(t_s), 3):
+            raise ValueError("a hand trace needs times and pinch (T,), "
+                             "positions and directions (T, 3)")
+        if not all(np.isfinite(col).all() for col in (t_s, position_m, direction)):
+            raise ValueError("hand trace times, positions and directions must be finite")
+        if not (np.abs(np.linalg.norm(direction, axis=1) - 1.0) <= _UNIT_TOL).all():
+            raise ValueError("directions must be unit length")
+        if not (t_s[1:] > t_s[:-1]).all():
+            raise ValueError("timestamps must be strictly increasing")
+        self.t_s, self.position_m, self.direction, self.pinch = (
+            col.view() for col in (t_s, position_m, direction, pinch))
+        for col in self.columns:
+            col.flags.writeable = False
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[HandSample]) -> "HandTrace":
+        """The arrays of a sequence of samples; a trace is returned as is."""
+        if isinstance(samples, HandTrace):
+            return samples
+        samples = list(samples)
+        return cls([s.t_s for s in samples], np.reshape([s.position_m for s in samples], (-1, 3)),
+                   np.reshape([s.direction for s in samples], (-1, 3)), [s.pinch for s in samples])
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.t_s, self.position_m, self.direction, self.pinch
+
+    def __len__(self) -> int:
+        return len(self.t_s)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = [col[index] for col in self.columns]
+            if (index.step or 1) < 0:  # reversed times, which the checks reject
+                return HandTrace(*columns)
+            view = object.__new__(HandTrace)  # read-only, in-order slices of checked arrays
+            view.t_s, view.position_m, view.direction, view.pinch = columns
+            return view
+        i = range(len(self))[index]
+        return HandSample(float(self.t_s[i]), self.position_m[i].copy(),
+                          self.direction[i].copy(), bool(self.pinch[i]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, list) and all(isinstance(s, HandSample) for s in other):
+            try:
+                other = HandTrace.from_samples(other)
+            except ValueError:  # samples that no trace can hold
+                return False
+        if not isinstance(other, HandTrace):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+
+    def __repr__(self) -> str:
+        return f"HandTrace({len(self)} samples)"
 
 
-def minimum_jerk_profile(tau: float) -> float:
+def minimum_jerk_profile(tau):
     """Normalized minimum-jerk position profile: 10 tau^3 - 15 tau^4 + 6 tau^5."""
     return tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau))
+
+
+def _sample_times(duration_s: float, sample_rate_hz: float) -> np.ndarray:
+    return np.arange(int(round(duration_s * sample_rate_hz)) + 1) / sample_rate_hz
 
 
 def synth_hand_trace(
@@ -51,35 +120,27 @@ def synth_hand_trace(
     seed: int = 0,
     direction: np.ndarray | None = None,
     pinch_at_s: float | None = None,
-) -> list[HandSample]:
+) -> HandTrace:
     """Point-to-point reach with a minimum-jerk profile plus Gaussian tremor.
 
     Deterministic per seed. ``pinch_at_s`` closes the index finger from that
     time onward, producing a single rising edge.
     """
-    if duration_s <= 0:
+    if not duration_s > 0:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
-    if sample_rate_hz <= 0:
+    if not sample_rate_hz > 0:
         raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
     start = np.asarray(from_point_m, dtype=float)
     end = np.asarray(to_point_m, dtype=float)
-    if direction is None:
-        direction = np.array([0.0, 0.0, 1.0])
-    direction = np.asarray(direction, dtype=float)
+    direction = np.asarray((0.0, 0.0, 1.0) if direction is None else direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
 
-    rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sample_rate_hz)) + 1
-    trace: list[HandSample] = []
-    for i in range(n):
-        t = i / sample_rate_hz
-        tau = min(t / duration_s, 1.0)
-        pos = start + (end - start) * minimum_jerk_profile(tau)
-        if tremor_sd_m > 0:
-            pos = pos + rng.normal(0.0, tremor_sd_m, size=3)
-        pinch = pinch_at_s is not None and t >= pinch_at_s
-        trace.append(HandSample(t_s=t, position_m=pos, direction=direction.copy(), pinch=pinch))
-    return trace
+    t = _sample_times(duration_s, sample_rate_hz)
+    tau = np.minimum(t / duration_s, 1.0)
+    pos = start + (end - start) * minimum_jerk_profile(tau)[:, None]
+    if tremor_sd_m > 0:
+        pos = pos + np.random.default_rng(seed).normal(0.0, tremor_sd_m, size=pos.shape)
+    return HandTrace(t, pos, np.broadcast_to(direction, pos.shape), None if pinch_at_s is None else t >= pinch_at_s)
 
 
 @dataclass
@@ -90,13 +151,7 @@ class StationaryHand:
     direction: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def trace(self, duration_s: float, sample_rate_hz: float = 100.0,
-              pinch_at_s: float | None = None) -> list[HandSample]:
-        n = int(round(duration_s * sample_rate_hz)) + 1
-        out = []
-        for i in range(n):
-            t = i / sample_rate_hz
-            pinch = pinch_at_s is not None and t >= pinch_at_s
-            out.append(
-                HandSample(t, self.position_m.copy(), self.direction.copy(), pinch)
-            )
-        return out
+              pinch_at_s: float | None = None) -> HandTrace:
+        t = _sample_times(duration_s, sample_rate_hz)
+        return HandTrace(t, np.broadcast_to(self.position_m, (len(t), 3)),
+                         np.broadcast_to(self.direction, (len(t), 3)), None if pinch_at_s is None else t >= pinch_at_s)

@@ -19,7 +19,7 @@ def parabola_landing(
     non-negative root; x and z travel linearly. Returns None when the arc
     never reaches the requested height (apex below the plane).
     """
-    if gravity_m_s2 <= 0:
+    if not gravity_m_s2 > 0:
         raise ValueError(f"gravity must be positive, got {gravity_m_s2}")
     origin = np.asarray(origin_m, dtype=float)
     vel = np.asarray(velocity_m_s, dtype=float)
@@ -32,13 +32,7 @@ def parabola_landing(
     t = (vy + math.sqrt(disc)) / g
     if t < 0:
         return None
-    landing = np.array(
-        [
-            origin[0] + vel[0] * t,
-            landing_height_m,
-            origin[2] + vel[2] * t,
-        ]
-    )
+    landing = np.array([origin[0] + vel[0] * t, landing_height_m, origin[2] + vel[2] * t])
     return landing, t
 
 
@@ -50,9 +44,8 @@ def sphere_hit_test(
     The boundary is inclusive: a landing exactly on the sphere surface counts
     as a hit, since only selections outside the boundary are errors.
     """
-    if width_m <= 0:
+    if not width_m > 0:
         raise ValueError(f"width_m must be positive, got {width_m}")
-    deviation = float(
-        np.linalg.norm(np.asarray(landing_point_m, float) - np.asarray(target_center_m, float))
-    )
+    offset = np.asarray(landing_point_m, float) - np.asarray(target_center_m, float)
+    deviation = float(np.linalg.norm(offset))
     return deviation <= width_m / 2.0, deviation

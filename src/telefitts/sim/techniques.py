@@ -9,31 +9,24 @@ ignores pinches entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..models import START_CUBE_DEPTH_M
 from ..trials import Technique
-from .hands import HandSample
+from .hands import HandSample, HandTrace
 from .kinematics import parabola_landing, sphere_hit_test
 from .filters import kalman_smooth, spike_compensate
 
-_POINTER_HAND = {
-    Technique.RPRG: "right",
-    Technique.RPLG: "right",
-    Technique.LPLG: "left",
-    Technique.LPRG: "left",
-    Technique.RPDW: "right",
-}
-
-# None = confirmation comes from dwell, not a pinch edge.
-_CONFIRM_HAND = {
-    Technique.RPRG: "right",
-    Technique.RPLG: "left",
-    Technique.LPLG: "left",
-    Technique.LPRG: "right",
-    Technique.RPDW: None,
+#: (pointer hand, confirming hand); None = dwell confirms, not a pinch edge.
+_HANDS = {
+    Technique.RPRG: ("right", "right"),
+    Technique.RPLG: ("right", "left"),
+    Technique.LPLG: ("left", "left"),
+    Technique.LPRG: ("left", "right"),
+    Technique.RPDW: ("right", None),
 }
 
 
@@ -47,18 +40,20 @@ class TechniqueConfig:
     kalman_measurement_noise: float = 1e-4
 
     def __post_init__(self) -> None:
-        for name in ("dwell_threshold_s", "dwell_radius_m", "spike_lookback_s",
-                     "kalman_process_noise", "kalman_measurement_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in [f.name for f in fields(self)][1:]:
+            value = getattr(self, name)
+            positive = name.startswith("kalman")  # kalman_smooth needs noise > 0
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                kind = "positive" if positive else "non-negative"
+                raise ValueError(f"{name} must be finite and {kind}, got {value}")
 
     @property
     def pointer_hand(self) -> str:
-        return _POINTER_HAND[self.technique]
+        return _HANDS[self.technique][0]
 
     @property
     def confirm_hand(self) -> str | None:
-        return _CONFIRM_HAND[self.technique]
+        return _HANDS[self.technique][1]
 
 
 @dataclass(frozen=True)
@@ -81,13 +76,8 @@ class TargetPlacement:
 
     def center(self) -> np.ndarray:
         rad = math.radians(self.angle_deg)
-        return np.array(
-            [
-                self.distance_m * math.sin(rad),
-                self.height_m,
-                self.distance_m * math.cos(rad),
-            ]
-        )
+        return np.array([self.distance_m * math.sin(rad), self.height_m,
+                         self.distance_m * math.cos(rad)])
 
 
 @dataclass(frozen=True)
@@ -118,9 +108,32 @@ class DwellState:
 
     def progress(self, threshold_s: float) -> float:
         """Feedback fraction shown to the user while the timer runs."""
-        if threshold_s <= 0:
-            return 1.0
-        return min(self.elapsed_s / threshold_s, 1.0)
+        return 1.0 if threshold_s <= 0 else min(self.elapsed_s / threshold_s, 1.0)
+
+
+def _dwell_events(
+    t_s: np.ndarray, position_m: np.ndarray, radius_m: float, threshold_s: float,
+    anchored: bool = False,
+) -> Iterator[tuple[int, bool]]:
+    """(index, fired) for each sample at which the dwell anchor moves.
+
+    Sample 0 is the first anchor (``anchored``: its zero-elapsed check was
+    made already). A sample beyond ``radius_m`` of the anchor re-anchors
+    there; a timer reaching ``threshold_s`` fires and restarts from that
+    sample. Look-ahead windows double until the next event: O(T) in all.
+    """
+    if not anchored and threshold_s <= 0 and len(t_s):
+        yield 0, True
+    anchor, start, window = 0, 1, 16
+    while start < len(t_s):
+        stop = min(start + window, len(t_s))
+        far = np.linalg.norm(position_m[start:stop] - position_m[anchor], axis=1) > radius_m
+        moved = np.flatnonzero(far | (t_s[start:stop] - t_s[anchor] >= threshold_s))
+        if not moved.size:
+            start, window = stop, 2 * window
+            continue
+        anchor, start, window = start + moved[0], start + moved[0] + 1, 16
+        yield int(anchor), bool(not far[moved[0]] or threshold_s <= 0)
 
 
 def dwell_update(
@@ -132,18 +145,16 @@ def dwell_update(
     """Advance the dwell timer; True when a selection fires on this sample.
 
     The anchor is the position where holding began; drifting beyond the
-    radius re-anchors at the current sample and restarts the timer. After a
-    selection fires the timer restarts from the current sample.
+    radius re-anchors at the current sample and restarts the timer, as does
+    a selection. This is :func:`run_trial`'s scan, one sample at a time.
     """
-    if state is None:
-        state = DwellState(sample.position_m.copy(), sample.t_s)
-    dist = float(np.linalg.norm(sample.position_m - state.anchor_position_m))
-    if dist > radius_m:
-        state = DwellState(sample.position_m.copy(), sample.t_s)
-    state.elapsed_s = sample.t_s - state.anchor_t_s
-    if state.elapsed_s >= threshold_s:
-        return DwellState(sample.position_m.copy(), sample.t_s), True
-    return state, False
+    held = [] if state is None else [(state.anchor_t_s, state.anchor_position_m)]
+    t_s, position_m = zip(*held, (sample.t_s, sample.position_m))
+    anchor, fired = 0, False
+    for anchor, fired in _dwell_events(np.array(t_s, dtype=float), np.array(position_m),
+                                       radius_m, threshold_s, anchored=state is not None):
+        pass
+    return DwellState(position_m[anchor].copy(), t_s[anchor], t_s[-1] - t_s[anchor]), fired
 
 
 @dataclass(frozen=True)
@@ -156,119 +167,57 @@ class TrialOutcome:
     selection_point_m: tuple[float, float, float]
 
 
-@dataclass
-class TechniqueState:
-    """Mutable per-trial state threaded through technique_step."""
-
-    start_t_s: float | None = None
-    error_attempts: int = 0
-    prev_pinch_left: bool = False
-    prev_pinch_right: bool = False
-    dwell: DwellState | None = None
-    pointer_trace: list[HandSample] = field(default_factory=list)
-
-
-def technique_step(
-    config: TechniqueConfig,
-    scene: SceneSpec,
-    state: TechniqueState,
-    left_sample: HandSample,
-    right_sample: HandSample,
-) -> TrialOutcome | None:
-    """Feed one time-aligned pair of hand samples through the state machine.
-
-    A confirmation (pinch rising edge on the configured hand, or dwell
-    timeout for RPDW) rolls the pointer back by the spike lookback, casts
-    the arc, and hit-tests the target sphere. Misses count as error attempts
-    and the trial continues; a hit ends the trial.
-    """
-    if abs(left_sample.t_s - right_sample.t_s) > 1e-9:
-        raise ValueError("left/right samples must be time-aligned")
-    pointer = right_sample if config.pointer_hand == "right" else left_sample
-    if state.start_t_s is None:
-        state.start_t_s = pointer.t_s
-    state.pointer_trace.append(pointer)
-
-    confirmed = False
-    if config.technique is Technique.RPDW:
-        state.dwell, confirmed = dwell_update(
-            state.dwell, pointer, config.dwell_radius_m, config.dwell_threshold_s
-        )
-    else:
-        confirm_sample = right_sample if config.confirm_hand == "right" else left_sample
-        prev = (
-            state.prev_pinch_right
-            if config.confirm_hand == "right"
-            else state.prev_pinch_left
-        )
-        confirmed = confirm_sample.pinch and not prev
-    state.prev_pinch_left = left_sample.pinch
-    state.prev_pinch_right = right_sample.pinch
-
-    if not confirmed:
-        return None
-
-    selection = spike_compensate(
-        state.pointer_trace, pointer.t_s, config.spike_lookback_s
-    )
-    velocity = scene.launch_velocity(selection)
-    landing = parabola_landing(
-        selection.position_m,
-        velocity,
-        scene.gravity_m_s2,
-        landing_height_m=scene.target.height_m,
-    )
-    target_center = scene.target.center()
-    if landing is None:
-        hit, deviation = False, math.inf
-        point = selection.position_m
-    else:
-        point, _flight = landing
-        hit, deviation = sphere_hit_test(point, target_center, scene.target.width_m)
-
-    if not hit:
-        state.error_attempts += 1
-        return None
-    return TrialOutcome(
-        movement_time_s=pointer.t_s - state.start_t_s,
-        endpoint_deviation_m=deviation,
-        error_attempts=state.error_attempts,
-        success=True,
-        realized_amplitude_m=float(
-            np.linalg.norm(point - scene.start_cube_center())
-        ),
-        selection_point_m=tuple(float(v) for v in point),
-    )
-
-
 def run_trial(
     config: TechniqueConfig,
     scene: SceneSpec,
-    left_trace: list[HandSample],
-    right_trace: list[HandSample],
+    left_trace: Sequence[HandSample],
+    right_trace: Sequence[HandSample],
     smooth_pointer: bool = False,
 ) -> TrialOutcome | None:
     """Run a full scripted trial; None if no successful selection occurs.
 
-    ``smooth_pointer`` runs the pointer hand's trace through the Kalman
-    filter with the config's tuning before stepping, the way a live
-    pipeline stabilizes tracking jitter.
+    Each confirmation (pinch rising edge on the configured hand, or dwell
+    timeout of the pointer hand for RPDW) rolls the pointer back by the spike
+    lookback, casts the arc and hit-tests the target sphere; a miss counts as
+    an error attempt and the trial goes on. ``smooth_pointer`` first runs the
+    pointer trace through the config's Kalman filter, as a live pipeline
+    stabilizes tracking jitter.
     """
-    if len(left_trace) != len(right_trace):
+    hands = {"left": HandTrace.from_samples(left_trace),
+             "right": HandTrace.from_samples(right_trace)}
+    if len(hands["left"]) != len(hands["right"]):
         raise ValueError("hand traces must be sample-aligned")
+    if np.any(np.abs(hands["left"].t_s - hands["right"].t_s) > 1e-9):
+        raise ValueError("left/right samples must be time-aligned")
+    pointer = hands[config.pointer_hand]
     if smooth_pointer:
-        smoothed = kalman_smooth(
-            right_trace if config.pointer_hand == "right" else left_trace,
-            config.kalman_process_noise,
-            config.kalman_measurement_noise,
-        )
-        if config.pointer_hand == "right":
-            right_trace = smoothed
-        else:
-            left_trace = smoothed
-    state = TechniqueState()
-    for left, right in zip(left_trace, right_trace):
-        outcome = technique_step(config, scene, state, left, right)
-        if outcome is not None:
-            return outcome
+        pointer = kalman_smooth(pointer, config.kalman_process_noise,
+                                config.kalman_measurement_noise)
+    if config.confirm_hand is None:
+        events = _dwell_events(pointer.t_s, pointer.position_m, config.dwell_radius_m,
+                               config.dwell_threshold_s)
+        confirmations: Iterable[int] = (i for i, fired in events if fired)
+    else:
+        pinch = hands[config.confirm_hand].pinch
+        confirmations = np.flatnonzero(pinch & ~np.r_[False, pinch[:-1]]).tolist()
+
+    error_attempts = 0
+    for i in confirmations:
+        selection = spike_compensate(pointer[: i + 1], float(pointer.t_s[i]),
+                                     config.spike_lookback_s)
+        landing = parabola_landing(selection.position_m, scene.launch_velocity(selection),
+                                   scene.gravity_m_s2, landing_height_m=scene.target.height_m)
+        if landing is not None:
+            point = landing[0]
+            hit, deviation = sphere_hit_test(point, scene.target.center(), scene.target.width_m)
+            if hit:
+                return TrialOutcome(
+                    movement_time_s=float(pointer.t_s[i] - pointer.t_s[0]),
+                    endpoint_deviation_m=deviation,
+                    error_attempts=error_attempts,
+                    success=True,
+                    realized_amplitude_m=float(np.linalg.norm(point - scene.start_cube_center())),
+                    selection_point_m=tuple(float(v) for v in point),
+                )
+        error_attempts += 1
     return None

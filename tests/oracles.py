@@ -6,8 +6,10 @@ quadrature of the F density instead of the incomplete beta function, the
 rank of each leading block of columns (an SVD) instead of the QR diagonal
 for collinearity, scalar textbook Kalman recursion instead of the vectorized
 filter, RK4 flight integration instead of the closed-form landing solution,
-and per-trial dictionary grouping with ``statistics`` instead of the
-integer-coded column group-by.
+per-trial dictionary grouping with ``statistics`` instead of the
+integer-coded column group-by, and the per-sample hand-trace loops (one
+``HandSample`` per step, 2x2 matrix Kalman recursion, a technique state
+machine stepped sample by sample) instead of the array kinematic layer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ from scipy import stats as sstats
 from scipy.integrate import quad
 
 from telefitts.models import amplitude_from_grid
+from telefitts.sim import (
+    HandSample,
+    TrialOutcome,
+    minimum_jerk_profile,
+    parabola_landing,
+    sphere_hit_test,
+)
 from telefitts.throughput import (
     GRID_DISTANCES_M,
     GRID_HEIGHTS_M,
@@ -327,3 +336,134 @@ def throughput_by_group_reference(trials, amplitude_mode, allow_partial_grid=Fal
             cells=tuple(cells), degenerate_cells=degenerate,
         ))
     return summaries
+
+
+# --- per-sample kinematic layer -------------------------------------------
+
+
+def synth_hand_trace_reference(
+    from_point_m, to_point_m, duration_s, tremor_sd_m=0.0, sample_rate_hz=100.0,
+    seed=0, direction=None, pinch_at_s=None,
+):
+    """Minimum-jerk reach plus tremor, one sample and one size-3 draw per step."""
+    start = np.asarray(from_point_m, dtype=float)
+    end = np.asarray(to_point_m, dtype=float)
+    if direction is None:
+        direction = np.array([0.0, 0.0, 1.0])
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    rng = np.random.default_rng(seed)
+    trace = []
+    for i in range(int(round(duration_s * sample_rate_hz)) + 1):
+        t = i / sample_rate_hz
+        pos = start + (end - start) * minimum_jerk_profile(min(t / duration_s, 1.0))
+        if tremor_sd_m > 0:
+            pos = pos + rng.normal(0.0, tremor_sd_m, size=3)
+        pinch = pinch_at_s is not None and t >= pinch_at_s
+        trace.append(HandSample(t, pos, direction.copy(), pinch))
+    return trace
+
+
+def stationary_trace_reference(position_m, direction, duration_s, sample_rate_hz=100.0,
+                               pinch_at_s=None):
+    out = []
+    for i in range(int(round(duration_s * sample_rate_hz)) + 1):
+        t = i / sample_rate_hz
+        pinch = pinch_at_s is not None and t >= pinch_at_s
+        out.append(HandSample(t, np.array(position_m, float), np.array(direction, float), pinch))
+    return out
+
+
+def _unit_reference(v):
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-12:
+        return np.array([0.0, 0.0, 1.0])
+    return v / norm
+
+
+def kalman_smooth_reference(trace, process_noise=50.0, measurement_noise=1e-4):
+    """Constant-velocity Kalman filter stepped with 2x2 matrices per sample."""
+    if not trace:
+        return []
+    q, r = float(process_noise), float(measurement_noise)
+    z = np.array([np.concatenate([s.position_m, s.direction]) for s in trace])
+    x = np.zeros((2, 6))
+    x[0] = z[0]
+    p = np.array([[r, 0.0], [0.0, 1.0]])
+    out = [HandSample(trace[0].t_s, z[0, :3].copy(), _unit_reference(z[0, 3:]), trace[0].pinch)]
+    for i in range(1, len(trace)):
+        dt = trace[i].t_s - trace[i - 1].t_s
+        f = np.array([[1.0, dt], [0.0, 1.0]])
+        qk = q * np.array([[dt ** 4 / 4.0, dt ** 3 / 2.0], [dt ** 3 / 2.0, dt ** 2]])
+        x = f @ x
+        p = f @ p @ f.T + qk
+        k = p[:, 0] / (p[0, 0] + r)
+        x = x + np.outer(k, z[i] - x[0])
+        p = p - np.outer(k, p[0, :])
+        out.append(HandSample(trace[i].t_s, x[0, :3].copy(), _unit_reference(x[0, 3:]),
+                              trace[i].pinch))
+    return out
+
+
+def _sample_at_reference(trace, t_s):
+    if t_s <= trace[0].t_s:
+        return trace[0]
+    if t_s >= trace[-1].t_s:
+        return trace[-1]
+    hi = next(i for i, s in enumerate(trace) if s.t_s > t_s)
+    a, b = trace[hi - 1], trace[hi]
+    w = (t_s - a.t_s) / (b.t_s - a.t_s)
+    return HandSample(t_s, a.position_m * (1 - w) + b.position_m * w,
+                      _unit_reference(a.direction * (1 - w) + b.direction * w), a.pinch)
+
+
+def run_trial_reference(config, scene, left_trace, right_trace, smooth_pointer=False):
+    """The technique state machine fed one time-aligned sample pair at a time,
+    with a per-sample dwell timer and a list-scan spike rollback."""
+    pointer_right = config.pointer_hand == "right"
+    if smooth_pointer:
+        smoothed = kalman_smooth_reference(
+            right_trace if pointer_right else left_trace,
+            config.kalman_process_noise, config.kalman_measurement_noise,
+        )
+        if pointer_right:
+            right_trace = smoothed
+        else:
+            left_trace = smoothed
+    history, errors, prev_pinch, anchor = [], 0, False, None
+    for left, right in zip(left_trace, right_trace):
+        assert abs(left.t_s - right.t_s) <= 1e-9
+        pointer = right if pointer_right else left
+        history.append(pointer)
+        if config.confirm_hand is None:
+            radius = config.dwell_radius_m
+            if anchor is None or np.linalg.norm(pointer.position_m - anchor[1]) > radius:
+                anchor = (pointer.t_s, pointer.position_m.copy())
+            confirmed = pointer.t_s - anchor[0] >= config.dwell_threshold_s
+            if confirmed:
+                anchor = (pointer.t_s, pointer.position_m.copy())
+        else:
+            pinch = (right if config.confirm_hand == "right" else left).pinch
+            confirmed, prev_pinch = pinch and not prev_pinch, pinch
+        if not confirmed:
+            continue
+        selection = _sample_at_reference(history, pointer.t_s - config.spike_lookback_s)
+        landing = parabola_landing(selection.position_m, scene.launch_velocity(selection),
+                                   scene.gravity_m_s2, landing_height_m=scene.target.height_m)
+        if landing is None:
+            errors += 1
+            continue
+        point = landing[0]
+        hit, deviation = sphere_hit_test(point, scene.target.center(), scene.target.width_m)
+        if not hit:
+            errors += 1
+            continue
+        return TrialOutcome(
+            movement_time_s=pointer.t_s - history[0].t_s,
+            endpoint_deviation_m=deviation,
+            error_attempts=errors,
+            success=True,
+            realized_amplitude_m=float(np.linalg.norm(point - scene.start_cube_center())),
+            selection_point_m=tuple(float(v) for v in point),
+        )
+    return None

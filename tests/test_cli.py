@@ -287,6 +287,38 @@ class TestFitAndReport:
         for name in ("Standard", "TwoPart", "Vergence", "Proposed"):
             assert name in out
 
+    def test_group_and_collapse_once_for_both_modes(self, small_log, tmp_path, monkeypatch):
+        import telefitts.cli
+        import telefitts.comparison
+
+        calls = {"group": 0, "collapse": 0}
+
+        def counting(module, name, key):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(telefitts.comparison, "group_by_condition", "group")
+        counting(telefitts.cli, "group_by_condition", "group")
+        counting(telefitts.comparison, "collapse_over", "collapse")
+        outputs = {}
+        for mode in ("both", "euclidean", "depth"):
+            calls.update(group=0, collapse=0)
+            out = tmp_path / f"{mode}.jsonl"
+            assert main(["compare", "--input", small_log, "--output", str(out),
+                         "--format", "records", "--amplitude-mode", mode]) == 0
+            assert calls == {"group": 1, "collapse": 8}, mode
+            outputs[mode] = out.read_text()
+        assert outputs["both"] == outputs["euclidean"] + outputs["depth"]
+
+        calls.update(group=0, collapse=0)
+        assert main(["fit", "--input", small_log, "--amplitude-mode", "both"]) == 0
+        assert calls == {"group": 1, "collapse": 1}
+
     def test_report_renders_records(self, small_log, tmp_path, capsys):
         records = tmp_path / "r.jsonl"
         assert main([

@@ -1,0 +1,268 @@
+"""The array hand trace and the kinematic layer built on it, checked against
+the per-sample reference implementations in ``oracles``."""
+
+import math
+
+import numpy as np
+import pytest
+
+from telefitts import Technique
+from telefitts.sim import (
+    HandSample,
+    HandTrace,
+    SceneSpec,
+    StationaryHand,
+    TargetPlacement,
+    TechniqueConfig,
+    kalman_smooth,
+    parabola_landing,
+    run_trial,
+    spike_compensate,
+    synth_hand_trace,
+)
+
+from oracles import (
+    kalman_smooth_reference,
+    run_trial_reference,
+    stationary_trace_reference,
+    synth_hand_trace_reference,
+)
+
+FORWARD = np.array([0.0, 0.0, 1.0])
+DOWN = np.array([0.0, -1.0, 0.0])
+HAND_M = np.array([0.0, 1.3, 0.4])
+
+
+def aim(scene, hand=HAND_M):
+    """Unit direction whose arc from ``hand`` lands nearest the target center."""
+    best = None
+    for pitch in np.radians(np.linspace(-60, 80, 1401)):
+        d = np.array([0.0, math.sin(pitch), math.cos(pitch)])
+        landing = parabola_landing(hand, scene.launch_velocity(HandSample(0.0, hand, d)),
+                                   scene.gravity_m_s2, scene.target.height_m)
+        if landing is not None:
+            err = float(np.linalg.norm(landing[0] - scene.target.center()))
+            if best is None or err < best[0]:
+                best = (err, d)
+    return best[1]
+
+
+def assert_same_outcome(got, want):
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert got.movement_time_s == want.movement_time_s
+    assert got.error_attempts == want.error_attempts
+    assert got.success is want.success
+    assert got.endpoint_deviation_m == pytest.approx(want.endpoint_deviation_m, rel=0, abs=1e-12)
+    assert got.realized_amplitude_m == pytest.approx(want.realized_amplitude_m, rel=0, abs=1e-12)
+    assert np.allclose(got.selection_point_m, want.selection_point_m, rtol=0, atol=1e-12)
+
+
+class TestHandTrace:
+    def _trace(self):
+        return synth_hand_trace(np.zeros(3), np.array([0.2, 0.1, 0.4]), 0.5,
+                                tremor_sd_m=0.01, seed=3, pinch_at_s=0.2)
+
+    def test_columns_are_read_only_arrays(self):
+        trace = self._trace()
+        assert len(trace) == 51
+        assert trace.t_s.shape == (51,) and trace.position_m.shape == (51, 3)
+        assert trace.direction.shape == (51, 3) and trace.pinch.dtype == bool
+        for column in trace.columns:
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_samples_built_on_indexing(self):
+        trace = self._trace()
+        sample = trace[-1]
+        assert isinstance(sample, HandSample) and sample.pinch is True
+        assert sample.t_s == 0.5 and isinstance(sample.t_s, float)
+        assert np.array_equal(sample.position_m, trace.position_m[-1])
+        sample.position_m[0] = 7.0  # a copy, not a view of the trace
+        assert trace.position_m[-1, 0] != 7.0
+        with pytest.raises(IndexError):
+            trace[51]
+
+    def test_slice_is_a_trace_view(self):
+        trace = self._trace()
+        head = trace[:10]
+        assert isinstance(head, HandTrace) and len(head) == 10
+        assert np.shares_memory(head.position_m, trace.position_m)
+        assert head == list(trace)[:10]
+        assert trace[::2] == list(trace)[::2]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trace[::-1]
+
+    def test_equals_list_of_the_same_samples(self):
+        trace = self._trace()
+        samples = list(trace)
+        assert trace == samples and samples == trace
+        assert HandTrace.from_samples(samples) == trace
+        assert HandTrace.from_samples(trace) is trace
+        samples[4] = HandSample(samples[4].t_s, samples[4].position_m + 1e-15,
+                                samples[4].direction, samples[4].pinch)
+        assert trace != samples
+        assert trace != samples[:-1]
+        assert trace != "not a trace"
+
+    @pytest.mark.parametrize("column, row, value, match", [
+        ("t_s", 2, math.nan, "must be finite"),
+        ("t_s", 2, 0.01, "strictly increasing"),
+        ("position_m", 1, math.inf, "must be finite"),
+        ("direction", 3, math.nan, "must be finite"),
+        ("direction", 3, 2.0, "unit length"),
+    ])
+    def test_rejects_bad_samples(self, column, row, value, match):
+        columns = [np.array(c) for c in self._trace().columns]
+        target = columns[("t_s", "position_m", "direction").index(column)]
+        target[row] = value
+        with pytest.raises(ValueError, match=match):
+            HandTrace(*columns)
+
+    def test_rejects_mismatched_shapes(self):
+        t, pos, d, pinch = self._trace().columns
+        with pytest.raises(ValueError, match="positions and directions"):
+            HandTrace(t, pos[:, :2], d[:, :2], pinch)
+        with pytest.raises(ValueError, match="positions and directions"):
+            HandTrace(t[:-1], pos, d, pinch)
+        with pytest.raises(ValueError, match="pinch"):
+            HandTrace(t, pos, d, pinch[:-1])
+
+
+class TestSampleInputChecks:
+    @pytest.mark.parametrize("t, pos, d", [
+        (0.0, np.zeros(3), np.array([math.nan, 0.0, 0.0])),
+        (0.0, np.zeros(3), np.array([math.nan, math.nan, math.nan])),
+        (0.0, np.array([0.0, math.nan, 0.0]), FORWARD),
+        (math.inf, np.zeros(3), FORWARD),
+        (0.0, np.zeros(2), FORWARD),
+    ])
+    def test_hand_sample_rejects_non_finite_or_misshaped(self, t, pos, d):
+        with pytest.raises(ValueError):
+            HandSample(t, pos, d)
+
+    @pytest.mark.parametrize("field", [
+        "dwell_threshold_s", "dwell_radius_m", "spike_lookback_s",
+        "kalman_process_noise", "kalman_measurement_noise",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TechniqueConfig(Technique.RPDW, **{field: value})
+
+    @pytest.mark.parametrize("field", ["kalman_process_noise", "kalman_measurement_noise"])
+    def test_config_rejects_zero_kalman_noise(self, field):
+        with pytest.raises(ValueError, match=field):
+            TechniqueConfig(Technique.RPRG, **{field: 0.0})
+
+    @pytest.mark.parametrize("noise", [(0.0, 1e-4), (50.0, math.nan), (math.inf, 1e-4)])
+    def test_kalman_rejects_bad_noise(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            kalman_smooth(StationaryHand().trace(0.1), *noise)
+
+
+class TestParityWithPerSampleReference:
+    @pytest.mark.parametrize("kwargs", [
+        dict(tremor_sd_m=0.0, sample_rate_hz=100.0, seed=1),
+        dict(tremor_sd_m=0.004, sample_rate_hz=90.0, seed=13, pinch_at_s=0.31),
+        dict(tremor_sd_m=0.002, sample_rate_hz=72.0, seed=7,
+             direction=np.array([0.3, 0.5, 2.0]), pinch_at_s=0.0),
+    ])
+    def test_synth_trace_exactly_equal(self, kwargs):
+        args = (np.array([0.0, 1.35, 0.72]), np.array([0.05, 1.45, 0.76]), 0.83)
+        assert synth_hand_trace(*args, **kwargs) == synth_hand_trace_reference(*args, **kwargs)
+
+    @pytest.mark.parametrize("pinch_at_s", [None, 0.4])
+    def test_stationary_trace_exactly_equal(self, pinch_at_s):
+        hand = StationaryHand(np.array([0.2, 1.1, 0.1]), np.array([0.6, 0.0, 0.8]))
+        want = stationary_trace_reference(hand.position_m, hand.direction, 0.7, 60.0,
+                                          pinch_at_s=pinch_at_s)
+        assert hand.trace(0.7, 60.0, pinch_at_s=pinch_at_s) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kalman_within_1e12(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        t = np.cumsum(rng.uniform(0.004, 0.03, n))
+        pos = np.cumsum(rng.normal(0, 0.01, (n, 3)), axis=0)
+        d = np.array([0.2, 0.1, 1.0]) + np.cumsum(rng.normal(0, 0.02, (n, 3)), axis=0)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        samples = [HandSample(*row) for row in zip(t, pos, d, rng.random(n) < 0.5)]
+        q, r = rng.uniform(1, 100), 10 ** rng.uniform(-5, -2)
+        got, want = kalman_smooth(samples, q, r), kalman_smooth_reference(samples, q, r)
+        assert len(got) == len(want)
+        want_pos = np.array([s.position_m for s in want])
+        want_dir = np.array([s.direction for s in want])
+        assert np.abs(got.position_m - want_pos).max() <= 1e-12
+        assert np.abs(got.direction - want_dir).max() <= 1e-12
+        assert np.array_equal(got.t_s, t)
+        assert np.array_equal(got.pinch, [s.pinch for s in want])
+
+    @pytest.mark.parametrize("technique", list(Technique))
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scripted_trials(self, technique, smooth, seed):
+        scene = SceneSpec(target=TargetPlacement(0.6, 4.0, 0.0))
+        config = TechniqueConfig(technique)
+        pinch_at = 0.5 + 0.1 * seed
+        pointer = synth_hand_trace(HAND_M, HAND_M + [0.03, 0.02, 0.01], 1.2,
+                                   tremor_sd_m=0.003, seed=seed, direction=aim(scene),
+                                   pinch_at_s=pinch_at if config.confirm_hand ==
+                                   config.pointer_hand else None)
+        other = StationaryHand().trace(1.2, pinch_at_s=pinch_at)
+        left, right = (other, pointer) if config.pointer_hand == "right" else (pointer, other)
+        want = run_trial_reference(config, scene, list(left), list(right), smooth)
+        assert want is not None and want.error_attempts == 0
+        assert_same_outcome(run_trial(config, scene, left, right, smooth), want)
+        assert_same_outcome(run_trial(config, scene, list(left), list(right), smooth), want)
+
+    @pytest.mark.parametrize("technique", list(Technique))
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_miss_then_hit(self, technique, smooth):
+        # the first confirmation points straight down (a miss), the second
+        # aims at the target; RPDW re-anchors when the hand jumps at 0.4 s
+        scene = SceneSpec(target=TargetPlacement(0.8, 4.0, 0.0))
+        config = TechniqueConfig(technique, dwell_threshold_s=0.25, dwell_radius_m=0.05,
+                                 spike_lookback_s=0.05)
+        t = np.arange(201) / 100.0
+        pos = np.tile(HAND_M, (201, 1)) + np.random.default_rng(2).normal(0, 0.002, (201, 3))
+        pos[t >= 0.4] += [0.0, 0.0, 0.1]
+        d = np.where((t < 0.7)[:, None], DOWN, aim(scene, HAND_M + [0.0, 0.0, 0.1]))
+        pinch = ((t >= 0.3) & (t < 0.5)) | (t >= 1.2)
+        still = StationaryHand().trace(2.0)
+        pointer, confirm = HandTrace(t, pos, d, pinch), HandTrace(t, still.position_m,
+                                                                  still.direction, pinch)
+        if config.confirm_hand == config.pointer_hand:
+            confirm = still
+        left, right = (confirm, pointer) if config.pointer_hand == "right" else (pointer, confirm)
+        want = run_trial_reference(config, scene, list(left), list(right), smooth)
+        assert want is not None and want.error_attempts >= 1
+        assert_same_outcome(run_trial(config, scene, left, right, smooth), want)
+
+    def test_spike_rollback_on_a_trace_prefix(self):
+        trace = synth_hand_trace(np.zeros(3), np.ones(3), 1.0, seed=0)
+        for confirm in (0.0, 0.05, 0.333, 0.5, 1.0):
+            for lookback in (0.0, 0.07, 0.1, 2.0):
+                got = spike_compensate(trace, confirm, lookback)
+                want = spike_compensate(list(trace), confirm, lookback)
+                assert got.t_s == want.t_s
+                assert np.array_equal(got.position_m, want.position_m)
+
+
+def test_long_trace_is_linear_time(deadline):
+    """200 000 samples: a T x T operator or a rescan per confirmation would
+    not finish in time."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    t = np.arange(n) / 100.0
+    pos = HAND_M + rng.normal(0, 0.002, (n, 3))
+    d = np.broadcast_to(DOWN, (n, 3))
+    pointer = HandTrace(t, pos, d, (np.arange(n) % 50) == 25)
+    still = StationaryHand().trace((n - 1) / 100.0)
+    scene = SceneSpec(target=TargetPlacement(0.4, 4.0, 0.0))
+    with deadline(5.0):
+        assert len(kalman_smooth(pointer)) == n
+        for technique, smooth in ((Technique.RPDW, True), (Technique.RPRG, False)):
+            config = TechniqueConfig(technique)
+            assert run_trial(config, scene, still, pointer, smooth_pointer=smooth) is None

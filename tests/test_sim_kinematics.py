@@ -68,8 +68,9 @@ class TestParabolaLanding:
         assert checked >= 30
 
     def test_gravity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            parabola_landing(np.zeros(3), np.ones(3), 0.0, 0.0)
+        for gravity in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                parabola_landing(np.zeros(3), np.ones(3), gravity, 0.0)
 
 
 class TestSphereHitTest:
@@ -89,5 +90,6 @@ class TestSphereHitTest:
         assert dev == pytest.approx(0.15)
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            sphere_hit_test(np.zeros(3), np.zeros(3), 0.0)
+        for width in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                sphere_hit_test(np.zeros(3), np.zeros(3), width)

@@ -9,10 +9,8 @@ from telefitts.sim import (
     SceneSpec,
     TargetPlacement,
     TechniqueConfig,
-    TechniqueState,
     dwell_update,
     run_trial,
-    technique_step,
 )
 
 
@@ -238,15 +236,14 @@ class TestSmoothedPointer:
         assert smoothed.movement_time_s == raw.movement_time_s
 
 
-class TestTechniqueStep:
+class TestRunTrial:
     def test_requires_time_alignment(self):
         scene = aimed_scene()
         config = TechniqueConfig(technique=Technique.RPRG)
-        state = TechniqueState()
-        left = HandSample(0.0, np.zeros(3), np.array([0.0, 0.0, 1.0]))
-        right = HandSample(0.5, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        left = [HandSample(0.0, np.zeros(3), np.array([0.0, 0.0, 1.0]))]
+        right = [HandSample(0.5, np.zeros(3), np.array([0.0, 0.0, 1.0]))]
         with pytest.raises(ValueError, match="time-aligned"):
-            technique_step(config, scene, state, left, right)
+            run_trial(config, scene, left, right)
 
     def test_realized_amplitude_measured_from_start_cube(self):
         scene = aimed_scene()
