@@ -108,6 +108,9 @@ def minimum_jerk_profile(tau):
 
 
 def _sample_times(duration_s: float, sample_rate_hz: float) -> np.ndarray:
+    for name, value in (("duration_s", duration_s), ("sample_rate_hz", sample_rate_hz)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     return np.arange(int(round(duration_s * sample_rate_hz)) + 1) / sample_rate_hz
 
 
@@ -126,16 +129,13 @@ def synth_hand_trace(
     Deterministic per seed. ``pinch_at_s`` closes the index finger from that
     time onward, producing a single rising edge.
     """
-    if not duration_s > 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s}")
-    if not sample_rate_hz > 0:
-        raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    if not (math.isfinite(tremor_sd_m) and tremor_sd_m >= 0):
+        raise ValueError(f"tremor_sd_m must be finite and non-negative, got {tremor_sd_m}")
+    t = _sample_times(duration_s, sample_rate_hz)
     start = np.asarray(from_point_m, dtype=float)
     end = np.asarray(to_point_m, dtype=float)
     direction = np.asarray((0.0, 0.0, 1.0) if direction is None else direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-
-    t = _sample_times(duration_s, sample_rate_hz)
     tau = np.minimum(t / duration_s, 1.0)
     pos = start + (end - start) * minimum_jerk_profile(tau)[:, None]
     if tremor_sd_m > 0:

@@ -67,12 +67,30 @@ class LaunchSpeedModel:
         return self.base_speed_m_s + self.extension_gain_m_s * min(max(extension_fraction, 0.0), 1.0)
 
 
+def _check_fields(spec: object, **kinds: str) -> None:
+    """Raise ValueError unless each named field of ``spec`` (a number or a
+    vector) is finite and, for kind "positive" or "non-negative", > 0 or >= 0."""
+    for name, kind in kinds.items():
+        value = getattr(spec, name)
+        array = np.asarray(value, dtype=float)
+        ok = np.isfinite(array)
+        if kind != "finite":
+            ok &= array > 0 if kind == "positive" else array >= 0
+        if not ok.all():
+            rule = "finite" if kind == "finite" else f"finite and {kind}"
+            raise ValueError(f"{type(spec).__name__}.{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class TargetPlacement:
     width_m: float
     distance_m: float
     height_m: float
     angle_deg: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_fields(self, width_m="positive", distance_m="positive", height_m="non-negative",
+                      angle_deg="finite")
 
     def center(self) -> np.ndarray:
         rad = math.radians(self.angle_deg)
@@ -91,13 +109,16 @@ class SceneSpec:
     arm_length_m: float = 0.7
     start_cube_height_m: float = 1.4
 
+    def __post_init__(self) -> None:
+        _check_fields(self, gravity_m_s2="positive", arm_length_m="positive",
+                      start_cube_height_m="non-negative", shoulder_m="finite")
+
     def start_cube_center(self) -> np.ndarray:
         return np.array([0.0, self.start_cube_height_m, START_CUBE_DEPTH_M])
 
     def launch_velocity(self, sample: HandSample) -> np.ndarray:
         reach = float(np.linalg.norm(sample.position_m - np.asarray(self.shoulder_m)))
-        extension = reach / self.arm_length_m if self.arm_length_m > 0 else 1.0
-        return sample.direction * self.launch.speed(extension)
+        return sample.direction * self.launch.speed(reach / self.arm_length_m)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -114,6 +115,10 @@ class TrialTable(Sequence):
 
     ``line_numbers`` holds each row's 1-based line in the file it was read
     from, or is None for tables that were not read from a file.
+
+    The table owns its columns: they are copied at construction, so a caller
+    that later changes the arrays it passed in does not change the table.
+    That is what lets :func:`group_by_condition` keep its result on the table.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -124,18 +129,20 @@ class TrialTable(Sequence):
         self.participant_ids = tuple(participant_ids)
         n = None
         for name, dtype in _COLUMNS:
-            col = np.asarray(columns[name], dtype=dtype)
+            col = np.array(columns[name], dtype=dtype)
             if col.ndim != 1 or (n is not None and len(col) != n):
                 raise ValueError(f"column {name} must be one-dimensional, of one length")
             n = len(col)
-            col = col.view()
             col.flags.writeable = False
             setattr(self, name, col)
         if line_numbers is not None:
-            line_numbers = np.asarray(line_numbers, dtype=np.int64)
+            line_numbers = np.array(line_numbers, dtype=np.int64)
             if len(line_numbers) != n:
                 raise ValueError("line_numbers must have one entry per row")
+            line_numbers.flags.writeable = False
         self.line_numbers = line_numbers
+        #: group_by_condition's cells, computed on its first call
+        self._condition_cells: dict[ConditionKey, ConditionSummary] | None = None
 
     @classmethod
     def from_trials(cls, trials: Iterable[Trial]) -> "TrialTable":
@@ -422,8 +429,18 @@ def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionS
     width, distance, height) order. Standard deviations use the n-1
     denominator; singleton cells get sd 0 by convention and no CI. Means and
     SDs equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit.
+
+    The cells of a :class:`TrialTable` are computed once and kept on the
+    table; each call returns a new dict of them. Other sequences are
+    grouped on every call.
     """
     table = TrialTable.from_trials(trials)
+    if table._condition_cells is None:
+        table._condition_cells = _condition_cells(table)
+    return dict(table._condition_cells)
+
+
+def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
     if len(table) == 0:
         return {}
     w_codes, widths = _quantized_codes(table.width_m)
@@ -568,44 +585,51 @@ class IncompleteGridError(ValueError):
         self.missing = tuple(missing)
 
 
-#: One log line; %r of a Python float is its shortest round-trip repr.
-_LOG_LINE = "%s,%s,%s,%d,%d,%r,%r,%r,%r,%r,%r,%d,%s\n"
 _TECHNIQUE_TEXT = tuple(t.value for t in TECHNIQUES)
 _POSTURE_TEXT = tuple(p.value for p in POSTURES)
+_BOOL_TEXT = ("false", "true")
+#: The TrialTable column of each log field, in file order.
+_LOG_COLUMNS = (
+    "participant_code", "technique_code", "posture_code", "block", "trial_index",
+    *_FLOAT_COLUMNS, "error_attempts", "success",
+)
 
 
-def _log_lines(table: TrialTable) -> Iterator[str]:
-    ids = table.participant_ids
-    fields = [
-        [ids[c] for c in table.participant_code.tolist()],
-        [_TECHNIQUE_TEXT[c] for c in table.technique_code.tolist()],
-        [_POSTURE_TEXT[c] for c in table.posture_code.tolist()],
-        table.block.tolist(),
-        table.trial_index.tolist(),
-        *(getattr(table, name).tolist() for name in _FLOAT_COLUMNS),
-        table.error_attempts.tolist(),
-        ["true" if s else "false" for s in table.success.tolist()],
-    ]
-    return map(_LOG_LINE.__mod__, zip(*fields))
+def _value_text(column: np.ndarray) -> list[str]:
+    """``repr`` of each value of an int or float column, formatted once per
+    distinct value (per bit pattern for floats, so -0.0 keeps its sign); the
+    repr of a Python float is its shortest round-trip form."""
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = list(map(repr, distinct.view(column.dtype).tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
 def write_trial_log(trials: Sequence[Trial], path: str) -> None:
     """Write a UTF-8 CSV log with full round-trip float precision.
 
     Floats are written as ``repr`` of Python floats, so the bytes do not
-    depend on how numpy formats its own scalars.
+    depend on how numpy formats its own scalars. Lines are formatted a
+    column at a time, ``_CHUNK_ROWS`` rows per write.
     """
     table = TrialTable.from_trials(trials)
+    labels = {"participant_code": table.participant_ids, "technique_code": _TECHNIQUE_TEXT,
+              "posture_code": _POSTURE_TEXT, "success": _BOOL_TEXT}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRIAL_LOG_HEADER + "\n")
         for start in range(0, len(table), _CHUNK_ROWS):
-            fh.writelines(_log_lines(table[start:start + _CHUNK_ROWS]))
+            fields = []
+            for name in _LOG_COLUMNS:
+                column = getattr(table, name)[start:start + _CHUNK_ROWS]
+                fields.append(list(map(labels[name].__getitem__, column.tolist()))
+                              if name in labels else _value_text(column))
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 _INT64_RANGE = range(-(2 ** 63), 2 ** 63)
 _TECHNIQUE_BY_TEXT = {text: i for i, text in enumerate(_TECHNIQUE_TEXT)}
 _POSTURE_BY_TEXT = {text.lower(): i for i, text in enumerate(_POSTURE_TEXT)}
-_BOOL_BY_TEXT = {"true": True, "false": False}
+_BOOL_BY_TEXT = {text: bool(i) for i, text in enumerate(_BOOL_TEXT)}
 
 
 def _parse_int(text: str) -> int:
@@ -667,10 +691,97 @@ def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dic
     return columns
 
 
+#: Characters that send a whole log to the csv reader: a quote or a carriage
+#: return can change how lines split into records, numpy's tokenizer drops
+#: NUL, and it strips \x1c-\x1f around numbers where int() and float() do not.
+_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
+#: Characters kept of each text field by numpy's tokenizer, which cuts longer
+#: text off without a word; a field this long sends the log to the csv reader.
+_TEXT_WIDTH = 32
+#: Text field -> the code of one of its distinct values (KeyError if none).
+_CODE_OF_TEXT = {
+    "technique_code": _TECHNIQUE_BY_TEXT.__getitem__,
+    "posture_code": lambda text: _POSTURE_BY_TEXT[text.lower()],
+    "success": lambda text: _BOOL_BY_TEXT[text.strip().lower()],
+}
+_LOG_DTYPE = np.dtype([
+    (name, np.dtype((np.str_, _TEXT_WIDTH))
+     if name in _CODE_OF_TEXT or name == "participant_code" else dict(_COLUMNS)[name])
+    for name in _LOG_COLUMNS
+])
+
+
+def _text_codes(column: np.ndarray, code_of) -> np.ndarray:
+    """``code_of(text)`` of each row, called once per distinct text in order
+    of first appearance; KeyError for text that may have been cut off."""
+    distinct, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    texts = distinct.tolist()
+    if any(len(text) >= _TEXT_WIDTH for text in texts):
+        raise KeyError("text field as wide as the parse width")
+    codes = [None] * len(texts)
+    for i in np.argsort(first).tolist():
+        codes[i] = code_of(texts[i])
+    return np.array(codes)[inverse]
+
+
+def _read_with_loadtxt(fh) -> TrialTable | None:
+    """The log body parsed by ``np.loadtxt``, ``_CHUNK_ROWS`` lines at a time,
+    with codes taken from each chunk's distinct text values; None wherever
+    the csv reader must decide: a header other than the exact one, a log
+    with a ``_CSV_ONLY`` character, a line longer than the csv field limit,
+    a chunk that numpy or a code lookup rejects, or a log with no rows."""
+    if fh.readline() not in (TRIAL_LOG_HEADER + "\n", TRIAL_LOG_HEADER):
+        return None
+    ids: dict[str, int] = {}
+    code_of = dict(_CODE_OF_TEXT, participant_code=lambda text: ids.setdefault(text, len(ids)))
+    parts = []
+    line_no = 2
+    while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+        numbers = np.arange(line_no, line_no + len(lines))
+        line_no += len(lines)
+        if lines.count("\n"):  # blank lines hold no row
+            numbers = numbers[[text != "\n" for text in lines]]
+        text = "".join(lines)
+        if any(c in text for c in _CSV_ONLY) or max(map(len, lines)) > csv.field_size_limit():
+            return None
+        if not len(numbers):
+            continue
+        try:
+            rows = np.loadtxt(lines, dtype=_LOG_DTYPE, delimiter=",", comments=None, ndmin=1)
+            if len(rows) != len(numbers):
+                return None
+            # copies, so that the chunk's wide text fields can be freed
+            part = {name: _text_codes(rows[name], code_of[name]) if name in code_of
+                    else rows[name].copy() for name in _LOG_COLUMNS}
+        except (ValueError, KeyError):
+            return None
+        part["line_numbers"] = numbers
+        parts.append(part)
+    if not parts:
+        return None
+    return TrialTable(ids, **{name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+
+
 def read_trial_log(path: str) -> TrialTable:
     """Parse a trial log into a table, raising LogFormatError with the
     1-based line of the first bad row. Blank lines are skipped; every row
-    keeps its physical line number in ``line_numbers``."""
+    keeps its physical line number in ``line_numbers``.
+
+    numpy's tokenizer reads what it parses exactly as the csv reader does;
+    every log it cannot vouch for is read by the csv reader, which decides
+    what a log may hold and words every error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            table = _read_with_loadtxt(fh)
+    except UnicodeDecodeError:
+        table = None
+    return _read_with_csv(path) if table is None else table
+
+
+def _read_with_csv(path: str) -> TrialTable:
+    """``read_trial_log`` through the csv module, whole columns per chunk,
+    row by row only to name the first bad row."""
     ids: dict[str, int] = {}
     parts = []
     chunk: list[tuple[list[str], int]] = []

@@ -7,6 +7,13 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples (seeded from each test's source), keeps
+# no example database and sets no per-example time limit, so the suite cannot
+# flake on draws or timing.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture()

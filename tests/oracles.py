@@ -9,11 +9,14 @@ filter, RK4 flight integration instead of the closed-form landing solution,
 per-trial dictionary grouping with ``statistics`` instead of the
 integer-coded column group-by, and the per-sample hand-trace loops (one
 ``HandSample`` per step, 2x2 matrix Kalman recursion, a technique state
-machine stepped sample by sample) instead of the array kinematic layer.
+machine stepped sample by sample) instead of the array kinematic layer, and
+the csv-module trial-log reader, one row at a time, instead of numpy's
+tokenizer.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 from dataclasses import replace
@@ -39,11 +42,14 @@ from telefitts.throughput import (
     effective_id,
 )
 from telefitts.trials import (
+    TRIAL_LOG_HEADER,
     ConditionKey,
     ConditionSummary,
     IncompleteGridError,
+    LogFormatError,
     Posture,
     Technique,
+    TrialTable,
 )
 
 
@@ -467,3 +473,64 @@ def run_trial_reference(config, scene, left_trace, right_trace, smooth_pointer=F
             selection_point_m=tuple(float(v) for v in point),
         )
     return None
+
+
+_POSTURE_BY_LOWER = {p.value.lower(): p for p in Posture}
+_BOOLS = {"true": True, "false": False}
+
+
+def _log_int(text):
+    value = int(text)
+    if not -(2 ** 63) <= value < 2 ** 63:
+        raise ValueError(f"integer {text!r} is out of range")
+    return value
+
+
+def _log_row_reference(row, line_no):
+    """The values of one csv row, or LogFormatError naming its first bad field."""
+    if len(row) != 13:
+        raise LogFormatError(f"expected 13 fields, found {len(row)}", line_no)
+    try:
+        technique = Technique(row[1])
+        if row[2].lower() not in _POSTURE_BY_LOWER:
+            raise ValueError(f"'{row[2]}' is not a valid Posture")
+        block, trial_index = _log_int(row[3]), _log_int(row[4])
+        floats = [float(text) for text in row[5:11]]
+        errors = _log_int(row[11])
+    except ValueError as exc:
+        raise LogFormatError(str(exc), line_no) from None
+    if row[12].strip().lower() not in _BOOLS:
+        raise LogFormatError(f"'{row[12]}' is not a boolean (expected true/false)", line_no)
+    return (row[0], list(Technique).index(technique),
+            list(Posture).index(_POSTURE_BY_LOWER[row[2].lower()]), block, trial_index,
+            *floats, errors, _BOOLS[row[12].strip().lower()])
+
+
+def read_trial_log_reference(path):
+    """The csv-module trial-log reader, one row at a time: what a log may hold,
+    every LogFormatError message and line, and the table read, with its
+    participant ids in order of first appearance and physical line numbers."""
+    rows, lines = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise LogFormatError("empty file, expected header row", 1)
+            if ",".join(header) != TRIAL_LOG_HEADER:
+                raise LogFormatError("unexpected header row", 1)
+            for row in reader:
+                if row:
+                    rows.append(_log_row_reference(row, reader.line_num))
+                    lines.append(reader.line_num)
+        except csv.Error as exc:
+            raise LogFormatError(f"malformed CSV: {exc}", reader.line_num) from None
+    ids = {}
+    for row in rows:
+        ids.setdefault(row[0], len(ids))
+    columns = list(zip(*rows)) or [()] * 13
+    names = ("technique_code", "posture_code", "block", "trial_index", "width_m", "distance_m",
+             "height_m", "angle_deg", "movement_time_s", "endpoint_deviation_m",
+             "error_attempts", "success")
+    return TrialTable(ids, line_numbers=lines, participant_code=[ids[p] for p in columns[0]],
+                      **dict(zip(names, columns[1:])))

@@ -161,6 +161,44 @@ class TestSampleInputChecks:
         with pytest.raises(ValueError, match="noise"):
             kalman_smooth(StationaryHand().trace(0.1), *noise)
 
+    @pytest.mark.parametrize("tremor", [math.nan, -0.002, math.inf])
+    def test_synth_rejects_bad_tremor(self, tremor):
+        with pytest.raises(ValueError, match="tremor_sd_m"):
+            synth_hand_trace(np.zeros(3), np.ones(3), 0.5, tremor_sd_m=tremor)
+
+    @pytest.mark.parametrize("duration", [-1.0, 0.0, math.nan, math.inf])
+    def test_traces_reject_bad_duration(self, duration):
+        with pytest.raises(ValueError, match="duration_s"):
+            StationaryHand().trace(duration)
+        with pytest.raises(ValueError, match="duration_s"):
+            synth_hand_trace(np.zeros(3), np.ones(3), duration)
+
+    @pytest.mark.parametrize("rate", [0.0, -100.0, math.nan])
+    def test_traces_reject_bad_sample_rate(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            StationaryHand().trace(0.5, sample_rate_hz=rate)
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            synth_hand_trace(np.zeros(3), np.ones(3), 0.5, sample_rate_hz=rate)
+
+    @pytest.mark.parametrize("field, value", [
+        ("width_m", 0.0), ("width_m", -0.4), ("width_m", math.nan),
+        ("distance_m", 0.0), ("distance_m", math.inf),
+        ("height_m", -0.1), ("height_m", math.nan), ("angle_deg", math.nan),
+    ])
+    def test_target_placement_rejects_bad_fields(self, field, value):
+        fields = {"width_m": 0.4, "distance_m": 4.0, "height_m": 0.0, **{field: value}}
+        with pytest.raises(ValueError, match=field):
+            TargetPlacement(**fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("arm_length_m", -1.0), ("arm_length_m", 0.0), ("arm_length_m", math.nan),
+        ("gravity_m_s2", 0.0), ("gravity_m_s2", -9.81), ("gravity_m_s2", math.inf),
+        ("start_cube_height_m", math.nan), ("shoulder_m", (0.0, math.nan, 0.0)),
+    ])
+    def test_scene_rejects_bad_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SceneSpec(target=TargetPlacement(0.4, 4.0, 0.0), **{field: value})
+
 
 class TestParityWithPerSampleReference:
     @pytest.mark.parametrize("kwargs", [

@@ -1,0 +1,262 @@
+"""The trial-log reader and writer: numpy's tokenizer against the row-by-row
+csv reader in ``oracles``, on valid logs and on mutated ones."""
+
+import contextlib
+import csv
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from telefitts import Posture, Technique, Trial, read_trial_log, write_trial_log
+from telefitts import cli
+from telefitts import trials as trials_module
+from telefitts.sim import generate_study, realistic_preset
+from telefitts.trials import TRIAL_LOG_HEADER, LogFormatError
+
+from oracles import read_trial_log_reference
+
+COLUMNS = [name for name, _ in trials_module._COLUMNS]
+
+
+def assert_same_table(got, want):
+    """Equal ids in order, line numbers, dtypes and every column bit for bit."""
+    assert got.participant_ids == want.participant_ids
+    assert np.array_equal(got.line_numbers, want.line_numbers)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        if a.dtype == np.float64:
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b), name
+
+
+def outcome(reader, path):
+    try:
+        return reader(path)
+    except LogFormatError as exc:
+        return str(exc), exc.line_number
+
+
+def assert_readers_agree(path):
+    got, want = outcome(read_trial_log, path), outcome(read_trial_log_reference, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_same_table(got, want)
+    return got
+
+
+@contextlib.contextmanager
+def csv_reader_refused():
+    """Fails the test if the log is handed to the csv reader."""
+    with mock.patch.object(trials_module, "_read_with_csv",
+                           side_effect=AssertionError("read by the csv reader")):
+        yield
+
+
+def write_lines(path, lines, ending="\n"):
+    path.write_bytes(("".join(line + ending for line in lines)).encode("utf-8"))
+
+
+def log_lines(trials):
+    """The header and one line per trial, formatted row by row."""
+    return [TRIAL_LOG_HEADER, *(",".join([
+        t.participant_id, t.technique.value, t.posture.value, str(t.block), str(t.trial_index),
+        *(repr(x) for x in (t.width_m, t.distance_m, t.height_m, t.angle_deg,
+                            t.movement_time_s, t.endpoint_deviation_m)),
+        str(t.error_attempts), "true" if t.success else "false",
+    ]) for t in trials)]
+
+
+def trial(participant="P01", **overrides):
+    base = dict(participant_id=participant, technique=Technique.RPRG, posture=Posture.SITTING,
+                block=0, trial_index=0, width_m=0.2, distance_m=3.0, height_m=0.0,
+                angle_deg=0.0, movement_time_s=2.0, endpoint_deviation_m=0.05,
+                error_attempts=0, success=True)
+    return Trial(**{**base, **overrides})
+
+
+class TestWriter:
+    def test_bytes_match_per_row_formatting(self, tmp_path):
+        table = generate_study(realistic_preset(participants=3, seed=5))
+        path = tmp_path / "log.csv"
+        write_trial_log(table, str(path))
+        assert path.read_text(encoding="utf-8").splitlines() == log_lines(table)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    def test_chunks_and_signed_zero(self, tmp_path, chunk):
+        trials = [trial(f"P{i % 3}", trial_index=i, height_m=(-0.0, 0.0)[i % 2],
+                        angle_deg=float("nan") if i == 4 else 1e-7 * i,
+                        movement_time_s=2.0 ** (i - 3), error_attempts=-i)
+                  for i in range(7)]
+        path = tmp_path / "log.csv"
+        with mock.patch.object(trials_module, "_CHUNK_ROWS", chunk):
+            write_trial_log(trials, str(path))
+        assert path.read_text(encoding="utf-8").splitlines() == log_lines(trials)
+
+
+class TestLoadtxtPath:
+    def test_simulated_log_never_reaches_the_csv_reader(self, tmp_path):
+        table = generate_study(realistic_preset(participants=3, seed=6))
+        path = tmp_path / "log.csv"
+        write_trial_log(table, str(path))
+        with csv_reader_refused():
+            back = read_trial_log(str(path))
+        assert back == table
+        assert_same_table(back, read_trial_log_reference(str(path)))
+
+    def test_lenient_fields_stay_on_the_fast_path(self, tmp_path):
+        lines = log_lines([trial("P02"), trial("P01", trial_index=1), trial("P02")])
+        lines[1] = "P02,RPRG,sITTING, 3 ,+5,0.2,3.0,\t0.0,-0,Infinity,1e-400,0, TRUE "
+        lines[2:2] = ["", ""]
+        path = tmp_path / "log.csv"
+        write_lines(path, lines)
+        with csv_reader_refused():
+            got = read_trial_log(str(path))
+        assert_same_table(got, read_trial_log_reference(str(path)))
+        assert got.participant_ids == ("P02", "P01")
+        assert got.line_numbers.tolist() == [2, 5, 6]
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace("P01", '"P01"'),
+        lambda line: line.replace("P01", "P0\x001"),
+        lambda line: line.replace(",0,", ",0\x1c,"),
+        lambda line: line.replace("P01", "P" * 40),
+        lambda line: line.replace(",0,", ",1_000,"),
+        lambda line: line.replace("Sitting", "Lying"),
+    ])
+    def test_logs_numpy_cannot_vouch_for_go_to_the_csv_reader(self, tmp_path, edit):
+        lines = log_lines([trial(), trial(trial_index=1)])
+        lines[2] = edit(lines[2])
+        path = tmp_path / "log.csv"
+        write_lines(path, lines)
+        with csv_reader_refused(), pytest.raises(AssertionError, match="csv reader"):
+            read_trial_log(str(path))
+        assert_readers_agree(path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_carriage_return_log_reads_like_the_reference(self, tmp_path, ending):
+        lines = log_lines([trial(), trial(trial_index=1)])
+        path = tmp_path / "log.csv"
+        path.write_bytes((lines[0] + "\n" + "".join(
+            line + ending for line in [lines[1], "", lines[2]])).encode("utf-8"))
+        got = assert_readers_agree(path)
+        assert got.line_numbers.tolist() == [2, 4]
+
+    def test_field_over_the_csv_limit_is_a_format_error(self, tmp_path):
+        lines = log_lines([trial(), trial(trial_index=1)])
+        lines[2] = lines[2].replace(",1,", "," + "0" * csv.field_size_limit() + "1,", 1)
+        path = tmp_path / "log.csv"
+        write_lines(path, lines)
+        with pytest.raises(LogFormatError, match="field limit") as err:
+            read_trial_log(str(path))
+        assert err.value.line_number == 3
+        assert_readers_agree(path)
+
+    def test_participant_order_spans_chunks(self, tmp_path):
+        trials = [trial(p, trial_index=i) for i, p in enumerate("CCBACBDA")]
+        path = tmp_path / "log.csv"
+        write_lines(path, log_lines(trials)[:4] + ["", "", ""] + log_lines(trials)[4:])
+        with mock.patch.object(trials_module, "_CHUNK_ROWS", 2), csv_reader_refused():
+            got = read_trial_log(str(path))
+        assert got.participant_ids == ("C", "B", "A", "D")
+        assert got.line_numbers.tolist() == [2, 3, 4, 8, 9, 10, 11, 12]
+        assert got == trials
+
+
+# --- differential fuzz test ------------------------------------------------
+
+#: Characters that the csv module, int(), float() and numpy's tokenizer
+#: may each treat differently.
+ODD_CHARS = '"\r\n\x00\x1c\x1d\x1e\x1f\x0b\x0c\t \x85\xa0\u2028,#_+-.e'
+INT_TOKENS = [
+    " 3 ", "+5", "-0", "00012", "1_000", "3.0", "1e3", "٣", "３", "\xa03", "3\x0b", "\x0c3",
+    str(2 ** 63 - 1), str(-(2 ** 63)), str(2 ** 63), str(-(2 ** 63) - 1), str(10 ** 30),
+    "", " ", "0x10", "- 1", "1 2",
+]
+FLOAT_TOKENS = [
+    " 1.5 ", "+.5", "5.", "-0.0", "1e-400", "4.9e-324", "Infinity", "-inf", "iNf", "nan",
+    "-nan", "NaN", "1e500", "1_000.5", "٣.5", "\u20032", "0x1p3", "1.5d0", "nan(1)", "",
+    "inf inity",
+]
+#: Per field: the tokens that may replace it (besides the ODD_CHARS inserts).
+FIELD_TOKENS = [
+    ["P01", "p3", " P01", "P01 ", "", "Ünïcødé-参加者", "P" * 31, "P" * 32, "P" * 33, "a\tb"],
+    ["rprg", " RPRG", "RPDW ", "", "X", "LPLG"],
+    ["SITTING", "sitting", "StAnDiNg", " Sitting", "Lying", "", "sitting" + " " * 30],
+    *[INT_TOKENS] * 2, *[FLOAT_TOKENS] * 6, INT_TOKENS,
+    ["TRUE", " false ", "False\t", "\x0btrue", "yes", "", "true" + " " * 40],
+]
+
+ROWS = st.lists(st.builds(
+    trial,
+    participant=st.sampled_from(["P01", "P02", "p3", "Ünï"]),
+    technique=st.sampled_from(list(Technique)),
+    posture=st.sampled_from(list(Posture)),
+    block=st.integers(-3, 10 ** 6),
+    trial_index=st.integers(0, 2 ** 63 - 1),
+    movement_time_s=st.floats(),
+    endpoint_deviation_m=st.floats(width=32),
+    error_attempts=st.integers(-2, 5),
+    success=st.booleans(),
+), min_size=0, max_size=8)
+
+#: (kind, row, field, token index, character, free text). Row and field are
+#: taken modulo the log's size; the header is mutated only in a log without
+#: rows.
+MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["token", "token", "token", "char", "char", "text", "quote", "add",
+                     "drop", "blank"]),
+    st.integers(0, 63), st.integers(0, 12), st.integers(0, 63),
+    st.sampled_from(ODD_CHARS), st.text(max_size=4),
+), max_size=3)
+
+
+def mutate(lines, mutations):
+    rows = [line.split(",") for line in lines]
+    for kind, r, f, k, char, text in mutations:
+        r = 0 if len(rows) == 1 else 1 + r % (len(rows) - 1)
+        row = rows[r]
+        f %= len(row)
+        if kind == "token":
+            tokens = FIELD_TOKENS[f % 13]
+            row[f] = tokens[k % len(tokens)]
+        elif kind == "char":
+            row[f] = row[f][:k % (len(row[f]) + 1)] + char + row[f][k % (len(row[f]) + 1):]
+        elif kind == "text":
+            row[f] = text
+        elif kind == "quote":
+            row[f] = '"' + row[f].replace('"', '""') + '"'
+        elif kind == "add":
+            row.insert(f, text)
+        elif kind == "drop" and len(row) > 1:
+            del row[f]
+        elif kind == "blank":
+            rows.insert(r, [text if text.isspace() else ""])
+    return [",".join(row) for row in rows]
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(trials=ROWS, mutations=MUTATIONS, ending=st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]),
+       lf_header=st.booleans(), final_newline=st.booleans(),
+       chunk=st.sampled_from([1, 2, 3, 1024]))
+def test_mutated_logs_read_like_the_csv_reference(tmp_path_factory, deadline, trials, mutations,
+                                                   ending, lf_header, final_newline, chunk):
+    # ``deadline`` holds no state between examples, so sharing it is safe
+    path = tmp_path_factory.getbasetemp() / "fuzz-log.csv"
+    header, *body = mutate(log_lines(trials), mutations)
+    text = header + ("\n" if lf_header else ending) + ending.join(body)
+    path.write_bytes((text + ending * (final_newline and bool(body))).encode("utf-8"))
+    with mock.patch.object(trials_module, "_CHUNK_ROWS", chunk):
+        assert_readers_agree(path)
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", "--input", str(path)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -22,6 +22,7 @@ from telefitts import (
     group_by_condition,
     group_summaries,
     read_trial_log,
+    run_table1_suite,
     sample_sd,
     throughput_by_group,
     write_trial_log,
@@ -276,6 +277,61 @@ class TestTrialTable:
         assert table.participant_ids == ("P01", "P02", "P03")
         assert len(table) == 3 * 400
         assert set(table.trial_index.tolist()) == set(range(40))
+
+
+def count_cell_sds(monkeypatch) -> list[int]:
+    """Count the calls of the group-by's SD kernel (two per group-by)."""
+    calls = [0]
+    cell_sds = trials_module._cell_sds
+
+    def counting(*args):
+        calls[0] += 1
+        return cell_sds(*args)
+
+    monkeypatch.setattr(trials_module, "_cell_sds", counting)
+    return calls
+
+
+class TestOwnershipAndGroupMemo:
+    def test_table_owns_its_columns(self):
+        trials = random_trials(random.Random(3), 30)
+        source = TrialTable.from_trials(trials)
+        columns = {name: np.array(getattr(source, name)) for name, _ in trials_module._COLUMNS}
+        lines = np.arange(2, 32)
+        table = TrialTable(source.participant_ids, line_numbers=lines, **columns)
+        before = group_by_condition(table)
+        for column in columns.values():
+            column[:] = column[::-1]
+        lines[:] = 0
+        assert table == trials
+        assert table.line_numbers.tolist() == list(range(2, 32))
+        assert not table.line_numbers.flags.writeable
+        assert_same_dict(group_by_condition(table), before)
+
+    def test_returned_dict_is_fresh(self):
+        table = generate_study(PRESETS["realistic"])
+        first = group_by_condition(table)
+        expected = dict(first)
+        first.clear()
+        second = group_by_condition(table)
+        assert second is not first
+        assert_same_dict(second, expected)
+        assert_same_dict(second, group_by_condition_reference(list(table)))
+
+    def test_suites_and_throughput_group_one_table_once(self, monkeypatch):
+        table = generate_study(PRESETS["realistic"])
+        calls = count_cell_sds(monkeypatch)
+        for mode in (AmplitudeMode.EUCLIDEAN, AmplitudeMode.DEPTH_ONLY):
+            run_table1_suite(table, mode)
+        throughput_by_group(table)
+        assert calls[0] == 2
+
+    def test_lists_are_grouped_on_every_call(self, monkeypatch):
+        trials = random_trials(random.Random(4), 40)
+        calls = count_cell_sds(monkeypatch)
+        first = group_by_condition(trials)
+        assert_same_dict(group_by_condition(trials), first)
+        assert calls[0] == 4
 
 
 class TestNoPerRowObjects:
