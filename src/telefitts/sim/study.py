@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import yaml
 
 from ..models import (
     GRID_ANGLES_DEG,
@@ -319,6 +318,8 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
     technique_offsets_s, amplitude_mode. The seed is required (here or via
     the override) so every run is reproducible on purpose.
     """
+    import yaml  # imported here: no other command needs PyYAML's import time
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

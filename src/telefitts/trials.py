@@ -12,7 +12,6 @@ built only when a caller indexes or iterates the table.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 import operator
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats as _sstats
 
 
 class Technique(Enum):
@@ -302,8 +300,7 @@ class ConditionSummary:
     """Descriptive statistics for one aggregation cell.
 
     ``error_rate`` is the fraction of trials that needed at least one failed
-    attempt before succeeding. ``ci95_mt_s`` is the half-width of the 95%
-    Student-t interval on the mean movement time (None for singleton cells).
+    attempt before succeeding.
     """
 
     key: ConditionKey
@@ -313,7 +310,6 @@ class ConditionSummary:
     mean_deviation_m: float
     sd_deviation_m: float
     error_rate: float
-    ci95_mt_s: float | None
 
 
 # --- exact sample standard deviation ------------------------------------
@@ -397,17 +393,6 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> lis
 # --- aggregation --------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
-def _t975(df: int) -> float:
-    return float(_sstats.t.ppf(0.975, df))
-
-
-def _ci95_halfwidth(sd: float, n: int) -> float | None:
-    if n < 2:
-        return None
-    return _t975(n - 1) * sd / math.sqrt(n)
-
-
 def _quantized_codes(column: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Integer code of each row's 1 mm-quantized value, and the quantized
     level of each code in ascending order. Only the distinct raw values are
@@ -427,7 +412,7 @@ def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionS
 
     Every trial lands in exactly one cell; cells come in (technique, posture,
     width, distance, height) order. Standard deviations use the n-1
-    denominator; singleton cells get sd 0 by convention and no CI. Means and
+    denominator; singleton cells get sd 0 by convention. Means and
     SDs equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit.
 
     The cells of a :class:`TrialTable` are computed once and kept on the
@@ -480,7 +465,6 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
             mean_deviation_m=math.fsum(devs[a:a + n]) / n,
             sd_deviation_m=sd_dev,
             error_rate=errs / n,
-            ci95_mt_s=_ci95_halfwidth(sd_mt, n),
         )
     return out
 
@@ -537,12 +521,10 @@ def collapse_over(
                                [c.sd_mt_s for c in cells], mean_mt)
             sd_dev = _pooled_sd([c.n_trials for c in cells], [c.mean_deviation_m for c in cells],
                                 [c.sd_deviation_m for c in cells], mean_dev)
-            ci = _ci95_halfwidth(sd_mt, n_total)
         else:
             sd_mt = sample_sd([c.mean_mt_s for c in cells]) if len(cells) >= 2 else 0.0
             sd_dev = (sample_sd([c.mean_deviation_m for c in cells])
                       if len(cells) >= 2 else 0.0)
-            ci = _ci95_halfwidth(sd_mt, len(cells))
         out[key] = ConditionSummary(
             key=key,
             n_trials=n_total,
@@ -551,7 +533,6 @@ def collapse_over(
             mean_deviation_m=mean_dev,
             sd_deviation_m=sd_dev,
             error_rate=err,
-            ci95_mt_s=ci,
         )
     return out
 
@@ -647,7 +628,7 @@ def _parse_row(row: list[str], line_no: int) -> None:
     try:
         Technique(row[1])
         if row[2].lower() not in _POSTURE_BY_TEXT:
-            raise ValueError(f"'{row[2]}' is not a valid Posture")
+            raise ValueError(f"{row[2]!r} is not a valid Posture")
         for text in row[3:5]:
             _parse_int(text)
         for text in row[5:11]:
@@ -656,7 +637,7 @@ def _parse_row(row: list[str], line_no: int) -> None:
     except ValueError as exc:
         raise LogFormatError(str(exc), line_no) from None
     if row[12].strip().lower() not in _BOOL_BY_TEXT:
-        raise LogFormatError(f"'{row[12]}' is not a boolean (expected true/false)", line_no)
+        raise LogFormatError(f"{row[12]!r} is not a boolean (expected true/false)", line_no)
 
 
 def _parse_columns(rows: list[list[str]], ids: dict[str, int]) -> dict[str, np.ndarray]:
@@ -691,10 +672,15 @@ def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dic
     return columns
 
 
-#: Characters that send a whole log to the csv reader: a quote or a carriage
-#: return can change how lines split into records, numpy's tokenizer drops
-#: NUL, and it strips \x1c-\x1f around numbers where int() and float() do not.
-_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
+#: Characters that send a whole log to the csv reader: a quote can change how
+#: lines split into records, numpy's tokenizer drops NUL, and it strips
+#: \x1c-\x1f around numbers where int() and float() do not. A carriage return
+#: does too, unless it is part of a \r\n line ending.
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
+#: Lines that hold no row, for the csv reader as for numpy's tokenizer.
+_BLANK_LINES = ("\n", "\r\n")
+#: The header line as read: ended like a blank line, or last in the file.
+_HEADER_LINES = (TRIAL_LOG_HEADER, *(TRIAL_LOG_HEADER + end for end in _BLANK_LINES))
 #: Characters kept of each text field by numpy's tokenizer, which cuts longer
 #: text off without a word; a field this long sends the log to the csv reader.
 _TEXT_WIDTH = 32
@@ -728,9 +714,10 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
     """The log body parsed by ``np.loadtxt``, ``_CHUNK_ROWS`` lines at a time,
     with codes taken from each chunk's distinct text values; None wherever
     the csv reader must decide: a header other than the exact one, a log
-    with a ``_CSV_ONLY`` character, a line longer than the csv field limit,
-    a chunk that numpy or a code lookup rejects, or a log with no rows."""
-    if fh.readline() not in (TRIAL_LOG_HEADER + "\n", TRIAL_LOG_HEADER):
+    with a ``_CSV_ONLY`` character or a carriage return that does not end a
+    ``\r\n`` line, a line longer than the csv field limit, a chunk that numpy
+    or a code lookup rejects, or a log with no rows."""
+    if fh.readline() not in _HEADER_LINES:
         return None
     ids: dict[str, int] = {}
     code_of = dict(_CODE_OF_TEXT, participant_code=lambda text: ids.setdefault(text, len(ids)))
@@ -739,10 +726,11 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
         numbers = np.arange(line_no, line_no + len(lines))
         line_no += len(lines)
-        if lines.count("\n"):  # blank lines hold no row
-            numbers = numbers[[text != "\n" for text in lines]]
+        if lines.count("\n") or lines.count("\r\n"):  # blank lines hold no row
+            numbers = numbers[[text not in _BLANK_LINES for text in lines]]
         text = "".join(lines)
-        if any(c in text for c in _CSV_ONLY) or max(map(len, lines)) > csv.field_size_limit():
+        if (any(c in text for c in _CSV_ONLY) or text.count("\r") != text.count("\r\n")
+                or max(map(len, lines)) > csv.field_size_limit()):
             return None
         if not len(numbers):
             continue

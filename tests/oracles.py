@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against a different method than the
 code under test: pseudo-inverse and grid search instead of QR, adaptive
-quadrature of the F density instead of the incomplete beta function, the
-rank of each leading block of columns (an SVD) instead of the QR diagonal
-for collinearity, scalar textbook Kalman recursion instead of the vectorized
+quadrature of the F density and scipy's (or mpmath's) incomplete beta
+function instead of the continued fraction for the F tail, the rank of each
+leading block of columns (an SVD) instead of the QR diagonal for
+collinearity, scalar textbook Kalman recursion instead of the vectorized
 filter, RK4 flight integration instead of the closed-form landing solution,
 per-trial dictionary grouping with ``statistics`` instead of the
 integer-coded column group-by, and the per-sample hand-trace loops (one
@@ -22,8 +23,8 @@ import statistics
 from dataclasses import replace
 
 import numpy as np
-from scipy import stats as sstats
 from scipy.integrate import quad
+from scipy.special import betainc, betaincc
 
 from telefitts.models import amplitude_from_grid
 from telefitts.sim import (
@@ -111,6 +112,30 @@ def f_tail_by_quadrature(f_stat: float, d1: int, d2: int) -> float:
     """P(F > f_stat) by adaptive quadrature of the density."""
     value, _err = quad(f_pdf, f_stat, math.inf, args=(d1, d2), epsabs=1e-12, epsrel=1e-12)
     return value
+
+
+def f_tail_by_betainc(f_stat: float, d1: int, d2: int) -> float:
+    """P(F > f_stat) = I_x(d2/2, d1/2), x = d2/(d2 + d1 f), from scipy, which
+    is handed the smaller of x and y = 1 - x, each computed without a
+    subtraction: passed an x near 1, ``betainc`` loses the digits of 1 - x."""
+    if f_stat == math.inf:
+        return 0.0
+    scaled = d1 * f_stat
+    x, y = d2 / (d2 + scaled), scaled / (d2 + scaled)
+    if x <= y:
+        return float(betainc(d2 / 2.0, d1 / 2.0, x))
+    return float(betaincc(d1 / 2.0, d2 / 2.0, y))
+
+
+def f_tail_by_mpmath(f_stat: float, d1: int, d2: int) -> float:
+    """P(F > f_stat) from mpmath's incomplete beta at 40 significant digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        f = mpmath.mpf(f_stat)
+        x = d2 / (d2 + d1 * f)
+        return float(mpmath.betainc(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, x,
+                                    regularized=True))
 
 
 def scalar_kalman_positions(
@@ -205,12 +230,6 @@ def rk4_landing_batch(
 # --- aggregation by per-trial dictionaries ----------------------------------
 
 
-def _ci95(sd, n):
-    if n < 2:
-        return None
-    return float(sstats.t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
-
-
 def _key_order(key):
     tech = -1 if key.technique is None else list(Technique).index(key.technique)
     post = -1 if key.posture is None else list(Posture).index(key.posture)
@@ -227,16 +246,14 @@ def group_by_condition_reference(trials):
         cell = buckets[key]
         mts = [t.movement_time_s for t in cell]
         devs = [t.endpoint_deviation_m for t in cell]
-        sd_mt = statistics.stdev(mts) if len(cell) >= 2 else 0.0
         out[key] = ConditionSummary(
             key=key,
             n_trials=len(cell),
             mean_mt_s=statistics.fmean(mts),
-            sd_mt_s=sd_mt,
+            sd_mt_s=statistics.stdev(mts) if len(cell) >= 2 else 0.0,
             mean_deviation_m=statistics.fmean(devs),
             sd_deviation_m=statistics.stdev(devs) if len(cell) >= 2 else 0.0,
             error_rate=sum(1 for t in cell if t.error_attempts > 0) / len(cell),
-            ci95_mt_s=_ci95(sd_mt, len(cell)),
         )
     return out
 
@@ -280,16 +297,13 @@ def collapse_over_reference(summaries, drop, pooled=False):
                                [c.sd_mt_s for c in cells], mean_mt)
             sd_dev = _pooled_sd(ns, [c.mean_deviation_m for c in cells],
                                 [c.sd_deviation_m for c in cells], mean_dev)
-            ci = _ci95(sd_mt, n_total)
         else:
             two = len(cells) >= 2
             sd_mt = statistics.stdev([c.mean_mt_s for c in cells]) if two else 0.0
             sd_dev = statistics.stdev([c.mean_deviation_m for c in cells]) if two else 0.0
-            ci = _ci95(sd_mt, len(cells))
         out[key] = ConditionSummary(
             key=key, n_trials=n_total, mean_mt_s=mean_mt, sd_mt_s=sd_mt,
             mean_deviation_m=mean_dev, sd_deviation_m=sd_dev, error_rate=err,
-            ci95_mt_s=ci,
         )
     return out
 
@@ -493,14 +507,14 @@ def _log_row_reference(row, line_no):
     try:
         technique = Technique(row[1])
         if row[2].lower() not in _POSTURE_BY_LOWER:
-            raise ValueError(f"'{row[2]}' is not a valid Posture")
+            raise ValueError(f"{row[2]!r} is not a valid Posture")
         block, trial_index = _log_int(row[3]), _log_int(row[4])
         floats = [float(text) for text in row[5:11]]
         errors = _log_int(row[11])
     except ValueError as exc:
         raise LogFormatError(str(exc), line_no) from None
     if row[12].strip().lower() not in _BOOLS:
-        raise LogFormatError(f"'{row[12]}' is not a boolean (expected true/false)", line_no)
+        raise LogFormatError(f"{row[12]!r} is not a boolean (expected true/false)", line_no)
     return (row[0], list(Technique).index(technique),
             list(Posture).index(_POSTURE_BY_LOWER[row[2].lower()]), block, trial_index,
             *floats, errors, _BOOLS[row[12].strip().lower()])

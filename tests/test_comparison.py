@@ -42,7 +42,7 @@ def summaries_from_model(kind: ModelKind, coefficients, mode=AmplitudeMode.EUCLI
         if bump is not None:
             mt += bump[i]
         key = ConditionKey(None, None, w, d, h)
-        out[key] = ConditionSummary(key, 10, mt, 0.1, 0.05, 0.01, 0.0, 0.05)
+        out[key] = ConditionSummary(key, 10, mt, 0.1, 0.05, 0.01, 0.0)
     return out
 
 
@@ -115,7 +115,7 @@ class TestCompareModels:
         key_values = {}
         for w, d, h in GRID:
             key = ConditionKey(None, None, w, d, h)
-            key_values[key] = ConditionSummary(key, 10, 2.5, 0.0, 0.0, 0.0, 0.0, None)
+            key_values[key] = ConditionSummary(key, 10, 2.5, 0.0, 0.0, 0.0, 0.0)
         report = compare_models(key_values, group_label="All")
         assert all(v == 0.0 for v in report.delta_aic.values())
         assert report.ranking_aic == tuple(ModelKind)

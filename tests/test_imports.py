@@ -1,0 +1,47 @@
+"""What importing the package loads: numpy and the standard library only.
+
+scipy (the test oracles' numerics) and PyYAML (config files only) each cost
+more to import than the analysis of a full study takes.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import telefitts
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(telefitts.__file__)))
+
+PROBE = textwrap.dedent('''
+    import sys
+
+    import telefitts, telefitts.sim, telefitts.cli
+
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))
+    assert not loaded, f"{len(loaded)} modules imported with the package: {loaded[:4]} ..."
+
+    from telefitts.sim import ConfigError, load_study_config
+
+    good, bad = sys.argv[1:]
+    config = load_study_config(good)
+    assert (config.preset, config.participants, config.seed) == ("realistic", 3, 12)
+    try:
+        load_study_config(bad)
+    except ConfigError as exc:
+        assert "cannot parse config file" in str(exc), exc
+    else:
+        raise AssertionError("a YAML syntax error was not a ConfigError")
+    print("ok")
+''')
+
+
+def test_package_imports_neither_scipy_nor_yaml(tmp_path):
+    good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+    good.write_text("preset: realistic\nparticipants: 3\nseed: 12\n")
+    bad.write_text("preset: [realistic\nseed: 1\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", PROBE, str(good), str(bad)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

@@ -16,7 +16,14 @@ from telefitts import (
     partial_f,
 )
 
-from oracles import collinear_columns_by_rank, f_tail_by_quadrature, grid_search_ols, pinv_ols
+from oracles import (
+    collinear_columns_by_rank,
+    f_tail_by_betainc,
+    f_tail_by_mpmath,
+    f_tail_by_quadrature,
+    grid_search_ols,
+    pinv_ols,
+)
 
 
 def rows_from_xy(xs, ys):
@@ -77,6 +84,11 @@ class TestOlsFit:
             else:
                 ols_fit(rows)
         assert 600 < flagged < 2400  # both outcomes are well represented
+
+    def test_response_symmetric_about_the_predictor_mean(self):
+        # the slope is zero, and rounding leaves rss just above tss
+        fit = ols_fit(rows_from_xy([1, 2, 3, 4, 5], [0.3, 0.1, 0.7, 0.1, 0.3]))
+        assert (fit.r2, fit.f_stat, fit.p_value) == (0.0, 0.0, 1.0)
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="observations"):
@@ -194,6 +206,64 @@ class TestOverallF:
         for d1, d2 in [(1, 5), (2, 6), (3, 10)]:
             ps = [f_tail_probability(f, d1, d2) for f in np.linspace(0.01, 50, 100)]
             assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+
+#: f values of the differential grid: 0, the decades 1e-12 .. 1e12, and inf.
+F_GRID = [0.0, *(10.0 ** k for k in range(-12, 13)), math.inf]
+
+
+def close_to_reference(value, reference):
+    """rel 1e-12 against a reference of at least 1e-300, abs 1e-300 below."""
+    if reference >= 1e-300:
+        return abs(value - reference) <= 1e-12 * reference
+    return abs(value - reference) <= 1e-300
+
+
+class TestFTailProbability:
+    def test_matches_scipy_betainc_on_grid(self):
+        disagree = []
+        for d1 in range(1, 9):
+            for d2 in range(1, 61):
+                for f in F_GRID:
+                    mine, ref = f_tail_probability(f, d1, d2), f_tail_by_betainc(f, d1, d2)
+                    if not close_to_reference(mine, ref):
+                        disagree.append((d1, d2, f, mine, ref))
+        # scipy's betainc loses digits just above underflow (at d1 = 8,
+        # d2 = 54, f = 1e12 it is off by 2.4e-11 relative); wherever the two
+        # disagree, a 40-digit value must side with ours against scipy's.
+        for d1, d2, f, mine, ref in disagree:
+            exact = f_tail_by_mpmath(f, d1, d2)
+            assert close_to_reference(mine, exact), (d1, d2, f, mine, exact)
+            assert not close_to_reference(ref, exact), (d1, d2, f, ref, exact)
+
+    def test_two_numerator_degrees_are_a_power(self):
+        for d2 in (1, 5, 12):
+            x = d2 / (d2 + 2 * 3.5)
+            assert f_tail_probability(3.5, 2, d2) == x ** (d2 / 2)
+
+    @pytest.mark.parametrize("f", [5e-324, 1e-300, 0.3, 1.0, 7.0, 1e300, 1.7e308])
+    def test_one_and_one_degrees_are_a_cauchy_tail(self, f):
+        # F(1, 1) is the square of a standard Cauchy variable
+        assert close_to_reference(f_tail_probability(f, 1, 1),
+                                  2.0 / math.pi * math.atan(1.0 / math.sqrt(f)))
+
+    def test_ends_of_the_range(self):
+        for d1, d2 in [(1, 1), (2, 5), (3, 40), (8, 60)]:
+            assert f_tail_probability(0.0, d1, d2) == 1.0
+            assert f_tail_probability(5e-324, d1, d2) == 1.0
+            assert f_tail_probability(math.inf, d1, d2) == 0.0  # saturated-fit sentinel
+            assert 0.0 <= f_tail_probability(1.7e308, d1, d2) < 1e-150
+
+    @pytest.mark.parametrize("f", [math.nan, -math.inf, -1.0, -1e-300])
+    def test_nan_and_negative_statistics_raise(self, f):
+        with pytest.raises(ValueError, match="non-negative"):
+            f_tail_probability(f, 1, 5)
+
+    def test_degrees_of_freedom_must_be_positive(self):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            f_tail_probability(1.0, 0, 5)
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            f_tail_probability(1.0, 2, 0)
 
 
 class TestInformationCriteria:

@@ -148,6 +148,30 @@ class TestLoadtxtPath:
         got = assert_readers_agree(path)
         assert got.line_numbers.tolist() == [2, 4]
 
+    def test_crlf_log_stays_on_the_fast_path(self, tmp_path):
+        table = generate_study(realistic_preset(participants=3, seed=6))
+        lines = log_lines(table)
+        lines[4:4] = ["", ""]
+        path = tmp_path / "log.csv"
+        write_lines(path, lines, ending="\r\n")
+        with csv_reader_refused():
+            got = read_trial_log(str(path))
+        assert got == table
+        assert_same_table(got, read_trial_log_reference(str(path)))
+        assert got.line_numbers.tolist()[2:4] == [4, 7]
+
+    @pytest.mark.parametrize("endings", [
+        ("\r", "\r\n", "\r\n"), ("\r\n", "\r", "\r\n"), ("\r\n", "\r\r\n", "\r\n"),
+        ("\r\n", "\n\r", "\n"), ("\r\n", "\r\n", "\r"),
+    ])
+    def test_lone_carriage_return_goes_to_the_csv_reader(self, tmp_path, endings):
+        lines = log_lines([trial(), trial(trial_index=1)])
+        path = tmp_path / "log.csv"
+        path.write_bytes("".join(map(str.__add__, lines, endings)).encode("utf-8"))
+        with csv_reader_refused(), pytest.raises(AssertionError, match="csv reader"):
+            read_trial_log(str(path))
+        assert_readers_agree(path)
+
     def test_field_over_the_csv_limit_is_a_format_error(self, tmp_path):
         lines = log_lines([trial(), trial(trial_index=1)])
         lines[2] = lines[2].replace(",1,", "," + "0" * csv.field_size_limit() + "1,", 1)
@@ -167,6 +191,27 @@ class TestLoadtxtPath:
         assert got.participant_ids == ("C", "B", "A", "D")
         assert got.line_numbers.tolist() == [2, 3, 4, 8, 9, 10, 11, 12]
         assert got == trials
+
+
+def assert_one_line(message):
+    """An error message of exactly one line, however its fields were quoted."""
+    assert message.endswith("\n") and len(message.splitlines()) == 1, message
+
+
+class TestFormatErrors:
+    @pytest.mark.parametrize("field", [1, 2, 12])
+    @pytest.mark.parametrize("text", ["Sit\nting", "tr\r\nue", "RP\rRG", "x\u2028\x0by\x85"])
+    def test_quoted_line_breaks_print_one_line(self, tmp_path, capsys, field, text):
+        lines = log_lines([trial(), trial(trial_index=1)])
+        row = lines[2].split(",")
+        row[field] = '"' + text + '"'
+        lines[2] = ",".join(row)
+        path = tmp_path / "log.csv"
+        write_lines(path, lines)
+        assert cli.main(["validate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ")
+        assert_one_line(err)
 
 
 # --- differential fuzz test ------------------------------------------------
@@ -243,16 +288,24 @@ def mutate(lines, mutations):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(trials=ROWS, mutations=MUTATIONS, ending=st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]),
+@given(trials=ROWS, mutations=MUTATIONS,
+       endings=st.lists(st.sampled_from(["\n"] * 3 + ["\r\n"] * 2 + ["\r"]),
+                        min_size=1, max_size=3),
        lf_header=st.booleans(), final_newline=st.booleans(),
        chunk=st.sampled_from([1, 2, 3, 1024]))
 def test_mutated_logs_read_like_the_csv_reference(tmp_path_factory, deadline, trials, mutations,
-                                                   ending, lf_header, final_newline, chunk):
+                                                   endings, lf_header, final_newline, chunk):
+    """Line i ends with ``endings[i % len(endings)]``: LF, CRLF and lone-CR
+    logs, and logs that mix them."""
     # ``deadline`` holds no state between examples, so sharing it is safe
     path = tmp_path_factory.getbasetemp() / "fuzz-log.csv"
-    header, *body = mutate(log_lines(trials), mutations)
-    text = header + ("\n" if lf_header else ending) + ending.join(body)
-    path.write_bytes((text + ending * (final_newline and bool(body))).encode("utf-8"))
+    lines = mutate(log_lines(trials), mutations)
+    ends = [endings[i % len(endings)] for i in range(len(lines))]
+    if lf_header:
+        ends[0] = "\n"
+    if len(lines) > 1 and not final_newline:
+        ends[-1] = ""
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
     with mock.patch.object(trials_module, "_CHUNK_ROWS", chunk):
         assert_readers_agree(path)
     out, err = io.StringIO(), io.StringIO()
@@ -260,3 +313,5 @@ def test_mutated_logs_read_like_the_csv_reference(tmp_path_factory, deadline, tr
         code = cli.main(["validate", "--input", str(path)])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if err.getvalue():
+        assert_one_line(err.getvalue())

@@ -1,4 +1,3 @@
-import math
 import statistics
 
 import pytest
@@ -90,15 +89,6 @@ class TestGroupByCondition:
         assert s.n_trials == 1
         assert s.mean_mt_s == 1.7
         assert s.sd_mt_s == 0.0
-        assert s.ci95_mt_s is None
-
-    def test_ci95_uses_student_t(self):
-        trials = [make_trial(movement_time_s=mt, trial_index=i)
-                  for i, mt in enumerate([1.0, 2.0, 3.0])]
-        s = next(iter(group_by_condition(trials).values()))
-        # closed form for df=2: t_q = sqrt(2/(4q(1-q)) - 2) at q = 0.975; sd = 1, n = 3
-        t_quantile = math.sqrt(2.0 / (4 * 0.975 * 0.025) - 2.0)
-        assert s.ci95_mt_s == pytest.approx(t_quantile / math.sqrt(3), rel=1e-9)
 
     def test_empty_input_gives_empty_map(self):
         assert group_by_condition([]) == {}
