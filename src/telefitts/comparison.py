@@ -408,6 +408,18 @@ def _check_fields(obj: object, schema: Mapping[str, type | tuple], where: str) -
         value = obj[name]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"{where}: field {name!r} has the wrong type ({value!r})")
+        if types is _NUMBER:
+            _check_float_range([value], f"{where}: field {name!r}")
+
+
+def _check_float_range(numbers: list, what: str) -> None:
+    """JSON integers have no size limit; one beyond the float range would
+    raise OverflowError wherever the report does arithmetic with it."""
+    for x in numbers:
+        try:
+            float(x)
+        except OverflowError:
+            raise ValueError(f"{what} holds a number too large for a float") from None
 
 
 def _check_record(rec: object, line_no: int) -> None:
@@ -423,13 +435,14 @@ def _check_record(rec: object, line_no: int) -> None:
         numbers += rec["nested_f_vs_standard"]
     if any(isinstance(x, bool) or not isinstance(x, _NUMBER) for x in numbers):
         raise ValueError(f"{where}: coefficients and nested F must be numbers")
+    _check_float_range(numbers, f"{where}: coefficients or nested F")
 
 
 def parse_records(text: str) -> list[ComparisonReport]:
     """Rebuild reports from the record stream; inverse of render_records.
 
     Raises ValueError, naming the line, on a record that is not JSON or
-    lacks a field or gives it the wrong type.
+    lacks a field or gives it the wrong type, and on a stream with no records.
     """
     by_group: dict[tuple[str, str], dict[ModelKind, dict]] = {}
     group_order: list[tuple[str, str]] = []
@@ -438,7 +451,8 @@ def parse_records(text: str) -> list[ComparisonReport]:
             continue
         try:
             rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and an integer past int's digit limit
             raise ValueError(f"record on line {line_no}: invalid JSON ({exc})") from None
         _check_record(rec, line_no)
         gkey = (rec["group"], rec["amplitude_mode"])
@@ -446,6 +460,8 @@ def parse_records(text: str) -> list[ComparisonReport]:
             by_group[gkey] = {}
             group_order.append(gkey)
         by_group[gkey][ModelKind(rec["model"])] = rec
+    if not by_group:
+        raise ValueError("the record stream holds no records")
 
     reports = []
     for gkey in group_order:

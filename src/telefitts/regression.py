@@ -156,14 +156,6 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
     return aic_val, bic_val
 
 
-def aic(rss: float, n: int, k: int) -> float:
-    return information_criteria(rss, n, k)[0]
-
-
-def bic(rss: float, n: int, k: int) -> float:
-    return information_criteria(rss, n, k)[1]
-
-
 def _design_matrix(rows: Sequence[PredictorRow]) -> tuple[np.ndarray, np.ndarray]:
     p = len(rows[0].predictors)
     for i, r in enumerate(rows):

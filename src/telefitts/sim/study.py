@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -108,11 +109,13 @@ class StudyConfig:
     endpoint_sd_fraction_of_width: float = 0.0
     technique_offsets_s: dict[Technique, float] = field(default_factory=dict)
     amplitude_mode: AmplitudeMode = AmplitudeMode.EUCLIDEAN
-    widths_m: tuple[float, ...] = GRID_WIDTHS_M
-    distances_m: tuple[float, ...] = GRID_DISTANCES_M
-    heights_m: tuple[float, ...] = GRID_HEIGHTS_M
-    repetitions: int = 5
-    angles_deg: tuple[float, ...] = GRID_ANGLES_DEG
+
+    #: The paper's condition grid and repetitions; every study runs all of it.
+    widths_m: ClassVar[tuple[float, ...]] = GRID_WIDTHS_M
+    distances_m: ClassVar[tuple[float, ...]] = GRID_DISTANCES_M
+    heights_m: ClassVar[tuple[float, ...]] = GRID_HEIGHTS_M
+    angles_deg: ClassVar[tuple[float, ...]] = GRID_ANGLES_DEG
+    repetitions: ClassVar[int] = 5
 
     def __post_init__(self) -> None:
         if self.participants < 1:
@@ -121,10 +124,6 @@ class StudyConfig:
             ("mt_noise_sd_s", [self.mt_noise_sd_s]),
             ("endpoint_sd_fraction_of_width", [self.endpoint_sd_fraction_of_width]),
             ("technique_offsets_s", list(self.technique_offsets_s.values())),
-            ("widths_m", self.widths_m),
-            ("distances_m", self.distances_m),
-            ("heights_m", self.heights_m),
-            ("angles_deg", self.angles_deg),
             ("ground_truth.coefficients", self.ground_truth.coefficients),
         ):
             bad = [v for v in values if not math.isfinite(v)]
@@ -132,10 +131,6 @@ class StudyConfig:
                 raise ConfigError(f"{name} must be finite, got {bad[0]!r}")
         if self.mt_noise_sd_s < 0 or self.endpoint_sd_fraction_of_width < 0:
             raise ConfigError("noise parameters must be non-negative")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if not (self.widths_m and self.distances_m and self.heights_m and self.angles_deg):
-            raise ConfigError("the condition grid and the angle choices must be non-empty")
         n_trials = self.participants * self.trials_per_participant
         if n_trials > _MAX_TRIALS:
             raise ConfigError(
@@ -324,7 +319,7 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
     except (yaml.YAMLError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse config file: {exc}") from None
+        raise ConfigError(f"cannot parse config file: {_yaml_problem(exc)}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -341,16 +336,8 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("missing required field: seed")
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"seed must be an integer, got {raw.get('seed')!r}") from None
-
-    participants = raw.get("participants", 20)
-    try:
-        participants = int(participants)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"participants must be an integer, got {participants!r}") from None
+    seed = _config_int("seed", seed)
+    participants = _config_int("participants", raw.get("participants", 20))
 
     preset = raw.get("preset", "realistic")
     if preset not in _PRESETS:
@@ -386,6 +373,28 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
                 f"{[m.value for m in AmplitudeMode]}, got {raw['amplitude_mode']!r}"
             ) from None
     return config
+
+
+def _yaml_problem(exc: Exception) -> str:
+    """What the YAML parser rejected and where, on one line."""
+    problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+    if problem and mark:
+        text = f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
+    else:
+        text = str(exc)
+    return " ".join(text.split())
+
+
+def _config_int(name: str, value: object) -> int:
+    """An integer field; booleans and non-integral numbers are rejected
+    rather than truncated."""
+    message = f"{name} must be an integer, got {value!r}"
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(message)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(message) from None
 
 
 def _config_float(name: str, value: object) -> float:

@@ -87,7 +87,7 @@ class ThroughputSummary:
     degenerate_cells: int
 
 
-def _require_full_grid(have: set[tuple[float, float, float]], prefix: str = "") -> None:
+def _require_full_grid(have: set[tuple[float, float, float]], prefix: str) -> None:
     """Raise IncompleteGridError naming each (D, H, W) cell of the amplitude x
     width grid that ``have`` lacks, each name prefixed by ``prefix``."""
     missing = [
@@ -101,18 +101,10 @@ def _require_full_grid(have: set[tuple[float, float, float]], prefix: str = "") 
         raise IncompleteGridError(missing)
 
 
-def throughput_mean_of_means(
-    cells: Sequence[ThroughputCell], require_full_grid: bool = True
-) -> float:
-    """Unweighted mean of per-cell ID_e / MT.
-
-    With ``require_full_grid`` the cells must cover every (D, H, W) combo of
-    the standard grid; pass False for ad-hoc data.
-    """
+def throughput_mean_of_means(cells: Sequence[ThroughputCell]) -> float:
+    """Unweighted mean of per-cell ID_e / MT."""
     if not cells:
         raise ValueError("no throughput cells")
-    if require_full_grid:
-        _require_full_grid({(c.distance_m, c.height_m, c.width_m) for c in cells})
     return statistics.fmean(c.tp_bits_per_s for c in cells)
 
 
@@ -171,7 +163,7 @@ def throughput_by_group(
                 f"all cells of group {technique.value}/{posture.value} have zero "
                 f"endpoint spread; throughput undefined"
             )
-        tp = throughput_mean_of_means(cells, require_full_grid=False)
+        tp = throughput_mean_of_means(cells)
         summaries.append(
             ThroughputSummary(
                 technique=technique,

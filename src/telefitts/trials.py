@@ -290,10 +290,6 @@ class ConditionKey:
         object.__setattr__(self, "distance_m", _quantize_mm(self.distance_m))
         object.__setattr__(self, "height_m", _quantize_mm(self.height_m))
 
-    @classmethod
-    def for_trial(cls, trial: Trial) -> "ConditionKey":
-        return cls(trial.technique, trial.posture, trial.width_m, trial.distance_m, trial.height_m)
-
 
 @dataclass(frozen=True)
 class ConditionSummary:

@@ -240,7 +240,7 @@ def group_by_condition_reference(trials):
     """One ConditionKey per trial, a dict of lists, ``statistics`` per cell."""
     buckets = {}
     for t in trials:
-        buckets.setdefault(ConditionKey.for_trial(t), []).append(t)
+        buckets.setdefault(ConditionKey(t.technique, t.posture, t.width_m, t.distance_m, t.height_m), []).append(t)
     out = {}
     for key in sorted(buckets, key=_key_order):
         cell = buckets[key]

@@ -12,33 +12,38 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from telefitts import (
-    AicEvidence,
-    AmplitudeMode,
-    BicEvidence,
+from telefitts.trials import (
     ConditionKey,
     ConditionSummary,
-    Criterion,
-    ModelKind,
     Posture,
-    PredictorRow,
     Technique,
-    adj_r2,
-    compare_models,
-    f_tail_probability,
-    geometry_for_condition,
-    grade_delta,
     group_by_condition,
-    group_summaries,
-    ols_fit,
-    predict_mt,
-    predictors_for,
-    run_table1_suite,
-    throughput_by_group,
     validate_log,
 )
-from telefitts.regression import information_criteria
-from telefitts.throughput import ThroughputCell, effective_width, throughput_mean_of_means
+from telefitts.models import (
+    AmplitudeMode,
+    ModelKind,
+    PredictorRow,
+    geometry_for_condition,
+    predict_mt,
+    predictors_for,
+)
+from telefitts.regression import adj_r2, f_tail_probability, information_criteria, ols_fit
+from telefitts.comparison import (
+    AicEvidence,
+    BicEvidence,
+    Criterion,
+    compare_models,
+    grade_delta,
+    group_summaries,
+    run_table1_suite,
+)
+from telefitts.throughput import (
+    ThroughputCell,
+    effective_width,
+    throughput_by_group,
+    throughput_mean_of_means,
+)
 from telefitts.sim import (
     HandSample,
     REFERENCE_PROPOSED_ALL,
@@ -250,7 +255,7 @@ def test_criterion_6_throughput_worked_examples():
             ThroughputCell(Technique.RPRG, Posture.SITTING, 1.35, 3.0, 0.0, 10,
                            3.0, 0.3, 3.0, 2.0, 3.0 / 2.0),
         ]
-        assert throughput_mean_of_means(cells, require_full_grid=False) == 1.75
+        assert throughput_mean_of_means(cells) == 1.75
 
         deviations = [0.1, 0.15, 0.2]  # sample SD exactly 0.05
         assert statistics.stdev(deviations) == 0.05

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from telefitts.cli import main
-from telefitts import parse_records
+from telefitts.comparison import parse_records
 from telefitts.trials import read_trial_log
 
 
@@ -228,6 +233,10 @@ class TestInputBoundary:
         "technique_offsets_s: {RPRG: .nan}",
         "mt_noise_sd_s: [1, 2]",
         "participants: .inf",
+        "participants: true",
+        "participants: 2.9",
+        "seed: 2.5",
+        "seed: false",
     ])
     def test_non_finite_or_mistyped_config_floats(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.yaml"
@@ -235,6 +244,19 @@ class TestInputBoundary:
         out = tmp_path / "l.csv"
         assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
         assert line.split(":")[0] in self._one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ("seed: [1\n", "line 2, column 1"),  # unclosed flow sequence
+        ("? [a]\n: 1\n", "line 1, column 3"),  # unhashable key
+    ])
+    def test_yaml_syntax_error_is_one_line(self, tmp_path, capsys, text, where):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "l.csv"
+        assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
+        err = self._one_line_error(capsys)
+        assert "cannot parse config file" in err and where in err
         assert not out.exists()
 
     def test_bad_row_after_blank_lines_reports_its_physical_line(
@@ -252,9 +274,11 @@ class TestInputBoundary:
         assert main(["compare", "--input", str(bad)]) == 2
         assert "line 6:" in self._one_line_error(capsys)
 
-    @pytest.mark.parametrize(
-        "damage", ["drop-fit", "not-an-object", "wrong-type", "bad-json", "deep-nesting"]
-    )
+    @pytest.mark.parametrize("damage", [
+        "drop-fit", "not-an-object", "wrong-type", "bad-json", "deep-nesting",
+        # JSON integers beyond the float range, in fields the report does arithmetic on
+        "huge-delta", "huge-r2", "huge-coefficient",
+    ])
     def test_report_on_malformed_records_exits_2(self, small_log, tmp_path, capsys, damage):
         records = tmp_path / "r.jsonl"
         assert main([
@@ -268,6 +292,12 @@ class TestInputBoundary:
                 del rec["fit"]
         elif damage == "wrong-type":
             recs[2]["fit"]["aic"] = "low"
+        elif damage == "huge-delta":
+            recs[3]["delta_aic"] = 10 ** 400
+        elif damage == "huge-r2":
+            recs[3]["fit"]["r2"] = 10 ** 400
+        elif damage == "huge-coefficient":
+            recs[3]["fit"]["coefficients"][0] = -10 ** 400
         lines = [json.dumps(r) for r in recs]
         if damage == "not-an-object":
             lines[1] = "[1, 2, 3]"
@@ -278,6 +308,92 @@ class TestInputBoundary:
         records.write_text("\n".join(lines) + "\n")
         assert main(["report", "--input", str(records)]) == 2
         assert "line" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_report_on_empty_stream_exits_2(self, tmp_path, capsys, text):
+        records = tmp_path / "r.jsonl"
+        records.write_text(text)
+        assert main(["report", "--input", str(records)]) == 2
+        assert "no records" in self._one_line_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def records_lines(tmp_path_factory):
+    """A valid ``compare --format records`` stream, one string per line."""
+    base = tmp_path_factory.mktemp("records")
+    cfg, log, out = base / "study.yaml", base / "log.csv", base / "r.jsonl"
+    cfg.write_text("preset: realistic\nparticipants: 1\nseed: 4\n")
+    assert main(["simulate", "--input", str(cfg), "--output", str(log)]) == 0
+    assert main(["compare", "--input", str(log), "--output", str(out),
+                 "--format", "records", "--amplitude-mode", "euclidean"]) == 0
+    return out.read_text().splitlines()
+
+
+_FIT_FIELDS = ["coefficients", "rss", "r2", "adj_r2", "f_stat", "p_value", "aic", "bic",
+               "n", "p"]
+_FIELDS = [(name,) for name in (
+    "group", "amplitude_mode", "n_cells", "model", "fit", "delta_aic", "delta_bic",
+    "rank_aic", "rank_bic", "equation", "nested_f_vs_standard",
+)] + [("fit", name) for name in _FIT_FIELDS]
+_NUMBERS = [("delta_aic",), ("delta_bic",), ("fit", "coefficients", 0),
+            ("nested_f_vs_standard", 1)] + [("fit", name) for name in _FIT_FIELDS[1:]]
+_NEST = "\x00nest\x00"
+
+_RECORD_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_NUMBERS), st.sampled_from(
+        [10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf, -1.0, -1e-300])),
+    st.tuples(st.just("set"), st.sampled_from(_FIELDS), st.sampled_from(
+        ["x", "", [], {}, None, True, 1.5, 7, [1.0, "a"], {"a": 1}])),
+    st.tuples(st.just("set"), st.sampled_from(_FIELDS), st.just(_NEST)),
+    st.tuples(st.just("drop"), st.sampled_from(_FIELDS), st.none()),
+    st.tuples(st.just("set"), st.just(("model",)), st.sampled_from(
+        ["Standard", "TwoPart", "Vergence", "Proposed", "Fitts"])),
+    st.tuples(st.sampled_from(["drop-record", "duplicate-record"]), st.none(), st.none()),
+)
+
+
+def _mutate_records(lines, mutations):
+    """Apply (record index, (kind, field path, value)) mutations; a path
+    that runs into a missing or scalar value leaves its record unchanged."""
+    recs = [json.loads(line) for line in lines]
+    for index, (kind, path, value) in mutations:
+        index %= len(recs)
+        if kind == "drop-record":
+            del recs[index]
+        elif kind == "duplicate-record":
+            recs.insert(index, json.loads(json.dumps(recs[index])))
+        else:
+            parent = recs[index]
+            try:
+                for step in path[:-1]:
+                    parent = parent[step]
+                if kind == "drop":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                pass
+        if not recs:
+            break
+    text = "\n".join(json.dumps(rec) for rec in recs) + "\n"
+    return text.replace(json.dumps(_NEST), "[" * 100_000 + "]" * 100_000)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(mutations=st.lists(st.tuples(st.integers(0, 63), _RECORD_MUTATIONS),
+                          min_size=1, max_size=3))
+def test_mutated_record_streams_report_or_exit_cleanly(
+    records_lines, tmp_path_factory, deadline, mutations
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz-records.jsonl"
+    path.write_text(_mutate_records(records_lines, mutations))
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--input", str(path)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
 class TestFitAndReport:

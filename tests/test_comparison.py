@@ -5,28 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefitts import (
-    AicEvidence,
-    AmplitudeMode,
-    BicEvidence,
+from telefitts.trials import (
     ConditionKey,
     ConditionSummary,
-    Criterion,
     IncompleteGridError,
-    MODEL_SPECS,
-    ModelKind,
     Posture,
     Technique,
+)
+from telefitts.models import (
+    AmplitudeMode,
+    MODEL_SPECS,
+    ModelKind,
+    geometry_for_condition,
+    predict_mt,
+)
+from telefitts.comparison import (
+    TABLE_GROUPS,
+    AicEvidence,
+    BicEvidence,
+    Criterion,
     compare_models,
     grade_delta,
-    geometry_for_condition,
     parse_records,
-    predict_mt,
     render_records,
     render_table,
     run_table1_suite,
 )
-from telefitts.comparison import TABLE_GROUPS
 
 GRID = [
     (w, d, h) for w in (0.2, 1.35) for d in (3.0, 9.0) for h in (0.0, 3.0)

@@ -1,7 +1,9 @@
 """What importing the package loads: numpy and the standard library only.
 
 scipy (the test oracles' numerics) and PyYAML (config files only) each cost
-more to import than the analysis of a full study takes.
+more to import than the analysis of a full study takes. The package itself
+is bare: names live in their submodules, and ``import telefitts`` loads none
+of them.
 """
 
 import os
@@ -16,7 +18,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(telefitts.__file__)))
 PROBE = textwrap.dedent('''
     import sys
 
-    import telefitts, telefitts.sim, telefitts.cli
+    import telefitts
+
+    public = [name for name in vars(telefitts) if not name.startswith("_")]
+    assert not public, f"telefitts exports {public}"
+    assert isinstance(telefitts.__version__, str)
+    loaded = sorted(m for m in sys.modules if m.startswith("telefitts."))
+    assert not loaded, f"a bare import of telefitts loads {loaded}"
+
+    import telefitts.sim, telefitts.cli
 
     loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml"))
     assert not loaded, f"{len(loaded)} modules imported with the package: {loaded[:4]} ..."

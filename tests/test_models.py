@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefitts import (
+from telefitts.models import (
     AmplitudeMode,
     ModelKind,
     TargetGeometry,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from telefitts import Technique
+from telefitts.trials import Technique
 from telefitts.sim import (
     HandSample,
     SceneSpec,

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefitts import (
-    IncompleteGridError,
-    Posture,
-    Technique,
+from telefitts.trials import IncompleteGridError, Posture, Technique
+from telefitts.throughput import (
+    ThroughputCell,
     effective_amplitude,
     effective_id,
     effective_width,
     throughput_by_group,
     throughput_mean_of_means,
 )
-from telefitts.throughput import ThroughputCell
 from telefitts.sim import generate_study, realistic_preset
 
 
@@ -55,7 +53,7 @@ class TestEffectiveWidth:
 
 class TestEffectiveAmplitude:
     def test_nominal_fallback_is_callers_choice(self):
-        from telefitts import amplitude_from_grid
+        from telefitts.models import amplitude_from_grid
 
         assert amplitude_from_grid(3.0, 0.0) == 3.0
 
@@ -94,16 +92,11 @@ class TestEffectiveId:
 class TestThroughputMeanOfMeans:
     def test_worked_example(self):
         cells = [make_cell(2.0, 1.0), make_cell(3.0, 2.0, w=1.35)]
-        assert throughput_mean_of_means(cells, require_full_grid=False) == 1.75
+        assert throughput_mean_of_means(cells) == 1.75
 
     def test_constant_ratio(self):
         cells = [make_cell(2.0 * mt, mt, w=0.2 + 0.01 * i) for i, mt in enumerate([1.0, 2.0, 3.0])]
-        assert throughput_mean_of_means(cells, require_full_grid=False) == pytest.approx(2.0)
-
-    def test_full_grid_requirement(self):
-        cells = [make_cell(2.0, 1.0), make_cell(3.0, 2.0, w=1.35)]
-        with pytest.raises(IncompleteGridError, match="missing"):
-            throughput_mean_of_means(cells, require_full_grid=True)
+        assert throughput_mean_of_means(cells) == pytest.approx(2.0)
 
     def test_tp_halves_exactly_when_mt_doubles(self):
         rng = np.random.default_rng(3)
@@ -121,8 +114,8 @@ class TestThroughputMeanOfMeans:
             )
             for c in cells
         ]
-        tp = throughput_mean_of_means(cells, require_full_grid=False)
-        tp2 = throughput_mean_of_means(doubled, require_full_grid=False)
+        tp = throughput_mean_of_means(cells)
+        tp2 = throughput_mean_of_means(doubled)
         assert tp2 == tp / 2.0
 
 

@@ -11,11 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from telefitts import Posture, Technique, Trial, read_trial_log, write_trial_log
 from telefitts import cli
 from telefitts import trials as trials_module
 from telefitts.sim import generate_study, realistic_preset
-from telefitts.trials import TRIAL_LOG_HEADER, LogFormatError
+from telefitts.trials import (
+    TRIAL_LOG_HEADER,
+    LogFormatError,
+    Posture,
+    Technique,
+    Trial,
+    read_trial_log,
+    write_trial_log,
+)
 
 from oracles import read_trial_log_reference
 

@@ -10,23 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefitts import (
-    AmplitudeMode,
+from telefitts.trials import (
     IncompleteGridError,
     Posture,
-    TABLE_GROUPS,
     Technique,
     Trial,
     TrialTable,
     collapse_over,
     group_by_condition,
-    group_summaries,
     read_trial_log,
-    run_table1_suite,
     sample_sd,
-    throughput_by_group,
     write_trial_log,
 )
+from telefitts.models import AmplitudeMode
+from telefitts.comparison import TABLE_GROUPS, group_summaries, run_table1_suite
+from telefitts.throughput import throughput_by_group
 from telefitts import trials as trials_module
 from telefitts.sim import (
     REFERENCE_STANDARD_ALL,

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefitts import (
+from telefitts.trials import (
+    TRIAL_LOG_HEADER,
     ConditionKey,
+    LogFormatError,
     Posture,
     Technique,
     Trial,
@@ -15,7 +17,6 @@ from telefitts import (
     validate_log,
     write_trial_log,
 )
-from telefitts.trials import LogFormatError, TRIAL_LOG_HEADER
 
 
 def make_trial(**overrides) -> Trial:
