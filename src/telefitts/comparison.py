@@ -24,7 +24,7 @@ from .models import (
     geometry_for_condition,
     predictors_for,
 )
-from .regression import FitResult, ols_fit, partial_f
+from .regression import FitResult, fit_result, ols_fit, partial_f
 from .trials import (
     ConditionKey,
     ConditionSummary,
@@ -37,6 +37,8 @@ from .trials import (
 )
 
 MODEL_ORDER = tuple(ModelKind)
+#: Fewest condition cells compared: every model keeps a residual degree of freedom.
+_MIN_CELLS = 5
 
 #: Report groups in report order, one per technique, one per posture and one
 #: overall: label -> (key field, level, factors collapsed). A group keeps the
@@ -165,16 +167,23 @@ def compare_models(
 
     The response vector is shared across models; only the predictors differ.
     """
-    if len(summaries) < 5:
+    if len(summaries) < _MIN_CELLS:
         raise ValueError(
-            f"need at least 5 condition cells for a nonzero-df comparison, "
+            f"need at least {_MIN_CELLS} condition cells for a nonzero-df comparison, "
             f"got {len(summaries)}"
         )
     fits: dict[ModelKind, FitResult] = {}
     for kind in MODEL_ORDER:
         rows = rows_for_model(kind, summaries, amplitude_mode)
         fits[kind] = ols_fit(rows)
+    return build_report(group_label, amplitude_mode, fits)
 
+
+def build_report(
+    group_label: str, amplitude_mode: AmplitudeMode, fits: Mapping[ModelKind, FitResult]
+) -> ComparisonReport:
+    """Everything a report derives from its four fits: the cell count, the
+    deltas, grades and rankings, the equations and the nested F tests."""
     delta_aic = _deltas({k: f.aic for k, f in fits.items()})
     delta_bic = _deltas({k: f.bic for k, f in fits.items()})
     nested: dict[ModelKind, tuple[float, float] | None] = {ModelKind.STANDARD: None}
@@ -184,7 +193,7 @@ def compare_models(
     return ComparisonReport(
         group_label=group_label,
         amplitude_mode=amplitude_mode,
-        n_cells=len(summaries),
+        n_cells=fits[ModelKind.STANDARD].n,
         fits=fits,
         delta_aic=delta_aic,
         delta_bic=delta_bic,
@@ -310,190 +319,138 @@ def render_table(reports: Sequence[ComparisonReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fit_to_dict(fit: FitResult) -> dict:
+def _record(rep: ComparisonReport, kind: ModelKind) -> dict:
+    """The JSON record of one model in one report."""
+    fit = rep.fits[kind]
+    nested = rep.nested_f_vs_standard[kind]
     return {
-        "coefficients": list(fit.coefficients),
-        "rss": fit.rss,
-        "r2": fit.r2,
-        "adj_r2": fit.adj_r2,
-        "f_stat": fit.f_stat,
-        "p_value": fit.p_value,
-        "aic": fit.aic,
-        "bic": fit.bic,
-        "n": fit.n,
-        "p": fit.p,
+        "group": rep.group_label,
+        "amplitude_mode": rep.amplitude_mode.value,
+        "n_cells": rep.n_cells,
+        "model": kind.value,
+        "fit": vars(fit),
+        "delta_aic": rep.delta_aic[kind],
+        "delta_bic": rep.delta_bic[kind],
+        "aic_grade": rep.aic_grades[kind].grade.value,
+        "bic_grade": rep.bic_grades[kind].grade.value,
+        "rank_aic": rep.ranking_aic.index(kind),
+        "rank_bic": rep.ranking_bic.index(kind),
+        "equation": rep.equations[kind],
+        "equation_signed": MODEL_SPECS[kind].equations(fit.coefficients)[1],
+        "nested_f_vs_standard": None if nested is None else list(nested),
     }
-
-
-def _fit_from_dict(d: dict) -> FitResult:
-    return FitResult(
-        coefficients=tuple(d["coefficients"]),
-        rss=d["rss"],
-        r2=d["r2"],
-        adj_r2=d["adj_r2"],
-        f_stat=d["f_stat"],
-        p_value=d["p_value"],
-        aic=d["aic"],
-        bic=d["bic"],
-        n=d["n"],
-        p=d["p"],
-    )
 
 
 def render_records(reports: Sequence[ComparisonReport]) -> str:
     """Machine-readable report: one JSON record per model x group."""
-    lines = []
-    for rep in reports:
-        for kind in MODEL_ORDER:
-            nested = rep.nested_f_vs_standard[kind]
-            record = {
-                "group": rep.group_label,
-                "amplitude_mode": rep.amplitude_mode.value,
-                "n_cells": rep.n_cells,
-                "model": kind.value,
-                "fit": _fit_to_dict(rep.fits[kind]),
-                "delta_aic": rep.delta_aic[kind],
-                "delta_bic": rep.delta_bic[kind],
-                "aic_grade": rep.aic_grades[kind].grade.value,
-                "bic_grade": rep.bic_grades[kind].grade.value,
-                "rank_aic": rep.ranking_aic.index(kind),
-                "rank_bic": rep.ranking_bic.index(kind),
-                "equation": rep.equations[kind],
-                "equation_signed": MODEL_SPECS[kind].equations(
-                    rep.fits[kind].coefficients
-                )[1],
-                "nested_f_vs_standard": None if nested is None else list(nested),
-            }
-            lines.append(json.dumps(record, sort_keys=True))
+    lines = [json.dumps(_record(rep, kind), sort_keys=True)
+             for rep in reports for kind in MODEL_ORDER]
     return "\n".join(lines) + "\n"
 
 
-_NUMBER = (int, float)
-
-#: Type of every record field that parse_records reads. Other fields (the
-#: grades and the signed equation) are derived data and are not read back.
-_RECORD_SCHEMA = {
-    "group": str,
-    "amplitude_mode": str,
-    "n_cells": int,
-    "model": str,
-    "fit": dict,
-    "delta_aic": _NUMBER,
-    "delta_bic": _NUMBER,
-    "rank_aic": int,
-    "rank_bic": int,
-    "equation": str,
-    "nested_f_vs_standard": (list, type(None)),
-}
-_FIT_SCHEMA = {
-    "coefficients": list,
-    "rss": _NUMBER,
-    "r2": _NUMBER,
-    "adj_r2": _NUMBER,
-    "f_stat": _NUMBER,
-    "p_value": _NUMBER,
-    "aic": _NUMBER,
-    "bic": _NUMBER,
-    "n": int,
-    "p": int,
-}
+#: The independent values of a fit, in fit_result's order, with their JSON types.
+_FIT_SCHEMA = {"coefficients": list, "rss": float, "r2": float, "n": int, "p": int}
 
 
-def _check_fields(obj: object, schema: Mapping[str, type | tuple], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    for name, types in schema.items():
-        if name not in obj:
-            raise ValueError(f"{where}: missing field {name!r}")
-        value = obj[name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"{where}: field {name!r} has the wrong type ({value!r})")
-        if types is _NUMBER:
-            _check_float_range([value], f"{where}: field {name!r}")
+def _field(obj: dict, name: str, kind: type, where: str):
+    """``obj[name]``, which must have JSON type ``kind``; an Enum is read by value."""
+    if name not in obj:
+        raise ValueError(f"{where}: missing field {name!r}")
+    value = obj[name]
+    if issubclass(kind, Enum):
+        allowed = [m.value for m in kind]
+        if type(value) is not str or value not in allowed:
+            raise ValueError(f"{where}: field {name!r} must be one of {allowed}, got {value!r}")
+        return kind(value)
+    if type(value) is not kind:
+        raise ValueError(f"{where}: field {name!r} has the wrong type ({value!r})")
+    return value
 
 
-def _check_float_range(numbers: list, what: str) -> None:
-    """JSON integers have no size limit; one beyond the float range would
-    raise OverflowError wherever the report does arithmetic with it."""
-    for x in numbers:
-        try:
-            float(x)
-        except OverflowError:
-            raise ValueError(f"{what} holds a number too large for a float") from None
+def _read_record(rec: object, where: str) -> tuple:
+    """(group, mode, model, the five fit values) of one record, each of its
+    JSON type, with the model's predictor and coefficient counts."""
+    if type(rec) is not dict:
+        raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+    group = _field(rec, "group", str, where)
+    mode = _field(rec, "amplitude_mode", AmplitudeMode, where)
+    kind = _field(rec, "model", ModelKind, where)
+    fit = _field(rec, "fit", dict, where)
+    where = f"{where}, fit"
+    values = tuple(_field(fit, name, t, where) for name, t in _FIT_SCHEMA.items())
+    coefficients, *_, p = values
+    count = MODEL_SPECS[kind].predictor_count
+    if p != count or len(coefficients) != p + 1 or any(type(c) is not float for c in coefficients):
+        raise ValueError(f"{where}: {kind.value} needs p = {count} and {count + 1} float "
+                         f"coefficients, got p = {p} and {coefficients!r}")
+    return group, mode, kind, values
 
 
-def _check_record(rec: object, line_no: int) -> None:
-    """Raise ValueError naming the line unless ``rec`` has every field that
-    parse_records reads, with the right JSON type."""
-    where = f"record on line {line_no}"
-    _check_fields(rec, _RECORD_SCHEMA, where)
-    _check_fields(rec["fit"], _FIT_SCHEMA, f"{where}, fit")
-    numbers = list(rec["fit"]["coefficients"])
-    if rec["nested_f_vs_standard"] is not None:
-        if len(rec["nested_f_vs_standard"]) != 2:
-            raise ValueError(f"{where}: nested_f_vs_standard must hold two numbers")
-        numbers += rec["nested_f_vs_standard"]
-    if any(isinstance(x, bool) or not isinstance(x, _NUMBER) for x in numbers):
-        raise ValueError(f"{where}: coefficients and nested F must be numbers")
-    _check_float_range(numbers, f"{where}: coefficients or nested F")
+def _first_difference(got: dict, want: dict) -> tuple[str, str, str]:
+    """(dotted name, JSON got, JSON wanted) of the first field, in key order,
+    where two differing records differ."""
+    for key in sorted(got.keys() | want.keys()):
+        a, b = (json.dumps(d[key], sort_keys=True) if key in d else "absent"
+                for d in (got, want))
+        if a != b:
+            if type(got.get(key)) is dict and type(want.get(key)) is dict:
+                name, a, b = _first_difference(got[key], want[key])
+                return f"{key}.{name}", a, b
+            return key, a, b
+    raise AssertionError("the records do not differ")
 
 
 def parse_records(text: str) -> list[ComparisonReport]:
     """Rebuild reports from the record stream; inverse of render_records.
 
-    Raises ValueError, naming the line, on a record that is not JSON or
-    lacks a field or gives it the wrong type, and on a stream with no records.
+    Only the labels and each fit's coefficients, rss, r2, n and p are read;
+    each group is rebuilt from its four fits by :func:`build_report`, and
+    every record must be exactly the one render_records writes for it.
+    Raises ValueError naming the line on a record that is not JSON, lacks a
+    field read or gives it the wrong type, repeats its group and model, or
+    differs from its rebuilt record; on a group without all four models or
+    one shared n; and on a stream with no records.
     """
-    by_group: dict[tuple[str, str], dict[ModelKind, dict]] = {}
-    group_order: list[tuple[str, str]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    groups: dict[tuple[str, AmplitudeMode], dict[ModelKind, tuple]] = {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
+        where = f"record on line {line_no}"
         try:
             rec = json.loads(line)
+            dumped = json.dumps(rec, sort_keys=True)
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError and an integer past int's digit limit
-            raise ValueError(f"record on line {line_no}: invalid JSON ({exc})") from None
-        _check_record(rec, line_no)
-        gkey = (rec["group"], rec["amplitude_mode"])
-        if gkey not in by_group:
-            by_group[gkey] = {}
-            group_order.append(gkey)
-        by_group[gkey][ModelKind(rec["model"])] = rec
-    if not by_group:
+            raise ValueError(f"{where}: invalid JSON ({exc})") from None
+        group, mode, kind, values = _read_record(rec, where)
+        models = groups.setdefault((group, mode), {})
+        if kind in models:
+            raise ValueError(f"{where} repeats the {kind.value} record of group "
+                             f"{group!r} ({mode.value}) on line {models[kind][0]}")
+        models[kind] = (line_no, rec, dumped, values)
+    if not groups:
         raise ValueError("the record stream holds no records")
 
     reports = []
-    for gkey in group_order:
-        records = by_group[gkey]
-        if set(records) != set(MODEL_ORDER):
-            missing = [k.value for k in MODEL_ORDER if k not in records]
-            raise ValueError(f"records for group {gkey[0]} missing models: {missing}")
-        fits = {k: _fit_from_dict(records[k]["fit"]) for k in MODEL_ORDER}
-        delta_aic = {k: records[k]["delta_aic"] for k in MODEL_ORDER}
-        delta_bic = {k: records[k]["delta_bic"] for k in MODEL_ORDER}
-        rank_aic = sorted(MODEL_ORDER, key=lambda k: records[k]["rank_aic"])
-        rank_bic = sorted(MODEL_ORDER, key=lambda k: records[k]["rank_bic"])
-        nested = {
-            k: None if records[k]["nested_f_vs_standard"] is None
-            else tuple(records[k]["nested_f_vs_standard"])
-            for k in MODEL_ORDER
-        }
-        any_rec = records[ModelKind.STANDARD]
-        reports.append(
-            ComparisonReport(
-                group_label=any_rec["group"],
-                amplitude_mode=AmplitudeMode(any_rec["amplitude_mode"]),
-                n_cells=any_rec["n_cells"],
-                fits=fits,
-                delta_aic=delta_aic,
-                delta_bic=delta_bic,
-                aic_grades={k: grade_delta(Criterion.AIC, d) for k, d in delta_aic.items()},
-                bic_grades={k: grade_delta(Criterion.BIC, d) for k, d in delta_bic.items()},
-                ranking_aic=tuple(rank_aic),
-                ranking_bic=tuple(rank_bic),
-                equations={k: records[k]["equation"] for k in MODEL_ORDER},
-                nested_f_vs_standard=nested,
-            )
-        )
+    for (group, mode), models in groups.items():
+        where = f"records on lines {', '.join(str(line) for line, *_ in models.values())}"
+        missing = [k.value for k in MODEL_ORDER if k not in models]
+        if missing:
+            raise ValueError(f"{where}: group {group!r} ({mode.value}) misses models {missing}")
+        cells = {values[3] for *_, values in models.values()}  # each fit's n
+        if len(cells) > 1 or min(cells) < _MIN_CELLS:
+            raise ValueError(f"{where}: the four fits need one shared n of at least "
+                             f"{_MIN_CELLS}, got {sorted(cells)}")
+        try:
+            fits = {k: fit_result(*models[k][3]) for k in MODEL_ORDER}
+            report = build_report(group, mode, fits)
+        except (ValueError, ArithmeticError) as exc:  # OverflowError: n past float range
+            raise ValueError(f"{where}: {exc}") from None
+        for kind, (line_no, rec, dumped, _) in models.items():
+            want = _record(report, kind)
+            if json.dumps(want, sort_keys=True) != dumped:
+                name, got, wanted = _first_difference(rec, want)
+                raise ValueError(f"record on line {line_no}: field {name!r} is {got}, "
+                                 f"but its fits give {wanted}")
+        reports.append(report)
     return reports

@@ -213,18 +213,24 @@ def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     else:
         # slopes that explain nothing can leave rss a rounding error above tss
         r2 = max(0.0, 1.0 - rss / tss)
-    saturated = rss == 0.0 or r2 == 1.0
+    return fit_result(coef, rss, r2, n, p)
 
-    adj = 1.0 if saturated else adj_r2(r2, n, p)
-    if saturated:
+
+def fit_result(coefficients: Sequence[float], rss: float, r2: float, n: int, p: int) -> FitResult:
+    """The fit with every diagnostic derived from its five independent values;
+    a saturated fit (rss 0 or R^2 1) gets adjusted R^2 = 1 and the infinity
+    sentinels."""
+    if rss == 0.0 or r2 == 1.0:
+        adj = 1.0
         f_stat, p_value = math.inf, 0.0
         aic_val, bic_val = -math.inf, -math.inf
     else:
+        adj = adj_r2(r2, n, p)
         f_stat, p_value = overall_f(r2, n, p)
         aic_val, bic_val = information_criteria(rss, n, p + 1)
 
     return FitResult(
-        coefficients=tuple(float(c) for c in coef),
+        coefficients=tuple(float(c) for c in coefficients),
         rss=rss,
         r2=r2,
         adj_r2=adj,

@@ -118,6 +118,8 @@ class StudyConfig:
     repetitions: ClassVar[int] = 5
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.participants < 1:
             raise ConfigError(f"participants must be >= 1, got {self.participants}")
         for name, values in (
@@ -315,9 +317,24 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
     """
     import yaml  # imported here: no other command needs PyYAML's import time
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """A safe loader that rejects a key repeated in one mapping, where
+        ``safe_load`` would keep the last value."""
+
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep)  # rejects unhashable keys
+            lines: dict[object, int] = {}
+            for key_node, _ in node.value:
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in lines:
+                    raise ConfigError(f"config key {key!r} is repeated on line {line} "
+                                      f"(first on line {lines[key]})")
+                lines[key] = line
+            return mapping
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=UniqueKeyLoader)
     except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config file: {_yaml_problem(exc)}") from None
     if raw is None:

@@ -189,6 +189,22 @@ class TestThroughput:
         ]) == 0
 
 
+#: (damage, part of its one-line error): record streams that compare never writes.
+_INCONSISTENT_RECORDS = [
+    ("repeated-record", "record on line 3 repeats the TwoPart record of group 'RPRG' "
+                        "(euclidean) on line 2"),
+    ("infinite-delta-rank-0", "record on line 3: field 'delta_aic' is Infinity"),
+    ("edited-aic-grade", "record on line 3: field 'aic_grade' is \"Less\""),
+    ("edited-fit-aic", "record on line 3: field 'fit.aic' is -1000000000.0"),
+    ("edited-fit-r2", "record on line 3: field 'fit.adj_r2'"),
+    ("huge-n", "records on lines 1, 2, 3, 4:"),
+    ("unshared-n", "records on lines 1, 2, 3, 4: the four fits need one shared n"),
+    ("wrong-p", "record on line 3, fit: Vergence needs p = 2 and 3 float coefficients"),
+    ("unknown-model", "record on line 3: field 'model' must be one of"),
+    ("unknown-mode", "record on line 3: field 'amplitude_mode' must be one of"),
+]
+
+
 class TestInputBoundary:
     """Every bad input ends in exit 2 with a one-line message."""
 
@@ -259,6 +275,36 @@ class TestInputBoundary:
         assert "cannot parse config file" in err and where in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, key, line", [
+        ("seed: 1\nseed: 5\nparticipants: 1\nparticipants: 2\n", "'seed'", 2),
+        ("seed: 1\nparticipants: 1\npreset: model-exact\nground_truth:\n"
+         "  model: Standard\n  coefficients: [-0.41, 0.83]\n  model: Proposed\n",
+         "'model'", 7),
+        ("seed: 1\nparticipants: 1\ntechnique_offsets_s:\n  RPRG: 0.1\n  RPRG: 0.2\n",
+         "'RPRG'", 5),
+    ], ids=["top-level", "ground_truth", "technique_offsets_s"])
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, text, key, line):
+        cfg = tmp_path / "twice.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "l.csv"
+        assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
+        assert f"config key {key} is repeated on line {line}" in self._one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, flags", [
+        ("seed: -1\n", []),
+        ("seed: 3\n", ["--seed", "-1"]),
+    ], ids=["config", "flag"])
+    def test_negative_seed_names_the_field(self, tmp_path, capsys, config, flags):
+        cfg = tmp_path / "study.yaml"
+        cfg.write_text("preset: realistic\nparticipants: 1\n" + config)
+        out = tmp_path / "l.csv"
+        assert main(["simulate", "--input", str(cfg), "--output", str(out), *flags]) == 2
+        assert self._one_line_error(capsys) == (
+            "error: seed must be a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
+
     def test_bad_row_after_blank_lines_reports_its_physical_line(
         self, small_log, tmp_path, capsys
     ):
@@ -309,6 +355,50 @@ class TestInputBoundary:
         assert main(["report", "--input", str(records)]) == 2
         assert "line" in self._one_line_error(capsys)
 
+    @pytest.mark.parametrize("damage, message", _INCONSISTENT_RECORDS,
+                             ids=[damage for damage, _ in _INCONSISTENT_RECORDS])
+    def test_report_on_inconsistent_records_exits_2(
+        self, records_lines, tmp_path, capsys, damage, message
+    ):
+        """Every record must be the one compare writes for its group's fits."""
+        recs = [json.loads(line) for line in records_lines]
+        if damage == "repeated-record":
+            recs.insert(2, recs[1])
+        elif damage == "infinite-delta-rank-0":
+            recs[2].update(delta_aic=math.inf, rank_aic=0)
+        elif damage == "edited-aic-grade":
+            recs[2]["aic_grade"] = "Less"
+        elif damage == "edited-fit-aic":
+            recs[2]["fit"]["aic"] = -1e9
+        elif damage == "edited-fit-r2":
+            recs[2]["fit"]["r2"] = 0.5
+        elif damage == "huge-n":
+            for rec in recs[:4]:
+                rec["fit"]["n"] = 10 ** 400
+        elif damage == "unshared-n":
+            recs[2]["fit"]["n"] = 7
+        elif damage == "wrong-p":
+            recs[2]["fit"]["p"] = 3
+        elif damage == "unknown-model":
+            recs[2]["model"] = "Fitts"
+        elif damage == "unknown-mode":
+            recs[2]["amplitude_mode"] = "diagonal"
+        records = tmp_path / "r.jsonl"
+        records.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        assert main(["report", "--input", str(records)]) == 2
+        assert message in self._one_line_error(capsys)
+
+    def test_report_counts_lines_at_newlines_only(self, records_lines, tmp_path, capsys):
+        """A raw U+2028 inside a JSON string neither breaks its record nor
+        shifts the line numbers after it."""
+        first = json.loads(records_lines[0])
+        first["group"] += "\u2028"
+        lines = [json.dumps(first, ensure_ascii=False), records_lines[1], "{not json"]
+        records = tmp_path / "r.jsonl"
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report", "--input", str(records)]) == 2
+        assert "record on line 3: invalid JSON" in self._one_line_error(capsys)
+
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_report_on_empty_stream_exits_2(self, tmp_path, capsys, text):
         records = tmp_path / "r.jsonl"
@@ -333,7 +423,8 @@ _FIT_FIELDS = ["coefficients", "rss", "r2", "adj_r2", "f_stat", "p_value", "aic"
                "n", "p"]
 _FIELDS = [(name,) for name in (
     "group", "amplitude_mode", "n_cells", "model", "fit", "delta_aic", "delta_bic",
-    "rank_aic", "rank_bic", "equation", "nested_f_vs_standard",
+    "aic_grade", "bic_grade", "rank_aic", "rank_bic", "equation", "equation_signed",
+    "nested_f_vs_standard",
 )] + [("fit", name) for name in _FIT_FIELDS]
 _NUMBERS = [("delta_aic",), ("delta_bic",), ("fit", "coefficients", 0),
             ("nested_f_vs_standard", 1)] + [("fit", name) for name in _FIT_FIELDS[1:]]
@@ -386,14 +477,22 @@ def _mutate_records(lines, mutations):
 def test_mutated_record_streams_report_or_exit_cleanly(
     records_lines, tmp_path_factory, deadline, mutations
 ):
+    """A mutated stream either renders exactly the table of the stream it
+    came from, or exits with one line."""
     path = tmp_path_factory.getbasetemp() / "fuzz-records.jsonl"
-    path.write_text(_mutate_records(records_lines, mutations))
-    out, err = io.StringIO(), io.StringIO()
-    with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["report", "--input", str(path)])
+    results = []
+    for text in ("\n".join(records_lines) + "\n", _mutate_records(records_lines, mutations)):
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", "--input", str(path)])
+        results.append((code, out.getvalue()))
+    (_, table), (code, out) = results
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    if code == 0:
+        assert out == table
 
 
 class TestFitAndReport:

@@ -8,6 +8,7 @@ from telefitts.regression import (
     CollinearPredictorsError,
     adj_r2,
     f_tail_probability,
+    fit_result,
     information_criteria,
     ols_fit,
     overall_f,
@@ -98,6 +99,15 @@ class TestOlsFit:
         assert fit.aic == -math.inf
         assert fit.f_stat == math.inf
         assert fit.p_value == 0.0
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.1, 0.9, 2.2, 3.1, 4.7], [1.0, 1.9, 3.2, 3.9, 5.6]),
+        ([1, 2, 3, 4], [5, 5, 5, 5]),  # saturated: constant response
+        ([1, 2, 3, 4, 5], [0.3, 0.1, 0.7, 0.1, 0.3]),  # rss a rounding error above tss
+    ])
+    def test_five_values_rebuild_the_fit(self, xs, ys):
+        fit = ols_fit(rows_from_xy(xs, ys))
+        assert fit_result(fit.coefficients, fit.rss, fit.r2, fit.n, fit.p) == fit
 
     def test_deterministic_repeat(self):
         rows = rows_from_xy([0.1, 0.9, 2.2, 3.1, 4.7], [1.0, 1.9, 3.2, 3.9, 5.6])
