@@ -12,6 +12,7 @@ scripted-trace layer.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -319,18 +320,31 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
 
     class UniqueKeyLoader(yaml.SafeLoader):
         """A safe loader that rejects a key repeated in one mapping, where
-        ``safe_load`` would keep the last value."""
+        ``safe_load`` would keep the last value. A key that overrides one
+        pulled in by a merge key (``<<``) is not a repeat."""
 
-        def construct_mapping(self, node, deep=False):
-            mapping = super().construct_mapping(node, deep)  # rejects unhashable keys
-            lines: dict[object, int] = {}
-            for key_node, _ in node.value:
-                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
-                if key in lines:
-                    raise ConfigError(f"config key {key!r} is repeated on line {line} "
-                                      f"(first on line {lines[key]})")
-                lines[key] = line
-            return mapping
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.checked: set[yaml.Node] = set()
+
+        def flatten_mapping(self, node):
+            # Check a mapping's own keys before merging puts the merged pairs
+            # in front of them, and only once: a mapping merged into others
+            # is flattened again.
+            if node not in self.checked:
+                self.checked.add(node)
+                lines: dict[object, int] = {}
+                for key_node, _ in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                    if not isinstance(key, Hashable):
+                        continue  # construct_mapping rejects it with its position
+                    if key in lines:
+                        raise ConfigError(f"config key {key!r} is repeated on line {line} "
+                                          f"(first on line {lines[key]})")
+                    lines[key] = line
+            super().flatten_mapping(node)
 
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -282,7 +282,8 @@ class TestInputBoundary:
          "'model'", 7),
         ("seed: 1\nparticipants: 1\ntechnique_offsets_s:\n  RPRG: 0.1\n  RPRG: 0.2\n",
          "'RPRG'", 5),
-    ], ids=["top-level", "ground_truth", "technique_offsets_s"])
+        ("<<: {seed: 1, participants: 1}\nseed: 5\nseed: 6\n", "'seed'", 3),
+    ], ids=["top-level", "ground_truth", "technique_offsets_s", "beside-merge-key"])
     def test_repeated_config_key_exits_2(self, tmp_path, capsys, text, key, line):
         cfg = tmp_path / "twice.yaml"
         cfg.write_text(text)
@@ -290,6 +291,24 @@ class TestInputBoundary:
         assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
         assert f"config key {key} is repeated on line {line}" in self._one_line_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "<<: {seed: 1, participants: 2}\nseed: 5\n"
+        "technique_offsets_s: {RPRG: 0.2, LPLG: 0.3}\n",
+        # a mapping merged twice, whose own key overrides the one it merges
+        "seed: 5\nparticipants: 2\ntechnique_offsets_s:\n"
+        "  <<: [&t {<<: {RPRG: 0.1}, RPRG: 0.2}, *t]\n  LPLG: 0.3\n",
+    ], ids=["top-level", "chained"])
+    def test_key_overriding_a_merge_key_is_not_a_repeat(self, tmp_path, text):
+        plain = tmp_path / "plain.yaml"
+        plain.write_text("seed: 5\nparticipants: 2\n"
+                         "technique_offsets_s: {RPRG: 0.2, LPLG: 0.3}\n")
+        merged = tmp_path / "merged.yaml"
+        merged.write_text(text)
+        for name in ("plain", "merged"):
+            assert main(["simulate", "--input", str(tmp_path / f"{name}.yaml"),
+                         "--output", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "merged.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     @pytest.mark.parametrize("config, flags", [
         ("seed: -1\n", []),
