@@ -10,6 +10,7 @@ into a neighbor (see the table footnotes).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -132,17 +133,33 @@ class ComparisonReport:
         return (self.ranking_aic if criterion is Criterion.AIC else self.ranking_bic)[0]
 
 
+@functools.lru_cache(maxsize=1024)
+def _cell_predictors(kind: ModelKind, amplitude_mode: AmplitudeMode,
+                     width_m: float, distance_m: float, height_m: float) -> tuple[float, ...]:
+    """One model's predictors for one (W, D, H) cell; every report group of a
+    study repeats the same few cells. A geometry error is raised on every
+    call: an exception is not cached."""
+    g = geometry_for_condition(width_m, distance_m, height_m, amplitude_mode)
+    return predictors_for(kind, g)
+
+
+def _by_cell(item: tuple[ConditionKey, ConditionSummary]) -> tuple[float, float, float]:
+    key = item[0]
+    return key.width_m, key.distance_m, key.height_m
+
+
 def rows_for_model(
     kind: ModelKind,
     summaries: Mapping[ConditionKey, ConditionSummary],
     amplitude_mode: AmplitudeMode,
 ) -> list[PredictorRow]:
-    rows = []
-    for key in sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m)):
-        s = summaries[key]
-        g = geometry_for_condition(key.width_m, key.distance_m, key.height_m, amplitude_mode)
-        rows.append(PredictorRow(predictors_for(kind, g), s.mean_mt_s))
-    return rows
+    return [
+        PredictorRow(
+            _cell_predictors(kind, amplitude_mode, key.width_m, key.distance_m, key.height_m),
+            summary.mean_mt_s,
+        )
+        for key, summary in sorted(summaries.items(), key=_by_cell)
+    ]
 
 
 def _deltas(values: Mapping[ModelKind, float]) -> dict[ModelKind, float]:
@@ -407,9 +424,10 @@ def parse_records(text: str) -> list[ComparisonReport]:
     each group is rebuilt from its four fits by :func:`build_report`, and
     every record must be exactly the one render_records writes for it.
     Raises ValueError naming the line on a record that is not JSON, lacks a
-    field read or gives it the wrong type, repeats its group and model, or
-    differs from its rebuilt record; on a group without all four models or
-    one shared n; and on a stream with no records.
+    field read or gives it the wrong type, repeats its group and model,
+    names a group outside TABLE_GROUPS, has a fit the five values cannot
+    describe, or differs from its rebuilt record; on a group without all
+    four models or one shared n; and on a stream with no records.
     """
     groups: dict[tuple[str, AmplitudeMode], dict[ModelKind, tuple]] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -418,7 +436,6 @@ def parse_records(text: str) -> list[ComparisonReport]:
         where = f"record on line {line_no}"
         try:
             rec = json.loads(line)
-            dumped = json.dumps(rec, sort_keys=True)
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError and an integer past int's digit limit
             raise ValueError(f"{where}: invalid JSON ({exc})") from None
@@ -427,13 +444,17 @@ def parse_records(text: str) -> list[ComparisonReport]:
         if kind in models:
             raise ValueError(f"{where} repeats the {kind.value} record of group "
                              f"{group!r} ({mode.value}) on line {models[kind][0]}")
-        models[kind] = (line_no, rec, dumped, values)
+        models[kind] = (line_no, line, rec, values)
     if not groups:
         raise ValueError("the record stream holds no records")
 
     reports = []
     for (group, mode), models in groups.items():
-        where = f"records on lines {', '.join(str(line) for line, *_ in models.values())}"
+        lines = [line_no for line_no, *_ in models.values()]
+        if group not in _GROUPS:
+            raise ValueError(f"record on line {lines[0]}: field 'group' must be one of "
+                             f"{list(TABLE_GROUPS)}, got {group!r}")
+        where = f"records on lines {', '.join(map(str, lines))}"
         missing = [k.value for k in MODEL_ORDER if k not in models]
         if missing:
             raise ValueError(f"{where}: group {group!r} ({mode.value}) misses models {missing}")
@@ -441,14 +462,21 @@ def parse_records(text: str) -> list[ComparisonReport]:
         if len(cells) > 1 or min(cells) < _MIN_CELLS:
             raise ValueError(f"{where}: the four fits need one shared n of at least "
                              f"{_MIN_CELLS}, got {sorted(cells)}")
+        fits = {}
+        for kind in MODEL_ORDER:
+            line_no, *_, values = models[kind]
+            try:
+                fits[kind] = fit_result(*values)
+            except (ValueError, ArithmeticError) as exc:  # OverflowError: n past float range
+                raise ValueError(f"record on line {line_no}: {exc}") from None
         try:
-            fits = {k: fit_result(*models[k][3]) for k in MODEL_ORDER}
             report = build_report(group, mode, fits)
-        except (ValueError, ArithmeticError) as exc:  # OverflowError: n past float range
+        except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{where}: {exc}") from None
-        for kind, (line_no, rec, dumped, _) in models.items():
+        for kind, (line_no, line, rec, _) in models.items():
             want = _record(report, kind)
-            if json.dumps(want, sort_keys=True) != dumped:
+            dumped = json.dumps(want, sort_keys=True)  # a record as compare writes it
+            if line != dumped and json.dumps(rec, sort_keys=True) != dumped:
                 name, got, wanted = _first_difference(rec, want)
                 raise ValueError(f"record on line {line_no}: field {name!r} is {got}, "
                                  f"but its fits give {wanted}")

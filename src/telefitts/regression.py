@@ -4,10 +4,20 @@ The solver is a Householder QR with a fixed elimination order, so repeated
 fits of the same data are bit-identical. Saturated fits (residuals at or
 below float resolution of the response variance) report R^2 = 1 and the
 infinity sentinels instead of meaningless log-ratios.
+
+A report fits many responses on few designs: every group of a study shares
+its (W, D, H) cells, so the four models' design matrices repeat from group
+to group. Each distinct design is factored and checked for collinearity
+once; later fits on the same design bytes reuse its cached, read-only
+factors. The fits stay bit-identical to factoring afresh, because the cache
+holds exactly what ``np.linalg.qr`` returns and the solve multiplies by
+``q.T`` as a view of it, as an uncached fit does (a contiguous copy of
+``q.T`` changes the rounding of the product).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -158,18 +168,21 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
 
 def _design_matrix(rows: Sequence[PredictorRow]) -> tuple[np.ndarray, np.ndarray]:
     p = len(rows[0].predictors)
-    for i, r in enumerate(rows):
+    x = np.ones((len(rows), p + 1))
+    try:
+        x[:, 1:] = [r.predictors for r in rows]
+        y = np.array([r.response_mt_s for r in rows], dtype=float)
+        if np.isfinite(x).all() and np.isfinite(y).all():
+            return x, y
+    except ValueError:  # rows of unequal length
+        pass
+    for i, r in enumerate(rows):  # name the first offending row
         if len(r.predictors) != p:
             raise ValueError(f"row {i} has {len(r.predictors)} predictors, expected {p}")
         for v in (*r.predictors, r.response_mt_s):
             if not math.isfinite(v):
                 raise ValueError(f"row {i} contains a non-finite value")
-    x = np.empty((len(rows), p + 1))
-    x[:, 0] = 1.0
-    for i, r in enumerate(rows):
-        x[i, 1:] = r.predictors
-    y = np.array([r.response_mt_s for r in rows])
-    return x, y
+    raise ValueError("the rows do not form a numeric design matrix")
 
 
 def _collinear_columns(x: np.ndarray, r: np.ndarray) -> list[int]:
@@ -189,6 +202,20 @@ def _collinear_columns(x: np.ndarray, r: np.ndarray) -> list[int]:
     ]
 
 
+@functools.lru_cache(maxsize=64)
+def _factor(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Q, R) of the float64 design matrix with this shape and
+    these bytes. A rank-deficient design raises CollinearPredictorsError on
+    every call: an exception is not cached."""
+    x = np.frombuffer(data).reshape(shape)
+    q, r = np.linalg.qr(x)
+    bad = _collinear_columns(x, r)
+    if bad:
+        raise CollinearPredictorsError(bad)
+    q.flags.writeable = r.flags.writeable = False
+    return q, r
+
+
 def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     """Least-squares fit with intercept and the full diagnostic set."""
     if not rows:
@@ -198,10 +225,7 @@ def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     p = cols - 1
     if n < p + 2:
         raise ValueError(f"need at least p + 2 = {p + 2} observations, got {n}")
-    q, r = np.linalg.qr(x)
-    bad = _collinear_columns(x, r)
-    if bad:
-        raise CollinearPredictorsError(bad)
+    q, r = _factor(x.shape, x.tobytes())
     coef = np.linalg.solve(r, q.T @ y)
     resid = y - x @ coef
     rss = float(resid @ resid)

@@ -468,12 +468,6 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
 _COLLAPSIBLE = ("technique", "posture")
 
 
-def _key_sort_token(key: ConditionKey) -> tuple:
-    tech = -1 if key.technique is None else _TECHNIQUE_CODE[key.technique]
-    post = -1 if key.posture is None else _POSTURE_CODE[key.posture]
-    return (tech, post, key.width_m, key.distance_m, key.height_m)
-
-
 def collapse_over(
     summaries: Mapping[ConditionKey, ConditionSummary],
     drop: Iterable[str],
@@ -492,18 +486,26 @@ def collapse_over(
     if not drop:
         return dict(summaries)
 
-    merged: dict[ConditionKey, list[ConditionSummary]] = {}
+    # Cells merge on (technique code, posture code, W, D, H), -1 coding a
+    # collapsed factor: the tuples hash and sort without hashing an enum, and
+    # their order is the ConditionKey order of group_by_condition.
+    keep_technique, keep_posture = "technique" not in drop, "posture" not in drop
+    merged: dict[tuple, list[ConditionSummary]] = {}
     for key, summary in summaries.items():
-        new_key = ConditionKey(
-            None if "technique" in drop else key.technique,
-            None if "posture" in drop else key.posture,
+        technique, posture = key.technique, key.posture
+        cell = (
+            TECHNIQUES.index(technique) if keep_technique and technique is not None else -1,
+            POSTURES.index(posture) if keep_posture and posture is not None else -1,
             key.width_m, key.distance_m, key.height_m,
         )
-        merged.setdefault(new_key, []).append(summary)
+        merged.setdefault(cell, []).append(summary)
 
     out: dict[ConditionKey, ConditionSummary] = {}
-    for key in sorted(merged, key=_key_sort_token):
-        cells = merged[key]
+    for cell in sorted(merged):
+        technique, posture, *geometry = cell
+        key = ConditionKey(None if technique < 0 else TECHNIQUES[technique],
+                           None if posture < 0 else POSTURES[posture], *geometry)
+        cells = merged[cell]
         n_total = sum(c.n_trials for c in cells)
         if pooled:
             w = [c.n_trials / n_total for c in cells]

@@ -13,6 +13,11 @@ integer-coded column group-by, and the per-sample hand-trace loops (one
 machine stepped sample by sample) instead of the array kinematic layer, and
 the csv-module trial-log reader, one row at a time, instead of numpy's
 tokenizer.
+
+One reference shares its method on purpose: ``uncached_cell_fit`` repeats
+``ols_fit`` step for step, with the predictors and the QR computed afresh
+on every call, so that the cached fits can be required to match it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc, betaincc
 
-from telefitts.models import amplitude_from_grid
+from telefitts.models import (
+    PredictorRow,
+    amplitude_from_grid,
+    geometry_for_condition,
+    predictors_for,
+)
+from telefitts.regression import fit_result
 from telefitts.sim import (
     HandSample,
     TrialOutcome,
@@ -59,6 +70,28 @@ def pinv_ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     coef = np.linalg.pinv(x) @ y
     resid = y - x @ coef
     return coef, float(resid @ resid)
+
+
+def uncached_cell_fit(kind, summaries, amplitude_mode):
+    """``ols_fit(rows_for_model(...))`` written as loops, computing every
+    cell's geometry and predictors and the design's QR afresh."""
+    rows = []
+    for key in sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m)):
+        g = geometry_for_condition(key.width_m, key.distance_m, key.height_m, amplitude_mode)
+        rows.append(PredictorRow(predictors_for(kind, g), summaries[key].mean_mt_s))
+    x = np.empty((len(rows), len(rows[0].predictors) + 1))
+    x[:, 0] = 1.0
+    for i, r in enumerate(rows):
+        x[i, 1:] = r.predictors
+    y = np.array([r.response_mt_s for r in rows])
+    q, r = np.linalg.qr(x)
+    coef = np.linalg.solve(r, q.T @ y)
+    resid = y - x @ coef
+    rss = float(resid @ resid)
+    ybar = float(np.mean(y))
+    tss = float(np.sum((y - ybar) ** 2))
+    r2 = 1.0 if tss == 0.0 else max(0.0, 1.0 - rss / tss)
+    return fit_result(coef, rss, r2, x.shape[0], x.shape[1] - 1)
 
 
 def grid_search_ols(

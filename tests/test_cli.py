@@ -197,11 +197,13 @@ _INCONSISTENT_RECORDS = [
     ("edited-aic-grade", "record on line 3: field 'aic_grade' is \"Less\""),
     ("edited-fit-aic", "record on line 3: field 'fit.aic' is -1000000000.0"),
     ("edited-fit-r2", "record on line 3: field 'fit.adj_r2'"),
-    ("huge-n", "records on lines 1, 2, 3, 4:"),
+    ("huge-n", "record on line 1: int too large to convert to float"),
+    ("negative-rss", "record on line 3: rss must be non-negative, got -1.0"),
     ("unshared-n", "records on lines 1, 2, 3, 4: the four fits need one shared n"),
     ("wrong-p", "record on line 3, fit: Vergence needs p = 2 and 3 float coefficients"),
     ("unknown-model", "record on line 3: field 'model' must be one of"),
     ("unknown-mode", "record on line 3: field 'amplitude_mode' must be one of"),
+    ("unknown-group", "record on line 1: field 'group' must be one of ['RPRG', "),
 ]
 
 
@@ -394,6 +396,8 @@ class TestInputBoundary:
         elif damage == "huge-n":
             for rec in recs[:4]:
                 rec["fit"]["n"] = 10 ** 400
+        elif damage == "negative-rss":
+            recs[2]["fit"]["rss"] = -1.0
         elif damage == "unshared-n":
             recs[2]["fit"]["n"] = 7
         elif damage == "wrong-p":
@@ -402,6 +406,9 @@ class TestInputBoundary:
             recs[2]["model"] = "Fitts"
         elif damage == "unknown-mode":
             recs[2]["amplitude_mode"] = "diagonal"
+        elif damage == "unknown-group":
+            for rec in recs[:4]:
+                rec["group"] = "Everything"
         records = tmp_path / "r.jsonl"
         records.write_text("".join(json.dumps(r) + "\n" for r in recs))
         assert main(["report", "--input", str(records)]) == 2

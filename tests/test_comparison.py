@@ -19,6 +19,7 @@ from telefitts.models import (
     geometry_for_condition,
     predict_mt,
 )
+from telefitts import comparison, regression
 from telefitts.comparison import (
     TABLE_GROUPS,
     AicEvidence,
@@ -30,7 +31,10 @@ from telefitts.comparison import (
     render_records,
     render_table,
     run_table1_suite,
+    table1_cells,
 )
+
+from oracles import uncached_cell_fit
 
 GRID = [
     (w, d, h) for w in (0.2, 1.35) for d in (3.0, 9.0) for h in (0.0, 3.0)
@@ -231,6 +235,59 @@ class TestTable1Suite:
             reports = run_table1_suite(trials)
             wins = sum(1 for r in reports if r.ranking_aic[0] is ModelKind.PROPOSED)
             assert wins >= 7, f"seed {seed}: won {wins}/8 groups"
+
+
+class TestRepeatedDesigns:
+    """Fits on designs that repeat across groups reuse cached predictors and
+    factors, and must equal fits computed afresh, bit for bit."""
+
+    @staticmethod
+    def _clear_caches():
+        comparison._cell_predictors.cache_clear()
+        regression._factor.cache_clear()
+
+    def test_suite_fits_equal_uncached_fits_bit_for_bit(self):
+        from telefitts.sim import generate_study, realistic_preset
+
+        trials = generate_study(realistic_preset(20, 1))
+        for pooled in (False, True):
+            cells = table1_cells(trials, pooled)
+            for mode in AmplitudeMode:
+                self._clear_caches()
+                cold = run_table1_suite(trials, mode, pooled)
+                warm = run_table1_suite(trials, mode, pooled)
+                assert render_records(warm) == render_records(cold)
+                for report in warm:
+                    for kind in ModelKind:
+                        want = uncached_cell_fit(kind, cells[report.group_label], mode)
+                        assert repr(report.fits[kind]) == repr(want), (report.group_label, kind)
+
+    def test_geometry_error_raises_on_every_call(self):
+        summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
+        key = ConditionKey(None, None, 0.2, 3.0, -1.0)
+        summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="height_m must be non-negative"):
+                comparison.rows_for_model(ModelKind.STANDARD, summaries,
+                                          AmplitudeMode.EUCLIDEAN)
+
+    def test_one_predictor_and_one_fit_call_per_model(self, monkeypatch):
+        """perfbench's per-layer spans wrap these module attributes."""
+        calls = {"rows_for_model": 0, "ols_fit": 0}
+        for name in calls:
+            original = getattr(comparison, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(comparison, name, counted)
+        summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
+        self._clear_caches()
+        for cache in ("cold", "warm"):
+            calls.update(rows_for_model=0, ols_fit=0)
+            compare_models(summaries)
+            assert calls == {"rows_for_model": 4, "ols_fit": 4}, cache
 
 
 class TestRendering:

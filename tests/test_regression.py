@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from telefitts import regression
 from telefitts.models import PredictorRow
 from telefitts.regression import (
     CollinearPredictorsError,
@@ -44,7 +45,30 @@ class TestOlsFit:
 
     def test_duplicate_predictor_column(self):
         rows = [PredictorRow((x, x), y) for x, y in [(1, 2), (2, 3), (3, 5), (4, 6)]]
-        with pytest.raises(CollinearPredictorsError, match="collinear predictors"):
+        for _ in range(2):  # a rejected design is not cached
+            with pytest.raises(CollinearPredictorsError, match="collinear predictors"):
+                ols_fit(rows)
+
+    def test_cached_factors_are_read_only(self):
+        rows = rows_from_xy([0.1, 0.9, 2.2, 3.1, 4.7], [1.0, 1.9, 3.2, 3.9, 5.6])
+        regression._factor.cache_clear()
+        cold = ols_fit(rows)
+        x, _ = regression._design_matrix(rows)
+        q, r = regression._factor(x.shape, x.tobytes())
+        assert regression._factor.cache_info().hits == 1
+        for factor in (q, r):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.0
+        assert repr(ols_fit(rows)) == repr(cold)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([PredictorRow((1.0,), 1.0), PredictorRow((1.0, 2.0), 2.0),
+          PredictorRow((math.nan,), 3.0)], "row 1 has 2 predictors, expected 1"),
+        ([PredictorRow((1.0,), 1.0), PredictorRow((2.0,), math.inf),
+          PredictorRow((3.0, 4.0), 3.0)], "row 1 contains a non-finite value"),
+    ], ids=["length-first", "non-finite-first"])
+    def test_names_the_first_bad_row(self, rows, message):
+        with pytest.raises(ValueError, match=message):
             ols_fit(rows)
 
     def test_constant_predictor_collides_with_intercept(self):
