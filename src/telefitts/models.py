@@ -39,12 +39,18 @@ class ModelKind(Enum):
     VERGENCE = "Vergence"
     PROPOSED = "Proposed"
 
+    # Members are singletons, so identity hashes them; Enum's own __hash__
+    # hashes the name in Python on every dict lookup.
+    __hash__ = object.__hash__
+
 
 class AmplitudeMode(Enum):
     """How nominal movement amplitude is built from the (D, H) grid."""
 
     EUCLIDEAN = "euclidean"
     DEPTH_ONLY = "depth"
+
+    __hash__ = object.__hash__  # as for ModelKind
 
 
 @dataclass(frozen=True)

@@ -195,8 +195,14 @@ def generate_study(config: StudyConfig) -> TrialTable:
     their row of the balanced Latin square (participant index mod 10), with
     the size/distance/height grid shuffled within each block. Per-participant
     RNG streams are spawned from the study seed, so the log is byte-stable
-    regardless of scheduling. The table is filled one block at a time from
-    the arrays drawn for that block.
+    regardless of scheduling.
+
+    The per-block loop makes only the random draws, in one fixed order on
+    each participant's stream: the block's permutation of the grid, its
+    angles, the movement-time noise and its redraws, then the endpoint
+    noise and its redraws. That draw order is what keeps the log bytes
+    stable; every other column is filled after the loop from the stacked
+    permutations.
     """
     combos = [(t, p) for t in Technique for p in Posture]
     square = balanced_latin_square(len(combos))
@@ -217,90 +223,92 @@ def generate_study(config: StudyConfig) -> TrialTable:
         )
         for cell in cell_grid
     ])
+    # Per (technique x posture, cell) and per cell: the expected movement
+    # time, the endpoint SD and the target radius.
+    offsets = np.array([config.technique_offsets_s.get(t, 0.0) for t, _ in combos])
+    combo_mt = base_mt + offsets[:, None]
+    cell_sigma = config.endpoint_sd_fraction_of_width * cell_w
+    cell_radius = cell_w / 2.0
     angle_choices = np.asarray(config.angles_deg, float)
     block_cells = np.repeat(np.arange(len(cell_grid)), config.repetitions)
     n_block = len(block_cells)
-    n_total = config.participants * len(combos) * n_block
-    columns = {
-        "participant_code": np.repeat(np.arange(config.participants), len(combos) * n_block),
-        "technique_code": np.empty(n_total, np.int8),
-        "posture_code": np.empty(n_total, np.int8),
-        "block": np.empty(n_total, np.int64),
-        "trial_index": np.tile(np.arange(n_block), config.participants * len(combos)),
-        "width_m": np.empty(n_total),
-        "distance_m": np.empty(n_total),
-        "height_m": np.empty(n_total),
-        "angle_deg": np.empty(n_total),
-        "movement_time_s": np.empty(n_total),
-        "endpoint_deviation_m": np.empty(n_total),
-        "error_attempts": np.empty(n_total, np.int64),
-        "success": np.ones(n_total, bool),
-    }
+    block_combos = [c for pi in range(config.participants) for c in square[pi % len(square)]]
+    n_blocks = len(block_combos)
 
-    start = 0
+    ordered = np.empty((n_blocks, n_block), np.intp)
+    angles = np.empty((n_blocks, n_block), np.intp)
+    mt = np.empty((n_blocks, n_block))
+    dev = np.zeros((n_blocks, n_block))
+    attempts = np.zeros((n_blocks, n_block), np.int64)
+    mt_sd, dev_sd = config.mt_noise_sd_s, config.endpoint_sd_fraction_of_width
+
     for pi in range(config.participants):
         rng = np.random.default_rng(streams[pi])
-        row = square[pi % len(square)]
-        for block_idx, combo_idx in enumerate(row):
-            technique, posture = combos[combo_idx]
-            offset = config.technique_offsets_s.get(technique, 0.0)
-            ordered = block_cells[rng.permutation(n_block)]
+        for b in range(pi * len(combos), (pi + 1) * len(combos)):
+            cells = ordered[b] = block_cells[rng.permutation(n_block)]
+            angles[b] = rng.integers(0, len(angle_choices), n_block)
 
-            angles = rng.choice(angle_choices, size=n_block)
-            widths = cell_w[ordered]
-            mt_mean = base_mt[ordered] + offset
-
-            mt = mt_mean + rng.normal(0.0, config.mt_noise_sd_s, n_block) \
-                if config.mt_noise_sd_s > 0 else mt_mean.copy()
-            bad = mt <= 0
-            redraws = 0
-            while bad.any():
-                if config.mt_noise_sd_s == 0.0 or redraws >= _MAX_REDRAWS:
-                    cell = cell_grid[ordered[int(np.argmax(bad))]]
-                    raise ConfigError(
-                        f"ground truth produces non-positive movement time for "
-                        f"cell W={cell[0]} D={cell[1]} H={cell[2]}"
-                    )
-                mt[bad] = mt_mean[bad] + rng.normal(0.0, config.mt_noise_sd_s, int(bad.sum()))
-                bad = mt <= 0
-                redraws += 1
-
-            sigma = config.endpoint_sd_fraction_of_width * widths
-            if config.endpoint_sd_fraction_of_width > 0:
-                dev = np.abs(rng.normal(0.0, 1.0, n_block)) * sigma
+            mt_mean, block_mt = combo_mt[block_combos[b]][cells], mt[b]
+            if mt_sd > 0:
+                np.add(mt_mean, rng.normal(0.0, mt_sd, n_block), out=block_mt)
             else:
-                dev = np.zeros(n_block)
-            attempts = np.zeros(n_block, dtype=int)
-            outside = dev > widths / 2.0
+                block_mt[:] = mt_mean
+            bad = block_mt <= 0
             redraws = 0
-            while outside.any():
+            while n_bad := np.count_nonzero(bad):
+                if mt_sd == 0.0 or redraws >= _MAX_REDRAWS:
+                    raise _cell_error("ground truth produces non-positive movement time",
+                                      cell_grid[cells[np.argmax(bad)]])
+                block_mt[bad] = mt_mean[bad] + rng.normal(0.0, mt_sd, n_bad)
+                bad = block_mt <= 0
+                redraws += 1
+            finite = np.isfinite(block_mt)
+            if np.count_nonzero(finite) < n_block:
+                raise _cell_error("movement time overflows to a non-finite value",
+                                  cell_grid[cells[np.argmin(finite)]])
+
+            if dev_sd == 0:
+                continue
+            sigma, radius = cell_sigma[cells], cell_radius[cells]
+            block_dev, block_attempts = dev[b], attempts[b]
+            np.multiply(np.abs(rng.normal(0.0, 1.0, n_block)), sigma, out=block_dev)
+            outside = block_dev > radius
+            redraws = 0
+            while n_outside := np.count_nonzero(outside):
                 if redraws >= _MAX_REDRAWS:
                     raise ConfigError(
                         f"endpoint deviations still land outside the target after "
                         f"{_MAX_REDRAWS} redraws; endpoint_sd_fraction_of_width="
                         f"{config.endpoint_sd_fraction_of_width} is too large"
                     )
-                attempts[outside] += 1
-                dev[outside] = np.abs(
-                    rng.normal(0.0, 1.0, int(outside.sum()))
-                ) * sigma[outside]
-                outside = dev > widths / 2.0
+                block_attempts[outside] += 1
+                block_dev[outside] = np.abs(rng.normal(0.0, 1.0, n_outside)) * sigma[outside]
+                outside = block_dev > radius
                 redraws += 1
 
-            block = slice(start, start + n_block)
-            columns["technique_code"][block] = TECHNIQUES.index(technique)
-            columns["posture_code"][block] = POSTURES.index(posture)
-            columns["block"][block] = block_idx
-            columns["width_m"][block] = widths
-            columns["distance_m"][block] = cell_d[ordered]
-            columns["height_m"][block] = cell_h[ordered]
-            columns["angle_deg"][block] = angles
-            columns["movement_time_s"][block] = mt
-            columns["endpoint_deviation_m"][block] = dev
-            columns["error_attempts"][block] = attempts
-            start += n_block
+    cells, combo_of_row = ordered.ravel(), np.repeat(block_combos, n_block)
+    combo_codes = np.array([(TECHNIQUES.index(t), POSTURES.index(p)) for t, p in combos])
     participant_ids = [f"P{pi + 1:02d}" for pi in range(config.participants)]
-    return TrialTable(participant_ids, **columns)
+    return TrialTable(
+        participant_ids,
+        participant_code=np.repeat(np.arange(config.participants), len(combos) * n_block),
+        technique_code=combo_codes[combo_of_row, 0],
+        posture_code=combo_codes[combo_of_row, 1],
+        block=np.tile(np.repeat(np.arange(len(combos)), n_block), config.participants),
+        trial_index=np.tile(np.arange(n_block), n_blocks),
+        width_m=cell_w[cells],
+        distance_m=cell_d[cells],
+        height_m=cell_h[cells],
+        angle_deg=angle_choices[angles.ravel()],
+        movement_time_s=mt.ravel(),
+        endpoint_deviation_m=dev.ravel(),
+        error_attempts=attempts.ravel(),
+        success=np.ones(mt.size, bool),
+    )
+
+
+def _cell_error(message: str, cell: tuple[float, float, float]) -> ConfigError:
+    return ConfigError(f"{message} for cell W={cell[0]} D={cell[1]} H={cell[2]}")
 
 
 # --- config files -------------------------------------------------------

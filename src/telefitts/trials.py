@@ -32,10 +32,16 @@ class Technique(Enum):
     LPRG = "LPRG"
     RPDW = "RPDW"
 
+    # Members are singletons, so identity hashes them; Enum's own __hash__
+    # hashes the name in Python on every dict lookup.
+    __hash__ = object.__hash__
+
 
 class Posture(Enum):
     SITTING = "Sitting"
     STANDING = "Standing"
+
+    __hash__ = object.__hash__  # as for Technique
 
 
 TRIAL_LOG_HEADER = (
@@ -333,16 +339,15 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
     return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
-def _sd_of_scaled(cell: list[int], exp: int) -> float:
-    """Sample SD of the values ``m * 2**exp`` for the integers m in ``cell``.
+def _sd_of_sums(n: int, s1: int, s2: int, exp: int) -> float:
+    """Sample SD of n values ``m * 2**exp`` whose integers m sum to s1 and
+    whose squares sum to s2.
 
     The sum of squared deviations is exactly
-    2**(2 exp) * (n * sum(m**2) - sum(m)**2) / n, so its correctly rounded
-    root over n - 1 is what ``statistics.stdev`` returns, bit for bit.
+    2**(2 exp) * (n * s2 - s1**2) / n, so its correctly rounded root over
+    n - 1 is what ``statistics.stdev`` returns, bit for bit.
     """
-    n = len(cell)
-    s1 = sum(cell)
-    num = n * sum(map(operator.mul, cell, cell)) - s1 * s1
+    num = n * s2 - s1 * s1
     if exp >= 0:
         return _sqrt_of_ratio(num << 2 * exp, n * (n - 1))
     return _sqrt_of_ratio(num, n * (n - 1) << -2 * exp)
@@ -358,16 +363,26 @@ def sample_sd(values: Sequence[float]) -> float:
     except (OverflowError, ValueError):
         return math.nan
     den = max(d for _, d in ratios)  # every denominator is a power of two
-    return _sd_of_scaled([m * (den // d) for m, d in ratios], 1 - den.bit_length())
+    cell = [m * (den // d) for m, d in ratios]
+    return _sd_of_sums(len(cell), sum(cell), sum(map(operator.mul, cell, cell)),
+                       1 - den.bit_length())
+
+
+#: Rows per cell from which ``_cell_sds`` sums in int64 limbs; below it the
+#: fixed cost of the limb arrays outweighs one Python int per row.
+_LIMB_ROWS_PER_CELL = 8
 
 
 def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float]:
     """``sample_sd`` of each cell ``values[start:start + n]`` at once; cells
     of fewer than two values get 0.0.
 
-    Each float is m * 2**e with an integer m; ``frexp`` takes the whole
-    column apart, and within a cell every m is shifted onto the cell's
-    smallest exponent so that ``_sd_of_scaled`` sees integers.
+    Each float is d * 2**e with an integer d, |d| < 2**53; ``frexp`` takes
+    the whole column apart, and within a cell every d is shifted onto the
+    cell's smallest exponent, m = d << s, so that ``_sd_of_sums`` sees the
+    exact sums of the integers m and m**2. Tables of at least
+    ``_LIMB_ROWS_PER_CELL`` rows per cell take those sums in int64 limbs
+    (``_limb_sums``), smaller ones as one Python int per row.
     """
     finite = np.isfinite(values)
     mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
@@ -378,12 +393,68 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> lis
     cell_exp = np.minimum.reduceat(exponent, starts)
     cell_exp[cell_exp == np.iinfo(np.int64).max] = 0  # cells of zeros only
     shifts = np.where(zero, 0, exponent - np.repeat(cell_exp, counts))
-    scaled = list(map(operator.lshift, digits.tolist(), shifts.tolist()))
+    if len(values) >= _LIMB_ROWS_PER_CELL * len(starts):
+        s1, s2 = _limb_sums(digits, shifts, starts, counts)
+    else:
+        scaled = list(map(operator.lshift, digits.tolist(), shifts.tolist()))
+        cells = [scaled[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
+        s1 = list(map(sum, cells))
+        s2 = [sum(map(operator.mul, cell, cell)) for cell in cells]
     all_finite = np.logical_and.reduceat(finite, starts).tolist()
     return [
-        0.0 if n < 2 else _sd_of_scaled(scaled[a:a + n], e) if ok else math.nan
-        for a, n, e, ok in zip(starts.tolist(), counts.tolist(), cell_exp.tolist(), all_finite)
+        0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan
+        for n, a, b, e, ok in zip(counts.tolist(), s1, s2, cell_exp.tolist(), all_finite)
     ]
+
+
+def _limb_sums(digits: np.ndarray, shifts: np.ndarray, starts: np.ndarray,
+               counts: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each cell's sum of m and of m**2, m = digits << shifts, as Python ints.
+
+    An m can be thousands of bits long, so the sums are taken in int64
+    limbs: each |m| is cut into limbs of ``width`` bits,
+    |m| = sum_k limb_k << (width k), and then
+
+        sum m    = sum_k (sum of sign * limb_k) << (width k)
+        sum m**2 = sum_(j,k) (sum of limb_j * limb_k) << (width (j + k)).
+
+    ``np.add.reduceat`` takes these limb sums for every cell at once, and
+    they are put together as Python ints per cell. The column takes as many
+    limbs as its largest shift needs. A 53-bit |d| touches at most
+    ``2 + 51 // width`` adjacent limbs, so limbs further apart never meet in
+    one row and their products are not summed.
+
+    No int64 sum can overflow: a limb is below 2**width, so a product of two
+    is below 2**(2 width) and a cell of n rows sums to less than
+    n * 2**(2 width); ``width`` is the largest with n * 2**(2 width) <= 2**63
+    for the largest cell: 28 bits for cells of up to 127 rows, 21 bits below
+    2**21 rows, and 1 bit for any cell below 2**61 rows.
+    """
+    width = (63 - int(counts.max()).bit_length()) // 2
+    n_limbs = -(-(sys.float_info.mant_dig + int(shifts.max())) // width)
+    reach = min(n_limbs, 2 + (sys.float_info.mant_dig - 2) // width)
+    magnitude, shifts = np.abs(digits).astype(np.uint64), shifts.astype(np.uint64)
+    sign = np.sign(digits) if (digits < 0).any() else None
+    mask = np.uint64((1 << width) - 1)
+    # sums[k]: each cell's sum of sign * limb_k; products: its sums of
+    # limb_k * limb_(k-d), worth ``weights`` each in sum m**2 (a product of
+    # two different limbs occurs twice in m**2)
+    sums, products, weights = [], [], []
+    limbs: list[np.ndarray] = []  # limb k, k - 1, ..., back as far as reach
+    for k in range(n_limbs):
+        below = np.minimum(shifts, width * k)  # bits of m below limb k taken from d
+        left = np.minimum(shifts, width * (k + 1)) - below
+        right = np.minimum(width * k - below, 63)
+        limb = (((magnitude << left) >> right) & mask).view(np.int64)
+        limbs = [limb, *limbs[:reach - 1]]
+        sums.append(np.add.reduceat(limb if sign is None else sign * limb, starts))
+        for d, other in enumerate(limbs):
+            products.append(np.add.reduceat(limb * other, starts))
+            weights.append((1 if d == 0 else 2) << width * (2 * k - d))
+    s1 = (np.stack(sums, axis=1).astype(object)
+          * [1 << width * k for k in range(n_limbs)]).sum(axis=1)
+    s2 = (np.stack(products, axis=1).astype(object) * weights).sum(axis=1)
+    return s1.tolist(), s2.tolist()
 
 
 # --- aggregation --------------------------------------------------------
@@ -444,25 +515,36 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
     sd_devs = _cell_sds(devs, starts, counts)
     mts, devs = mts.tolist(), devs.tolist()
     with_errors = np.add.reduceat((table.error_attempts[order] > 0).astype(np.int64), starts)
+    first = order[starts]
     cells = zip(starts.tolist(), counts.tolist(), with_errors.tolist(),
-                order[starts].tolist(), sd_mts, sd_devs)
+                *(column[first].tolist() for column in codes), sd_mts, sd_devs)
 
     out: dict[ConditionKey, ConditionSummary] = {}
-    for a, n, errs, r, sd_mt, sd_dev in cells:
-        key = ConditionKey(
-            TECHNIQUES[table.technique_code[r]], POSTURES[table.posture_code[r]],
-            widths[w_codes[r]], distances[d_codes[r]], heights[h_codes[r]],
-        )
+    for a, n, errs, technique, posture, w, d, h, sd_mt, sd_dev in cells:
+        key = ConditionKey(TECHNIQUES[technique], POSTURES[posture],
+                           widths[w], distances[d], heights[h])
         out[key] = ConditionSummary(
             key=key,
             n_trials=n,
-            mean_mt_s=math.fsum(mts[a:a + n]) / n,
+            mean_mt_s=_cell_mean(mts[a:a + n], "movement_time_s", key),
             sd_mt_s=sd_mt,
-            mean_deviation_m=math.fsum(devs[a:a + n]) / n,
+            mean_deviation_m=_cell_mean(devs[a:a + n], "endpoint_deviation_m", key),
             sd_deviation_m=sd_dev,
             error_rate=errs / n,
         )
     return out
+
+
+def _cell_mean(values: list[float], column: str, key: ConditionKey) -> float:
+    """``statistics.fmean`` of a cell's values, or ValueError naming the cell
+    where the sum overflows and fmean has no value either."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise ValueError(
+            f"{column} overflows when summed over cell {key.technique.value}/"
+            f"{key.posture.value} W={key.width_m} D={key.distance_m} H={key.height_m}"
+        ) from None
 
 
 _COLLAPSIBLE = ("technique", "posture")

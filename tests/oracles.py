@@ -12,7 +12,9 @@ integer-coded column group-by, and the per-sample hand-trace loops (one
 ``HandSample`` per step, 2x2 matrix Kalman recursion, a technique state
 machine stepped sample by sample) instead of the array kinematic layer, and
 the csv-module trial-log reader, one row at a time, instead of numpy's
-tokenizer.
+tokenizer, and the study generator that fills every column block by block
+and draws angles with ``rng.choice`` instead of the loop that keeps only the
+random draws.
 
 One reference shares its method on purpose: ``uncached_cell_fit`` repeats
 ``ols_fit`` step for step, with the predictors and the QR computed afresh
@@ -35,16 +37,20 @@ from telefitts.models import (
     PredictorRow,
     amplitude_from_grid,
     geometry_for_condition,
+    predict_mt,
     predictors_for,
 )
 from telefitts.regression import fit_result
 from telefitts.sim import (
+    ConfigError,
     HandSample,
     TrialOutcome,
+    balanced_latin_square,
     minimum_jerk_profile,
     parabola_landing,
     sphere_hit_test,
 )
+from telefitts.sim.study import _MAX_REDRAWS
 from telefitts.throughput import (
     GRID_DISTANCES_M,
     GRID_HEIGHTS_M,
@@ -54,6 +60,8 @@ from telefitts.throughput import (
     effective_id,
 )
 from telefitts.trials import (
+    POSTURES,
+    TECHNIQUES,
     TRIAL_LOG_HEADER,
     ConditionKey,
     ConditionSummary,
@@ -581,3 +589,115 @@ def read_trial_log_reference(path):
              "error_attempts", "success")
     return TrialTable(ids, line_numbers=lines, participant_code=[ids[p] for p in columns[0]],
                       **dict(zip(names, columns[1:])))
+
+
+# --- study generation, one block at a time ---------------------------------
+
+
+def generate_study_reference(config):
+    """The per-block generator loop as it was written before the loop kept
+    only the random draws: every column is filled block by block, and the
+    angles are drawn with ``rng.choice``."""
+    combos = [(t, p) for t in Technique for p in Posture]
+    square = balanced_latin_square(len(combos))
+    streams = np.random.SeedSequence(config.seed).spawn(config.participants)
+
+    cell_grid = [
+        (w, d, h)
+        for w in config.widths_m
+        for d in config.distances_m
+        for h in config.heights_m
+    ]
+    cell_w, cell_d, cell_h = (np.array(axis, dtype=float) for axis in zip(*cell_grid))
+    base_mt = np.array([
+        predict_mt(
+            config.ground_truth.kind,
+            config.ground_truth.coefficients,
+            geometry_for_condition(*cell, config.amplitude_mode),
+        )
+        for cell in cell_grid
+    ])
+    angle_choices = np.asarray(config.angles_deg, float)
+    block_cells = np.repeat(np.arange(len(cell_grid)), config.repetitions)
+    n_block = len(block_cells)
+    n_total = config.participants * len(combos) * n_block
+    columns = {
+        "participant_code": np.repeat(np.arange(config.participants), len(combos) * n_block),
+        "technique_code": np.empty(n_total, np.int8),
+        "posture_code": np.empty(n_total, np.int8),
+        "block": np.empty(n_total, np.int64),
+        "trial_index": np.tile(np.arange(n_block), config.participants * len(combos)),
+        "width_m": np.empty(n_total),
+        "distance_m": np.empty(n_total),
+        "height_m": np.empty(n_total),
+        "angle_deg": np.empty(n_total),
+        "movement_time_s": np.empty(n_total),
+        "endpoint_deviation_m": np.empty(n_total),
+        "error_attempts": np.empty(n_total, np.int64),
+        "success": np.ones(n_total, bool),
+    }
+
+    start = 0
+    for pi in range(config.participants):
+        rng = np.random.default_rng(streams[pi])
+        row = square[pi % len(square)]
+        for block_idx, combo_idx in enumerate(row):
+            technique, posture = combos[combo_idx]
+            offset = config.technique_offsets_s.get(technique, 0.0)
+            ordered = block_cells[rng.permutation(n_block)]
+
+            angles = rng.choice(angle_choices, size=n_block)
+            widths = cell_w[ordered]
+            mt_mean = base_mt[ordered] + offset
+
+            mt = mt_mean + rng.normal(0.0, config.mt_noise_sd_s, n_block) \
+                if config.mt_noise_sd_s > 0 else mt_mean.copy()
+            bad = mt <= 0
+            redraws = 0
+            while bad.any():
+                if config.mt_noise_sd_s == 0.0 or redraws >= _MAX_REDRAWS:
+                    cell = cell_grid[ordered[int(np.argmax(bad))]]
+                    raise ConfigError(
+                        f"ground truth produces non-positive movement time for "
+                        f"cell W={cell[0]} D={cell[1]} H={cell[2]}"
+                    )
+                mt[bad] = mt_mean[bad] + rng.normal(0.0, config.mt_noise_sd_s, int(bad.sum()))
+                bad = mt <= 0
+                redraws += 1
+
+            sigma = config.endpoint_sd_fraction_of_width * widths
+            if config.endpoint_sd_fraction_of_width > 0:
+                dev = np.abs(rng.normal(0.0, 1.0, n_block)) * sigma
+            else:
+                dev = np.zeros(n_block)
+            attempts = np.zeros(n_block, dtype=int)
+            outside = dev > widths / 2.0
+            redraws = 0
+            while outside.any():
+                if redraws >= _MAX_REDRAWS:
+                    raise ConfigError(
+                        f"endpoint deviations still land outside the target after "
+                        f"{_MAX_REDRAWS} redraws; endpoint_sd_fraction_of_width="
+                        f"{config.endpoint_sd_fraction_of_width} is too large"
+                    )
+                attempts[outside] += 1
+                dev[outside] = np.abs(
+                    rng.normal(0.0, 1.0, int(outside.sum()))
+                ) * sigma[outside]
+                outside = dev > widths / 2.0
+                redraws += 1
+
+            block = slice(start, start + n_block)
+            columns["technique_code"][block] = TECHNIQUES.index(technique)
+            columns["posture_code"][block] = POSTURES.index(posture)
+            columns["block"][block] = block_idx
+            columns["width_m"][block] = widths
+            columns["distance_m"][block] = cell_d[ordered]
+            columns["height_m"][block] = cell_h[ordered]
+            columns["angle_deg"][block] = angles
+            columns["movement_time_s"][block] = mt
+            columns["endpoint_deviation_m"][block] = dev
+            columns["error_attempts"][block] = attempts
+            start += n_block
+    participant_ids = [f"P{pi + 1:02d}" for pi in range(config.participants)]
+    return TrialTable(participant_ids, **columns)

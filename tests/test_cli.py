@@ -236,6 +236,32 @@ class TestInputBoundary:
         assert "limit of 1000000" in self._one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        "preset: realistic\nmt_noise_sd_s: 1.0e308\n",
+        "preset: model-exact\nground_truth: {model: Standard, coefficients: [1.0e308, 1.0e308]}\n",
+    ])
+    def test_non_finite_movement_time_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(f"seed: 1\nparticipants: 1\n{config}")
+        out = tmp_path / "l.csv"
+        assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
+        err = self._one_line_error(capsys)
+        assert "movement time overflows to a non-finite value for cell W=" in err
+        assert not out.exists()
+
+    def test_cell_sum_overflow_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "offset.yaml"
+        cfg.write_text("preset: realistic\nseed: 1\nparticipants: 1\n"
+                       "technique_offsets_s: {RPRG: 1.0e308}\n")
+        log = str(tmp_path / "l.csv")
+        assert main(["simulate", "--input", str(cfg), "--output", log]) == 0
+        assert main(["validate", "--input", log]) == 0
+        capsys.readouterr()
+        for command in ("compare", "throughput", "fit"):
+            assert main([command, "--input", log]) == 2
+            assert ("error: movement_time_s overflows when summed over cell RPRG/Sitting "
+                    in self._one_line_error(capsys))
+
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "deep.yaml"
         cfg.write_text("seed: 3\nparticipants: " + "[" * 5000 + "]" * 5000 + "\n")

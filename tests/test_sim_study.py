@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 from collections import Counter
@@ -5,13 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from telefitts.trials import Posture, Technique
+from telefitts.trials import _COLUMNS, Posture, Technique, write_trial_log
 from telefitts.models import ModelKind, geometry_for_condition, predict_mt
 from telefitts.sim import (
     ConfigError,
     GroundTruth,
     REFERENCE_STANDARD_ALL,
     SIMULABLE_PROPOSED_ALL,
+    StudyConfig,
     balanced_latin_square,
     generate_study,
     load_study_config,
@@ -19,6 +21,8 @@ from telefitts.sim import (
     realistic_preset,
     technique_offsets_from_means,
 )
+
+from oracles import generate_study_reference
 
 
 class TestBalancedLatinSquare:
@@ -138,6 +142,60 @@ class TestGenerateStudy:
             for b in Technique:
                 if offsets[a] < offsets[b] - 0.05:
                     assert means[a] < means[b]
+
+
+#: Configs the generator must reproduce, with the sha256 prefix of the log
+#: each writes; the last redraws movement times and endpoints often.
+REFERENCE_STUDIES = [
+    (realistic_preset(seed=1), "9b64427cfac895f3"),
+    (realistic_preset(seed=2), "861b873f86c7f300"),
+    (realistic_preset(seed=3), "f512b40d07015219"),
+    (model_exact_preset(SIMULABLE_PROPOSED_ALL, seed=0, mt_noise_sd_s=0.05), "e22094da4e45cc98"),
+    (model_exact_preset(REFERENCE_STANDARD_ALL, seed=0), "cea2ed958238baa7"),
+    (replace(realistic_preset(seed=4), endpoint_sd_fraction_of_width=0.6, mt_noise_sd_s=1.5),
+     "794cdb5cea37b177"),
+]
+
+
+class TestAgainstBlockByBlockGenerator:
+    """The generator keeps the block-by-block loop's draws, columns and
+    errors exactly."""
+
+    @pytest.mark.parametrize("config, digest", REFERENCE_STUDIES)
+    def test_same_columns_and_log_bytes(self, config, digest, tmp_path):
+        table = generate_study(config)
+        expected = generate_study_reference(config)
+        assert table.participant_ids == expected.participant_ids
+        for name, _ in _COLUMNS:
+            got, want = getattr(table, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        write_trial_log(table, str(tmp_path / "log.csv"))
+        assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("config", [
+        model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0),
+        model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0,
+                           mt_noise_sd_s=0.01),  # stops at the redraw cap
+        # a later block fails, at the first bad cell of its shuffled grid
+        StudyConfig(REFERENCE_STANDARD_ALL, participants=1, seed=6,
+                    technique_offsets_s={Technique.RPDW: -2.5}),
+        replace(realistic_preset(participants=2, seed=3), endpoint_sd_fraction_of_width=1.0e7),
+    ])
+    def test_same_errors(self, config):
+        with pytest.raises(ConfigError) as expected:
+            generate_study_reference(config)
+        with pytest.raises(ConfigError) as got:
+            generate_study(config)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("config", [
+        replace(realistic_preset(participants=1, seed=1), mt_noise_sd_s=1.0e308),
+        model_exact_preset(GroundTruth(ModelKind.STANDARD, (1.0e308, 1.0e308)),
+                           participants=1, seed=1),
+    ])
+    def test_non_finite_movement_time_names_the_cell(self, config):
+        with pytest.raises(ConfigError, match=r"non-finite value for cell W=\S+ D=\S+ H=\S+$"):
+            generate_study(config)
 
 
 class TestConfigBoundary:

@@ -4,6 +4,8 @@ against the per-trial reference implementations in ``oracles``."""
 import math
 import random
 import statistics
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +52,16 @@ PRESETS = {
 }
 
 
+#: Values for the exact-SD checks: mixed signs, +-0.0 and subnormals, values
+#: spread over about 600 binades, and non-finite values.
+SD_VALUES = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-300, 300)),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf]),
+)
+
+
 def assert_same_dict(got, expected):
     assert got == expected
     assert list(got) == list(expected)
@@ -87,6 +99,19 @@ class TestParityWithReference:
     def test_group_by_condition_on_presets(self, preset):
         table = generate_study(PRESETS[preset])
         assert_same_dict(group_by_condition(table), group_by_condition_reference(list(table)))
+
+    def test_cell_means_near_the_float_limit(self):
+        trial = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
+                      1.0e308, 0.01, 0, True)
+        finite = [replace(trial, trial_index=i, movement_time_s=v)
+                  for i, v in enumerate((1.5e308, 1.0e307, -1.0e308, 1.0e308))]
+        assert_same_dict(group_by_condition(finite), group_by_condition_reference(finite))
+        overflowing = [trial, replace(trial, trial_index=1)]
+        with pytest.raises(OverflowError):
+            group_by_condition_reference(overflowing)  # statistics.fmean has no value
+        with pytest.raises(ValueError, match=r"^movement_time_s overflows when summed over "
+                                             r"cell RPRG/Sitting W=0.2 D=3.0 H=0.0$"):
+            group_by_condition(overflowing)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("pooled", [False, True])
@@ -221,6 +246,32 @@ class TestSampleSd:
         got = trials_module._cell_sds(np.concatenate(cells), starts, counts)
         expected = [statistics.stdev(c.tolist()) if len(c) >= 2 else 0.0 for c in cells]
         assert got == expected
+
+    @given(st.lists(st.lists(SD_VALUES, min_size=1, max_size=12), min_size=1, max_size=8))
+    @settings(max_examples=200)
+    def test_cell_sds_exact_on_both_paths(self, cells):
+        counts = np.array([len(c) for c in cells])
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        values = np.array([v for c in cells for v in c])
+        expected = [0.0 if len(c) < 2 else sample_sd(c) for c in cells]
+        for cell, sd in zip(cells, expected):
+            if len(cell) >= 2 and all(map(math.isfinite, cell)):
+                assert sd == statistics.stdev(cell)
+        for rows_per_cell in (0, math.inf):  # int64 limbs, then one Python int per row
+            with mock.patch.object(trials_module, "_LIMB_ROWS_PER_CELL", rows_per_cell):
+                got = trials_module._cell_sds(values, starts, counts)
+            assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+    def test_cell_of_more_than_2_to_21_rows(self):
+        """Mantissas with (nearly) every bit set: in 21-bit limbs, the product
+        sums of this cell would overflow int64."""
+        n = 2 ** 21 + 2 ** 10
+        values = [2.0 ** 53 - 1] * n
+        values[::1000] = [2.0 ** 53 - 3] * len(values[::1000])
+        values[1::1000] = [2.0 ** 52 + 1] * len(values[1::1000])
+        expected = sample_sd(values)
+        got = trials_module._cell_sds(np.array(values), np.array([0]), np.array([n]))
+        assert got == [expected]
 
     def test_non_finite_gives_nan(self):
         assert math.isnan(sample_sd([1.0, math.inf]))
