@@ -14,7 +14,7 @@ from .comparison import (
     MODEL_ORDER,
     compare_models,
     group_summaries,
-    parse_records,
+    parse_compare_records,
     render_records,
     render_table,
     table1_cells,
@@ -183,7 +183,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        reports = parse_records(fh.read())
+        reports = parse_compare_records(fh.read())
     _emit(render_table(reports), args.output)
     return EXIT_OK
 

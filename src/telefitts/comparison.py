@@ -183,6 +183,8 @@ def compare_models(
     """Fit every model on one group's condition means and grade the deltas.
 
     The response vector is shared across models; only the predictors differ.
+    A fit whose sums of squares overflow raises ValueError naming the group,
+    the amplitude mode and the model.
     """
     if len(summaries) < _MIN_CELLS:
         raise ValueError(
@@ -192,7 +194,11 @@ def compare_models(
     fits: dict[ModelKind, FitResult] = {}
     for kind in MODEL_ORDER:
         rows = rows_for_model(kind, summaries, amplitude_mode)
-        fits[kind] = ols_fit(rows)
+        try:
+            fits[kind] = ols_fit(rows)
+        except OverflowError as exc:
+            raise ValueError(f"group {group_label!r} ({amplitude_mode.value}): the "
+                             f"{kind.value} fit's {exc}") from None
     return build_report(group_label, amplitude_mode, fits)
 
 
@@ -429,7 +435,40 @@ def parse_records(text: str) -> list[ComparisonReport]:
     describe, or differs from its rebuilt record; on a group without all
     four models or one shared n; and on a stream with no records.
     """
+    return _parse_records(text)[0]
+
+
+def parse_compare_records(text: str) -> list[ComparisonReport]:
+    """:func:`parse_records` for a stream that ``compare`` could have written:
+    for each amplitude mode it holds, in AmplitudeMode order, every group of
+    TABLE_GROUPS in that order, each as its four records in MODEL_ORDER.
+    Raises ValueError naming the first record out of that place, or the
+    first one missing at the end of the stream.
+    """
+    reports, layout = _parse_records(text)
+    modes = [m for m in AmplitudeMode if any(mode is m for _, mode, _, _ in layout)]
+    expected = [(m, g, k) for m in modes for g in TABLE_GROUPS for k in MODEL_ORDER]
+
+    def name(mode: AmplitudeMode, group: str, kind: ModelKind) -> str:
+        return f"the {kind.value} record of group {group!r} ({mode.value})"
+
+    for (line_no, *got), want in zip(layout, expected):
+        if tuple(got) != want:
+            raise ValueError(f"record on line {line_no}: compare writes {name(*want)} here, "
+                             f"not {name(*got)}")
+    if len(layout) < len(expected):
+        raise ValueError(f"the stream ends on line {layout[-1][0]}, before "
+                         f"{name(*expected[len(layout)])} that compare writes next")
+    return reports
+
+
+def _parse_records(
+    text: str,
+) -> tuple[list[ComparisonReport], list[tuple[int, AmplitudeMode, str, ModelKind]]]:
+    """The reports of :func:`parse_records`, and the line number, mode,
+    group and model of each record in stream order."""
     groups: dict[tuple[str, AmplitudeMode], dict[ModelKind, tuple]] = {}
+    layout = []
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -445,6 +484,7 @@ def parse_records(text: str) -> list[ComparisonReport]:
             raise ValueError(f"{where} repeats the {kind.value} record of group "
                              f"{group!r} ({mode.value}) on line {models[kind][0]}")
         models[kind] = (line_no, line, rec, values)
+        layout.append((line_no, mode, group, kind))
     if not groups:
         raise ValueError("the record stream holds no records")
 
@@ -481,4 +521,4 @@ def parse_records(text: str) -> list[ComparisonReport]:
                 raise ValueError(f"record on line {line_no}: field {name!r} is {got}, "
                                  f"but its fits give {wanted}")
         reports.append(report)
-    return reports
+    return reports, layout

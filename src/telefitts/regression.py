@@ -217,7 +217,11 @@ def _factor(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray
 
 
 def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
-    """Least-squares fit with intercept and the full diagnostic set."""
+    """Least-squares fit with intercept and the full diagnostic set.
+
+    Raises OverflowError, and emits no numpy warning, when the residual or
+    total sum of squares overflows (a response near the float limit).
+    """
     if not rows:
         raise ValueError("no observations")
     x, y = _design_matrix(rows)
@@ -226,11 +230,15 @@ def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     if n < p + 2:
         raise ValueError(f"need at least p + 2 = {p + 2} observations, got {n}")
     q, r = _factor(x.shape, x.tobytes())
-    coef = np.linalg.solve(r, q.T @ y)
-    resid = y - x @ coef
-    rss = float(resid @ resid)
-    ybar = float(np.mean(y))
-    tss = float(np.sum((y - ybar) ** 2))
+    with np.errstate(all="ignore"):  # a response near the float limit: raised below
+        coef = np.linalg.solve(r, q.T @ y)
+        resid = y - x @ coef
+        rss = float(resid @ resid)
+        ybar = float(y.sum()) / n  # np.mean's sum and division
+        tss = float(((y - ybar) ** 2).sum())
+    for name, value in (("residual", rss), ("total", tss)):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} sum of squares overflows to {value}")
 
     if tss == 0.0:
         r2 = 1.0  # constant response: the intercept alone is a perfect fit

@@ -3,6 +3,7 @@ last-moment rollback that cancels confirmation-gesture spikes."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -18,26 +19,34 @@ def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
     State per channel is (value, velocity). The six channels (three position
     axes, three direction components) share one noise model, so one gain
     sequence, computed from the time steps alone, serves all; each channel is
-    then one O(T) pass. Directions are renormalized to unit length after
-    filtering. The filter starts at the first sample with zero velocity, so a
-    constant trace passes through untouched.
+    then one O(T) pass. The gains are cached per (time steps, process noise,
+    measurement noise), as the QR factors of a design are: every trace
+    sampled on the same grid reuses them. Directions are renormalized to unit
+    length after filtering. The filter starts at the first sample with zero
+    velocity, so a constant trace passes through untouched. The result shares
+    the input's times and pinch; only its new columns are checked.
     """
     if not all(math.isfinite(v) and v > 0 for v in (process_noise, measurement_noise)):
         raise ValueError("noise parameters must be positive and finite")
     trace = HandTrace.from_samples(trace)
     if not len(trace):
         return trace
-    gains = _kalman_gains(np.diff(trace.t_s).tolist(), process_noise, measurement_noise)
-    channels = np.hstack([trace.position_m, trace.direction]).T.tolist()
-    out = np.array([_filter_channel(z, gains) for z in channels]).T
-    return HandTrace(trace.t_s, out[:, :3], _unit(out[:, 3:]), trace.pinch)
+    gains = _kalman_gains(np.diff(trace.t_s).tobytes(), float(process_noise),
+                          float(measurement_noise)).tolist()
+    channels = trace.position_m.T.tolist() + trace.direction.T.tolist()
+    out = np.array([_filter_channel(z, *gains) for z in channels], dtype=float).T
+    return trace._with_motion(out[:, :3], _unit(out[:, 3:]))
 
 
-def _kalman_gains(dts: list[float], q: float, r: float) -> list[tuple[float, float, float]]:
-    """(dt, position gain, velocity gain) per step of the Riccati recursion
-    for a scalar position measurement, from P0 = diag(r, 1)."""
+@functools.lru_cache(maxsize=8)
+def _kalman_gains(steps: bytes, q: float, r: float) -> np.ndarray:
+    """Read-only (3, T - 1) rows dt, position gain and velocity gain per step
+    of the Riccati recursion for a scalar position measurement, from
+    P0 = diag(r, 1), for the float64 time steps in ``steps``. The recursion
+    never sees the data, so a grid seen before costs one lookup."""
     p00, p01, p10, p11 = r, 0.0, 0.0, 1.0
-    gains = []
+    dts = np.frombuffer(steps).tolist()
+    k0s, k1s = [], []
     for dt in dts:
         # predict: P = F P F' + Q with F = [[1, dt], [0, 1]]
         a, b = p00 + dt * p10, p01 + dt * p11
@@ -48,14 +57,18 @@ def _kalman_gains(dts: list[float], q: float, r: float) -> list[tuple[float, flo
         # update: K = P H' / (H P H' + r), P = (I - K H) P
         k0, k1 = p00 / (p00 + r), p10 / (p00 + r)
         p00, p01, p10, p11 = p00 - k0 * p00, p01 - k0 * p01, p10 - k1 * p00, p11 - k1 * p01
-        gains.append((dt, k0, k1))
+        k0s.append(k0)
+        k1s.append(k1)
+    gains = np.array([dts, k0s, k1s], dtype=float)
+    gains.flags.writeable = False
     return gains
 
 
-def _filter_channel(z: list[float], gains: list[tuple[float, float, float]]) -> list[float]:
+def _filter_channel(z: list[float], dts: list[float], k0s: list[float],
+                    k1s: list[float]) -> list[float]:
     x, v = z[0], 0.0
     out = [x]
-    for (dt, k0, k1), measured in zip(gains, z[1:]):
+    for dt, k0, k1, measured in zip(dts, k0s, k1s, z[1:]):
         x = x + dt * v
         innovation = measured - x
         x, v = x + k0 * innovation, v + k1 * innovation
@@ -64,10 +77,12 @@ def _filter_channel(z: list[float], gains: list[tuple[float, float, float]]) -> 
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """``v`` scaled to unit length along its last axis; near-zero vectors become +z."""
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    """(T, 3) ``v`` scaled to unit length along its rows; near-zero rows become +z."""
+    norm = np.sqrt((v * v).sum(axis=1, keepdims=True))  # as np.linalg.norm computes it
     small = norm < 1e-12
-    return np.where(small, np.array([0.0, 0.0, 1.0]), v / np.where(small, 1.0, norm))
+    if small.any():
+        return np.where(small, np.array([0.0, 0.0, 1.0]), v / np.where(small, 1.0, norm))
+    return v / norm
 
 
 def spike_compensate(
@@ -92,15 +107,23 @@ def spike_compensate(
 
 
 def sample_at(trace: Sequence[HandSample], t_s: float) -> HandSample:
-    """Linearly interpolated sample at ``t_s``, clamped to the trace span."""
+    """Linearly interpolated sample at ``t_s``, clamped to the trace span
+    (so +-inf give the last and first samples; NaN is rejected)."""
     trace = HandTrace.from_samples(trace)
+    if not len(trace):
+        raise ValueError("empty trace")
+    if math.isnan(t_s):
+        raise ValueError(f"cannot sample a trace at time t_s = {t_s}")
     if t_s <= trace.t_s[0]:
         return trace[0]
     if t_s >= trace.t_s[-1]:
         return trace[-1]
     hi = int(np.searchsorted(trace.t_s, t_s, side="right"))
     lo = hi - 1
-    w = (t_s - trace.t_s[lo]) / (trace.t_s[hi] - trace.t_s[lo])
+    t_lo, t_hi = trace.t_s[lo:hi + 1].tolist()
+    w = (t_s - t_lo) / (t_hi - t_lo)
     pos = trace.position_m[lo] * (1 - w) + trace.position_m[hi] * w
-    direction = _unit(trace.direction[lo] * (1 - w) + trace.direction[hi] * w)
+    x, y, z = (trace.direction[lo] * (1 - w) + trace.direction[hi] * w).tolist()
+    norm = math.sqrt(x * x + y * y + z * z)  # summed in np.linalg.norm's order
+    direction = np.array([0.0, 0.0, 1.0] if norm < 1e-12 else [x / norm, y / norm, z / norm])
     return HandSample(t_s, pos, direction, bool(trace.pinch[lo]))

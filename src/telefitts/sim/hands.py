@@ -14,6 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _UNIT_TOL = 1e-9
+_NOT_FINITE = "hand trace times, positions and directions must be finite"
+
+
+def _check_motion(position_m: np.ndarray, direction: np.ndarray) -> None:
+    """The rules for a trace's (T, 3) float positions and directions: all
+    finite, and every direction of unit length."""
+    if not (np.isfinite(position_m).all() and np.isfinite(direction).all()):
+        raise ValueError(_NOT_FINITE)
+    norm = np.sqrt((direction * direction).sum(axis=1))  # as np.linalg.norm computes it
+    if not np.abs(norm - 1.0).max(initial=0.0) <= _UNIT_TOL:
+        raise ValueError("directions must be unit length")
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A read-only view of ``column``; the caller's array stays writeable."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -26,9 +44,9 @@ class HandSample:
     def __post_init__(self) -> None:
         self.position_m = np.asarray(self.position_m, dtype=float)
         self.direction = np.asarray(self.direction, dtype=float)
-        norm = float(np.linalg.norm(self.direction))
         if not (self.position_m.shape == self.direction.shape == (3,) and math.isfinite(self.t_s)
-                and np.isfinite(self.position_m).all() and abs(norm - 1.0) <= _UNIT_TOL):
+                and all(map(math.isfinite, self.position_m.tolist()))
+                and abs(math.hypot(*self.direction.tolist()) - 1.0) <= _UNIT_TOL):
             raise ValueError(f"a hand sample needs a finite time and position and a unit "
                              f"direction (3-vectors), got {self}")
 
@@ -42,23 +60,35 @@ class HandTrace(Sequence):
     """
 
     def __init__(self, t_s, position_m, direction, pinch=None) -> None:
-        t_s, position_m, direction = (
-            np.asarray(c, dtype=float) for c in (t_s, position_m, direction))
+        t_s = np.asarray(t_s, dtype=float)
+        position_m = np.asarray(position_m, dtype=float)
+        direction = np.asarray(direction, dtype=float)
         pinch = np.zeros(t_s.shape, dtype=bool) if pinch is None else np.asarray(pinch, dtype=bool)
         if t_s.ndim != 1 or pinch.shape != t_s.shape \
                 or not position_m.shape == direction.shape == (len(t_s), 3):
             raise ValueError("a hand trace needs times and pinch (T,), "
                              "positions and directions (T, 3)")
-        if not all(np.isfinite(col).all() for col in (t_s, position_m, direction)):
-            raise ValueError("hand trace times, positions and directions must be finite")
-        if not (np.abs(np.linalg.norm(direction, axis=1) - 1.0) <= _UNIT_TOL).all():
-            raise ValueError("directions must be unit length")
+        if not np.isfinite(t_s).all():
+            raise ValueError(_NOT_FINITE)
+        _check_motion(position_m, direction)
         if not (t_s[1:] > t_s[:-1]).all():
             raise ValueError("timestamps must be strictly increasing")
-        self.t_s, self.position_m, self.direction, self.pinch = (
-            col.view() for col in (t_s, position_m, direction, pinch))
-        for col in self.columns:
-            col.flags.writeable = False
+        self.t_s, self.position_m = _read_only(t_s), _read_only(position_m)
+        self.direction, self.pinch = _read_only(direction), _read_only(pinch)
+
+    @classmethod
+    def _of_checked(cls, t_s, position_m, direction, pinch) -> "HandTrace":
+        """A trace of read-only columns that already pass the checks."""
+        trace = object.__new__(cls)
+        trace.t_s, trace.position_m, trace.direction, trace.pinch = t_s, position_m, direction, pinch
+        return trace
+
+    def _with_motion(self, position_m: np.ndarray, direction: np.ndarray) -> "HandTrace":
+        """This trace's times and pinch with new (T, 3) float positions and
+        directions; only the new columns are checked."""
+        _check_motion(position_m, direction)
+        return HandTrace._of_checked(self.t_s, _read_only(position_m), _read_only(direction),
+                                     self.pinch)
 
     @classmethod
     def from_samples(cls, samples: Sequence[HandSample]) -> "HandTrace":
@@ -81,9 +111,7 @@ class HandTrace(Sequence):
             columns = [col[index] for col in self.columns]
             if (index.step or 1) < 0:  # reversed times, which the checks reject
                 return HandTrace(*columns)
-            view = object.__new__(HandTrace)  # read-only, in-order slices of checked arrays
-            view.t_s, view.position_m, view.direction, view.pinch = columns
-            return view
+            return HandTrace._of_checked(*columns)  # read-only, in-order slices
         i = range(len(self))[index]
         return HandSample(float(self.t_s[i]), self.position_m[i].copy(),
                           self.direction[i].copy(), bool(self.pinch[i]))
@@ -114,6 +142,15 @@ def _sample_times(duration_s: float, sample_rate_hz: float) -> np.ndarray:
     return np.arange(int(round(duration_s * sample_rate_hz)) + 1) / sample_rate_hz
 
 
+def _pinch_column(t: np.ndarray, pinch_at_s: float | None) -> np.ndarray | None:
+    """Pinch closed from ``pinch_at_s`` onward; None (never) when it is None."""
+    if pinch_at_s is None:
+        return None
+    if math.isnan(pinch_at_s):
+        raise ValueError(f"pinch_at_s must be a time or None, got {pinch_at_s}")
+    return t >= pinch_at_s
+
+
 def synth_hand_trace(
     from_point_m: np.ndarray,
     to_point_m: np.ndarray,
@@ -126,21 +163,25 @@ def synth_hand_trace(
 ) -> HandTrace:
     """Point-to-point reach with a minimum-jerk profile plus Gaussian tremor.
 
-    Deterministic per seed. ``pinch_at_s`` closes the index finger from that
-    time onward, producing a single rising edge.
+    Deterministic per seed. ``direction`` (default +z) is scaled to unit
+    length; it must be a finite, non-zero 3-vector. ``pinch_at_s`` closes the
+    index finger from that time onward, producing a single rising edge.
     """
     if not (math.isfinite(tremor_sd_m) and tremor_sd_m >= 0):
         raise ValueError(f"tremor_sd_m must be finite and non-negative, got {tremor_sd_m}")
     t = _sample_times(duration_s, sample_rate_hz)
+    pinch = _pinch_column(t, pinch_at_s)
+    aim = np.asarray((0.0, 0.0, 1.0) if direction is None else direction, dtype=float)
+    norm = float(np.linalg.norm(aim)) if aim.shape == (3,) else math.nan
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(f"direction must be a finite, non-zero 3-vector, got {direction}")
     start = np.asarray(from_point_m, dtype=float)
     end = np.asarray(to_point_m, dtype=float)
-    direction = np.asarray((0.0, 0.0, 1.0) if direction is None else direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
     tau = np.minimum(t / duration_s, 1.0)
     pos = start + (end - start) * minimum_jerk_profile(tau)[:, None]
     if tremor_sd_m > 0:
         pos = pos + np.random.default_rng(seed).normal(0.0, tremor_sd_m, size=pos.shape)
-    return HandTrace(t, pos, np.broadcast_to(direction, pos.shape), None if pinch_at_s is None else t >= pinch_at_s)
+    return HandTrace(t, pos, (aim / norm)[None].repeat(len(t), axis=0), pinch)
 
 
 @dataclass
@@ -153,5 +194,6 @@ class StationaryHand:
     def trace(self, duration_s: float, sample_rate_hz: float = 100.0,
               pinch_at_s: float | None = None) -> HandTrace:
         t = _sample_times(duration_s, sample_rate_hz)
-        return HandTrace(t, np.broadcast_to(self.position_m, (len(t), 3)),
-                         np.broadcast_to(self.direction, (len(t), 3)), None if pinch_at_s is None else t >= pinch_at_s)
+        position = np.asarray(self.position_m, dtype=float)[None].repeat(len(t), axis=0)
+        direction = np.asarray(self.direction, dtype=float)[None].repeat(len(t), axis=0)
+        return HandTrace(t, position, direction, _pinch_column(t, pinch_at_s))

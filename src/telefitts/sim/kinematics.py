@@ -17,13 +17,19 @@ def parabola_landing(
 
     Solves origin_y + v_y*t - g*t^2/2 = landing_height for the largest real
     non-negative root; x and z travel linearly. Returns None when the arc
-    never reaches the requested height (apex below the plane).
+    never reaches the requested height (apex below the plane). Raises
+    ValueError unless the origin and velocity are finite 3-vectors and the
+    gravity and landing height finite, and when the landing overflows.
     """
-    if not gravity_m_s2 > 0:
-        raise ValueError(f"gravity must be positive, got {gravity_m_s2}")
+    if not (math.isfinite(gravity_m_s2) and gravity_m_s2 > 0):
+        raise ValueError(f"gravity must be positive and finite, got {gravity_m_s2}")
     origin = np.asarray(origin_m, dtype=float)
     vel = np.asarray(velocity_m_s, dtype=float)
-    oy, vy = float(origin[1]), float(vel[1])
+    if not (origin.shape == vel.shape == (3,) and math.isfinite(landing_height_m)
+            and all(map(math.isfinite, origin.tolist() + vel.tolist()))):
+        raise ValueError(f"the arc needs a finite origin, velocity (3-vectors) and landing "
+                         f"height, got {origin_m}, {velocity_m_s} and {landing_height_m}")
+    (ox, oy, oz), (vx, vy, vz) = origin.tolist(), vel.tolist()
     g = float(gravity_m_s2)
     # g/2 t^2 - vy t + (h - oy) = 0
     disc = vy * vy - 2.0 * g * (landing_height_m - oy)
@@ -32,8 +38,11 @@ def parabola_landing(
     t = (vy + math.sqrt(disc)) / g
     if t < 0:
         return None
-    landing = np.array([origin[0] + vel[0] * t, landing_height_m, origin[2] + vel[2] * t])
-    return landing, t
+    x, z = ox + vx * t, oz + vz * t
+    if not (math.isfinite(x) and math.isfinite(z)):  # t too: x or z is then not finite
+        raise ValueError(f"the arc from {origin_m} at {velocity_m_s} lands beyond the "
+                         f"float range")
+    return np.array([x, landing_height_m, z]), t
 
 
 def sphere_hit_test(

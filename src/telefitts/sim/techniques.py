@@ -220,7 +220,9 @@ def run_trial(
         confirmations: Iterable[int] = (i for i, fired in events if fired)
     else:
         pinch = hands[config.confirm_hand].pinch
-        confirmations = np.flatnonzero(pinch & ~np.r_[False, pinch[:-1]]).tolist()
+        rising = pinch.copy()  # a pinch held from the first sample is an edge there
+        rising[1:] &= ~pinch[:-1]
+        confirmations = np.flatnonzero(rising).tolist()
 
     error_attempts = 0
     for i in confirmations:
@@ -238,7 +240,7 @@ def run_trial(
                     error_attempts=error_attempts,
                     success=True,
                     realized_amplitude_m=float(np.linalg.norm(point - scene.start_cube_center())),
-                    selection_point_m=tuple(float(v) for v in point),
+                    selection_point_m=tuple(point.tolist()),
                 )
         error_attempts += 1
     return None

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -262,6 +263,21 @@ class TestInputBoundary:
             assert ("error: movement_time_s overflows when summed over cell RPRG/Sitting "
                     in self._one_line_error(capsys))
 
+    def test_residual_overflow_exits_2_naming_the_group(self, tmp_path, capsys):
+        """Cell sums stay finite, but the fits' squared residuals overflow."""
+        cfg = tmp_path / "offset.yaml"
+        cfg.write_text("preset: realistic\nseed: 3\nparticipants: 1\n"
+                       "technique_offsets_s: {RPRG: 1.0e307}\n")
+        log = str(tmp_path / "l.csv")
+        assert main(["simulate", "--input", str(cfg), "--output", log]) == 0
+        capsys.readouterr()
+        for command, group in (("compare", "RPRG"), ("fit", "All")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+                assert main([command, "--input", log]) == 2
+            assert (f"error: group '{group}' (euclidean): the Standard fit's residual sum "
+                    f"of squares overflows to inf" in self._one_line_error(capsys))
+
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "deep.yaml"
         cfg.write_text("seed: 3\nparticipants: " + "[" * 5000 + "]" * 5000 + "\n")
@@ -450,6 +466,50 @@ class TestInputBoundary:
         records.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["report", "--input", str(records)]) == 2
         assert "record on line 3: invalid JSON" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("layout, message", [
+        ("all-first", "record on line 1: compare writes the Standard record of group 'RPRG' "
+                      "(euclidean) here, not the Standard record of group 'All' (euclidean)"),
+        ("all-only", "record on line 1: compare writes the Standard record of group 'RPRG' "
+                     "(euclidean) here, not the Standard record of group 'All' (euclidean)"),
+        ("models-swapped", "record on line 1: compare writes the Standard record of group "
+                           "'RPRG' (euclidean) here, not the TwoPart record"),
+        ("all-missing", "the stream ends on line 28, before the Standard record of group "
+                        "'All' (euclidean) that compare writes next"),
+        ("depth-first", "record on line 1: compare writes the Standard record of group "
+                        "'RPRG' (euclidean) here, not the Standard record of group 'RPRG' "
+                        "(depth)"),
+    ])
+    def test_report_rejects_a_layout_compare_never_writes(
+        self, records_lines, tmp_path, capsys, layout, message
+    ):
+        """Each record is valid and each group complete; only the order or
+        the set of groups differs from what compare writes."""
+        lines = list(records_lines)
+        if layout == "all-first":
+            lines = lines[-4:] + lines[:-4]
+        elif layout == "all-only":
+            lines = lines[-4:]
+        elif layout == "models-swapped":
+            lines[0], lines[1] = lines[1], lines[0]
+        elif layout == "all-missing":
+            lines = lines[:-4]
+        elif layout == "depth-first":
+            depth = [line.replace('"amplitude_mode": "euclidean"', '"amplitude_mode": "depth"')
+                     for line in lines]
+            assert parse_records("\n".join(depth))  # a valid stream, were it not moved first
+            lines = depth[:4] + lines
+        records = tmp_path / "r.jsonl"
+        records.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--input", str(records)]) == 2
+        assert message in self._one_line_error(capsys)
+
+    def test_report_accepts_every_layout_compare_writes(self, small_log, tmp_path, capsys):
+        for mode in ("euclidean", "depth", "both"):
+            records = tmp_path / f"{mode}.jsonl"
+            assert main(["compare", "--input", small_log, "--output", str(records),
+                         "--format", "records", "--amplitude-mode", mode]) == 0
+            assert main(["report", "--input", str(records)]) == 0
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_report_on_empty_stream_exits_2(self, tmp_path, capsys, text):

@@ -2,10 +2,14 @@
 the per-sample reference implementations in ``oracles``."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from telefitts.sim.filters import _kalman_gains
 from telefitts.trials import Technique
 from telefitts.sim import (
     HandSample,
@@ -17,6 +21,7 @@ from telefitts.sim import (
     kalman_smooth,
     parabola_landing,
     run_trial,
+    sample_at,
     spike_compensate,
     synth_hand_trace,
 )
@@ -180,6 +185,34 @@ class TestSampleInputChecks:
         with pytest.raises(ValueError, match="sample_rate_hz"):
             synth_hand_trace(np.zeros(3), np.ones(3), 0.5, sample_rate_hz=rate)
 
+    @pytest.mark.parametrize("direction", [np.zeros(3), np.array([0.0, math.nan, 1.0]),
+                                           np.array([math.inf, 0.0, 1.0]), np.ones(2)])
+    def test_synth_rejects_bad_direction_by_name(self, direction):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by a zero norm first
+            with pytest.raises(ValueError, match="direction must be a finite, non-zero"):
+                synth_hand_trace(np.zeros(3), np.ones(3), 0.5, direction=direction)
+
+    def test_traces_reject_nan_pinch_time(self):
+        with pytest.raises(ValueError, match="pinch_at_s"):
+            synth_hand_trace(np.zeros(3), np.ones(3), 0.5, pinch_at_s=math.nan)
+        with pytest.raises(ValueError, match="pinch_at_s"):
+            StationaryHand().trace(0.5, pinch_at_s=math.nan)
+        never, always = (StationaryHand().trace(0.5, pinch_at_s=t).pinch
+                         for t in (math.inf, -math.inf))
+        assert not never.any() and always.all()
+
+    def test_sample_at_rejects_nan_and_empty_and_clamps_infinities(self):
+        trace = synth_hand_trace(np.zeros(3), np.ones(3), 1.0, tremor_sd_m=0.01, seed=2)
+        with pytest.raises(ValueError, match="t_s = nan"):
+            sample_at(trace, math.nan)
+        with pytest.raises(ValueError, match="empty trace"):
+            sample_at(trace[:0], 0.0)
+        for t, index in ((math.inf, -1), (-math.inf, 0)):
+            sample = sample_at(trace, t)
+            assert np.array_equal(sample.position_m, trace.position_m[index])
+            assert sample.t_s == trace.t_s[index]
+
     @pytest.mark.parametrize("field, value", [
         ("width_m", 0.0), ("width_m", -0.4), ("width_m", math.nan),
         ("distance_m", 0.0), ("distance_m", math.inf),
@@ -278,6 +311,16 @@ class TestParityWithPerSampleReference:
         assert want is not None and want.error_attempts >= 1
         assert_same_outcome(run_trial(config, scene, left, right, smooth), want)
 
+    @pytest.mark.parametrize("technique", [Technique.RPRG, Technique.RPLG])
+    def test_pinch_from_the_first_sample_confirms_there(self, technique):
+        scene = SceneSpec(target=TargetPlacement(0.8, 4.0, 0.0))
+        config = TechniqueConfig(technique)
+        pointer = synth_hand_trace(HAND_M, HAND_M, 0.5, direction=aim(scene), pinch_at_s=0.0)
+        other = StationaryHand().trace(0.5, pinch_at_s=0.0)
+        want = run_trial_reference(config, scene, list(other), list(pointer))
+        assert want is not None and want.movement_time_s == 0.0
+        assert_same_outcome(run_trial(config, scene, other, pointer), want)
+
     def test_spike_rollback_on_a_trace_prefix(self):
         trace = synth_hand_trace(np.zeros(3), np.ones(3), 1.0, seed=0)
         for confirm in (0.0, 0.05, 0.333, 0.5, 1.0):
@@ -286,6 +329,64 @@ class TestParityWithPerSampleReference:
                 want = spike_compensate(list(trace), confirm, lookback)
                 assert got.t_s == want.t_s
                 assert np.array_equal(got.position_m, want.position_m)
+
+
+class TestKalmanGainCache:
+    """The gains are cached per (time steps, q, r); no entry may serve
+    another key, and the smoothed trace reuses its input's checked columns."""
+
+    @staticmethod
+    def _samples(t, seed):
+        rng = np.random.default_rng(seed)
+        pos = np.cumsum(rng.normal(0, 0.01, (len(t), 3)), axis=0)
+        d = np.array([0.2, 0.1, 1.0]) + np.cumsum(rng.normal(0, 0.02, (len(t), 3)), axis=0)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return HandTrace(t, pos, d, rng.random(len(t)) < 0.5)
+
+    @settings(max_examples=40)
+    @given(steps=st.lists(st.floats(0.004, 0.03), min_size=2, max_size=40),
+           prefix=st.integers(1, 40), jitter=st.floats(1e-9, 1e-4),
+           noises=st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(-5.0, -2.0)),
+                           min_size=2, max_size=2, unique=True))
+    def test_interleaved_grids_match_the_reference(self, steps, prefix, jitter, noises):
+        t = np.cumsum(steps)
+        jittered = t + jitter * np.arange(len(t)) ** 2 / len(t)  # every step longer
+        grids = [t[:min(prefix, len(t))], t, jittered]  # a prefix first, then its grid
+        _kalman_gains.cache_clear()
+        for round_ in range(2):  # the second round is served from the cache
+            for q, log_r in noises:
+                for grid in grids:
+                    trace = self._samples(grid, seed=round_)
+                    got = kalman_smooth(trace, q, 10.0 ** log_r)
+                    want = kalman_smooth_reference(list(trace), q, 10.0 ** log_r)
+                    assert np.abs(got.position_m - [s.position_m for s in want]).max() <= 1e-12
+                    assert np.abs(got.direction - [s.direction for s in want]).max() <= 1e-12
+
+    def test_repeated_grids_hit_the_cache(self):
+        t = np.arange(50) / 90.0
+        _kalman_gains.cache_clear()
+        for seed in range(3):
+            kalman_smooth(self._samples(t, seed), 25.0, 1e-3)
+        assert _kalman_gains.cache_info()[:2] == (2, 1)  # (hits, misses)
+        kalman_smooth(self._samples(t, 0), 25.0, 2e-3)
+        kalman_smooth(self._samples(t[:-1], 0), 25.0, 1e-3)
+        assert _kalman_gains.cache_info()[:2] == (2, 3)
+
+    def test_smoothed_trace_shares_times_and_pinch_read_only(self):
+        trace = self._samples(np.arange(30) / 100.0, seed=4)
+        out = kalman_smooth(trace)
+        assert out.t_s is trace.t_s and out.pinch is trace.pinch
+        for column in out.columns:
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_overflowing_filter_output_is_rejected(self):
+        t = np.arange(6) / 100.0
+        pos = np.zeros((6, 3))
+        pos[::2, 0], pos[1::2, 0] = 1e308, -1e308
+        trace = HandTrace(t, pos, np.tile(FORWARD, (6, 1)))
+        with pytest.raises(ValueError, match="positions and directions must be finite"):
+            kalman_smooth(trace)
 
 
 def test_long_trace_is_linear_time(deadline):

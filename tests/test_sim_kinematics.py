@@ -72,6 +72,22 @@ class TestParabolaLanding:
             with pytest.raises(ValueError):
                 parabola_landing(np.zeros(3), np.ones(3), gravity, 0.0)
 
+    @pytest.mark.parametrize("origin, velocity, height", [
+        ([0.0, np.nan, 0.0], [0.0, 3.0, 6.0], 0.0),
+        ([np.inf, 1.5, 0.0], [0.0, 3.0, 6.0], 0.0),
+        ([0.0, 1.5, 0.0], [np.nan, 3.0, 6.0], 0.0),
+        ([0.0, 1.5, 0.0], [0.0, 3.0, -np.inf], 0.0),
+        ([0.0, 1.5, 0.0], [0.0, 3.0, 6.0], np.nan),
+        ([0.0, 1.5, 0.0], [0.0, 3.0, 6.0], -np.inf),
+    ])
+    def test_rejects_non_finite_arcs(self, origin, velocity, height):
+        with pytest.raises(ValueError, match="finite origin, velocity"):
+            parabola_landing(np.array(origin), np.array(velocity), 9.81, height)
+
+    def test_rejects_a_landing_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            parabola_landing(np.array([0.0, 1.5, 0.0]), np.array([1e300, 1e200, 0.0]))
+
 
 class TestSphereHitTest:
     def test_center_hit(self):
