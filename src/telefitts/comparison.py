@@ -13,9 +13,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .models import (
     MODEL_SPECS,
@@ -25,7 +28,7 @@ from .models import (
     geometry_for_condition,
     predictors_for,
 )
-from .regression import FitResult, fit_result, ols_fit, partial_f
+from .regression import Design, FitResult, fit_result, ols_fit, partial_f
 from .trials import (
     ConditionKey,
     ConditionSummary,
@@ -133,33 +136,49 @@ class ComparisonReport:
         return (self.ranking_aic if criterion is Criterion.AIC else self.ranking_bic)[0]
 
 
-@functools.lru_cache(maxsize=1024)
-def _cell_predictors(kind: ModelKind, amplitude_mode: AmplitudeMode,
-                     width_m: float, distance_m: float, height_m: float) -> tuple[float, ...]:
-    """One model's predictors for one (W, D, H) cell; every report group of a
-    study repeats the same few cells. A geometry error is raised on every
-    call: an exception is not cached."""
-    g = geometry_for_condition(width_m, distance_m, height_m, amplitude_mode)
-    return predictors_for(kind, g)
+def _cell_rows(kind: ModelKind, amplitude_mode: AmplitudeMode,
+               cells: Sequence[tuple[float, float, float]],
+               responses: Sequence[float]) -> list[PredictorRow]:
+    """One model's plain rows over (W, D, H) cells, computed afresh; a
+    geometry error names the first bad cell."""
+    return [
+        PredictorRow(predictors_for(kind, geometry_for_condition(*cell, amplitude_mode)), y)
+        for cell, y in zip(cells, responses)
+    ]
 
 
-def _by_cell(item: tuple[ConditionKey, ConditionSummary]) -> tuple[float, float, float]:
-    key = item[0]
-    return key.width_m, key.distance_m, key.height_m
+@functools.lru_cache(maxsize=256)
+def _cell_design(kind: ModelKind, amplitude_mode: AmplitudeMode,
+                 cells: tuple[tuple[float, float, float], ...]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (x, q, r) of one model's design over sorted (W, D, H)
+    cells: every report group of a study repeats the same few designs. A
+    geometry error or a design that cannot be fitted raises on every call:
+    an exception is not cached."""
+    design = Design.from_rows(_cell_rows(kind, amplitude_mode, cells, [0.0] * len(cells)))
+    return design.x, design.q, design.r
+
+
+_geometry = operator.attrgetter("width_m", "distance_m", "height_m")
+_mean_mt = operator.attrgetter("mean_mt_s")
+_cell, _response = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def rows_for_model(
     kind: ModelKind,
     summaries: Mapping[ConditionKey, ConditionSummary],
     amplitude_mode: AmplitudeMode,
-) -> list[PredictorRow]:
-    return [
-        PredictorRow(
-            _cell_predictors(kind, amplitude_mode, key.width_m, key.distance_m, key.height_m),
-            summary.mean_mt_s,
-        )
-        for key, summary in sorted(summaries.items(), key=_by_cell)
-    ]
+) -> Design:
+    """One model's design over the cells in (W, D, H) order, cells of one
+    geometry in their given order, with the cell means as the response.
+    Raises the errors of ``Design.from_rows`` on the cells' rows, and
+    ValueError on a cell geometry the model cannot take."""
+    items = sorted(zip(map(_geometry, summaries), map(_mean_mt, summaries.values())), key=_cell)
+    cells, means = tuple(map(_cell, items)), list(map(_response, items))
+    if not all(map(math.isfinite, means)):  # raises, naming the first bad cell or row
+        return Design.from_rows(_cell_rows(kind, amplitude_mode, cells, means))
+    x, q, r = _cell_design(kind, amplitude_mode, cells)
+    return Design(x, np.array(means, dtype=float), q, r)
 
 
 def _deltas(values: Mapping[ModelKind, float]) -> dict[ModelKind, float]:

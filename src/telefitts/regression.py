@@ -7,12 +7,13 @@ infinity sentinels instead of meaningless log-ratios.
 
 A report fits many responses on few designs: every group of a study shares
 its (W, D, H) cells, so the four models' design matrices repeat from group
-to group. Each distinct design is factored and checked for collinearity
-once; later fits on the same design bytes reuse its cached, read-only
-factors. The fits stay bit-identical to factoring afresh, because the cache
-holds exactly what ``np.linalg.qr`` returns and the solve multiplies by
-``q.T`` as a view of it, as an uncached fit does (a contiguous copy of
-``q.T`` changes the rounding of the product).
+to group. A fit's input is a :class:`Design`, which holds the matrix, the
+response and the matrix's read-only QR factors. Plain rows are checked and
+factored once per distinct design: later rows with the same design bytes
+reuse the cached factors. The fits stay bit-identical to factoring afresh,
+because the cache holds exactly what ``np.linalg.qr`` returns and the solve
+multiplies by ``q.T`` as a view of it, as an uncached fit does (a contiguous
+copy of ``q.T`` changes the rounding of the product).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -216,20 +217,62 @@ def _factor(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray
     return q, r
 
 
+class Design(Sequence):
+    """A regression design held column-wise: the design matrix ``x`` (n, p + 1),
+    intercept column first, the response ``y`` (n,) and the QR factors
+    ``q``, ``r`` of ``x``, all read-only. As a ``Sequence[PredictorRow]`` it
+    builds a row only when indexed or iterated.
+
+    :meth:`from_rows` checks plain rows and factors their matrix;
+    ``comparison.rows_for_model`` builds a design from cached ``(x, q, r)``
+    and a new response, which is why the constructor trusts its factors.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, q: np.ndarray, r: np.ndarray):
+        x.flags.writeable = y.flags.writeable = False
+        self.x, self.y, self.q, self.r = x, y, q, r
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[PredictorRow]) -> "Design":
+        """The checked, factored design of plain rows; a design is returned
+        as is. Raises ValueError on no rows, on the first row of the wrong
+        length or with a non-finite value, and on fewer than p + 2 rows, and
+        CollinearPredictorsError on a rank-deficient matrix."""
+        if isinstance(rows, Design):
+            return rows
+        if not rows:
+            raise ValueError("no observations")
+        x, y = _design_matrix(rows)
+        n, cols = x.shape
+        if n < cols + 1:
+            raise ValueError(f"need at least p + 2 = {cols + 1} observations, got {n}")
+        return cls(x, y, *_factor(x.shape, x.tobytes()))
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return PredictorRow(tuple(self.x[i, 1:].tolist()), float(self.y[i]))
+
+    def __repr__(self) -> str:
+        return f"Design({len(self)} rows, {self.x.shape[1] - 1} predictors)"
+
+
 def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
-    """Least-squares fit with intercept and the full diagnostic set.
+    """Least-squares fit with intercept and the full diagnostic set, of plain
+    rows or of a :class:`Design` (see :meth:`Design.from_rows` for the
+    errors of the rows).
 
     Raises OverflowError, and emits no numpy warning, when the residual or
     total sum of squares overflows (a response near the float limit).
     """
-    if not rows:
-        raise ValueError("no observations")
-    x, y = _design_matrix(rows)
+    design = Design.from_rows(rows)
+    x, y, q, r = design.x, design.y, design.q, design.r
     n, cols = x.shape
     p = cols - 1
-    if n < p + 2:
-        raise ValueError(f"need at least p + 2 = {p + 2} observations, got {n}")
-    q, r = _factor(x.shape, x.tobytes())
     with np.errstate(all="ignore"):  # a response near the float limit: raised below
         coef = np.linalg.solve(r, q.T @ y)
         resid = y - x @ coef

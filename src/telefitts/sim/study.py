@@ -12,6 +12,7 @@ scripted-trace layer.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -314,6 +315,10 @@ def _cell_error(message: str, cell: tuple[float, float, float]) -> ConfigError:
 # --- config files -------------------------------------------------------
 
 _PRESETS = ("realistic", "model-exact", "custom")
+#: Floats with an exponent but without a dot or without an exponent sign,
+#: such as ``1e-3`` or ``1.0e308``: numbers in YAML 1.2, strings under
+#: PyYAML's YAML 1.1 rules, and the number fields take no strings.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
 
 
 def load_study_config(path: str, seed_override: int | None = None) -> StudyConfig:
@@ -354,6 +359,8 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
                     lines[key] = line
             super().flatten_mapping(node)
 
+    UniqueKeyLoader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                          list("-+.0123456789"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=UniqueKeyLoader)
@@ -425,22 +432,22 @@ def _yaml_problem(exc: Exception) -> str:
 
 
 def _config_int(name: str, value: object) -> int:
-    """An integer field; booleans and non-integral numbers are rejected
-    rather than truncated."""
-    message = f"{name} must be an integer, got {value!r}"
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(message)
-    try:
+    """An integer field: a YAML integer, or a float of integral value.
+    Booleans, strings and other numbers are rejected rather than coerced."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(message) from None
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _config_float(name: str, value: object) -> float:
+    """A number field: a YAML integer or float. Booleans and strings are
+    rejected rather than coerced."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer beyond the float range") from None
 
 
 def _parse_ground_truth(raw: object) -> GroundTruth:

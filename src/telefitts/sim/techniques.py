@@ -40,9 +40,8 @@ class TechniqueConfig:
     kalman_measurement_noise: float = 1e-4
 
     def __post_init__(self) -> None:
-        for name in [f.name for f in fields(self)][1:]:
+        for name, positive in _TECHNIQUE_CONFIG_CHECKS:
             value = getattr(self, name)
-            positive = name.startswith("kalman")  # kalman_smooth needs noise > 0
             if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
                 kind = "positive" if positive else "non-negative"
                 raise ValueError(f"{name} must be finite and {kind}, got {value}")
@@ -54,6 +53,13 @@ class TechniqueConfig:
     @property
     def confirm_hand(self) -> str | None:
         return _HANDS[self.technique][1]
+
+
+#: (field, must be positive) of each number TechniqueConfig checks: every
+#: field after the technique; kalman_smooth needs noise > 0.
+_TECHNIQUE_CONFIG_CHECKS = tuple(
+    (f.name, f.name.startswith("kalman")) for f in fields(TechniqueConfig)[1:]
+)
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,15 @@ class ConditionSummary:
     error_rate: float
 
 
+def _frozen(cls: type, **fields):
+    """An instance of the frozen dataclass ``cls`` holding these fields as
+    given, without its ``__init__`` and ``__post_init__``: for the group-by's
+    keys and summaries, whose levels are already quantized."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # --- exact sample standard deviation ------------------------------------
 
 #: Bits of the scaled radicand in _sqrt_of_ratio: twice the float precision
@@ -521,9 +530,10 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
 
     out: dict[ConditionKey, ConditionSummary] = {}
     for a, n, errs, technique, posture, w, d, h, sd_mt, sd_dev in cells:
-        key = ConditionKey(TECHNIQUES[technique], POSTURES[posture],
-                           widths[w], distances[d], heights[h])
-        out[key] = ConditionSummary(
+        key = _frozen(ConditionKey, technique=TECHNIQUES[technique], posture=POSTURES[posture],
+                      width_m=widths[w], distance_m=distances[d], height_m=heights[h])
+        out[key] = _frozen(
+            ConditionSummary,
             key=key,
             n_trials=n,
             mean_mt_s=_cell_mean(mts[a:a + n], "movement_time_s", key),
@@ -548,6 +558,8 @@ def _cell_mean(values: list[float], column: str, key: ConditionKey) -> float:
 
 
 _COLLAPSIBLE = ("technique", "posture")
+_summary_stats = operator.attrgetter("n_trials", "mean_mt_s", "sd_mt_s", "mean_deviation_m",
+                                     "sd_deviation_m", "error_rate")
 
 
 def collapse_over(
@@ -576,36 +588,30 @@ def collapse_over(
     for key, summary in summaries.items():
         technique, posture = key.technique, key.posture
         cell = (
-            TECHNIQUES.index(technique) if keep_technique and technique is not None else -1,
-            POSTURES.index(posture) if keep_posture and posture is not None else -1,
+            _TECHNIQUE_CODE[technique] if keep_technique and technique is not None else -1,
+            _POSTURE_CODE[posture] if keep_posture and posture is not None else -1,
             key.width_m, key.distance_m, key.height_m,
         )
         merged.setdefault(cell, []).append(summary)
 
     out: dict[ConditionKey, ConditionSummary] = {}
     for cell in sorted(merged):
-        technique, posture, *geometry = cell
-        key = ConditionKey(None if technique < 0 else TECHNIQUES[technique],
-                           None if posture < 0 else POSTURES[posture], *geometry)
-        cells = merged[cell]
-        n_total = sum(c.n_trials for c in cells)
+        technique, posture, width, distance, height = cell
+        key = _frozen(ConditionKey,
+                      technique=None if technique < 0 else TECHNIQUES[technique],
+                      posture=None if posture < 0 else POSTURES[posture],
+                      width_m=width, distance_m=distance, height_m=height)
+        ns, mts, sd_mts, devs, sd_devs, errs = zip(*map(_summary_stats, merged[cell]))
+        n_total = sum(ns)
+        w = [n / n_total for n in ns] if pooled else [1.0 / len(ns)] * len(ns)
+        mean_mt, mean_dev, err = (sum(map(operator.mul, w, column)) for column in (mts, devs, errs))
         if pooled:
-            w = [c.n_trials / n_total for c in cells]
+            sd_mt = _pooled_sd(ns, mts, sd_mts, mean_mt)
+            sd_dev = _pooled_sd(ns, devs, sd_devs, mean_dev)
         else:
-            w = [1.0 / len(cells)] * len(cells)
-        mean_mt = sum(wi * c.mean_mt_s for wi, c in zip(w, cells))
-        mean_dev = sum(wi * c.mean_deviation_m for wi, c in zip(w, cells))
-        err = sum(wi * c.error_rate for wi, c in zip(w, cells))
-        if pooled:
-            sd_mt = _pooled_sd([c.n_trials for c in cells], [c.mean_mt_s for c in cells],
-                               [c.sd_mt_s for c in cells], mean_mt)
-            sd_dev = _pooled_sd([c.n_trials for c in cells], [c.mean_deviation_m for c in cells],
-                                [c.sd_deviation_m for c in cells], mean_dev)
-        else:
-            sd_mt = sample_sd([c.mean_mt_s for c in cells]) if len(cells) >= 2 else 0.0
-            sd_dev = (sample_sd([c.mean_deviation_m for c in cells])
-                      if len(cells) >= 2 else 0.0)
-        out[key] = ConditionSummary(
+            sd_mt, sd_dev = (sample_sd(mts), sample_sd(devs)) if len(ns) >= 2 else (0.0, 0.0)
+        out[key] = _frozen(
+            ConditionSummary,
             key=key,
             n_trials=n_total,
             mean_mt_s=mean_mt,
@@ -755,7 +761,9 @@ def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dic
 #: Characters that send a whole log to the csv reader: a quote can change how
 #: lines split into records, numpy's tokenizer drops NUL, and it strips
 #: \x1c-\x1f around numbers where int() and float() do not. A carriage return
-#: does too, unless it is part of a \r\n line ending.
+#: does too, unless it is part of a \r\n line ending. So does a character
+#: beyond U+FFFF: numpy's loadtxt can crash the interpreter (a segmentation
+#: fault) while it words the error for a field that holds one.
 _CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 #: Lines that hold no row, for the csv reader as for numpy's tokenizer.
 _BLANK_LINES = ("\n", "\r\n")
@@ -794,9 +802,10 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
     """The log body parsed by ``np.loadtxt``, ``_CHUNK_ROWS`` lines at a time,
     with codes taken from each chunk's distinct text values; None wherever
     the csv reader must decide: a header other than the exact one, a log
-    with a ``_CSV_ONLY`` character or a carriage return that does not end a
-    ``\r\n`` line, a line longer than the csv field limit, a chunk that numpy
-    or a code lookup rejects, or a log with no rows."""
+    with a ``_CSV_ONLY`` character, a character beyond U+FFFF or a carriage
+    return that does not end a ``\r\n`` line, a line longer than the csv
+    field limit, a chunk that numpy or a code lookup rejects, or a log with
+    no rows."""
     if fh.readline() not in _HEADER_LINES:
         return None
     ids: dict[str, int] = {}
@@ -810,6 +819,7 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
             numbers = numbers[[text not in _BLANK_LINES for text in lines]]
         text = "".join(lines)
         if (any(c in text for c in _CSV_ONLY) or text.count("\r") != text.count("\r\n")
+                or not text.isascii() and max(text) > "\uffff"
                 or max(map(len, lines)) > csv.field_size_limit()):
             return None
         if not len(numbers):

@@ -80,13 +80,20 @@ def pinv_ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, float(resid @ resid)
 
 
-def uncached_cell_fit(kind, summaries, amplitude_mode):
-    """``ols_fit(rows_for_model(...))`` written as loops, computing every
-    cell's geometry and predictors and the design's QR afresh."""
+def uncached_cell_rows(kind, summaries, amplitude_mode):
+    """The rows of ``rows_for_model(...)`` as a list, each cell's geometry
+    and predictors computed afresh."""
     rows = []
     for key in sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m)):
         g = geometry_for_condition(key.width_m, key.distance_m, key.height_m, amplitude_mode)
         rows.append(PredictorRow(predictors_for(kind, g), summaries[key].mean_mt_s))
+    return rows
+
+
+def uncached_cell_fit(kind, summaries, amplitude_mode):
+    """``ols_fit(rows_for_model(...))`` written as loops, computing every
+    cell's geometry and predictors and the design's QR afresh."""
+    rows = uncached_cell_rows(kind, summaries, amplitude_mode)
     x = np.empty((len(rows), len(rows[0].predictors) + 1))
     x[:, 0] = 1.0
     for i, r in enumerate(rows):

@@ -297,13 +297,24 @@ class TestInputBoundary:
         "participants: 2.9",
         "seed: 2.5",
         "seed: false",
+        # booleans and strings are not numbers, though float() and int() take them
+        "mt_noise_sd_s: true",
+        "technique_offsets_s: {RPRG: yes}",
+        "endpoint_sd_fraction_of_width: '0_2'",
+        "seed: '1_0'",
+        "preset: model-exact\nground_truth: {model: Standard, coefficients: [true, 0.2]}",
+        pytest.param("mt_noise_sd_s: 1" + "0" * 400, id="integer-beyond-the-float-range"),
     ])
     def test_non_finite_or_mistyped_config_floats(self, tmp_path, capsys, line):
+        """The lines replace the keys they name in a good config (a repeated
+        key would exit 2 on its own); the error names the last line's key."""
+        fields = {"preset": "realistic", "participants": "1", "seed": "3"}
+        fields.update(entry.split(": ", 1) for entry in line.split("\n"))
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(f"preset: realistic\nparticipants: 1\nseed: 3\n{line}\n")
+        cfg.write_text("".join(f"{key}: {value}\n" for key, value in fields.items()))
         out = tmp_path / "l.csv"
         assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 2
-        assert line.split(":")[0] in self._one_line_error(capsys)
+        assert line.split("\n")[-1].split(":")[0] in self._one_line_error(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("text, where", [

@@ -11,6 +11,7 @@ from telefitts.trials import (
     IncompleteGridError,
     Posture,
     Technique,
+    group_by_condition,
 )
 from telefitts.models import (
     AmplitudeMode,
@@ -20,6 +21,7 @@ from telefitts.models import (
     predict_mt,
 )
 from telefitts import comparison, regression
+from telefitts.regression import ols_fit
 from telefitts.comparison import (
     TABLE_GROUPS,
     AicEvidence,
@@ -34,7 +36,7 @@ from telefitts.comparison import (
     table1_cells,
 )
 
-from oracles import uncached_cell_fit
+from oracles import uncached_cell_fit, uncached_cell_rows
 
 GRID = [
     (w, d, h) for w in (0.2, 1.35) for d in (3.0, 9.0) for h in (0.0, 3.0)
@@ -243,7 +245,7 @@ class TestRepeatedDesigns:
 
     @staticmethod
     def _clear_caches():
-        comparison._cell_predictors.cache_clear()
+        comparison._cell_design.cache_clear()
         regression._factor.cache_clear()
 
     def test_suite_fits_equal_uncached_fits_bit_for_bit(self):
@@ -288,6 +290,101 @@ class TestRepeatedDesigns:
             calls.update(rows_for_model=0, ols_fit=0)
             compare_models(summaries)
             assert calls == {"rows_for_model": 4, "ols_fit": 4}, cache
+
+
+class TestCellDesign:
+    """rows_for_model returns a read-only Design view on cached (x, q, r)."""
+
+    MODES = tuple(AmplitudeMode)
+
+    def test_design_is_read_only(self):
+        design = comparison.rows_for_model(ModelKind.PROPOSED,
+                                           summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)),
+                                           AmplitudeMode.EUCLIDEAN)
+        for array in (design.x, design.y, design.q, design.r):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(TypeError):
+            design[0] = design[1]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_equal_fresh_rows_and_fit_alike(self, kind, mode):
+        summaries = summaries_from_model(ModelKind.PROPOSED, (0.5, 0.8, 0.3), mode,
+                                         bump=[0.01 * (-1) ** i for i in range(8)])
+        summaries = dict(reversed(summaries.items()))  # rows come in (W, D, H) order
+        design = comparison.rows_for_model(kind, summaries, mode)
+        rows = uncached_cell_rows(kind, summaries, mode)
+        assert list(design) == rows and len(design) == 8
+        assert design[-1] == rows[-1] and design[2:5] == rows[2:5]
+        assert regression.Design.from_rows(design) is design
+        assert repr(ols_fit(design)) == repr(ols_fit(list(design))) == repr(ols_fit(rows))
+
+    def test_participant_sized_fits_equal_uncached_fits_bit_for_bit(self):
+        """One participant's 400 rows, as a list: every group, aggregation
+        and mode of a report."""
+        from telefitts.sim import generate_study, realistic_preset
+
+        table = generate_study(realistic_preset(20, 3))
+        rows = list(table[:400])
+        assert {t.participant_id for t in rows} == {table[0].participant_id}
+        summaries = group_by_condition(rows)
+        for pooled in (False, True):
+            for label in TABLE_GROUPS:
+                cells = comparison.group_summaries(summaries, label, pooled=pooled)
+                for mode in self.MODES:
+                    report = compare_models(cells, mode, label)
+                    for kind in ModelKind:
+                        want = uncached_cell_fit(kind, cells, mode)
+                        assert repr(report.fits[kind]) == repr(want), (label, pooled, mode, kind)
+
+    def test_second_comparison_hits_the_design_cache(self):
+        summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
+        comparison._cell_design.cache_clear()
+        compare_models(summaries)
+        cold = comparison._cell_design.cache_info()
+        compare_models(summaries)
+        warm = comparison._cell_design.cache_info()
+        assert (cold.hits, cold.misses, cold.currsize) == (0, 4, 4)
+        assert (warm.hits, warm.misses, warm.currsize) == (4, 4, 4)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"mean": math.nan, "at": 5}, "row 5 contains a non-finite value"),
+        ({"mean": math.inf, "at": 2}, "row 2 contains a non-finite value"),
+        # W = 1 mm at D = 1e306 m: A/W overflows, so the predictor is inf
+        ({"cell": (0.001, 1.0e306, 0.0)}, "row 0 contains a non-finite value"),
+    ], ids=["nan-mean", "inf-mean", "inf-predictor"])
+    def test_non_finite_row_raises_on_every_call(self, bad, message):
+        summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
+        keys = sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m))
+        if "mean" in bad:
+            key = keys[bad["at"]]
+            summaries[key] = ConditionSummary(key, 10, bad["mean"], 0.1, 0.05, 0.01, 0.0)
+        else:
+            key = ConditionKey(None, None, *bad["cell"])
+            summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
+        comparison._cell_design.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                compare_models(summaries)
+        assert comparison._cell_design.cache_info().currsize == 0
+
+    def test_collinear_or_short_design_raises_on_every_call(self):
+        comparison._cell_design.cache_clear()
+        # five techniques at one (W, D, H): every predictor is constant
+        cells = {}
+        for technique, mt in zip(Technique, (1.0, 0.6, 1.1, 0.5, 0.9)):
+            key = ConditionKey(technique, None, 0.2, 3.0, 0.0)
+            cells[key] = ConditionSummary(key, 10, mt, 0.1, 0.05, 0.01, 0.0)
+        for _ in range(2):
+            with pytest.raises(regression.CollinearPredictorsError):
+                compare_models(cells)
+        three = dict(list(summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)).items())[:3])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="need at least p \\+ 2 = 4 observations, got 3"):
+                ols_fit(comparison.rows_for_model(ModelKind.TWO_PART, three,
+                                                  AmplitudeMode.EUCLIDEAN))
+        assert comparison._cell_design.cache_info().currsize == 0  # nothing was cached
 
 
 class TestRendering:

@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from telefitts.comparison import render_records, render_table, run_table1_suite
 from telefitts.trials import _COLUMNS, Posture, Technique, write_trial_log
-from telefitts.models import ModelKind, geometry_for_condition, predict_mt
+from telefitts.models import AmplitudeMode, ModelKind, geometry_for_condition, predict_mt
+from telefitts.throughput import render_throughput_records, throughput_by_group
 from telefitts.sim import (
     ConfigError,
     GroundTruth,
@@ -172,6 +174,21 @@ class TestAgainstBlockByBlockGenerator:
         write_trial_log(table, str(tmp_path / "log.csv"))
         assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()[:16] == digest
 
+    def test_report_bytes_of_the_seed_1_study(self):
+        """The comparison records, table and throughput records of the seed-1
+        study keep their sha256 prefixes, which the benchmark records too."""
+        table = generate_study(realistic_preset(20, 1))
+        reports = [report for mode in AmplitudeMode for report in run_table1_suite(table, mode)]
+        outputs = {
+            "jsonl": render_records(reports),
+            "table": render_table(reports),
+            "throughput": render_throughput_records(throughput_by_group(table)),
+        }
+        digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+                   for name, text in outputs.items()}
+        assert digests == {"jsonl": "8cb67f114abe3bb4", "table": "3b34d5cffe32baa9",
+                           "throughput": "05f3616bd632b30e"}
+
     @pytest.mark.parametrize("config", [
         model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0),
         model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0,
@@ -234,6 +251,18 @@ class TestStudyConfigFile:
         assert config.seed == 12
         assert config.preset == "realistic"
         assert config.mt_noise_sd_s == pytest.approx(0.15)
+
+    def test_exponent_floats_are_numbers(self, tmp_path):
+        """YAML 1.2 reads these as floats, PyYAML's YAML 1.1 rules as strings."""
+        path = tmp_path / "study.yaml"
+        path.write_text("seed: 1e1\nparticipants: 2\nmt_noise_sd_s: 1.5e-1\n"
+                        "endpoint_sd_fraction_of_width: .25E0\n"
+                        "technique_offsets_s: {RPRG: -5e-2}\n")
+        config = load_study_config(str(path))
+        assert config.seed == 10
+        assert config.mt_noise_sd_s == 0.15
+        assert config.endpoint_sd_fraction_of_width == 0.25
+        assert config.technique_offsets_s == {Technique.RPRG: -0.05}
 
     def test_missing_seed_names_the_field(self, tmp_path):
         path = tmp_path / "study.yaml"

@@ -136,6 +136,9 @@ class TestLoadtxtPath:
         lambda line: line.replace("P01", "P" * 40),
         lambda line: line.replace(",0,", ",1_000,"),
         lambda line: line.replace("Sitting", "Lying"),
+        # numpy can crash wording the error of a field beyond U+FFFF
+        lambda line: line.replace(",0,", ",\U00070f67,"),
+        lambda line: line.replace("P01", "P\U0001f600"),
     ])
     def test_logs_numpy_cannot_vouch_for_go_to_the_csv_reader(self, tmp_path, edit):
         lines = log_lines([trial(), trial(trial_index=1)])

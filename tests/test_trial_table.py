@@ -385,22 +385,30 @@ class TestOwnershipAndGroupMemo:
 
 class TestNoPerRowObjects:
     def test_generate_then_group_builds_no_trial_and_one_key_per_cell(self, monkeypatch):
-        counts = {"Trial": 0, "ConditionKey": 0}
+        """Keys are built without the public constructor's second rounding."""
+        counts = {"Trial": 0, "ConditionKey": 0, "rounded": 0}
         trial_init = Trial.__init__
         key_post_init = trials_module.ConditionKey.__post_init__
+        frozen = trials_module._frozen
 
         def counting_trial_init(self, *args, **kwargs):
             counts["Trial"] += 1
             trial_init(self, *args, **kwargs)
 
         def counting_key_post_init(self):
-            counts["ConditionKey"] += 1
+            counts["rounded"] += 1
             key_post_init(self)
+
+        def counting_frozen(cls, **fields):
+            counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
+            return frozen(cls, **fields)
 
         monkeypatch.setattr(Trial, "__init__", counting_trial_init)
         monkeypatch.setattr(trials_module.ConditionKey, "__post_init__", counting_key_post_init)
+        monkeypatch.setattr(trials_module, "_frozen", counting_frozen)
         summaries = group_by_condition(generate_study(realistic_preset(participants=5, seed=2)))
-        assert counts == {"Trial": 0, "ConditionKey": len(summaries)}
+        assert counts == {"Trial": 0, "ConditionKey": len(summaries),
+                          "ConditionSummary": len(summaries), "rounded": 0}
         assert len(summaries) == 80
 
 

@@ -211,6 +211,36 @@ class TestConditionKey:
         b = ConditionKey(None, None, 0.202, 3.0, 0.0)
         assert a != b
 
+    LEVELS = st.one_of(
+        st.sampled_from([0.1 + 0.2, 0.3, 0.2, 1.35, 3.0, 9.0, 0.0, -0.0, 1.0005, 1.0015,
+                         2.675, 0.0004999, 1e-9, 1e17 + 0.5, 123456.7895]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @given(st.lists(st.tuples(st.sampled_from(list(Technique)), st.sampled_from(list(Posture)),
+                              LEVELS, LEVELS, LEVELS), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_group_by_and_collapse_keys_equal_public_keys(self, cells):
+        """The group-by and the collapse build keys without the public
+        constructor; they still equal and hash like the public keys of the
+        raw levels."""
+        trials = [make_trial(technique=t, posture=p, width_m=w, distance_m=d, height_m=h)
+                  for t, p, w, d, h in cells]
+        summaries = group_by_condition(trials)
+        for drop in ((), ("technique",), ("posture",), ("technique", "posture")):
+            got = collapse_over(summaries, drop) if drop else summaries
+            public = {}
+            for t, p, w, d, h in cells:
+                key = ConditionKey(None if "technique" in drop else t,
+                                   None if "posture" in drop else p, w, d, h)
+                public.setdefault(key, key)
+            assert len(got) == len(public), drop
+            for key, summary in got.items():
+                assert summary.key is key
+                twin = public[key]
+                assert key == twin and hash(key) == hash(twin), (drop, key, twin)
+
 
 class TestTrialLogIO:
     def test_round_trip(self, tmp_path):
