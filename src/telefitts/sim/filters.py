@@ -12,29 +12,46 @@ import numpy as np
 from .hands import HandSample, HandTrace
 
 
+#: Longest trace smoothed by the cached (T, T) operator; a longer one runs
+#: the O(T) loop. The operator's memory grows as T^2, and past about 410
+#: samples OpenBLAS splits its (T, T) x (T, 6) product across threads: on a
+#: 2-vCPU VM that product then took about 7 ms where the loop took 0.85 ms,
+#: while at 400 samples the operator took 0.25 ms against the loop's 0.76 ms.
+_OPERATOR_MAX_SAMPLES = 400
+
+
 def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
                   measurement_noise: float = 1e-4) -> HandTrace:
     """Per-axis constant-velocity Kalman filter over positions and directions.
 
     State per channel is (value, velocity). The six channels (three position
     axes, three direction components) share one noise model, so one gain
-    sequence, computed from the time steps alone, serves all; each channel is
-    then one O(T) pass. The gains are cached per (time steps, process noise,
+    sequence, computed from the time steps alone, serves all. With its gains
+    fixed the filter is a linear map of the samples, so a trace of at most
+    ``_OPERATOR_MAX_SAMPLES`` samples is smoothed as ``z[0] + M @ (z - z[0])``
+    on the stacked (T, 6) channels, with M the lower-triangular operator of
+    ``_kalman_operator``; a longer trace runs each channel as one O(T) pass.
+    The gains and the operator are cached per (time steps, process noise,
     measurement noise), as the QR factors of a design are: every trace
     sampled on the same grid reuses them. Directions are renormalized to unit
     length after filtering. The filter starts at the first sample with zero
-    velocity, so a constant trace passes through untouched. The result shares
-    the input's times and pinch; only its new columns are checked.
+    velocity, so the first sample and a constant trace pass through
+    untouched. The result shares the input's times and pinch; only its new
+    columns are checked.
     """
     if not all(math.isfinite(v) and v > 0 for v in (process_noise, measurement_noise)):
         raise ValueError("noise parameters must be positive and finite")
     trace = HandTrace.from_samples(trace)
     if not len(trace):
         return trace
-    gains = _kalman_gains(np.diff(trace.t_s).tobytes(), float(process_noise),
-                          float(measurement_noise)).tolist()
-    channels = trace.position_m.T.tolist() + trace.direction.T.tolist()
-    out = np.array([_filter_channel(z, *gains) for z in channels], dtype=float).T
+    key = (np.diff(trace.t_s).tobytes(), float(process_noise), float(measurement_noise))
+    z = np.concatenate((trace.position_m, trace.direction), axis=1)
+    if len(trace) <= _OPERATOR_MAX_SAMPLES:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is rejected below
+            out = z[0] + _kalman_operator(*key) @ (z - z[0])
+    else:
+        gains = _kalman_gains(*key).tolist()
+        out = np.array([_filter_channel(c, *gains) for c in z.T.tolist()], dtype=float).T
     return trace._with_motion(out[:, :3], _unit(out[:, 3:]))
 
 
@@ -62,6 +79,32 @@ def _kalman_gains(steps: bytes, q: float, r: float) -> np.ndarray:
     gains = np.array([dts, k0s, k1s], dtype=float)
     gains.flags.writeable = False
     return gains
+
+
+@functools.lru_cache(maxsize=8)
+def _kalman_operator(steps: bytes, q: float, r: float) -> np.ndarray:
+    """Read-only (T, T) lower-triangular M whose row i holds the weights of
+    the samples in the filtered value i of a channel that starts at zero,
+    built from the gains of ``_kalman_gains`` under the same key.
+
+    With fixed gains a step is linear: it maps the state rows (value,
+    velocity) over the samples, beside the indicator row of the new sample,
+    to [[1 - k0, (1 - k0) dt, k0], [-k1, 1 - k1 dt, k1]] times them, one
+    small product per step. Column 0 is zero: the first sample is the
+    filter's start, which the caller subtracts."""
+    gains = _kalman_gains(steps, q, r)
+    n = gains.shape[1] + 1
+    updates = np.empty((n - 1, 2, 3))
+    updates[:, :, 2] = gains[1:].T
+    updates[:, :, 0] = (1.0, 0.0) - updates[:, :, 2]
+    updates[:, :, 1] = updates[:, :, 0] * gains[0, :, None] + (0.0, 1.0)
+    states = np.zeros((n, 3, n))  # after step i: value, velocity, indicator of sample i + 1
+    states[np.arange(n - 1), 2, np.arange(1, n)] = 1.0
+    for update, state, following in zip(updates, states, states[1:, :2]):
+        np.dot(update, state, out=following)
+    operator = states[:, 0].copy()
+    operator.flags.writeable = False
+    return operator
 
 
 def _filter_channel(z: list[float], dts: list[float], k0s: list[float],

@@ -139,7 +139,11 @@ def _sample_times(duration_s: float, sample_rate_hz: float) -> np.ndarray:
     for name, value in (("duration_s", duration_s), ("sample_rate_hz", sample_rate_hz)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    return np.arange(int(round(duration_s * sample_rate_hz)) + 1) / sample_rate_hz
+    samples = duration_s * sample_rate_hz
+    if not math.isfinite(samples):
+        raise ValueError(f"no trace holds duration_s={duration_s} at "
+                         f"sample_rate_hz={sample_rate_hz}: the sample count overflows")
+    return np.arange(int(round(samples)) + 1) / sample_rate_hz
 
 
 def _pinch_column(t: np.ndarray, pinch_at_s: float | None) -> np.ndarray | None:

@@ -315,10 +315,15 @@ def _cell_error(message: str, cell: tuple[float, float, float]) -> ConfigError:
 # --- config files -------------------------------------------------------
 
 _PRESETS = ("realistic", "model-exact", "custom")
-#: Floats with an exponent but without a dot or without an exponent sign,
-#: such as ``1e-3`` or ``1.0e308``: numbers in YAML 1.2, strings under
-#: PyYAML's YAML 1.1 rules, and the number fields take no strings.
-_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+#: Plain scalars that are numbers, by the YAML 1.2 core schema. PyYAML
+#: resolves them by YAML 1.1, which reads a leading 0 as octal (``010`` is 8),
+#: ``0b`` as binary and ``:`` as base 60 (``1:20`` is 80), drops ``_``
+#: (``1_0.5`` is 10.5) and leaves ``1e-3`` a string. Under these rules those
+#: forms are strings, which the number fields reject, and ``010`` is 10.
+_CORE_INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")
+_CORE_FLOAT = re.compile(r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+                         r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$")
+_INT_TAG, _FLOAT_TAG = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
 
 
 def load_study_config(path: str, seed_override: int | None = None) -> StudyConfig:
@@ -359,8 +364,30 @@ def load_study_config(path: str, seed_override: int | None = None) -> StudyConfi
                     lines[key] = line
             super().flatten_mapping(node)
 
-    UniqueKeyLoader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
-                                          list("-+.0123456789"))
+    UniqueKeyLoader.yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag not in (_INT_TAG, _FLOAT_TAG)]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
+    UniqueKeyLoader.add_implicit_resolver(_INT_TAG, _CORE_INT, list("-+0123456789"))
+    UniqueKeyLoader.add_implicit_resolver(_FLOAT_TAG, _CORE_FLOAT, list("-+.0123456789"))
+
+    def construct_core_number(loader, node):
+        """An int or float by the YAML 1.2 core schema, under an explicit tag
+        too: ``!!int 0b101`` and ``!!float 1_0.5`` are rejected."""
+        text, is_int = loader.construct_scalar(node), node.tag == _INT_TAG
+        if (_CORE_INT if is_int else _CORE_FLOAT).match(text):
+            try:
+                if is_int:
+                    return int(text, {"0o": 8, "0x": 16}.get(text[:2], 10))
+                return float(text.lower().replace(".inf", "inf").replace(".nan", "nan"))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise yaml.constructor.ConstructorError(
+            None, None, f"cannot read {text[:40]!r} as a YAML 1.2 "
+            f"{'integer' if is_int else 'float'}", node.start_mark)
+
+    for tag in (_INT_TAG, _FLOAT_TAG):
+        UniqueKeyLoader.add_constructor(tag, construct_core_number)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=UniqueKeyLoader)

@@ -304,6 +304,11 @@ class TestInputBoundary:
         "seed: '1_0'",
         "preset: model-exact\nground_truth: {model: Standard, coefficients: [true, 0.2]}",
         pytest.param("mt_noise_sd_s: 1" + "0" * 400, id="integer-beyond-the-float-range"),
+        # YAML 1.1 forms that PyYAML would coerce (to 5, 80, 10.5 and 90.5)
+        "seed: 0b101",
+        "participants: 1:20",
+        "mt_noise_sd_s: 1_0.5",
+        "mt_noise_sd_s: 1:30.5",
     ])
     def test_non_finite_or_mistyped_config_floats(self, tmp_path, capsys, line):
         """The lines replace the keys they name in a good config (a repeated

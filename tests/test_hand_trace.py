@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefitts.sim.filters import _kalman_gains
+import telefitts.sim.techniques
+from telefitts.sim.filters import _OPERATOR_MAX_SAMPLES, _kalman_gains, _kalman_operator
 from telefitts.trials import Technique
 from telefitts.sim import (
     HandSample,
@@ -185,6 +186,13 @@ class TestSampleInputChecks:
         with pytest.raises(ValueError, match="sample_rate_hz"):
             synth_hand_trace(np.zeros(3), np.ones(3), 0.5, sample_rate_hz=rate)
 
+    def test_traces_reject_a_sample_count_that_overflows(self):
+        match = r"duration_s=1e\+300 at sample_rate_hz=1e\+300"
+        with pytest.raises(ValueError, match=match):
+            synth_hand_trace(np.zeros(3), np.ones(3), 1e300, sample_rate_hz=1e300)
+        with pytest.raises(ValueError, match=match):
+            StationaryHand().trace(1e300, 1e300)
+
     @pytest.mark.parametrize("direction", [np.zeros(3), np.array([0.0, math.nan, 1.0]),
                                            np.array([math.inf, 0.0, 1.0]), np.ones(2)])
     def test_synth_rejects_bad_direction_by_name(self, direction):
@@ -331,17 +339,23 @@ class TestParityWithPerSampleReference:
                 assert np.array_equal(got.position_m, want.position_m)
 
 
-class TestKalmanGainCache:
-    """The gains are cached per (time steps, q, r); no entry may serve
-    another key, and the smoothed trace reuses its input's checked columns."""
+def _clear_kalman_caches():
+    _kalman_gains.cache_clear()
+    _kalman_operator.cache_clear()
 
-    @staticmethod
-    def _samples(t, seed):
-        rng = np.random.default_rng(seed)
-        pos = np.cumsum(rng.normal(0, 0.01, (len(t), 3)), axis=0)
-        d = np.array([0.2, 0.1, 1.0]) + np.cumsum(rng.normal(0, 0.02, (len(t), 3)), axis=0)
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        return HandTrace(t, pos, d, rng.random(len(t)) < 0.5)
+
+def _random_trace(t, seed):
+    rng = np.random.default_rng(seed)
+    pos = np.cumsum(rng.normal(0, 0.01, (len(t), 3)), axis=0)
+    d = np.array([0.2, 0.1, 1.0]) + np.cumsum(rng.normal(0, 0.02, (len(t), 3)), axis=0)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return HandTrace(t, pos, d, rng.random(len(t)) < 0.5)
+
+
+class TestKalmanGainCache:
+    """The gains and the operator are cached per (time steps, q, r); no entry
+    may serve another key, and the smoothed trace reuses its input's checked
+    columns."""
 
     @settings(max_examples=40)
     @given(steps=st.lists(st.floats(0.004, 0.03), min_size=2, max_size=40),
@@ -352,28 +366,50 @@ class TestKalmanGainCache:
         t = np.cumsum(steps)
         jittered = t + jitter * np.arange(len(t)) ** 2 / len(t)  # every step longer
         grids = [t[:min(prefix, len(t))], t, jittered]  # a prefix first, then its grid
-        _kalman_gains.cache_clear()
+        _clear_kalman_caches()
         for round_ in range(2):  # the second round is served from the cache
             for q, log_r in noises:
                 for grid in grids:
-                    trace = self._samples(grid, seed=round_)
+                    trace = _random_trace(grid, seed=round_)
                     got = kalman_smooth(trace, q, 10.0 ** log_r)
                     want = kalman_smooth_reference(list(trace), q, 10.0 ** log_r)
                     assert np.abs(got.position_m - [s.position_m for s in want]).max() <= 1e-12
                     assert np.abs(got.direction - [s.direction for s in want]).max() <= 1e-12
 
     def test_repeated_grids_hit_the_cache(self):
+        """On the operator path: one operator per key, each built from one
+        gain sequence, and a changed q or grid is a miss."""
         t = np.arange(50) / 90.0
-        _kalman_gains.cache_clear()
+        _clear_kalman_caches()
         for seed in range(3):
-            kalman_smooth(self._samples(t, seed), 25.0, 1e-3)
-        assert _kalman_gains.cache_info()[:2] == (2, 1)  # (hits, misses)
-        kalman_smooth(self._samples(t, 0), 25.0, 2e-3)
-        kalman_smooth(self._samples(t[:-1], 0), 25.0, 1e-3)
+            kalman_smooth(_random_trace(t, seed), 25.0, 1e-3)
+        assert _kalman_operator.cache_info()[:2] == (2, 1)  # (hits, misses)
+        kalman_smooth(_random_trace(t, 0), 25.0, 2e-3)
+        kalman_smooth(_random_trace(t[:-1], 0), 25.0, 1e-3)
+        assert _kalman_operator.cache_info()[:2] == (2, 3)
+        assert _kalman_gains.cache_info()[:2] == (0, 3)
+
+    def test_repeated_long_grids_hit_the_gain_cache(self):
+        """Beyond the operator bound the loop reads the gains alone."""
+        t = np.arange(_OPERATOR_MAX_SAMPLES + 2) / 90.0
+        _clear_kalman_caches()
+        for seed in range(3):
+            kalman_smooth(_random_trace(t, seed), 25.0, 1e-3)
+        assert _kalman_gains.cache_info()[:2] == (2, 1)
+        kalman_smooth(_random_trace(t, 0), 25.0, 2e-3)
+        kalman_smooth(_random_trace(t[:-1], 0), 25.0, 1e-3)
         assert _kalman_gains.cache_info()[:2] == (2, 3)
+        assert _kalman_operator.cache_info()[:2] == (0, 0)
+
+    def test_operator_is_read_only_and_lower_triangular(self):
+        operator = _kalman_operator(np.diff(np.arange(30) / 100.0).tobytes(), 25.0, 1e-3)
+        assert operator.shape == (30, 30) and operator.flags.c_contiguous
+        assert np.array_equal(operator, np.tril(operator)) and not operator[:, 0].any()
+        with pytest.raises(ValueError):
+            operator[1, 1] = 0.0
 
     def test_smoothed_trace_shares_times_and_pinch_read_only(self):
-        trace = self._samples(np.arange(30) / 100.0, seed=4)
+        trace = _random_trace(np.arange(30) / 100.0, seed=4)
         out = kalman_smooth(trace)
         assert out.t_s is trace.t_s and out.pinch is trace.pinch
         for column in out.columns:
@@ -381,17 +417,96 @@ class TestKalmanGainCache:
                 column[0] = 1
 
     def test_overflowing_filter_output_is_rejected(self):
-        t = np.arange(6) / 100.0
-        pos = np.zeros((6, 3))
-        pos[::2, 0], pos[1::2, 0] = 1e308, -1e308
-        trace = HandTrace(t, pos, np.tile(FORWARD, (6, 1)))
-        with pytest.raises(ValueError, match="positions and directions must be finite"):
-            kalman_smooth(trace)
+        """On both paths, with no numpy warning on the way."""
+        for n in (6, _OPERATOR_MAX_SAMPLES + 2):
+            t = np.arange(n) / 100.0
+            pos = np.zeros((n, 3))
+            pos[::2, 0], pos[1::2, 0] = 1e308, -1e308
+            trace = HandTrace(t, pos, np.tile(FORWARD, (n, 1)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="positions and directions must be finite"):
+                    kalman_smooth(trace)
+
+
+class TestSmoothingPaths:
+    """A trace of at most ``_OPERATOR_MAX_SAMPLES`` samples is smoothed by the
+    cached operator, a longer one by the loop; the length alone decides."""
+
+    LENGTHS = (_OPERATOR_MAX_SAMPLES, _OPERATOR_MAX_SAMPLES + 1)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_either_side_of_the_bound_matches_the_reference(self, n):
+        rng = np.random.default_rng(n)
+        trace = _random_trace(np.cumsum(rng.uniform(0.004, 0.03, n)), seed=n)
+        got = kalman_smooth(trace, 30.0, 1e-3)
+        want = kalman_smooth_reference(list(trace), 30.0, 1e-3)
+        assert np.abs(got.position_m - [s.position_m for s in want]).max() <= 1e-12
+        assert np.abs(got.direction - [s.direction for s in want]).max() <= 1e-12
+        assert np.array_equal(got.position_m[0], trace.position_m[0])
+
+    def test_constant_trace_is_bit_identical_on_both_paths(self):
+        position, direction = np.array([0.31, 1.27, 0.45]), np.array([0.2, 0.3, 0.9])
+        direction /= np.linalg.norm(direction)
+        outs = []
+        for n in self.LENGTHS:
+            trace = HandTrace(np.arange(n) / 90.0, np.tile(position, (n, 1)),
+                              np.tile(direction, (n, 1)))
+            out = kalman_smooth(trace, 25.0, 1e-3)
+            assert np.array_equal(out.position_m, trace.position_m)
+            outs.append(out)
+        short, long_ = outs
+        assert short == long_[:len(short)]
+        assert np.array_equal(long_.direction, np.tile(short.direction[0], (len(long_), 1)))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_length_alone_picks_the_path(self, n):
+        trace = _random_trace(np.arange(n) / 90.0, seed=5)
+        _clear_kalman_caches()
+        for _ in range(2):
+            kalman_smooth(trace, 25.0, 1e-3)
+        on_operator = n <= _OPERATOR_MAX_SAMPLES
+        assert _kalman_operator.cache_info()[:2] == ((1, 1) if on_operator else (0, 0))
+        assert _kalman_gains.cache_info()[:2] == ((0, 1) if on_operator else (1, 1))
+
+    @pytest.mark.parametrize("n", (50,) + LENGTHS)
+    def test_same_trace_twice_gives_the_same_bits(self, n):
+        trace = _random_trace(np.arange(n) / 72.0, seed=3)
+        _clear_kalman_caches()
+        fresh = kalman_smooth(trace, 40.0, 1e-4)
+        cached = kalman_smooth(trace, 40.0, 1e-4)
+        _clear_kalman_caches()
+        rebuilt = kalman_smooth(trace, 40.0, 1e-4)
+        assert fresh == cached == rebuilt
+
+
+def test_one_kalman_call_per_smoothed_trial(monkeypatch):
+    """perfbench's sim.filters.kalman span wraps this module attribute."""
+    calls = []
+    original = telefitts.sim.techniques.kalman_smooth
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(telefitts.sim.techniques, "kalman_smooth", counted)
+    scene = SceneSpec(target=TargetPlacement(0.6, 4.0, 0.0))
+    config = TechniqueConfig(Technique.RPRG)
+    pointer = synth_hand_trace(HAND_M, HAND_M + [0.03, 0.02, 0.01], 1.0, tremor_sd_m=0.003,
+                               seed=0, direction=aim(scene), pinch_at_s=0.5 if
+                               config.confirm_hand == config.pointer_hand else None)
+    other = StationaryHand().trace(1.0, pinch_at_s=0.5)
+    left, right = (other, pointer) if config.pointer_hand == "right" else (pointer, other)
+    for smooth, want in ((True, [101]), (False, [])):
+        calls.clear()
+        assert run_trial(config, scene, left, right, smooth_pointer=smooth) is not None
+        assert calls == want
 
 
 def test_long_trace_is_linear_time(deadline):
-    """200 000 samples: a T x T operator or a rescan per confirmation would
-    not finish in time."""
+    """200 000 samples, far past ``_OPERATOR_MAX_SAMPLES``: the smoothing
+    runs the O(T) loop, since a T x T operator would need 320 GB, and a
+    rescan per confirmation would not finish in time."""
     n = 200_000
     rng = np.random.default_rng(0)
     t = np.arange(n) / 100.0

@@ -257,12 +257,32 @@ class TestStudyConfigFile:
         path = tmp_path / "study.yaml"
         path.write_text("seed: 1e1\nparticipants: 2\nmt_noise_sd_s: 1.5e-1\n"
                         "endpoint_sd_fraction_of_width: .25E0\n"
-                        "technique_offsets_s: {RPRG: -5e-2}\n")
+                        "technique_offsets_s: {RPRG: -5e-2, LPLG: +1., RPLG: !!float 2}\n")
         config = load_study_config(str(path))
         assert config.seed == 10
         assert config.mt_noise_sd_s == 0.15
         assert config.endpoint_sd_fraction_of_width == 0.25
-        assert config.technique_offsets_s == {Technique.RPRG: -0.05}
+        assert config.technique_offsets_s == {Technique.RPRG: -0.05, Technique.LPLG: 1.0,
+                                              Technique.RPLG: 2.0}
+
+    @pytest.mark.parametrize("text, seed", [("010", 10), ("0o17", 15), ("0x1F", 31),
+                                            ("+12", 12), ("-0", 0)])
+    def test_integers_read_as_in_yaml_1_2(self, tmp_path, text, seed):
+        """A leading zero is decimal, not YAML 1.1's octal (010 would be 8)."""
+        path = tmp_path / "study.yaml"
+        path.write_text(f"participants: 2\nseed: {text}\n")
+        assert load_study_config(str(path)).seed == seed
+
+    @pytest.mark.parametrize("line, kind", [
+        ("participants: !!int 0b101", "integer"), ("participants: !!int 1_0", "integer"),
+        ("participants: 1" + "0" * 5000, "integer"), ("mt_noise_sd_s: !!float 1_0.5", "float"),
+        ("mt_noise_sd_s: !!float 1:30.5", "float"),
+    ])
+    def test_numbers_yaml_1_2_cannot_read_rejected(self, tmp_path, line, kind):
+        path = tmp_path / "study.yaml"
+        path.write_text(f"seed: 3\n{line}\n")
+        with pytest.raises(ConfigError, match=f"as a YAML 1.2 {kind} at line 2"):
+            load_study_config(str(path))
 
     def test_missing_seed_names_the_field(self, tmp_path):
         path = tmp_path / "study.yaml"
