@@ -9,7 +9,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .hands import HandSample, HandTrace
+from .hands import _NOT_FINITE, HandSample, HandTrace
 
 
 #: Longest trace smoothed by the cached (T, T) operator; a longer one runs
@@ -36,8 +36,8 @@ def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
     sampled on the same grid reuses them. Directions are renormalized to unit
     length after filtering. The filter starts at the first sample with zero
     velocity, so the first sample and a constant trace pass through
-    untouched. The result shares the input's times and pinch; only its new
-    columns are checked.
+    untouched. The result shares the input's times and pinch; its positions
+    are checked finite, and the renormalizing vouches for its directions.
     """
     if not all(math.isfinite(v) and v > 0 for v in (process_noise, measurement_noise)):
         raise ValueError("noise parameters must be positive and finite")
@@ -52,7 +52,11 @@ def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
     else:
         gains = _kalman_gains(*key).tolist()
         out = np.array([_filter_channel(c, *gains) for c in z.T.tolist()], dtype=float).T
-    return trace._with_motion(out[:, :3], _unit(out[:, 3:]))
+    position, direction = out[:, :3], _unit(out[:, 3:])
+    if not np.isfinite(position).all():
+        raise ValueError(_NOT_FINITE)
+    position.flags.writeable = direction.flags.writeable = False
+    return HandTrace._of_checked(trace.t_s, position, direction, trace.pinch)
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,10 +124,15 @@ def _filter_channel(z: list[float], dts: list[float], k0s: list[float],
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """(T, 3) ``v`` scaled to unit length along its rows; near-zero rows become +z."""
-    norm = np.sqrt((v * v).sum(axis=1, keepdims=True))  # as np.linalg.norm computes it
-    small = norm < 1e-12
-    if small.any():
+    """(T, 3) ``v`` scaled to unit length along its rows; near-zero rows become
+    +z. A row whose norm is not finite raises ValueError, so every row
+    returned is a unit vector by the trace's rule."""
+    x, y, z = v.T
+    norm = np.sqrt(x * x + y * y + z * z)[:, None]  # summed in np.linalg.norm's order
+    if not np.isfinite(norm).all():
+        raise ValueError(_NOT_FINITE)
+    if norm.min(initial=math.inf) < 1e-12:
+        small = norm < 1e-12
         return np.where(small, np.array([0.0, 0.0, 1.0]), v / np.where(small, 1.0, norm))
     return v / norm
 

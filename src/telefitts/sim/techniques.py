@@ -40,6 +40,8 @@ class TechniqueConfig:
     kalman_measurement_noise: float = 1e-4
 
     def __post_init__(self) -> None:
+        if not isinstance(self.technique, Technique):
+            raise ValueError(f"technique must be a Technique, got {self.technique!r}")
         for name, positive in _TECHNIQUE_CONFIG_CHECKS:
             value = getattr(self, name)
             if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
@@ -68,6 +70,9 @@ class LaunchSpeedModel:
 
     base_speed_m_s: float = 3.0
     extension_gain_m_s: float = 9.0
+
+    def __post_init__(self) -> None:
+        _check_fields(self, base_speed_m_s="non-negative", extension_gain_m_s="non-negative")
 
     def speed(self, extension_fraction: float) -> float:
         return self.base_speed_m_s + self.extension_gain_m_s * min(max(extension_fraction, 0.0), 1.0)
@@ -212,10 +217,12 @@ def run_trial(
     """
     hands = {"left": HandTrace.from_samples(left_trace),
              "right": HandTrace.from_samples(right_trace)}
-    if len(hands["left"]) != len(hands["right"]):
-        raise ValueError("hand traces must be sample-aligned")
-    if np.any(np.abs(hands["left"].t_s - hands["right"].t_s) > 1e-9):
-        raise ValueError("left/right samples must be time-aligned")
+    left_t, right_t = hands["left"].t_s, hands["right"].t_s
+    if left_t is not right_t:  # traces built on one shared grid are aligned
+        if len(left_t) != len(right_t):
+            raise ValueError("hand traces must be sample-aligned")
+        if np.any(np.abs(left_t - right_t) > 1e-9):
+            raise ValueError("left/right samples must be time-aligned")
     pointer = hands[config.pointer_hand]
     if smooth_pointer:
         pointer = kalman_smooth(pointer, config.kalman_process_noise,

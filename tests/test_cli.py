@@ -623,6 +623,61 @@ def test_mutated_record_streams_report_or_exit_cleanly(
         assert out == table
 
 
+
+#: A good config, one key per line; the fuzz replaces, drops and repeats them.
+_CONFIG_FIELDS = {
+    "preset": "realistic", "participants": "1", "seed": "3", "mt_noise_sd_s": "0.05",
+    "endpoint_sd_fraction_of_width": "0.1", "technique_offsets_s": "{RPRG: 0.1, RPDW: -0.05}",
+    "amplitude_mode": "euclidean",
+}
+#: YAML values, good and bad; none asks for more than 16 participants, so
+#: every accepted config simulates in well under a second.
+_CONFIG_VALUES = [
+    "", "~", "true", "no", "'1'", "0", "-1", "2", "1.5", "-0.0", ".nan", ".inf", "-.inf",
+    "1e400", "1" + "0" * 400, "0x10", "0o7", "010", "0b101", "1:20", "1_0", "[1, 2]",
+    "{a: 1}", "{RPRG: .inf}", "{XXXX: 1}", "{RPRG: [1]}", "{RPRG: 1.0e307}", "model-exact",
+    "custom", "depth", "[", "{", "'", "&a 1", "*a", "!!python/object:os.system x",
+    "!!binary aGk=", "!!int 0b1", "!!float 1_0.5", "!!str 1", "- 1", "@x", "%", "\\x00",
+    "\U0001F600", "[" * 50 + "]" * 50, "{model: Standard, coefficients: [-0.41, 0.83]}",
+    "{model: Fitts}", "{model: Proposed, coefficients: [2.46, 1.21, .inf]}",
+]
+_CONFIG_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from([*_CONFIG_FIELDS, "ground_truth", "bogus"]),
+              st.sampled_from(_CONFIG_VALUES)),
+    st.tuples(st.sampled_from(["drop", "repeat"]), st.sampled_from(list(_CONFIG_FIELDS)),
+              st.none()),
+    st.tuples(st.just("line"), st.none(), st.sampled_from(
+        ["<<: {seed: 4}", "  indented: 1", "- item", "---", "...", "? [a]", "#", "\t", ":"])),
+)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(mutations=st.lists(_CONFIG_MUTATIONS, min_size=1, max_size=3))
+def test_mutated_configs_simulate_or_exit_cleanly(tmp_path_factory, deadline, mutations):
+    """A mutated config either simulates or exits with one line on stderr."""
+    lines = [f"{key}: {value}" for key, value in _CONFIG_FIELDS.items()]
+    for kind, key, value in mutations:
+        keyed = [i for i, line in enumerate(lines) if line.startswith(f"{key}:")]
+        if kind == "set":
+            lines = [line for i, line in enumerate(lines) if i not in keyed]
+            lines.append(f"{key}: {value}")
+        elif kind == "drop":
+            lines = [line for i, line in enumerate(lines) if i not in keyed]
+        elif kind == "repeat":
+            lines.extend(lines[i] for i in keyed[:1])
+        else:
+            lines.insert(len(lines) // 2, value)
+    base = tmp_path_factory.getbasetemp()
+    cfg, log = base / "fuzz-config.yaml", base / "fuzz-config.csv"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--input", str(cfg), "--output", str(log)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()
+
 class TestFitAndReport:
     def test_fit_prints_all_models(self, small_log, capsys):
         assert main(["fit", "--input", small_log, "--amplitude-mode", "euclidean"]) == 0

@@ -2,6 +2,7 @@
 the per-sample reference implementations in ``oracles``."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,15 +12,18 @@ from hypothesis import strategies as st
 
 import telefitts.sim.techniques
 from telefitts.sim.filters import _OPERATOR_MAX_SAMPLES, _kalman_gains, _kalman_operator
+from telefitts.sim.hands import _PINCHES_PER_GRID, _cached_grid, _stationary_trace
 from telefitts.trials import Technique
 from telefitts.sim import (
     HandSample,
     HandTrace,
+    LaunchSpeedModel,
     SceneSpec,
     StationaryHand,
     TargetPlacement,
     TechniqueConfig,
     kalman_smooth,
+    minimum_jerk_profile,
     parabola_landing,
     run_trial,
     sample_at,
@@ -201,6 +205,62 @@ class TestSampleInputChecks:
             with pytest.raises(ValueError, match="direction must be a finite, non-zero"):
                 synth_hand_trace(np.zeros(3), np.ones(3), 0.5, direction=direction)
 
+    @pytest.mark.parametrize("start, end, match", [
+        (np.zeros((101, 3)), np.ones(3), "from_point_m must be a finite 3-vector"),
+        (np.zeros(3), np.ones(2), "to_point_m must be a finite 3-vector"),
+        (np.array([math.inf, 0.0, 0.0]), np.ones(3), "from_point_m must be a finite 3-vector"),
+        (np.array([-1e308, 0.0, 0.0]), np.array([1e308, 0.0, 0.0]), "leaves the float range"),
+    ], ids=["per-sample-start", "2-vector-end", "infinite-start", "overflowing-reach"])
+    def test_synth_rejects_bad_endpoints_by_name(self, start, end, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                synth_hand_trace(start, end, 1.0)
+
+    def test_synth_rejects_overflowing_tremor_without_a_warning(self):
+        edge = np.array([1.7e308, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                synth_hand_trace(edge, edge, 1.0, tremor_sd_m=1e308)
+
+    @pytest.mark.parametrize("tremor", [0.0, 0.002])
+    @pytest.mark.parametrize("seed", [True, False, 1.5, -1, np.int64(-1), "1", None])
+    def test_synth_rejects_bad_seed_whatever_the_tremor(self, seed, tremor):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            synth_hand_trace(np.zeros(3), np.ones(3), 0.5, tremor_sd_m=tremor, seed=seed)
+
+    def test_synth_takes_numpy_integer_seeds(self):
+        args = (np.zeros(3), np.ones(3), 0.5)
+        assert synth_hand_trace(*args, tremor_sd_m=0.01, seed=np.int64(4)) == \
+            synth_hand_trace(*args, tremor_sd_m=0.01, seed=4)
+
+    @pytest.mark.parametrize("position, direction, match", [
+        (np.zeros(2), FORWARD, "position_m must be a finite 3-vector"),
+        (np.array([0.0, math.nan, 0.0]), FORWARD, "position_m must be a finite 3-vector"),
+        (np.zeros(3), np.array([0.0, 0.0, 2.0]), "direction must be a finite unit 3-vector"),
+        (np.zeros(3), np.array([0.0, math.inf, 1.0]), "direction must be a finite unit 3-vector"),
+        (np.zeros(3), np.tile(FORWARD, (2, 1)), "direction must be a finite unit 3-vector"),
+    ])
+    def test_stationary_hand_rejects_bad_vectors_by_name(self, position, direction, match):
+        with pytest.raises(ValueError, match=match):
+            StationaryHand(position, direction).trace(0.5)
+
+    @pytest.mark.parametrize("fields, name", [
+        ((-5.0, 0.0), "base_speed_m_s"), ((math.nan, 9.0), "base_speed_m_s"),
+        ((3.0, -1.0), "extension_gain_m_s"), ((3.0, math.inf), "extension_gain_m_s"),
+    ])
+    def test_launch_speed_model_rejects_bad_fields(self, fields, name):
+        with pytest.raises(ValueError, match=f"LaunchSpeedModel.{name} must be finite and "
+                                             f"non-negative"):
+            LaunchSpeedModel(*fields)
+        assert LaunchSpeedModel(0.0, 0.0).speed(1.0) == 0.0
+
+    @pytest.mark.parametrize("technique", ["RPRG", None, 0])
+    def test_config_rejects_a_technique_that_is_not_one(self, technique):
+        with pytest.raises(ValueError, match="technique must be a Technique"):
+            TechniqueConfig(technique)
+
     def test_traces_reject_nan_pinch_time(self):
         with pytest.raises(ValueError, match="pinch_at_s"):
             synth_hand_trace(np.zeros(3), np.ones(3), 0.5, pinch_at_s=math.nan)
@@ -337,6 +397,134 @@ class TestParityWithPerSampleReference:
                 want = spike_compensate(list(trace), confirm, lookback)
                 assert got.t_s == want.t_s
                 assert np.array_equal(got.position_m, want.position_m)
+
+
+def _clear_grid_caches():
+    _cached_grid.cache_clear()
+    _stationary_trace.cache_clear()
+
+
+#: (duration, rate) grids; the second and third hold 101 samples as the first
+#: does, on other times, and the last keys on the floats of integers.
+GRIDS = [(1.0, 100.0), (0.5, 200.0), (1.0, 100.0000001), (0.83, 72.0), (2, 30)]
+
+
+class TestSampleGridCache:
+    """Every trace of one (duration, rate) shares its times, reach profile
+    and pinch columns; a stationary hand's whole trace is cached too. No
+    entry may serve another key, and no column may be written."""
+
+    def test_cached_columns_are_read_only_and_shared(self):
+        _clear_grid_caches()
+        a = synth_hand_trace(np.zeros(3), np.ones(3), 1.0, pinch_at_s=0.4)
+        b = StationaryHand().trace(1.0, pinch_at_s=0.4)
+        grid = _cached_grid(1.0, 100.0)
+        assert a.t_s is b.t_s is grid.t_s and a.pinch is b.pinch
+        for column in (grid.t_s, grid.reach, grid.pinch(None), *a.columns, *b.columns):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert StationaryHand().trace(1.0, pinch_at_s=0.4) is b
+
+    def test_no_entry_serves_another_key(self):
+        _clear_grid_caches()
+        for round_ in range(2):  # the second round is served from the caches
+            for duration, rate in GRIDS:
+                for pinch_at_s in (None, 0.25, 0.255, -math.inf):
+                    grid = _cached_grid(float(duration), float(rate))
+                    t = np.arange(int(round(duration * rate)) + 1) / rate
+                    assert np.array_equal(grid.t_s, t)
+                    assert np.array_equal(grid.reach[:, 0], minimum_jerk_profile(
+                        np.minimum(t / duration, 1.0)))
+                    want = np.zeros(len(t), bool) if pinch_at_s is None else t >= pinch_at_s
+                    assert np.array_equal(grid.pinch(pinch_at_s), want)
+        assert _cached_grid.cache_info()[:2] == (len(GRIDS) * 7, len(GRIDS))
+        assert _cached_grid(2.0, 30.0) is _cached_grid(2, 30)
+
+    def test_stationary_traces_key_on_position_and_direction_bits(self):
+        _clear_grid_caches()
+        hands = [StationaryHand(np.array(p), np.array(d)) for p, d in (
+            ([0.0, 1.2, 0.2], [0.0, 0.0, 1.0]), ([-0.0, 1.2, 0.2], [0.0, 0.0, 1.0]),
+            ([0.0, 1.2, 0.2], [0.6, 0.0, 0.8]), ([0.0, 1.2, 0.2 + 1e-16], [0.0, 0.0, 1.0]))]
+        for round_ in range(2):
+            for hand in hands:
+                for duration, rate in GRIDS:
+                    got = hand.trace(duration, rate, pinch_at_s=0.3)
+                    want = stationary_trace_reference(hand.position_m, hand.direction,
+                                                      duration, rate, pinch_at_s=0.3)
+                    assert got == want  # and bit for bit, which tells -0.0 from 0.0:
+                    assert got.position_m.tobytes() == np.tile(hand.position_m,
+                                                               (len(got), 1)).tobytes()
+
+    def test_pinch_columns_past_the_bound_are_still_right(self):
+        _clear_grid_caches()
+        t = np.arange(101) / 100.0
+        for round_ in range(2):
+            for k in range(_PINCHES_PER_GRID + 4):
+                trace = synth_hand_trace(np.zeros(3), np.ones(3), 1.0, pinch_at_s=0.05 * k)
+                assert np.array_equal(trace.pinch, t >= 0.05 * k)
+        assert len(_cached_grid(1.0, 100.0)._pinches) == _PINCHES_PER_GRID
+
+    @pytest.mark.parametrize("clear", [False, True])
+    def test_traces_equal_the_references_on_every_grid(self, clear):
+        args = (np.array([0.0, 1.35, 0.72]), np.array([0.05, 1.45, 0.76]))
+        hand = StationaryHand(np.array([0.2, 1.1, 0.1]), np.array([0.6, 0.0, 0.8]))
+        for duration, rate in GRIDS:
+            if clear:
+                _clear_grid_caches()
+            kwargs = dict(tremor_sd_m=0.003, sample_rate_hz=rate, seed=11, pinch_at_s=0.3,
+                          direction=np.array([0.3, 0.5, 2.0]))
+            assert synth_hand_trace(*args, duration, **kwargs) == \
+                synth_hand_trace_reference(*args, duration, **kwargs)
+            want = stationary_trace_reference(hand.position_m, hand.direction, duration, rate)
+            assert hand.trace(duration, rate) == want
+
+    def test_long_grids_keep_their_memory_bounded(self):
+        """A 200 000-sample grid holds its times, reach and pinch columns once;
+        a stationary trace on it broadcasts one row, so twenty hands at
+        twenty pinch times add no (T, 3) array (4.8 MB each)."""
+        n = 200_000
+        _clear_grid_caches()
+        tracemalloc.start()
+        try:
+            for k in range(20):
+                trace = StationaryHand(np.array([0.0, 1.2, 0.01 * k])).trace(
+                    (n - 1) / 100.0, pinch_at_s=float(k))
+                assert len(trace) == n and trace.position_m.strides == (0, 8)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # times and reach 1.6 MB each; at most 8 + 16 pinch columns of 0.2 MB
+        assert held < 9e6 and peak < 16e6, (held, peak)
+
+
+class TestTraceAlignment:
+    """run_trial skips its time-alignment test only for traces that hold the
+    same times array; distinct arrays are compared, equal or not."""
+
+    def _traces(self):
+        scene = SceneSpec(target=TargetPlacement(0.6, 4.0, 0.0))
+        pointer = synth_hand_trace(HAND_M, HAND_M, 1.0, direction=aim(scene), pinch_at_s=0.5)
+        return scene, pointer, StationaryHand().trace(1.0)
+
+    def test_distinct_but_equal_times_are_aligned(self):
+        scene, pointer, other = self._traces()
+        config = TechniqueConfig(Technique.RPRG)
+        assert pointer.t_s is other.t_s
+        copied = HandTrace(pointer.t_s.copy(), *pointer.columns[1:])
+        want = run_trial(config, scene, other, pointer)
+        assert want is not None
+        assert_same_outcome(run_trial(config, scene, other, copied), want)
+
+    @pytest.mark.parametrize("shift, match", [(2e-9, "time-aligned"), (None, "sample-aligned")])
+    def test_misaligned_times_still_raise(self, shift, match):
+        scene, pointer, other = self._traces()
+        if shift is None:
+            misaligned = pointer[:-1]
+        else:
+            misaligned = HandTrace(pointer.t_s + shift, *pointer.columns[1:])
+        for left, right in ((other, misaligned), (misaligned, other)):
+            with pytest.raises(ValueError, match=match):
+                run_trial(TechniqueConfig(Technique.RPRG), scene, left, right)
 
 
 def _clear_kalman_caches():
