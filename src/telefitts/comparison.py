@@ -36,6 +36,7 @@ from .trials import (
     Posture,
     Technique,
     Trial,
+    TrialTable,
     collapse_over,
     group_by_condition,
 )
@@ -269,18 +270,27 @@ def table1_cells(
     group-by; the amplitude mode changes only the predictors, so one set of
     cells serves every mode.
 
+    The cells of a :class:`TrialTable` are collapsed once per ``pooled``
+    value and kept on the table; each call returns new dicts of them.
+
     Raises IncompleteGridError naming every technique or posture group
     without cells, techniques first, each in declaration order.
     """
-    summaries = group_by_condition(trials)
-    empty = {
-        level: label
-        for label, (field, level, _) in _GROUPS.items()
-        if field is not None and all(getattr(k, field) is not level for k in summaries)
-    }
-    if empty:
-        raise IncompleteGridError([empty[v] for v in (*Technique, *Posture) if v in empty])
-    return {label: group_summaries(summaries, label, pooled=pooled) for label in TABLE_GROUPS}
+    table = TrialTable.from_trials(trials)
+    cells = table._report_cells.get(pooled)
+    if cells is None:
+        summaries = group_by_condition(table)
+        empty = {
+            level: label
+            for label, (field, level, _) in _GROUPS.items()
+            if field is not None and all(getattr(k, field) is not level for k in summaries)
+        }
+        if empty:
+            raise IncompleteGridError([empty[v] for v in (*Technique, *Posture) if v in empty])
+        cells = table._report_cells[pooled] = {
+            label: group_summaries(summaries, label, pooled=pooled) for label in TABLE_GROUPS
+        }
+    return {label: dict(group) for label, group in cells.items()}
 
 
 def run_table1_suite(

@@ -210,8 +210,12 @@ def synth_hand_trace(
     grid = _sample_times(duration_s, sample_rate_hz)
     pinch = grid.pinch(pinch_at_s)
     aim = np.asarray((0.0, 0.0, 1.0) if direction is None else direction, dtype=float)
-    norm = float(np.linalg.norm(aim)) if aim.shape == (3,) else math.nan
-    if not (math.isfinite(norm) and norm > 0):
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(aim)) if aim.shape == (3,) else math.nan
+    if not 0.0 < norm < math.inf and aim.shape == (3,) and np.isfinite(aim).all() and aim.any():
+        aim = aim / np.abs(aim).max()  # the squares overflow or underflow: rescale first
+        norm = float(np.linalg.norm(aim))
+    if not 0.0 < norm < math.inf:
         raise ValueError(f"direction must be a finite, non-zero 3-vector, got {direction}")
     aim = _vector("direction", aim / norm, unit=True)
     start = _vector("from_point_m", from_point_m)

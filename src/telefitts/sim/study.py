@@ -189,6 +189,7 @@ def model_exact_preset(
 _MAX_REDRAWS = 1000
 
 
+@np.errstate(over="ignore")  # a movement time that overflows is a ConfigError naming its cell
 def generate_study(config: StudyConfig) -> TrialTable:
     """Simulate the full within-subjects study for every participant.
 
@@ -203,7 +204,9 @@ def generate_study(config: StudyConfig) -> TrialTable:
     angles, the movement-time noise and its redraws, then the endpoint
     noise and its redraws. That draw order is what keeps the log bytes
     stable; every other column is filled after the loop from the stacked
-    permutations.
+    permutations, and the movement times are the expected times plus the
+    noise. A block's noise is redrawn only where the loop's one check,
+    that no draw reaches below minus the lowest expected time, fails.
     """
     combos = [(t, p) for t in Technique for p in Posture]
     square = balanced_latin_square(len(combos))
@@ -233,40 +236,58 @@ def generate_study(config: StudyConfig) -> TrialTable:
     angle_choices = np.asarray(config.angles_deg, float)
     block_cells = np.repeat(np.arange(len(cell_grid)), config.repetitions)
     n_block = len(block_cells)
-    block_combos = [c for pi in range(config.participants) for c in square[pi % len(square)]]
+    block_combos = np.array([c for pi in range(config.participants)
+                             for c in square[pi % len(square)]])
     n_blocks = len(block_combos)
 
     ordered = np.empty((n_blocks, n_block), np.intp)
     angles = np.empty((n_blocks, n_block), np.intp)
-    mt = np.empty((n_blocks, n_block))
+    noise = np.zeros((n_blocks, n_block))
     dev = np.zeros((n_blocks, n_block))
     attempts = np.zeros((n_blocks, n_block), np.int64)
     mt_sd, dev_sd = config.mt_noise_sd_s, config.endpoint_sd_fraction_of_width
+    # mean + noise > 0 for every mean >= lowest_mt whenever noise > -lowest_mt,
+    # and a float sum that is positive does not round to 0
+    lowest_mt = float(np.min(combo_mt))
 
+    def movement_times(start: int, stop: int) -> np.ndarray:
+        """The movement times of blocks ``[start, stop)``; ConfigError at the
+        first one that is not finite."""
+        blocks = slice(start, stop)
+        mt = combo_mt[block_combos[blocks, None], ordered[blocks]] + noise[blocks]
+        finite = np.isfinite(mt)
+        if not finite.all():
+            raise _cell_error("movement time overflows to a non-finite value",
+                              cell_grid[ordered[blocks].ravel()[np.argmin(finite.ravel())]])
+        return mt
+
+    checked = 0  # blocks [0, checked) have finite movement times
     for pi in range(config.participants):
         rng = np.random.default_rng(streams[pi])
         for b in range(pi * len(combos), (pi + 1) * len(combos)):
             cells = ordered[b] = block_cells[rng.permutation(n_block)]
             angles[b] = rng.integers(0, len(angle_choices), n_block)
 
-            mt_mean, block_mt = combo_mt[block_combos[b]][cells], mt[b]
             if mt_sd > 0:
-                np.add(mt_mean, rng.normal(0.0, mt_sd, n_block), out=block_mt)
-            else:
-                block_mt[:] = mt_mean
-            bad = block_mt <= 0
-            redraws = 0
-            while n_bad := np.count_nonzero(bad):
-                if mt_sd == 0.0 or redraws >= _MAX_REDRAWS:
-                    raise _cell_error("ground truth produces non-positive movement time",
-                                      cell_grid[cells[np.argmax(bad)]])
-                block_mt[bad] = mt_mean[bad] + rng.normal(0.0, mt_sd, n_bad)
+                noise[b] = rng.normal(0.0, mt_sd, n_block)
+            block_noise = noise[b]
+            if not block_noise.min() > -lowest_mt:
+                # A movement time may be <= 0: redraw its noise. The earlier
+                # blocks are checked first, so errors come in block order.
+                movement_times(checked, b)
+                checked = b
+                mt_mean = combo_mt[block_combos[b]][cells]
+                block_mt = mt_mean + block_noise
                 bad = block_mt <= 0
-                redraws += 1
-            finite = np.isfinite(block_mt)
-            if np.count_nonzero(finite) < n_block:
-                raise _cell_error("movement time overflows to a non-finite value",
-                                  cell_grid[cells[np.argmin(finite)]])
+                redraws = 0
+                while n_bad := np.count_nonzero(bad):
+                    if mt_sd == 0.0 or redraws >= _MAX_REDRAWS:
+                        raise _cell_error("ground truth produces non-positive movement time",
+                                          cell_grid[cells[np.argmax(bad)]])
+                    block_noise[bad] = rng.normal(0.0, mt_sd, n_bad)
+                    block_mt[bad] = mt_mean[bad] + block_noise[bad]
+                    bad = block_mt <= 0
+                    redraws += 1
 
             if dev_sd == 0:
                 continue
@@ -277,6 +298,7 @@ def generate_study(config: StudyConfig) -> TrialTable:
             redraws = 0
             while n_outside := np.count_nonzero(outside):
                 if redraws >= _MAX_REDRAWS:
+                    movement_times(checked, b + 1)
                     raise ConfigError(
                         f"endpoint deviations still land outside the target after "
                         f"{_MAX_REDRAWS} redraws; endpoint_sd_fraction_of_width="
@@ -287,6 +309,7 @@ def generate_study(config: StudyConfig) -> TrialTable:
                 outside = block_dev > radius
                 redraws += 1
 
+    mt = movement_times(0, n_blocks)
     cells, combo_of_row = ordered.ravel(), np.repeat(block_combos, n_block)
     combo_codes = np.array([(TECHNIQUES.index(t), POSTURES.index(p)) for t, p in combos])
     participant_ids = [f"P{pi + 1:02d}" for pi in range(config.participants)]

@@ -122,7 +122,8 @@ class TrialTable(Sequence):
 
     The table owns its columns: they are copied at construction, so a caller
     that later changes the arrays it passed in does not change the table.
-    That is what lets :func:`group_by_condition` keep its result on the table.
+    That is what lets :func:`group_by_condition` and
+    ``comparison.table1_cells`` keep their results on the table.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -147,6 +148,9 @@ class TrialTable(Sequence):
         self.line_numbers = line_numbers
         #: group_by_condition's cells, computed on its first call
         self._condition_cells: dict[ConditionKey, ConditionSummary] | None = None
+        #: comparison.table1_cells's collapsed cells of each report group, per
+        #: ``pooled`` value, computed on its first call with that value
+        self._report_cells: dict[bool, dict[str, dict[ConditionKey, ConditionSummary]]] = {}
 
     @classmethod
     def from_trials(cls, trials: Iterable[Trial]) -> "TrialTable":
@@ -662,34 +666,67 @@ _LOG_COLUMNS = (
 )
 
 
-def _value_text(column: np.ndarray) -> list[str]:
-    """``repr`` of each value of an int or float column, formatted once per
-    distinct value (per bit pattern for floats, so -0.0 keeps its sign); the
-    repr of a Python float is its shortest round-trip form."""
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted, with its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _value_texts(column: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Code of each value of an int or float column, and the ``repr`` of the
+    value of each code: one code per distinct value (per bit pattern for
+    floats, so -0.0 keeps its sign). The repr of a Python float is its
+    shortest round-trip form."""
     keys = column.view(np.int64) if column.dtype == np.float64 else column
     distinct, inverse = np.unique(keys, return_inverse=True)
-    text = list(map(repr, distinct.view(column.dtype).tolist()))
-    return list(map(text.__getitem__, inverse.tolist()))
+    return inverse, list(map(repr, distinct.view(column.dtype).tolist()))
+
+
+def _joined_texts(
+    fields: Sequence[tuple[np.ndarray, Sequence[str]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Code of each row's combination of ``fields``, each a pair of per-row
+    codes and the text of each code, and the comma-joined text of each
+    combination that occurs, as an object array."""
+    codes, texts = fields[0]
+    for more_codes, more_texts in fields[1:]:
+        n = len(more_texts)
+        pairs, codes = np.unique(codes * n + more_codes, return_inverse=True)
+        texts = [f"{texts[p // n]},{more_texts[p % n]}" for p in pairs.tolist()]
+    return codes, np.array(texts, dtype=object)
 
 
 def write_trial_log(trials: Sequence[Trial], path: str) -> None:
     """Write a UTF-8 CSV log with full round-trip float precision.
 
     Floats are written as ``repr`` of Python floats, so the bytes do not
-    depend on how numpy formats its own scalars. Lines are formatted a
-    column at a time, ``_CHUNK_ROWS`` rows per write.
+    depend on how numpy formats its own scalars. Every field but movement
+    time and endpoint deviation is formatted once per distinct value in the
+    table, and fields that always appear together are joined once per
+    distinct combination; those two are formatted row by row. A participant
+    id is quoted as ``csv.writer`` would quote it. Lines are written
+    ``_CHUNK_ROWS`` rows at a time.
     """
     table = TrialTable.from_trials(trials)
-    labels = {"participant_code": table.participant_ids, "technique_code": _TECHNIQUE_TEXT,
-              "posture_code": _POSTURE_TEXT, "success": _BOOL_TEXT}
+    participant = (table.participant_code, [_csv_field(p) for p in table.participant_ids])
+    # the fields of a line in file order: joined texts, or a float column
+    parts = (
+        _joined_texts([participant, (table.technique_code, _TECHNIQUE_TEXT),
+                       (table.posture_code, _POSTURE_TEXT), _value_texts(table.block)]),
+        _joined_texts([_value_texts(table.trial_index)]),
+        _joined_texts([_value_texts(getattr(table, name)) for name in _FLOAT_COLUMNS[:4]]),
+        table.movement_time_s,
+        table.endpoint_deviation_m,
+        _joined_texts([_value_texts(table.error_attempts), (table.success, _BOOL_TEXT)]),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRIAL_LOG_HEADER + "\n")
         for start in range(0, len(table), _CHUNK_ROWS):
-            fields = []
-            for name in _LOG_COLUMNS:
-                column = getattr(table, name)[start:start + _CHUNK_ROWS]
-                fields.append(list(map(labels[name].__getitem__, column.tolist()))
-                              if name in labels else _value_text(column))
+            rows = slice(start, start + _CHUNK_ROWS)
+            fields = [map(repr, part[rows].tolist()) if isinstance(part, np.ndarray)
+                      else part[1][part[0][rows]].tolist() for part in parts]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
@@ -785,17 +822,39 @@ _LOG_DTYPE = np.dtype([
 ])
 
 
+#: Distinct texts of a chunk's text column found by equality scans; any more
+#: are found by one sort, so a column of many distinct texts costs no more
+#: than a sort.
+_SCANNED_TEXTS = 8
+
+
 def _text_codes(column: np.ndarray, code_of) -> np.ndarray:
     """``code_of(text)`` of each row, called once per distinct text in order
-    of first appearance; KeyError for text that may have been cut off."""
-    distinct, first, inverse = np.unique(column, return_index=True, return_inverse=True)
-    texts = distinct.tolist()
-    if any(len(text) >= _TEXT_WIDTH for text in texts):
-        raise KeyError("text field as wide as the parse width")
-    codes = [None] * len(texts)
+    of first appearance; KeyError for text that may have been cut off.
+
+    A log holds few distinct texts per chunk: each of the first
+    ``_SCANNED_TEXTS`` is the first row not yet coded, and one equality scan
+    of the rows left finds all of its rows."""
+
+    def code(text: str):
+        if len(text) >= _TEXT_WIDTH:
+            raise KeyError("text field as wide as the parse width")
+        return code_of(text)
+
+    codes = np.empty(len(column), dtype=np.int64)
+    rows, rest = np.arange(len(column)), column
+    for _ in range(_SCANNED_TEXTS):
+        if not len(rows):
+            return codes
+        same = rest == rest[0]
+        codes[rows[same]] = code(str(rest[0]))
+        rows, rest = rows[~same], rest[~same]
+    distinct, first, inverse = np.unique(rest, return_index=True, return_inverse=True)
+    texts, values = distinct.tolist(), [0] * len(distinct)
     for i in np.argsort(first).tolist():
-        codes[i] = code_of(texts[i])
-    return np.array(codes)[inverse]
+        values[i] = code(texts[i])
+    codes[rows] = np.array(values, dtype=np.int64)[inverse]
+    return codes
 
 
 def _read_with_loadtxt(fh) -> TrialTable | None:

@@ -205,6 +205,19 @@ class TestSampleInputChecks:
             with pytest.raises(ValueError, match="direction must be a finite, non-zero"):
                 synth_hand_trace(np.zeros(3), np.ones(3), 0.5, direction=direction)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324])
+    def test_synth_takes_directions_whose_squares_leave_the_float_range(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in the norm
+            trace = synth_hand_trace(np.zeros(3), np.ones(3), 0.5,
+                                     direction=np.array([scale, 0.0, 0.0]))
+        assert (trace.direction == [1.0, 0.0, 0.0]).all()
+
+    def test_synth_keeps_the_bits_of_an_ordinary_direction(self):
+        aim = np.array([0.3, -1.7, 2.9])
+        trace = synth_hand_trace(np.zeros(3), np.ones(3), 0.5, direction=aim)
+        assert (trace.direction == aim / np.linalg.norm(aim)).all()
+
     @pytest.mark.parametrize("start, end, match", [
         (np.zeros((101, 3)), np.ones(3), "from_point_m must be a finite 3-vector"),
         (np.zeros(3), np.ones(2), "to_point_m must be a finite 3-vector"),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import statistics
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -163,16 +164,31 @@ class TestAgainstBlockByBlockGenerator:
     """The generator keeps the block-by-block loop's draws, columns and
     errors exactly."""
 
-    @pytest.mark.parametrize("config, digest", REFERENCE_STUDIES)
-    def test_same_columns_and_log_bytes(self, config, digest, tmp_path):
+    @staticmethod
+    def assert_same_as_reference(config):
         table = generate_study(config)
         expected = generate_study_reference(config)
         assert table.participant_ids == expected.participant_ids
         for name, _ in _COLUMNS:
             got, want = getattr(table, name), getattr(expected, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        return table
+
+    @pytest.mark.parametrize("config, digest", REFERENCE_STUDIES)
+    def test_same_columns_and_log_bytes(self, config, digest, tmp_path):
+        table = self.assert_same_as_reference(config)
         write_trial_log(table, str(tmp_path / "log.csv"))
         assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mt_noise_sd_s", [0.05, 0.3, 0.6, 1.5])
+    def test_same_columns_on_both_sides_of_the_redraw_check(self, mt_noise_sd_s, seed):
+        """At sd 0.05 every block passes the loop's one check; at 0.3 some
+        blocks fail it but need no redraw (seeds 2 and 3); at 0.6 some
+        blocks redraw a draw just past the check's bound, and at 1.5 every
+        block fails the check and some movement times are redrawn."""
+        self.assert_same_as_reference(
+            replace(realistic_preset(participants=2, seed=seed), mt_noise_sd_s=mt_noise_sd_s))
 
     def test_report_bytes_of_the_seed_1_study(self):
         """The comparison records, table and throughput records of the seed-1
@@ -209,6 +225,15 @@ class TestAgainstBlockByBlockGenerator:
         replace(realistic_preset(participants=1, seed=1), mt_noise_sd_s=1.0e308),
         model_exact_preset(GroundTruth(ModelKind.STANDARD, (1.0e308, 1.0e308)),
                            participants=1, seed=1),
+        # the overflow comes before the first block's endpoint redraws run out
+        replace(model_exact_preset(GroundTruth(ModelKind.STANDARD, (1.0e308, 1.0e308)),
+                                   participants=1, seed=1),
+                endpoint_sd_fraction_of_width=1.0e7),
+        # the first block (RPRG) overflows before the third (RPDW) runs out
+        # of movement-time redraws
+        StudyConfig(REFERENCE_STANDARD_ALL, participants=1, seed=1, mt_noise_sd_s=1.0e306,
+                    technique_offsets_s={Technique.RPRG: sys.float_info.max,
+                                         Technique.RPDW: -sys.float_info.max}),
     ])
     def test_non_finite_movement_time_names_the_cell(self, config):
         with pytest.raises(ConfigError, match=r"non-finite value for cell W=\S+ D=\S+ H=\S+$"):

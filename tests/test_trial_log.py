@@ -4,6 +4,8 @@ csv reader in ``oracles``, on valid logs and on mutated ones."""
 import contextlib
 import csv
 import io
+import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -71,13 +73,20 @@ def write_lines(path, lines, ending="\n"):
 
 
 def log_lines(trials):
-    """The header and one line per trial, formatted row by row."""
-    return [TRIAL_LOG_HEADER, *(",".join([
-        t.participant_id, t.technique.value, t.posture.value, str(t.block), str(t.trial_index),
-        *(repr(x) for x in (t.width_m, t.distance_m, t.height_m, t.angle_deg,
-                            t.movement_time_s, t.endpoint_deviation_m)),
-        str(t.error_attempts), "true" if t.success else "false",
-    ]) for t in trials)]
+    """The header and one line per trial, formatted row by row, with fields
+    quoted as ``csv.writer`` quotes them."""
+    lines = [TRIAL_LOG_HEADER]
+    for t in trials:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow([
+            t.participant_id, t.technique.value, t.posture.value, str(t.block),
+            str(t.trial_index),
+            *(repr(x) for x in (t.width_m, t.distance_m, t.height_m, t.angle_deg,
+                                t.movement_time_s, t.endpoint_deviation_m)),
+            str(t.error_attempts), "true" if t.success else "false",
+        ])
+        lines.append(buffer.getvalue().removesuffix("\r\n"))
+    return lines
 
 
 def trial(participant="P01", **overrides):
@@ -107,6 +116,98 @@ class TestWriter:
         assert path.read_text(encoding="utf-8").splitlines() == log_lines(trials)
 
 
+    @pytest.mark.parametrize("participant", ["P,01", 'P"01', "P\r01", "P\n01", '"', ',\r\n"'])
+    def test_ids_that_need_quoting_round_trip(self, tmp_path, participant):
+        trials = [trial(participant), trial("P02", trial_index=1),
+                  trial(participant, trial_index=2)]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_trial_log(trials, str(first))
+        assert first.read_bytes() == "".join(f"{line}\n" for line in log_lines(trials)).encode()
+        read = read_trial_log(str(first))
+        assert read == trials
+        write_trial_log(read, str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+
+class _RecordingFile:
+    """A text file that records the text of each ``write`` call."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, np.array(0x7FF0_0000_0000_0001).view(np.float64).item(),
+    math.inf, -math.inf, 5e-324, -5e-324, 1e-310, sys.float_info.min, sys.float_info.max,
+    -sys.float_info.max, 0.1, 1e16, 1e-7, 2.0,
+]
+SPECIAL_INTS = [-(2 ** 63), 2 ** 63 - 1, -1, 0, 1]
+QUOTED_IDS = ["P,01", 'P"01', "P\r01", "P\n01", '"', '""', ",", ""]
+
+
+@st.composite
+def written_tables(draw):
+    """A table whose every column takes a few drawn values, so that float
+    columns repeat bit patterns, with a row count at or next to 0, 1 and
+    multiples of the chunk size."""
+    chunk = draw(st.sampled_from([1, 3, 1024]))
+    near_multiples = {k * chunk + d for k in (1, 2) for d in (-1, 0, 1)}
+    n = draw(st.sampled_from(sorted({0, 1, 2, *near_multiples})))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def column(values, dtype):
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=4)), dtype=dtype)
+        return pool[rng.integers(0, len(pool), n)]
+
+    ids = draw(st.lists(
+        st.one_of(st.sampled_from(QUOTED_IDS + ["P01", "P02"]), st.text(max_size=4)),
+        min_size=1, max_size=4, unique=True))
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    ints = st.one_of(st.sampled_from(SPECIAL_INTS), st.integers(-(2 ** 63), 2 ** 63 - 1))
+    table = trials_module.TrialTable(
+        ids,
+        participant_code=rng.integers(0, len(ids), n),
+        technique_code=rng.integers(0, len(Technique), n),
+        posture_code=rng.integers(0, len(Posture), n),
+        success=rng.integers(0, 2, n).astype(bool),
+        **{name: column(ints, np.int64) for name in trials_module._INT_COLUMNS},
+        **{name: column(floats, np.float64) for name in trials_module._FLOAT_COLUMNS},
+    )
+    return table, chunk
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(drawn=written_tables())
+def test_writer_matches_per_row_formatting_chunk_by_chunk(tmp_path_factory, drawn):
+    """The bytes equal the per-row reference, and each ``write`` after the
+    header holds the next ``_CHUNK_ROWS`` rows, no more."""
+    table, chunk = drawn
+    path = tmp_path_factory.getbasetemp() / "written-log.csv"
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        return _RecordingFile(open(*args, **kwargs), writes)
+
+    with (mock.patch.object(trials_module, "_CHUNK_ROWS", chunk),
+          mock.patch.object(trials_module, "open", recording_open, create=True)):
+        trials_module.write_trial_log(table, str(path))
+    header, *rows = log_lines(table)
+    assert writes == [header + "\n"] + ["".join(f"{row}\n" for row in rows[start:start + chunk])
+                                        for start in range(0, len(rows), chunk)]
+    assert path.read_bytes() == "".join(writes).encode("utf-8")
+
+
 class TestLoadtxtPath:
     def test_simulated_log_never_reaches_the_csv_reader(self, tmp_path):
         table = generate_study(realistic_preset(participants=3, seed=6))
@@ -128,6 +229,22 @@ class TestLoadtxtPath:
         assert_same_table(got, read_trial_log_reference(str(path)))
         assert got.participant_ids == ("P02", "P01")
         assert got.line_numbers.tolist() == [2, 5, 6]
+
+    @pytest.mark.parametrize("scanned", [0, 2, 8])
+    def test_many_distinct_texts_in_one_chunk(self, tmp_path, scanned):
+        """Texts past the scanned ones are still coded in order of first
+        appearance, which is not their sorted order."""
+        ids = [f"P{i:02d}" for i in (7, 3, 12, 0, 9, 1, 11, 5, 2, 10, 4, 8, 6)]
+        trials = [trial(ids[(i * 5) % 13] if i % 4 else ids[i % 13], trial_index=i,
+                        technique=list(Technique)[i % 5], posture=list(Posture)[i // 7 % 2],
+                        success=i % 3 > 0)
+                  for i in range(40)]
+        path = tmp_path / "log.csv"
+        write_lines(path, log_lines(trials))
+        with mock.patch.object(trials_module, "_SCANNED_TEXTS", scanned), csv_reader_refused():
+            got = read_trial_log(str(path))
+        assert_same_table(got, read_trial_log_reference(str(path)))
+        assert got == trials
 
     @pytest.mark.parametrize("edit", [
         lambda line: line.replace("P01", '"P01"'),

@@ -25,7 +25,8 @@ from telefitts.trials import (
     write_trial_log,
 )
 from telefitts.models import AmplitudeMode
-from telefitts.comparison import TABLE_GROUPS, group_summaries, run_table1_suite
+from telefitts.comparison import TABLE_GROUPS, group_summaries, run_table1_suite, table1_cells
+from telefitts import comparison as comparison_module
 from telefitts.throughput import throughput_by_group
 from telefitts import trials as trials_module
 from telefitts.sim import (
@@ -374,6 +375,30 @@ class TestOwnershipAndGroupMemo:
             run_table1_suite(table, mode)
         throughput_by_group(table)
         assert calls[0] == 2
+
+    def test_second_suite_collapses_nothing(self, monkeypatch):
+        table = generate_study(PRESETS["realistic"])
+        calls = []
+        collapse = comparison_module.collapse_over
+        monkeypatch.setattr(comparison_module, "collapse_over",
+                            lambda *args, **kwargs: calls.append(1) or collapse(*args, **kwargs))
+        first = run_table1_suite(table, AmplitudeMode.EUCLIDEAN)
+        assert len(calls) == len(TABLE_GROUPS)
+        assert run_table1_suite(table, AmplitudeMode.EUCLIDEAN) == first
+        assert len(calls) == len(TABLE_GROUPS)
+        run_table1_suite(table, AmplitudeMode.DEPTH_ONLY, pooled=True)
+        assert len(calls) == 2 * len(TABLE_GROUPS)  # pooled cells are collapsed apart
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_returned_report_cells_are_fresh(self, pooled):
+        table = generate_study(PRESETS["realistic"])
+        first = table1_cells(table, pooled)
+        expected = {label: dict(cells) for label, cells in first.items()}
+        first["All"].clear()
+        del first["RPRG"]
+        second = table1_cells(table, pooled)
+        assert_same_dict(second, expected)
+        assert_same_dict(second, table1_cells(list(table), pooled))
 
     def test_lists_are_grouped_on_every_call(self, monkeypatch):
         trials = random_trials(random.Random(4), 40)
