@@ -18,7 +18,6 @@ copy of ``q.T`` changes the rounding of the product).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -203,12 +202,9 @@ def _collinear_columns(x: np.ndarray, r: np.ndarray) -> list[int]:
     ]
 
 
-@functools.lru_cache(maxsize=64)
-def _factor(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (Q, R) of the float64 design matrix with this shape and
-    these bytes. A rank-deficient design raises CollinearPredictorsError on
-    every call: an exception is not cached."""
-    x = np.frombuffer(data).reshape(shape)
+def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Q, R) of the design matrix ``x``; CollinearPredictorsError
+    when it is rank-deficient."""
     q, r = np.linalg.qr(x)
     bad = _collinear_columns(x, r)
     if bad:
@@ -246,7 +242,7 @@ class Design(Sequence):
         n, cols = x.shape
         if n < cols + 1:
             raise ValueError(f"need at least p + 2 = {cols + 1} observations, got {n}")
-        return cls(x, y, *_factor(x.shape, x.tobytes()))
+        return cls(x, y, *_factor(x))
 
     def __len__(self) -> int:
         return len(self.y)

@@ -9,14 +9,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .hands import _NOT_FINITE, HandSample, HandTrace
+from .hands import _NOT_FINITE, HandSample, HandTrace, _grid_times, _read_only
 
 
-#: Longest trace smoothed by the cached (T, T) operator; a longer one runs
-#: the O(T) loop. The operator's memory grows as T^2, and past about 410
-#: samples OpenBLAS splits its (T, T) x (T, 6) product across threads: on a
-#: 2-vCPU VM that product then took about 7 ms where the loop took 0.85 ms,
-#: while at 400 samples the operator took 0.25 ms against the loop's 0.76 ms.
+#: Most samples of each rate's cached (T, T) operator, and the longest grid trace
+#: it smooths. Its memory grows as T^2, and past about 410 samples OpenBLAS
+#: threads the (T, T) x (T, 6) product: on a 2-vCPU VM it then took 7 ms where
+#: the O(T) loop took 0.85 ms, and at 400 samples 0.25 ms against 0.76 ms.
 _OPERATOR_MAX_SAMPLES = 400
 
 
@@ -26,47 +25,72 @@ def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
 
     State per channel is (value, velocity). The six channels (three position
     axes, three direction components) share one noise model, so one gain
-    sequence, computed from the time steps alone, serves all. With its gains
-    fixed the filter is a linear map of the samples, so a trace of at most
-    ``_OPERATOR_MAX_SAMPLES`` samples is smoothed as ``z[0] + M @ (z - z[0])``
-    on the stacked (T, 6) channels, with M the lower-triangular operator of
-    ``_kalman_operator``; a longer trace runs each channel as one O(T) pass.
-    The gains and the operator are cached per (time steps, process noise,
-    measurement noise), as the QR factors of a design are: every trace
-    sampled on the same grid reuses them. Directions are renormalized to unit
-    length after filtering. The filter starts at the first sample with zero
-    velocity, so the first sample and a constant trace pass through
-    untouched. The result shares the input's times and pinch; its positions
-    are checked finite, and the renormalizing vouches for its directions.
+    sequence, computed from the time steps alone, serves all; with its gains
+    fixed the filter is a linear map, ``z[0] + M @ (z - z[0])`` on the
+    stacked (T, 6) channels. The filter is causal, so on a rate's grid a
+    trace's gains and M are leading blocks of its ``_grid_filter``'s, bit for
+    bit: a grid trace of at most ``_OPERATOR_MAX_SAMPLES`` samples takes a
+    slice of M; longer grid traces and traces off a grid run the O(T) loop.
+    The first sample and a constant trace pass through untouched; directions
+    are renormalized and positions checked finite. The result shares times,
+    pinch and grid.
     """
     if not all(math.isfinite(v) and v > 0 for v in (process_noise, measurement_noise)):
         raise ValueError("noise parameters must be positive and finite")
     trace = HandTrace.from_samples(trace)
     if not len(trace):
         return trace
-    key = (np.diff(trace.t_s).tobytes(), float(process_noise), float(measurement_noise))
+    n, rate, q, r = len(trace), trace._grid_rate_hz, float(process_noise), float(measurement_noise)
     z = np.concatenate((trace.position_m, trace.direction), axis=1)
-    if len(trace) <= _OPERATOR_MAX_SAMPLES:
+    grid = _grid_filter(rate, q, r) if rate is not None and n > 1 else None  # n = 1: no steps
+    if grid is not None and n <= _OPERATOR_MAX_SAMPLES:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is rejected below
-            out = z[0] + _kalman_operator(*key) @ (z - z[0])
+            out = z[0] + grid.operator(n) @ (z - z[0])
     else:
-        gains = _kalman_gains(*key).tolist()
-        out = np.array([_filter_channel(c, *gains) for c in z.T.tolist()], dtype=float).T
+        gains = grid.gains(n) if grid is not None else _kalman_gains(np.diff(trace.t_s), q, r)
+        out = np.array([_filter_channel(c, *gains.tolist()) for c in z.T.tolist()]).T
     position, direction = out[:, :3], _unit(out[:, 3:])
     if not np.isfinite(position).all():
         raise ValueError(_NOT_FINITE)
     position.flags.writeable = direction.flags.writeable = False
-    return HandTrace._of_checked(trace.t_s, position, direction, trace.pinch)
+    return HandTrace._of_checked(trace.t_s, position, direction, trace.pinch, rate)
 
 
-@functools.lru_cache(maxsize=8)
-def _kalman_gains(steps: bytes, q: float, r: float) -> np.ndarray:
-    """Read-only (3, T - 1) rows dt, position gain and velocity gain per step
+class _GridFilter:
+    """The gains and the read-only operator of one rate's grid and (q, r),
+    grown when a longer grid trace asks; the operator holds at most
+    ``_OPERATOR_MAX_SAMPLES`` samples."""
+
+    def __init__(self, rate_hz: float, q: float, r: float) -> None:
+        self.rate_hz, self.noise = rate_hz, (q, r)
+        self._gains, self._operator = np.empty((3, 0)), np.empty((0, 0))
+
+    def gains(self, n: int) -> np.ndarray:
+        """The (3, n - 1) gains of an n-sample grid trace."""
+        if self._gains.shape[1] < n - 1:
+            self._gains = _kalman_gains(np.diff(_grid_times(n, self.rate_hz)), *self.noise)
+        return self._gains[:, :n - 1]
+
+    def operator(self, n: int) -> np.ndarray:
+        """The (n, n) operator of an n-sample grid trace; a rebuild at least
+        doubles it, up to the bound, so rising lengths rebuild it few times."""
+        if len(self._operator) < n:
+            size = min(max(n, 2 * len(self._operator)), _OPERATOR_MAX_SAMPLES)
+            self._operator = _read_only(_kalman_operator(self.gains(size)))
+        return self._operator[:n, :n]
+
+
+#: The _GridFilter of each (rate, q, r), for the 8 used last.
+_grid_filter = functools.lru_cache(maxsize=8)(_GridFilter)
+
+
+def _kalman_gains(dts: np.ndarray, q: float, r: float) -> np.ndarray:
+    """(3, T - 1) rows dt, position gain and velocity gain per step
     of the Riccati recursion for a scalar position measurement, from
-    P0 = diag(r, 1), for the float64 time steps in ``steps``. The recursion
-    never sees the data, so a grid seen before costs one lookup."""
+    P0 = diag(r, 1), for the time steps ``dts``. The recursion never sees
+    the data, and gain i depends on the steps up to i alone."""
     p00, p01, p10, p11 = r, 0.0, 0.0, 1.0
-    dts = np.frombuffer(steps).tolist()
+    dts = dts.tolist()
     k0s, k1s = [], []
     for dt in dts:
         # predict: P = F P F' + Q with F = [[1, dt], [0, 1]]
@@ -80,34 +104,30 @@ def _kalman_gains(steps: bytes, q: float, r: float) -> np.ndarray:
         p00, p01, p10, p11 = p00 - k0 * p00, p01 - k0 * p01, p10 - k1 * p00, p11 - k1 * p01
         k0s.append(k0)
         k1s.append(k1)
-    gains = np.array([dts, k0s, k1s], dtype=float)
-    gains.flags.writeable = False
-    return gains
+    return np.array([dts, k0s, k1s], dtype=float)
 
 
-@functools.lru_cache(maxsize=8)
-def _kalman_operator(steps: bytes, q: float, r: float) -> np.ndarray:
-    """Read-only (T, T) lower-triangular M whose row i holds the weights of
-    the samples in the filtered value i of a channel that starts at zero,
-    built from the gains of ``_kalman_gains`` under the same key.
+def _kalman_operator(gains: np.ndarray) -> np.ndarray:
+    """The (T, T) lower-triangular M whose row i weighs the samples in the
+    filtered value i of a channel that starts at zero, for ``gains``.
 
     With fixed gains a step is linear: it maps the state rows (value,
     velocity) over the samples, beside the indicator row of the new sample,
     to [[1 - k0, (1 - k0) dt, k0], [-k1, 1 - k1 dt, k1]] times them, one
-    small product per step. Column 0 is zero: the first sample is the
-    filter's start, which the caller subtracts."""
-    gains = _kalman_gains(steps, q, r)
+    small product per step; row i depends on the gains before step i alone.
+    Column 0 is zero: the first sample is the filter's start, which the
+    caller subtracts."""
     n = gains.shape[1] + 1
     updates = np.empty((n - 1, 2, 3))
     updates[:, :, 2] = gains[1:].T
     updates[:, :, 0] = (1.0, 0.0) - updates[:, :, 2]
     updates[:, :, 1] = updates[:, :, 0] * gains[0, :, None] + (0.0, 1.0)
-    states = np.zeros((n, 3, n))  # after step i: value, velocity, indicator of sample i + 1
-    states[np.arange(n - 1), 2, np.arange(1, n)] = 1.0
-    for update, state, following in zip(updates, states, states[1:, :2]):
+    operator, state, following = np.zeros((n, n)), np.zeros((3, n)), np.empty((2, n))
+    for i, update in enumerate(updates):
+        state[2, i:i + 2] = 0.0, 1.0  # state: value, velocity, indicator of sample i + 1
         np.dot(update, state, out=following)
-    operator = states[:, 0].copy()
-    operator.flags.writeable = False
+        state[:2] = following
+        operator[i + 1] = following[0]
     return operator
 
 

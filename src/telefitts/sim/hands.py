@@ -82,12 +82,14 @@ class HandTrace(Sequence):
             raise ValueError("timestamps must be strictly increasing")
         self.t_s, self.position_m = _read_only(t_s), _read_only(position_m)
         self.direction, self.pinch = _read_only(direction), _read_only(pinch)
+        self._grid_rate_hz: float | None = None  # the rate whose _grid_times t_s is a prefix of
 
     @classmethod
-    def _of_checked(cls, t_s, position_m, direction, pinch) -> "HandTrace":
+    def _of_checked(cls, t_s, position_m, direction, pinch, grid_rate_hz=None) -> "HandTrace":
         """A trace of read-only columns that already pass the checks."""
         trace = object.__new__(cls)
         trace.t_s, trace.position_m, trace.direction, trace.pinch = t_s, position_m, direction, pinch
+        trace._grid_rate_hz = grid_rate_hz
         return trace
 
     @classmethod
@@ -109,9 +111,11 @@ class HandTrace(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             columns = [col[index] for col in self.columns]
-            if (index.step or 1) < 0:  # reversed times, which the checks reject
+            start, _, step = index.indices(len(self))
+            if step < 0:  # reversed times, which the checks reject
                 return HandTrace(*columns)
-            return HandTrace._of_checked(*columns)  # read-only, in-order slices
+            return HandTrace._of_checked(*columns, self._grid_rate_hz if (start, step) == (0, 1)
+                                         else None)  # a prefix keeps the grid rate
         i = range(len(self))[index]
         return HandSample(float(self.t_s[i]), self.position_m[i].copy(),
                           self.direction[i].copy(), bool(self.pinch[i]))
@@ -130,58 +134,56 @@ class HandTrace(Sequence):
         return f"HandTrace({len(self)} samples)"
 
 
+def _time_aligned(left: HandTrace, right: HandTrace) -> bool:
+    """Whether two equally long traces sample the same times, to 1e-9 s; two
+    prefixes of one rate's grid do without a comparison."""
+    rate = left._grid_rate_hz
+    return (rate is not None and rate == right._grid_rate_hz) \
+        or not np.any(np.abs(left.t_s - right.t_s) > 1e-9)
+
+
 def minimum_jerk_profile(tau):
     """Normalized minimum-jerk position profile: 10 tau^3 - 15 tau^4 + 6 tau^5."""
     return tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau))
 
 
-#: Most pinch columns one grid keeps; past it a column is built per call.
-_PINCHES_PER_GRID = 8
-
-
-class _SampleGrid:
-    """The read-only columns that every trace of one (duration, rate) shares:
-    the times, checked once, the minimum-jerk reach profile as a (T, 1)
-    column, and the pinch column of each ``pinch_at_s`` asked for."""
-
-    def __init__(self, duration_s: float, sample_rate_hz: float) -> None:
-        t = np.arange(int(round(duration_s * sample_rate_hz)) + 1) / sample_rate_hz
-        if not np.isfinite(t).all():
-            raise ValueError(_NOT_FINITE)
-        if not (t[1:] > t[:-1]).all():
-            raise ValueError("timestamps must be strictly increasing")
-        reach = minimum_jerk_profile(np.minimum(t / duration_s, 1.0))[:, None]
-        t.flags.writeable = reach.flags.writeable = False
-        self.t_s, self.reach, self._pinches = t, reach, {}
-
-    def pinch(self, pinch_at_s: float | None) -> np.ndarray:
-        """Closed from ``pinch_at_s`` onward; never when it is None."""
-        column = self._pinches.get(pinch_at_s)
-        if column is None:
-            if pinch_at_s is not None and math.isnan(pinch_at_s):
-                raise ValueError(f"pinch_at_s must be a time or None, got {pinch_at_s}")
-            column = self.t_s >= (math.inf if pinch_at_s is None else pinch_at_s)
-            column.flags.writeable = False
-            if len(self._pinches) < _PINCHES_PER_GRID:
-                self._pinches[pinch_at_s] = column
-        return column
-
-
 @functools.lru_cache(maxsize=8)
-def _cached_grid(duration_s: float, sample_rate_hz: float) -> _SampleGrid:
-    return _SampleGrid(duration_s, sample_rate_hz)
+def _rate_times(sample_rate_hz: float) -> list[np.ndarray]:
+    """The one time column kept per rate, in a list that _grid_times grows."""
+    return [np.empty(0)]
 
 
-def _sample_times(duration_s: float, sample_rate_hz: float) -> _SampleGrid:
-    """The shared grid of a trace of ``duration_s`` at ``sample_rate_hz``,
-    cached per (duration, rate) as floats once both are checked."""
+def _grid_times(n: int, sample_rate_hz: float) -> np.ndarray:
+    """The read-only times k / ``sample_rate_hz``, k < ``n``: a prefix of the
+    rate's one column, rebuilt and checked (finite, strictly increasing) when
+    a longer trace asks. A time depends on k alone, so all prefixes agree."""
+    kept = _rate_times(sample_rate_hz)
+    if len(kept[0]) < n:
+        times = np.arange(n) / sample_rate_hz
+        if not np.isfinite(times).all():
+            raise ValueError(_NOT_FINITE)
+        if not (times[1:] > times[:-1]).all():
+            raise ValueError("timestamps must be strictly increasing")
+        times.flags.writeable = False
+        kept[0] = times
+    return kept[0][:n]
+
+
+def _grid(duration_s: float, sample_rate_hz: float, pinch_at_s: float | None) -> tuple:
+    """(times, pinch, rate as a float) of a trace of ``duration_s`` at
+    ``sample_rate_hz``, pinching from ``pinch_at_s`` on (never when None)."""
     for name, value in (("duration_s", duration_s), ("sample_rate_hz", sample_rate_hz)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if not math.isfinite(duration_s * sample_rate_hz):
         raise ValueError(f"no trace holds duration_s={duration_s} at "
                          f"sample_rate_hz={sample_rate_hz}: the sample count overflows")
-    return _cached_grid(float(duration_s), float(sample_rate_hz))
+    if pinch_at_s is not None and math.isnan(pinch_at_s):
+        raise ValueError(f"pinch_at_s must be a time or None, got {pinch_at_s}")
+    t = _grid_times(int(round(duration_s * sample_rate_hz)) + 1, float(sample_rate_hz))
+    pinch = np.zeros(len(t), dtype=bool) if pinch_at_s is None else t >= pinch_at_s
+    pinch.flags.writeable = False
+    return t, pinch, float(sample_rate_hz)
 
 
 def synth_hand_trace(
@@ -200,15 +202,14 @@ def synth_hand_trace(
     be finite 3-vectors. ``direction`` (default +z) is scaled to unit
     length; it must be a finite, non-zero 3-vector. ``pinch_at_s`` closes the
     index finger from that time onward, producing a single rising edge. The
-    times and pinch come from the grid shared by every trace of this
-    duration and rate; only the positions and the one direction are checked.
+    times are a view of the rate's shared, checked column; only the
+    positions and the one direction are checked.
     """
     if not (math.isfinite(tremor_sd_m) and tremor_sd_m >= 0):
         raise ValueError(f"tremor_sd_m must be finite and non-negative, got {tremor_sd_m}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    grid = _sample_times(duration_s, sample_rate_hz)
-    pinch = grid.pinch(pinch_at_s)
+    t, pinch, rate = _grid(duration_s, sample_rate_hz, pinch_at_s)
     aim = np.asarray((0.0, 0.0, 1.0) if direction is None else direction, dtype=float)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(aim)) if aim.shape == (3,) else math.nan
@@ -220,8 +221,10 @@ def synth_hand_trace(
     aim = _vector("direction", aim / norm, unit=True)
     start = _vector("from_point_m", from_point_m)
     end = _vector("to_point_m", to_point_m)
+    tau = t / duration_s  # past 1 only where the rounded sample count overshoots
+    reach = minimum_jerk_profile(tau if t[-1] <= duration_s else np.minimum(tau, 1.0))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite positions are rejected below
-        pos = start + (end - start) * grid.reach
+        pos = start + (end - start) * reach
         if tremor_sd_m > 0:
             pos += np.random.default_rng(seed).normal(0.0, tremor_sd_m, size=pos.shape)
     if not np.isfinite(pos).all():
@@ -229,19 +232,7 @@ def synth_hand_trace(
                          f"{tremor_sd_m} leaves the float range")
     aims = aim[None].repeat(len(pos), axis=0)
     pos.flags.writeable = aims.flags.writeable = False
-    return HandTrace._of_checked(grid.t_s, pos, aims, pinch)
-
-
-@functools.lru_cache(maxsize=16)
-def _stationary_trace(position: bytes, direction: bytes, duration_s: float,
-                      sample_rate_hz: float, pinch_at_s: float | None) -> HandTrace:
-    """A checked stationary hand's trace; its constant columns are read-only
-    broadcasts of one row, so an entry holds no (T, 3) array."""
-    grid = _cached_grid(duration_s, sample_rate_hz)
-    shape = (len(grid.t_s), 3)
-    return HandTrace._of_checked(grid.t_s, np.broadcast_to(np.frombuffer(position), shape),
-                                 np.broadcast_to(np.frombuffer(direction), shape),
-                                 grid.pinch(pinch_at_s))
+    return HandTrace._of_checked(t, pos, aims, pinch, rate)
 
 
 @dataclass
@@ -254,10 +245,12 @@ class StationaryHand:
     def trace(self, duration_s: float, sample_rate_hz: float = 100.0,
               pinch_at_s: float | None = None) -> HandTrace:
         """The hand's position and unit direction, checked once, over the
-        grid of ``duration_s`` at ``sample_rate_hz``; the whole read-only
-        trace is cached per (position, direction, grid, pinch time)."""
-        _sample_times(duration_s, sample_rate_hz)  # checks both before they key the cache
-        position = _vector("StationaryHand.position_m", self.position_m)
-        direction = _vector("StationaryHand.direction", self.direction, unit=True)
-        return _stationary_trace(position.tobytes(), direction.tobytes(), float(duration_s),
-                                 float(sample_rate_hz), pinch_at_s)
+        times of ``duration_s`` at ``sample_rate_hz``. The constant columns
+        repeat one read-only row with stride 0, so no (T, 3) array is made."""
+        t, pinch, rate = _grid(duration_s, sample_rate_hz, pinch_at_s)
+        position = _vector("StationaryHand.position_m", self.position_m).tobytes()
+        direction = _vector("StationaryHand.direction", self.direction, unit=True).tobytes()
+        # read-only (T, 3) views of one immutable copy of each row
+        position = np.ndarray((len(t), 3), float, position, strides=(0, 8))
+        direction = np.ndarray((len(t), 3), float, direction, strides=(0, 8))
+        return HandTrace._of_checked(t, position, direction, pinch, rate)

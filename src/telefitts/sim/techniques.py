@@ -16,7 +16,7 @@ import numpy as np
 
 from ..models import START_CUBE_DEPTH_M
 from ..trials import Technique
-from .hands import HandSample, HandTrace
+from .hands import HandSample, HandTrace, _time_aligned
 from .kinematics import parabola_landing, sphere_hit_test
 from .filters import kalman_smooth, spike_compensate
 
@@ -215,14 +215,12 @@ def run_trial(
     pointer trace through the config's Kalman filter, as a live pipeline
     stabilizes tracking jitter.
     """
-    hands = {"left": HandTrace.from_samples(left_trace),
-             "right": HandTrace.from_samples(right_trace)}
-    left_t, right_t = hands["left"].t_s, hands["right"].t_s
-    if left_t is not right_t:  # traces built on one shared grid are aligned
-        if len(left_t) != len(right_t):
-            raise ValueError("hand traces must be sample-aligned")
-        if np.any(np.abs(left_t - right_t) > 1e-9):
-            raise ValueError("left/right samples must be time-aligned")
+    left, right = HandTrace.from_samples(left_trace), HandTrace.from_samples(right_trace)
+    hands = {"left": left, "right": right}
+    if len(left) != len(right):
+        raise ValueError("hand traces must be sample-aligned")
+    if not _time_aligned(left, right):
+        raise ValueError("left/right samples must be time-aligned")
     pointer = hands[config.pointer_hand]
     if smooth_pointer:
         pointer = kalman_smooth(pointer, config.kalman_process_noise,

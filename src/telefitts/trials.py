@@ -206,7 +206,8 @@ class TrialTable(Sequence):
                 [POSTURES[c] for c in self.posture_code[rows].tolist()],
                 self.block[rows].tolist(),
                 self.trial_index[rows].tolist(),
-                *(_float_objects(getattr(self, name)[rows]) for name in _FLOAT_COLUMNS),
+                *(_float_objects(getattr(self, name)[rows]) for name in _FLOAT_COLUMNS[:4]),
+                *(getattr(self, name)[rows].tolist() for name in _FLOAT_COLUMNS[4:]),
                 self.error_attempts[rows].tolist(),
                 self.success[rows].tolist(),
             )
@@ -381,11 +382,6 @@ def sample_sd(values: Sequence[float]) -> float:
                        1 - den.bit_length())
 
 
-#: Rows per cell from which ``_cell_sds`` sums in int64 limbs; below it the
-#: fixed cost of the limb arrays outweighs one Python int per row.
-_LIMB_ROWS_PER_CELL = 8
-
-
 def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float]:
     """``sample_sd`` of each cell ``values[start:start + n]`` at once; cells
     of fewer than two values get 0.0.
@@ -393,9 +389,8 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> lis
     Each float is d * 2**e with an integer d, |d| < 2**53; ``frexp`` takes
     the whole column apart, and within a cell every d is shifted onto the
     cell's smallest exponent, m = d << s, so that ``_sd_of_sums`` sees the
-    exact sums of the integers m and m**2. Tables of at least
-    ``_LIMB_ROWS_PER_CELL`` rows per cell take those sums in int64 limbs
-    (``_limb_sums``), smaller ones as one Python int per row.
+    exact sums of the integers m and m**2, taken in int64 limbs
+    (``_limb_sums``).
     """
     finite = np.isfinite(values)
     mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
@@ -406,13 +401,7 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> lis
     cell_exp = np.minimum.reduceat(exponent, starts)
     cell_exp[cell_exp == np.iinfo(np.int64).max] = 0  # cells of zeros only
     shifts = np.where(zero, 0, exponent - np.repeat(cell_exp, counts))
-    if len(values) >= _LIMB_ROWS_PER_CELL * len(starts):
-        s1, s2 = _limb_sums(digits, shifts, starts, counts)
-    else:
-        scaled = list(map(operator.lshift, digits.tolist(), shifts.tolist()))
-        cells = [scaled[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
-        s1 = list(map(sum, cells))
-        s2 = [sum(map(operator.mul, cell, cell)) for cell in cells]
+    s1, s2 = _limb_sums(digits, shifts, starts, counts)
     all_finite = np.logical_and.reduceat(finite, starts).tolist()
     return [
         0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan

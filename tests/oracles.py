@@ -473,6 +473,48 @@ def kalman_smooth_reference(trace, process_noise=50.0, measurement_noise=1e-4):
     return out
 
 
+def kalman_operator_reference(steps, q, r):
+    """The (T, T) operator of a T-sample trace with time steps ``steps``, built
+    afresh: its own gains by the Riccati recursion, then one 2 x 3 product per
+    step over the state rows (value, velocity) and the new sample's indicator
+    row, in the float operations ``filters._kalman_operator`` makes."""
+    p00, p01, p10, p11 = r, 0.0, 0.0, 1.0
+    dts, k0s, k1s = [float(dt) for dt in steps], [], []
+    for dt in dts:
+        a, b = p00 + dt * p10, p01 + dt * p11
+        p00 = a + b * dt + q * dt ** 4 / 4.0
+        p01 = b + q * dt ** 3 / 2.0
+        p10 = p10 + dt * p11 + q * dt ** 3 / 2.0
+        p11 = p11 + q * dt ** 2
+        k0, k1 = p00 / (p00 + r), p10 / (p00 + r)
+        p00, p01, p10, p11 = p00 - k0 * p00, p01 - k0 * p01, p10 - k1 * p00, p11 - k1 * p01
+        k0s.append(k0)
+        k1s.append(k1)
+    n = len(dts) + 1
+    updates = np.empty((n - 1, 2, 3))
+    updates[:, :, 2] = np.array([k0s, k1s]).reshape(2, -1).T
+    updates[:, :, 0] = (1.0, 0.0) - updates[:, :, 2]
+    updates[:, :, 1] = updates[:, :, 0] * np.array(dts)[:, None] + (0.0, 1.0)
+    states = np.zeros((n, 3, n))
+    states[np.arange(n - 1), 2, np.arange(1, n)] = 1.0
+    for i in range(n - 1):
+        states[i + 1, :2] = np.dot(updates[i], states[i])
+    return states[:, 0].copy()
+
+
+def kalman_smooth_operator_reference(trace, process_noise=50.0, measurement_noise=1e-4):
+    """(positions, directions) of ``z[0] + M @ (z - z[0])`` on a trace's stacked
+    (T, 6) channels, with M from :func:`kalman_operator_reference` on the
+    trace's own steps; directions scaled to unit length row by row as
+    ``filters._unit`` sums them."""
+    z = np.concatenate((trace.position_m, trace.direction), axis=1)
+    m = kalman_operator_reference(np.diff(trace.t_s), float(process_noise),
+                                  float(measurement_noise))
+    out = z[0] + m @ (z - z[0])
+    x, y, w = out[:, 3:].T
+    return out[:, :3], out[:, 3:] / np.sqrt(x * x + y * y + w * w)[:, None]
+
+
 def _sample_at_reference(trace, t_s):
     if t_s <= trace[0].t_s:
         return trace[0]

@@ -246,7 +246,6 @@ class TestRepeatedDesigns:
     @staticmethod
     def _clear_caches():
         comparison._cell_design.cache_clear()
-        regression._factor.cache_clear()
 
     def test_suite_fits_equal_uncached_fits_bit_for_bit(self):
         from telefitts.sim import generate_study, realistic_preset

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telefitts.sim.filters
 import telefitts.sim.techniques
-from telefitts.sim.filters import _OPERATOR_MAX_SAMPLES, _kalman_gains, _kalman_operator
-from telefitts.sim.hands import _PINCHES_PER_GRID, _cached_grid, _stationary_trace
+from telefitts.sim.filters import _OPERATOR_MAX_SAMPLES, _grid_filter
+from telefitts.sim.hands import _grid_times, _rate_times
 from telefitts.trials import Technique
 from telefitts.sim import (
     HandSample,
@@ -32,8 +33,10 @@ from telefitts.sim import (
 )
 
 from oracles import (
+    kalman_smooth_operator_reference,
     kalman_smooth_reference,
     run_trial_reference,
+    scalar_kalman_positions,
     stationary_trace_reference,
     synth_hand_trace_reference,
 )
@@ -103,6 +106,15 @@ class TestHandTrace:
         assert trace[::2] == list(trace)[::2]
         with pytest.raises(ValueError, match="strictly increasing"):
             trace[::-1]
+
+    def test_prefix_slices_alone_keep_the_grid_rate(self):
+        trace = self._trace()
+        assert trace._grid_rate_hz == 100.0
+        for prefix in (trace[:10], trace[0:10:1], trace[:], trace[:-1], trace[:0]):
+            assert prefix._grid_rate_hz == 100.0
+        for other in (trace[1:], trace[::2], trace[-5:], HandTrace.from_samples(list(trace)),
+                      HandTrace(*trace.columns)):
+            assert other._grid_rate_hz is None
 
     def test_equals_list_of_the_same_samples(self):
         trace = self._trace()
@@ -412,49 +424,73 @@ class TestParityWithPerSampleReference:
                 assert np.array_equal(got.position_m, want.position_m)
 
 
-def _clear_grid_caches():
-    _cached_grid.cache_clear()
-    _stationary_trace.cache_clear()
+def _clear_rate_columns():
+    _rate_times.cache_clear()
+
+
+def _kept_column(rate):
+    """The column kept for ``rate``, without counting the lookup as a use."""
+    hits, misses, _, size = _rate_times.cache_info()
+    column = _rate_times(rate)[0]
+    assert _rate_times.cache_info()[:2] == (hits + 1, misses), "no column kept"
+    return column
 
 
 #: (duration, rate) grids; the second and third hold 101 samples as the first
-#: does, on other times, and the last keys on the floats of integers.
+#: does, on other times, and the last takes a duration and rate as integers.
 GRIDS = [(1.0, 100.0), (0.5, 200.0), (1.0, 100.0000001), (0.83, 72.0), (2, 30)]
 
 
-class TestSampleGridCache:
-    """Every trace of one (duration, rate) shares its times, reach profile
-    and pinch columns; a stationary hand's whole trace is cached too. No
-    entry may serve another key, and no column may be written."""
+class TestRateTimeColumn:
+    """Every trace at one sample rate views a prefix of the rate's one
+    read-only time column; no rate's column serves another, and the reach
+    and pinch are computed per trace."""
 
-    def test_cached_columns_are_read_only_and_shared(self):
-        _clear_grid_caches()
-        a = synth_hand_trace(np.zeros(3), np.ones(3), 1.0, pinch_at_s=0.4)
-        b = StationaryHand().trace(1.0, pinch_at_s=0.4)
-        grid = _cached_grid(1.0, 100.0)
-        assert a.t_s is b.t_s is grid.t_s and a.pinch is b.pinch
-        for column in (grid.t_s, grid.reach, grid.pinch(None), *a.columns, *b.columns):
-            with pytest.raises(ValueError):
-                column[0] = 1
-        assert StationaryHand().trace(1.0, pinch_at_s=0.4) is b
+    def test_traces_view_one_read_only_column_per_rate(self):
+        _clear_rate_columns()
+        longest = StationaryHand().trace(2.0, pinch_at_s=0.4)
+        column = _kept_column(100.0)
+        traces = [synth_hand_trace(np.zeros(3), np.ones(3), d, pinch_at_s=0.4)
+                  for d in (1.0, 0.37, 2.0)] + [StationaryHand().trace(1.3), longest]
+        for trace in traces:
+            assert trace.t_s.base is column and trace._grid_rate_hz == 100.0
+            assert np.array_equal(trace.t_s, np.arange(len(trace)) / 100.0)
+            for array in trace.columns:
+                with pytest.raises(ValueError):
+                    array[0] = 1
+        assert synth_hand_trace(np.zeros(3), np.ones(3), 3.0).t_s.base is not column
+        assert len(_kept_column(100.0)) == 301  # grown, checked, and the same bits:
+        assert np.array_equal(_kept_column(100.0)[:len(column)], column)
 
-    def test_no_entry_serves_another_key(self):
-        _clear_grid_caches()
-        for round_ in range(2):  # the second round is served from the caches
+    def test_no_rate_serves_another(self):
+        _clear_rate_columns()
+        for round_ in range(2):  # the second round views the kept columns
             for duration, rate in GRIDS:
-                for pinch_at_s in (None, 0.25, 0.255, -math.inf):
-                    grid = _cached_grid(float(duration), float(rate))
+                for pinch_at_s in (None, 0.25, 0.255, -math.inf, 0.05 * round_):
+                    trace = StationaryHand().trace(duration, rate, pinch_at_s=pinch_at_s)
                     t = np.arange(int(round(duration * rate)) + 1) / rate
-                    assert np.array_equal(grid.t_s, t)
-                    assert np.array_equal(grid.reach[:, 0], minimum_jerk_profile(
-                        np.minimum(t / duration, 1.0)))
+                    assert np.array_equal(trace.t_s, t) and trace._grid_rate_hz == rate
                     want = np.zeros(len(t), bool) if pinch_at_s is None else t >= pinch_at_s
-                    assert np.array_equal(grid.pinch(pinch_at_s), want)
-        assert _cached_grid.cache_info()[:2] == (len(GRIDS) * 7, len(GRIDS))
-        assert _cached_grid(2.0, 30.0) is _cached_grid(2, 30)
+                    assert np.array_equal(trace.pinch, want)
+        assert _rate_times.cache_info().currsize == len(GRIDS)
 
-    def test_stationary_traces_key_on_position_and_direction_bits(self):
-        _clear_grid_caches()
+    def test_columns_past_the_bound_are_dropped_least_recently_used_first(self):
+        _clear_rate_columns()
+        kept = _rate_times.cache_info().maxsize
+        rates = [50.0 + k for k in range(kept + 3)]
+        for rate in rates:
+            trace = synth_hand_trace(np.zeros(3), np.ones(3), 0.5, sample_rate_hz=rate)
+            assert trace == synth_hand_trace_reference(np.zeros(3), np.ones(3), 0.5,
+                                                       sample_rate_hz=rate)
+        for rate in rates[-kept:]:
+            assert len(_kept_column(rate)) == round(0.5 * rate) + 1
+        misses = _rate_times.cache_info().misses
+        assert synth_hand_trace(np.zeros(3), np.ones(3), 0.5, sample_rate_hz=rates[0]) == \
+            synth_hand_trace_reference(np.zeros(3), np.ones(3), 0.5, sample_rate_hz=rates[0])
+        assert _rate_times.cache_info().misses == misses + 1
+
+    def test_stationary_traces_keep_position_and_direction_bits(self):
+        _clear_rate_columns()
         hands = [StationaryHand(np.array(p), np.array(d)) for p, d in (
             ([0.0, 1.2, 0.2], [0.0, 0.0, 1.0]), ([-0.0, 1.2, 0.2], [0.0, 0.0, 1.0]),
             ([0.0, 1.2, 0.2], [0.6, 0.0, 0.8]), ([0.0, 1.2, 0.2 + 1e-16], [0.0, 0.0, 1.0]))]
@@ -468,22 +504,13 @@ class TestSampleGridCache:
                     assert got.position_m.tobytes() == np.tile(hand.position_m,
                                                                (len(got), 1)).tobytes()
 
-    def test_pinch_columns_past_the_bound_are_still_right(self):
-        _clear_grid_caches()
-        t = np.arange(101) / 100.0
-        for round_ in range(2):
-            for k in range(_PINCHES_PER_GRID + 4):
-                trace = synth_hand_trace(np.zeros(3), np.ones(3), 1.0, pinch_at_s=0.05 * k)
-                assert np.array_equal(trace.pinch, t >= 0.05 * k)
-        assert len(_cached_grid(1.0, 100.0)._pinches) == _PINCHES_PER_GRID
-
     @pytest.mark.parametrize("clear", [False, True])
     def test_traces_equal_the_references_on_every_grid(self, clear):
         args = (np.array([0.0, 1.35, 0.72]), np.array([0.05, 1.45, 0.76]))
         hand = StationaryHand(np.array([0.2, 1.1, 0.1]), np.array([0.6, 0.0, 0.8]))
         for duration, rate in GRIDS:
             if clear:
-                _clear_grid_caches()
+                _clear_rate_columns()
             kwargs = dict(tremor_sd_m=0.003, sample_rate_hz=rate, seed=11, pinch_at_s=0.3,
                           direction=np.array([0.3, 0.5, 2.0]))
             assert synth_hand_trace(*args, duration, **kwargs) == \
@@ -492,27 +519,28 @@ class TestSampleGridCache:
             assert hand.trace(duration, rate) == want
 
     def test_long_grids_keep_their_memory_bounded(self):
-        """A 200 000-sample grid holds its times, reach and pinch columns once;
-        a stationary trace on it broadcasts one row, so twenty hands at
-        twenty pinch times add no (T, 3) array (4.8 MB each)."""
+        """A 200 000-sample grid holds its times once; a stationary trace on it
+        repeats one row with stride 0, so twenty hands at twenty pinch times
+        add no (T, 3) array (4.8 MB each), only their own pinch columns."""
         n = 200_000
-        _clear_grid_caches()
+        _clear_rate_columns()
         tracemalloc.start()
         try:
             for k in range(20):
                 trace = StationaryHand(np.array([0.0, 1.2, 0.01 * k])).trace(
                     (n - 1) / 100.0, pinch_at_s=float(k))
                 assert len(trace) == n and trace.position_m.strides == (0, 8)
+                assert trace.t_s.base is _kept_column(100.0)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # times and reach 1.6 MB each; at most 8 + 16 pinch columns of 0.2 MB
-        assert held < 9e6 and peak < 16e6, (held, peak)
+        # times 1.6 MB, and the last trace's pinch column of 0.2 MB
+        assert held < 3e6 and peak < 4e6, (held, peak)
 
 
 class TestTraceAlignment:
-    """run_trial skips its time-alignment test only for traces that hold the
-    same times array; distinct arrays are compared, equal or not."""
+    """run_trial skips its time-alignment test only for equally long traces
+    on one rate's grid; other traces are compared, equal or not."""
 
     def _traces(self):
         scene = SceneSpec(target=TargetPlacement(0.6, 4.0, 0.0))
@@ -522,8 +550,9 @@ class TestTraceAlignment:
     def test_distinct_but_equal_times_are_aligned(self):
         scene, pointer, other = self._traces()
         config = TechniqueConfig(Technique.RPRG)
-        assert pointer.t_s is other.t_s
+        assert pointer._grid_rate_hz == other._grid_rate_hz == 100.0
         copied = HandTrace(pointer.t_s.copy(), *pointer.columns[1:])
+        assert copied._grid_rate_hz is None
         want = run_trial(config, scene, other, pointer)
         assert want is not None
         assert_same_outcome(run_trial(config, scene, other, copied), want)
@@ -539,91 +568,176 @@ class TestTraceAlignment:
             with pytest.raises(ValueError, match=match):
                 run_trial(TechniqueConfig(Technique.RPRG), scene, left, right)
 
+    @pytest.mark.parametrize("duration, rate, match", [
+        (2.0, 50.0, "time-aligned"),  # 101 samples, as the 1 s trace at 100 Hz
+        (1.0, 90.0, "sample-aligned"),
+        (1.2, 100.0, "sample-aligned"),
+    ])
+    def test_traces_of_other_rates_or_lengths_raise(self, duration, rate, match):
+        scene, pointer, _ = self._traces()
+        other = StationaryHand().trace(duration, rate, pinch_at_s=0.5)
+        for left, right in ((other, pointer), (pointer, other)):
+            with pytest.raises(ValueError, match=match):
+                run_trial(TechniqueConfig(Technique.RPRG), scene, left, right)
 
-def _clear_kalman_caches():
-    _kalman_gains.cache_clear()
-    _kalman_operator.cache_clear()
+    def test_a_shifted_slice_is_compared(self):
+        scene, pointer, other = self._traces()
+        assert pointer[1:]._grid_rate_hz is None
+        with pytest.raises(ValueError, match="time-aligned"):
+            run_trial(TechniqueConfig(Technique.RPRG), scene, other[:-1], pointer[1:])
 
 
-def _random_trace(t, seed):
+def _random_trace(t, seed, rate=None):
+    """A random walk on times ``t``; on ``rate``'s grid when ``rate`` is given
+    (``t`` then being the grid's first times)."""
     rng = np.random.default_rng(seed)
     pos = np.cumsum(rng.normal(0, 0.01, (len(t), 3)), axis=0)
     d = np.array([0.2, 0.1, 1.0]) + np.cumsum(rng.normal(0, 0.02, (len(t), 3)), axis=0)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return HandTrace(t, pos, d, rng.random(len(t)) < 0.5)
+    trace = HandTrace(t, pos, d, rng.random(len(t)) < 0.5)
+    if rate is None:
+        return trace
+    assert np.array_equal(t, _grid_times(len(t), rate))
+    return HandTrace._of_checked(_grid_times(len(t), rate), *trace.columns[1:], rate)
 
 
-class TestKalmanGainCache:
-    """The gains and the operator are cached per (time steps, q, r); no entry
-    may serve another key, and the smoothed trace reuses its input's checked
-    columns."""
+def _grid_trace(n, rate, seed):
+    return _random_trace(np.arange(n) / rate, seed, rate)
+
+
+def assert_smoothed_like_the_reference(got, trace, q, r):
+    want = kalman_smooth_reference(list(trace), q, r)
+    assert np.abs(got.position_m - [s.position_m for s in want]).max() <= 1e-12
+    assert np.abs(got.direction - [s.direction for s in want]).max() <= 1e-12
+
+
+class TestGridFilter:
+    """A grid trace slices the gains and operator cached once per (rate, q, r);
+    a trace off a grid computes its gains per call. No entry may serve
+    another key, and the smoothed trace reuses its input's checked columns."""
+
+    @pytest.mark.parametrize("rate", [100.0, 72.0])
+    def test_grid_traces_equal_the_operator_built_afresh(self, rate):
+        """Bit for bit, over 300 random durations a 400-sample operator holds."""
+        rng = np.random.default_rng(int(rate))
+        _grid_filter.cache_clear()
+        args = (np.array([0.0, 1.35, 0.72]), np.array([0.05, 1.45, 0.76]))
+        for k, duration in enumerate(rng.uniform(0.8, (_OPERATOR_MAX_SAMPLES - 1) / rate, 300)):
+            trace = synth_hand_trace(*args, duration, tremor_sd_m=0.002, sample_rate_hz=rate,
+                                     seed=k, direction=np.array([0.1, 0.3, 1.0]))
+            q = 50.0 if k % 4 else float(rng.uniform(1.0, 100.0))
+            got = kalman_smooth(trace, q, 1e-4)
+            position, direction = kalman_smooth_operator_reference(trace, q, 1e-4)
+            assert got.position_m.tobytes() == position.tobytes(), duration
+            assert got.direction.tobytes() == direction.tobytes(), duration
 
     @settings(max_examples=40)
     @given(steps=st.lists(st.floats(0.004, 0.03), min_size=2, max_size=40),
            prefix=st.integers(1, 40), jitter=st.floats(1e-9, 1e-4),
            noises=st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(-5.0, -2.0)),
                            min_size=2, max_size=2, unique=True))
-    def test_interleaved_grids_match_the_reference(self, steps, prefix, jitter, noises):
+    def test_interleaved_off_grid_traces_match_the_reference(self, steps, prefix, jitter,
+                                                             noises):
         t = np.cumsum(steps)
         jittered = t + jitter * np.arange(len(t)) ** 2 / len(t)  # every step longer
-        grids = [t[:min(prefix, len(t))], t, jittered]  # a prefix first, then its grid
-        _clear_kalman_caches()
-        for round_ in range(2):  # the second round is served from the cache
+        grids = [t[:min(prefix, len(t))], t, jittered]  # a prefix first, then its times
+        for round_ in range(2):
             for q, log_r in noises:
-                for grid in grids:
-                    trace = _random_trace(grid, seed=round_)
-                    got = kalman_smooth(trace, q, 10.0 ** log_r)
-                    want = kalman_smooth_reference(list(trace), q, 10.0 ** log_r)
-                    assert np.abs(got.position_m - [s.position_m for s in want]).max() <= 1e-12
-                    assert np.abs(got.direction - [s.direction for s in want]).max() <= 1e-12
+                for times in grids:
+                    trace = _random_trace(times, seed=round_)
+                    assert_smoothed_like_the_reference(kalman_smooth(trace, q, 10.0 ** log_r),
+                                                       trace, q, 10.0 ** log_r)
 
-    def test_repeated_grids_hit_the_cache(self):
-        """On the operator path: one operator per key, each built from one
-        gain sequence, and a changed q or grid is a miss."""
-        t = np.arange(50) / 90.0
-        _clear_kalman_caches()
-        for seed in range(3):
-            kalman_smooth(_random_trace(t, seed), 25.0, 1e-3)
-        assert _kalman_operator.cache_info()[:2] == (2, 1)  # (hits, misses)
-        kalman_smooth(_random_trace(t, 0), 25.0, 2e-3)
-        kalman_smooth(_random_trace(t[:-1], 0), 25.0, 1e-3)
-        assert _kalman_operator.cache_info()[:2] == (2, 3)
-        assert _kalman_gains.cache_info()[:2] == (0, 3)
+    @pytest.mark.parametrize("kind", ["list", "shifted", "jittered"])
+    def test_off_grid_traces_stay_near_the_scalar_oracle(self, kind):
+        grid = _grid_trace(150, 100.0, seed=8)
+        if kind == "list":
+            trace = list(grid)
+        elif kind == "shifted":
+            trace = HandTrace(grid.t_s + 0.37, *grid.columns[1:])
+        else:
+            jitter = np.random.default_rng(8).uniform(-2e-3, 2e-3, len(grid))
+            trace = HandTrace(grid.t_s + jitter, *grid.columns[1:])
+        got = kalman_smooth(trace, 30.0, 1e-3)
+        assert got._grid_rate_hz is None
+        times = [s.t_s for s in trace]
+        for axis in range(3):
+            want = scalar_kalman_positions(times, [s.position_m[axis] for s in trace],
+                                           30.0, 1e-3)
+            assert np.abs(got.position_m[:, axis] - want).max() <= 1e-12
+        assert_smoothed_like_the_reference(got, HandTrace.from_samples(trace), 30.0, 1e-3)
 
-    def test_repeated_long_grids_hit_the_gain_cache(self):
-        """Beyond the operator bound the loop reads the gains alone."""
-        t = np.arange(_OPERATOR_MAX_SAMPLES + 2) / 90.0
-        _clear_kalman_caches()
-        for seed in range(3):
-            kalman_smooth(_random_trace(t, seed), 25.0, 1e-3)
-        assert _kalman_gains.cache_info()[:2] == (2, 1)
-        kalman_smooth(_random_trace(t, 0), 25.0, 2e-3)
-        kalman_smooth(_random_trace(t[:-1], 0), 25.0, 1e-3)
-        assert _kalman_gains.cache_info()[:2] == (2, 3)
-        assert _kalman_operator.cache_info()[:2] == (0, 0)
+    def test_one_entry_per_rate_and_noise(self):
+        """Traces of any length on one rate's grid share one entry; a changed
+        rate or noise is a miss, and a trace off a grid looks none up."""
+        _grid_filter.cache_clear()
+        for n in (50, 101, 7, 400, 900, 50):
+            kalman_smooth(_grid_trace(n, 90.0, seed=n), 25.0, 1e-3)
+        assert _grid_filter.cache_info()[:2] == (5, 1)  # (hits, misses)
+        kalman_smooth(_grid_trace(50, 90.0, seed=0), 25.0, 2e-3)
+        kalman_smooth(_grid_trace(50, 100.0, seed=0), 25.0, 1e-3)
+        kalman_smooth(_random_trace(np.arange(50) / 90.0, seed=0), 25.0, 1e-3)
+        kalman_smooth(list(_grid_trace(50, 90.0, seed=0)), 25.0, 1e-3)
+        assert _grid_filter.cache_info()[:2] == (5, 3)
 
-    def test_operator_is_read_only_and_lower_triangular(self):
-        operator = _kalman_operator(np.diff(np.arange(30) / 100.0).tobytes(), 25.0, 1e-3)
-        assert operator.shape == (30, 30) and operator.flags.c_contiguous
+    def test_long_grid_traces_slice_the_gains_of_the_longest(self):
+        """Past the operator bound a grid trace runs the loop on a slice of the
+        entry's gains, grown to the longest trace; the bits equal the loop on
+        gains computed for the trace's own steps, off the grid."""
+        _grid_filter.cache_clear()
+        entry = _grid_filter(90.0, 25.0, 1e-3)
+        assert entry.gains(50).shape == (3, 49)
+        for n in (_OPERATOR_MAX_SAMPLES + 2, 900, 600):
+            trace = _grid_trace(n, 90.0, seed=n)
+            got = kalman_smooth(trace, 25.0, 1e-3)
+            assert got == kalman_smooth(HandTrace(*trace.columns), 25.0, 1e-3)
+            assert entry.gains(n).shape == (3, n - 1)
+        assert entry._gains.shape == (3, 899)
+
+    @pytest.mark.parametrize("rate", [100.0, 1e-100])
+    def test_a_single_sample_passes_through_at_any_rate(self, rate):
+        """It has no steps, so no entry is built: at 1e-100 Hz the gains of
+        a 400-sample grid would overflow."""
+        _grid_filter.cache_clear()
+        trace = StationaryHand().trace(0.4 / max(rate, 1.0), rate)
+        assert len(trace) == 1 and kalman_smooth(trace) == trace
+        assert _grid_filter.cache_info().currsize == 0
+
+    def test_operator_grows_to_the_longest_trace_at_least_doubling(self):
+        """A fixed length keeps an operator of that length; a longer trace
+        rebuilds it at least twice as long, up to the bound, and a shorter
+        one slices it."""
+        _grid_filter.cache_clear()
+        entry = _grid_filter(100.0, 25.0, 1e-3)
+        for n, size in ((101, 101), (101, 101), (50, 101), (150, 202), (203, 400), (400, 400)):
+            operator = entry.operator(n)
+            assert operator.shape == (n, n) and entry._operator.shape == (size, size)
+            assert np.shares_memory(operator, entry._operator)
+        assert entry._operator.flags.c_contiguous
+        operator = entry._operator
         assert np.array_equal(operator, np.tril(operator)) and not operator[:, 0].any()
         with pytest.raises(ValueError):
             operator[1, 1] = 0.0
 
-    def test_smoothed_trace_shares_times_and_pinch_read_only(self):
-        trace = _random_trace(np.arange(30) / 100.0, seed=4)
+    @pytest.mark.parametrize("rate", [None, 100.0])
+    def test_smoothed_trace_shares_times_pinch_and_rate_read_only(self, rate):
+        trace = _grid_trace(30, 100.0, seed=4) if rate else _random_trace(
+            np.arange(30) / 100.0, seed=4)
         out = kalman_smooth(trace)
-        assert out.t_s is trace.t_s and out.pinch is trace.pinch
+        assert out.t_s is trace.t_s and out.pinch is trace.pinch and out._grid_rate_hz == rate
         for column in out.columns:
             with pytest.raises(ValueError):
                 column[0] = 1
 
-    def test_overflowing_filter_output_is_rejected(self):
-        """On both paths, with no numpy warning on the way."""
+    @pytest.mark.parametrize("rate", [None, 100.0])
+    def test_overflowing_filter_output_is_rejected(self, rate):
+        """On every path, with no numpy warning on the way."""
         for n in (6, _OPERATOR_MAX_SAMPLES + 2):
-            t = np.arange(n) / 100.0
             pos = np.zeros((n, 3))
             pos[::2, 0], pos[1::2, 0] = 1e308, -1e308
-            trace = HandTrace(t, pos, np.tile(FORWARD, (n, 1)))
+            trace = HandTrace(np.arange(n) / 100.0, pos, np.tile(FORWARD, (n, 1)))
+            if rate:
+                trace = HandTrace._of_checked(_grid_times(n, rate), *trace.columns[1:], rate)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="positions and directions must be finite"):
@@ -631,52 +745,49 @@ class TestKalmanGainCache:
 
 
 class TestSmoothingPaths:
-    """A trace of at most ``_OPERATOR_MAX_SAMPLES`` samples is smoothed by the
-    cached operator, a longer one by the loop; the length alone decides."""
+    """A grid trace of at most ``_OPERATOR_MAX_SAMPLES`` samples is smoothed by
+    a slice of its rate's operator; a longer one, and any trace off a grid,
+    by the loop."""
 
     LENGTHS = (_OPERATOR_MAX_SAMPLES, _OPERATOR_MAX_SAMPLES + 1)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_either_side_of_the_bound_matches_the_reference(self, n):
-        rng = np.random.default_rng(n)
-        trace = _random_trace(np.cumsum(rng.uniform(0.004, 0.03, n)), seed=n)
+        trace = _grid_trace(n, 100.0, seed=n)
         got = kalman_smooth(trace, 30.0, 1e-3)
-        want = kalman_smooth_reference(list(trace), 30.0, 1e-3)
-        assert np.abs(got.position_m - [s.position_m for s in want]).max() <= 1e-12
-        assert np.abs(got.direction - [s.direction for s in want]).max() <= 1e-12
+        assert_smoothed_like_the_reference(got, trace, 30.0, 1e-3)
         assert np.array_equal(got.position_m[0], trace.position_m[0])
 
     def test_constant_trace_is_bit_identical_on_both_paths(self):
         position, direction = np.array([0.31, 1.27, 0.45]), np.array([0.2, 0.3, 0.9])
         direction /= np.linalg.norm(direction)
-        outs = []
-        for n in self.LENGTHS:
-            trace = HandTrace(np.arange(n) / 90.0, np.tile(position, (n, 1)),
-                              np.tile(direction, (n, 1)))
-            out = kalman_smooth(trace, 25.0, 1e-3)
-            assert np.array_equal(out.position_m, trace.position_m)
-            outs.append(out)
-        short, long_ = outs
+        hand = StationaryHand(position, direction)
+        short, long_ = (kalman_smooth(hand.trace((n - 1) / 90.0, 90.0), 25.0, 1e-3)
+                        for n in self.LENGTHS)
+        assert np.array_equal(short.position_m, np.tile(position, (len(short), 1)))
+        assert np.array_equal(long_.position_m, np.tile(position, (len(long_), 1)))
         assert short == long_[:len(short)]
         assert np.array_equal(long_.direction, np.tile(short.direction[0], (len(long_), 1)))
 
-    @pytest.mark.parametrize("n", LENGTHS)
-    def test_length_alone_picks_the_path(self, n):
-        trace = _random_trace(np.arange(n) / 90.0, seed=5)
-        _clear_kalman_caches()
-        for _ in range(2):
-            kalman_smooth(trace, 25.0, 1e-3)
-        on_operator = n <= _OPERATOR_MAX_SAMPLES
-        assert _kalman_operator.cache_info()[:2] == ((1, 1) if on_operator else (0, 0))
-        assert _kalman_gains.cache_info()[:2] == ((0, 1) if on_operator else (1, 1))
+    @pytest.mark.parametrize("n, on_grid, loops", [
+        (LENGTHS[0], True, 0), (LENGTHS[1], True, 6), (LENGTHS[0], False, 6), (2, False, 6),
+    ])
+    def test_grid_and_length_pick_the_path(self, monkeypatch, n, on_grid, loops):
+        calls = []
+        channel = telefitts.sim.filters._filter_channel
+        monkeypatch.setattr(telefitts.sim.filters, "_filter_channel",
+                            lambda *args: calls.append(1) or channel(*args))
+        trace = _grid_trace(n, 90.0, seed=5)
+        kalman_smooth(trace if on_grid else HandTrace(*trace.columns), 25.0, 1e-3)
+        assert len(calls) == loops
 
     @pytest.mark.parametrize("n", (50,) + LENGTHS)
     def test_same_trace_twice_gives_the_same_bits(self, n):
-        trace = _random_trace(np.arange(n) / 72.0, seed=3)
-        _clear_kalman_caches()
+        trace = _grid_trace(n, 72.0, seed=3)
+        _grid_filter.cache_clear()
         fresh = kalman_smooth(trace, 40.0, 1e-4)
         cached = kalman_smooth(trace, 40.0, 1e-4)
-        _clear_kalman_caches()
+        _grid_filter.cache_clear()
         rebuilt = kalman_smooth(trace, 40.0, 1e-4)
         assert fresh == cached == rebuilt
 

@@ -45,21 +45,17 @@ class TestOlsFit:
 
     def test_duplicate_predictor_column(self):
         rows = [PredictorRow((x, x), y) for x, y in [(1, 2), (2, 3), (3, 5), (4, 6)]]
-        for _ in range(2):  # a rejected design is not cached
+        for _ in range(2):
             with pytest.raises(CollinearPredictorsError, match="collinear predictors"):
                 ols_fit(rows)
 
-    def test_cached_factors_are_read_only(self):
+    def test_design_columns_and_factors_are_read_only(self):
         rows = rows_from_xy([0.1, 0.9, 2.2, 3.1, 4.7], [1.0, 1.9, 3.2, 3.9, 5.6])
-        regression._factor.cache_clear()
-        cold = ols_fit(rows)
-        x, _ = regression._design_matrix(rows)
-        q, r = regression._factor(x.shape, x.tobytes())
-        assert regression._factor.cache_info().hits == 1
-        for factor in (q, r):
+        design = regression.Design.from_rows(rows)
+        for array in (design.x, design.y, design.q, design.r):
             with pytest.raises(ValueError, match="read-only"):
-                factor[0, 0] = 0.0
-        assert repr(ols_fit(rows)) == repr(cold)
+                array[0] = 0.0
+        assert repr(ols_fit(design)) == repr(ols_fit(rows))
 
     @pytest.mark.parametrize("rows, message", [
         ([PredictorRow((1.0,), 1.0), PredictorRow((1.0, 2.0), 2.0),

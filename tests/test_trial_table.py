@@ -5,7 +5,6 @@ import math
 import random
 import statistics
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,7 +249,7 @@ class TestSampleSd:
 
     @given(st.lists(st.lists(SD_VALUES, min_size=1, max_size=12), min_size=1, max_size=8))
     @settings(max_examples=200)
-    def test_cell_sds_exact_on_both_paths(self, cells):
+    def test_cell_sds_exact(self, cells):
         counts = np.array([len(c) for c in cells])
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         values = np.array([v for c in cells for v in c])
@@ -258,10 +257,8 @@ class TestSampleSd:
         for cell, sd in zip(cells, expected):
             if len(cell) >= 2 and all(map(math.isfinite, cell)):
                 assert sd == statistics.stdev(cell)
-        for rows_per_cell in (0, math.inf):  # int64 limbs, then one Python int per row
-            with mock.patch.object(trials_module, "_LIMB_ROWS_PER_CELL", rows_per_cell):
-                got = trials_module._cell_sds(values, starts, counts)
-            assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        got = trials_module._cell_sds(values, starts, counts)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
     def test_cell_of_more_than_2_to_21_rows(self):
         """Mantissas with (nearly) every bit set: in 21-bit limbs, the product
@@ -294,6 +291,21 @@ class TestTrialTable:
         assert table[5:9] == trials[5:9]
         with pytest.raises(IndexError):
             table[len(trials)]
+
+    def test_iterated_floats_keep_their_bits_and_share_grid_values(self):
+        """Within a chunk, one float object per distinct W, D, H and angle;
+        movement time and deviation come one per row, as ``tolist`` gives."""
+        table = generate_study(PRESETS["realistic"])
+        chunk = list(table)[:trials_module._CHUNK_ROWS]
+        for name in trials_module._FLOAT_COLUMNS:
+            column = getattr(table, name)[:len(chunk)]
+            values = [getattr(t, name) for t in chunk]
+            assert all(type(v) is float for v in values)
+            assert np.array(values).tobytes() == column.tobytes()
+            objects = len({id(v) for v in values})
+            distinct = len(np.unique(column.view(np.int64)))
+            assert objects == (distinct if name in ("width_m", "distance_m", "height_m",
+                                                    "angle_deg") else len(chunk)), name
 
     def test_from_trials_round_trip(self):
         trials = random_trials(random.Random(9), 50)
