@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 #: The study's condition grid: target widths W, teleport distances D and
 #: heights H, meters, and the yaw angles a target is placed at, degrees.
@@ -30,6 +30,17 @@ GRID_ANGLES_DEG = (-10.0, 0.0, 10.0)
 #: re-homes at the cube, so the change in target depth for a target at
 #: depth D is |D - START_CUBE_DEPTH_M|.
 START_CUBE_DEPTH_M = 0.59
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added one at a time, left to right, from 0: the
+    bits ``sum`` gives up to Python 3.11. From 3.12 ``sum`` compensates the
+    rounding of float sums, which would make every sum of floats, and the
+    outputs built on them, depend on the Python version."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 class ModelKind(Enum):
@@ -189,7 +200,7 @@ def predict_mt(kind: ModelKind, coefficients: Sequence[float], g: TargetGeometry
             f"{kind.value} needs {expected} coefficients (intercept + slopes), "
             f"got {len(coefficients)}"
         )
-    return coefficients[0] + sum(c * x for c, x in zip(coefficients[1:], preds))
+    return coefficients[0] + left_sum(c * x for c, x in zip(coefficients[1:], preds))
 
 
 def amplitude_from_grid(distance_m: float, height_m: float,

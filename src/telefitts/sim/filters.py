@@ -88,22 +88,28 @@ def _kalman_gains(dts: np.ndarray, q: float, r: float) -> np.ndarray:
     """(3, T - 1) rows dt, position gain and velocity gain per step
     of the Riccati recursion for a scalar position measurement, from
     P0 = diag(r, 1), for the time steps ``dts``. The recursion never sees
-    the data, and gain i depends on the steps up to i alone."""
+    the data, and gain i depends on the steps up to i alone. A step whose
+    power overflows a float raises ValueError naming it."""
     p00, p01, p10, p11 = r, 0.0, 0.0, 1.0
     dts = dts.tolist()
     k0s, k1s = [], []
-    for dt in dts:
-        # predict: P = F P F' + Q with F = [[1, dt], [0, 1]]
-        a, b = p00 + dt * p10, p01 + dt * p11
-        p00 = a + b * dt + q * dt ** 4 / 4.0
-        p01 = b + q * dt ** 3 / 2.0
-        p10 = p10 + dt * p11 + q * dt ** 3 / 2.0
-        p11 = p11 + q * dt ** 2
-        # update: K = P H' / (H P H' + r), P = (I - K H) P
-        k0, k1 = p00 / (p00 + r), p10 / (p00 + r)
-        p00, p01, p10, p11 = p00 - k0 * p00, p01 - k0 * p01, p10 - k1 * p00, p11 - k1 * p01
-        k0s.append(k0)
-        k1s.append(k1)
+    try:
+        for dt in dts:
+            # predict: P = F P F' + Q with F = [[1, dt], [0, 1]]
+            a, b = p00 + dt * p10, p01 + dt * p11
+            p00 = a + b * dt + q * dt ** 4 / 4.0
+            p01 = b + q * dt ** 3 / 2.0
+            p10 = p10 + dt * p11 + q * dt ** 3 / 2.0
+            p11 = p11 + q * dt ** 2
+            # update: K = P H' / (H P H' + r), P = (I - K H) P
+            k0, k1 = p00 / (p00 + r), p10 / (p00 + r)
+            p00, p01, p10, p11 = p00 - k0 * p00, p01 - k0 * p01, p10 - k1 * p00, p11 - k1 * p01
+            k0s.append(k0)
+            k1s.append(k1)
+    except OverflowError:  # from a power; a product that overflows gives inf
+        step = len(k0s)
+        raise ValueError(f"time step {step} of the trace ({dts[step]!r} s) is too long "
+                         f"to smooth") from None
     return np.array([dts, k0s, k1s], dtype=float)
 
 

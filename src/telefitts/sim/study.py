@@ -28,6 +28,7 @@ from ..models import (
     AmplitudeMode,
     ModelKind,
     geometry_for_condition,
+    left_sum,
     predict_mt,
 )
 from ..trials import POSTURES, TECHNIQUES, Posture, Technique, TrialTable
@@ -73,7 +74,7 @@ def technique_offsets_from_means(
     means: dict[Technique, float] | None = None,
 ) -> dict[Technique, float]:
     means = dict(TECHNIQUE_MEAN_MT_S if means is None else means)
-    grand = sum(means.values()) / len(means)
+    grand = left_sum(means.values()) / len(means)
     return {t: m - grand for t, m in means.items()}
 
 
@@ -206,7 +207,13 @@ def generate_study(config: StudyConfig) -> TrialTable:
     stable; every other column is filled after the loop from the stacked
     permutations, and the movement times are the expected times plus the
     noise. A block's noise is redrawn only where the loop's one check,
-    that no draw reaches below minus the lowest expected time, fails.
+    that no draw reaches below minus the lowest expected time, fails; with
+    no noise and a positive lowest time it cannot fail and is skipped.
+
+    Each block's draws go straight into its rows of the study's arrays: the
+    grid is shuffled in place in its row of the block orders, as
+    ``permutation`` would order it, and the noise is drawn in place and then
+    scaled, as ``normal`` would draw it.
     """
     combos = [(t, p) for t in Technique for p in Posture]
     square = balanced_latin_square(len(combos))
@@ -240,7 +247,7 @@ def generate_study(config: StudyConfig) -> TrialTable:
                              for c in square[pi % len(square)]])
     n_blocks = len(block_combos)
 
-    ordered = np.empty((n_blocks, n_block), np.intp)
+    ordered = np.tile(block_cells, (n_blocks, 1))
     angles = np.empty((n_blocks, n_block), np.intp)
     noise = np.zeros((n_blocks, n_block))
     dev = np.zeros((n_blocks, n_block))
@@ -249,6 +256,7 @@ def generate_study(config: StudyConfig) -> TrialTable:
     # mean + noise > 0 for every mean >= lowest_mt whenever noise > -lowest_mt,
     # and a float sum that is positive does not round to 0
     lowest_mt = float(np.min(combo_mt))
+    always_positive = mt_sd == 0 and lowest_mt > 0  # the check cannot fail
 
     def movement_times(start: int, stop: int) -> np.ndarray:
         """The movement times of blocks ``[start, stop)``; ConfigError at the
@@ -265,13 +273,14 @@ def generate_study(config: StudyConfig) -> TrialTable:
     for pi in range(config.participants):
         rng = np.random.default_rng(streams[pi])
         for b in range(pi * len(combos), (pi + 1) * len(combos)):
-            cells = ordered[b] = block_cells[rng.permutation(n_block)]
+            cells, block_noise = ordered[b], noise[b]
+            rng.shuffle(cells)
             angles[b] = rng.integers(0, len(angle_choices), n_block)
 
             if mt_sd > 0:
-                noise[b] = rng.normal(0.0, mt_sd, n_block)
-            block_noise = noise[b]
-            if not block_noise.min() > -lowest_mt:
+                rng.standard_normal(out=block_noise)
+                block_noise *= mt_sd
+            if not (always_positive or block_noise.min() > -lowest_mt):
                 # A movement time may be <= 0: redraw its noise. The earlier
                 # blocks are checked first, so errors come in block order.
                 movement_times(checked, b)
@@ -293,7 +302,9 @@ def generate_study(config: StudyConfig) -> TrialTable:
                 continue
             sigma, radius = cell_sigma[cells], cell_radius[cells]
             block_dev, block_attempts = dev[b], attempts[b]
-            np.multiply(np.abs(rng.normal(0.0, 1.0, n_block)), sigma, out=block_dev)
+            rng.standard_normal(out=block_dev)
+            np.abs(block_dev, out=block_dev)
+            block_dev *= sigma
             outside = block_dev > radius
             redraws = 0
             while n_outside := np.count_nonzero(outside):

@@ -22,6 +22,8 @@ from enum import Enum
 
 import numpy as np
 
+from .models import left_sum
+
 
 class Technique(Enum):
     """Pointer/confirmation hand assignments; RPDW confirms by dwell."""
@@ -334,6 +336,9 @@ def _frozen(cls: type, **fields):
 #: plus guard bits, so the integer root carries the round-to-odd sticky bit
 #: below every bit that the final rounding looks at.
 _RADICAND_BITS = 2 * sys.float_info.mant_dig + 3
+#: Cells whose magnitudes sum below 2**_SAFE_SUM_EXP cannot overflow fsum:
+#: three times that sum is still below 2**1023.
+_SAFE_SUM_EXP = sys.float_info.max_exp - 3
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -382,18 +387,28 @@ def sample_sd(values: Sequence[float]) -> float:
                        1 - den.bit_length())
 
 
-def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float]:
-    """``sample_sd`` of each cell ``values[start:start + n]`` at once; cells
-    of fewer than two values get 0.0.
+def _cell_sds(values: np.ndarray, starts: np.ndarray,
+              counts: np.ndarray) -> tuple[list[float], list[float | None]]:
+    """``sample_sd`` of each cell ``values[start:start + n]`` at once, cells
+    of fewer than two values getting 0.0, and each cell's mean, or None where
+    only ``math.fsum`` decides it.
 
     Each float is d * 2**e with an integer d, |d| < 2**53; ``frexp`` takes
     the whole column apart, and within a cell every d is shifted onto the
     cell's smallest exponent, m = d << s, so that ``_sd_of_sums`` sees the
     exact sums of the integers m and m**2, taken in int64 limbs
     (``_limb_sums``).
+
+    The exact sum of m, rounded once, is the correctly rounded sum that
+    ``fsum`` returns, so over n it is ``fmean``'s mean bit for bit. The mean
+    is None for a cell that holds a value that is not finite, or that may
+    overflow fsum's partial sums, which stay below three times the sum of the
+    magnitudes: that sum is below 2**(top + n.bit_length()) for values below
+    2**top.
     """
     finite = np.isfinite(values)
     mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
+    top = np.maximum.reduceat(exponent, starts).tolist()
     digits = (mantissa * 2.0 ** sys.float_info.mant_dig).astype(np.int64)
     exponent = exponent.astype(np.int64) - sys.float_info.mant_dig
     zero = digits == 0
@@ -403,10 +418,12 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> lis
     shifts = np.where(zero, 0, exponent - np.repeat(cell_exp, counts))
     s1, s2 = _limb_sums(digits, shifts, starts, counts)
     all_finite = np.logical_and.reduceat(finite, starts).tolist()
-    return [
-        0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan
-        for n, a, b, e, ok in zip(counts.tolist(), s1, s2, cell_exp.tolist(), all_finite)
-    ]
+    sds, means = [], []
+    for n, a, b, e, t, ok in zip(counts.tolist(), s1, s2, cell_exp.tolist(), top, all_finite):
+        sds.append(0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan)
+        means.append((float(a << e) if e >= 0 else a / (1 << -e)) / n
+                     if ok and t + n.bit_length() <= _SAFE_SUM_EXP else None)
+    return sds, means
 
 
 def _limb_sums(digits: np.ndarray, shifts: np.ndarray, starts: np.ndarray,
@@ -506,6 +523,10 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
         cell_of_row = np.ravel_multi_index(codes, dims)
     except ValueError:  # too many distinct levels to number in one int64
         cell_of_row = np.unique(np.stack(codes, axis=1), axis=0, return_inverse=True)[1]
+    else:
+        n_codes = math.prod(dims)
+        if n_codes <= 1 << 16:  # numpy's stable sort is a radix sort on 8- and 16-bit codes
+            cell_of_row = cell_of_row.astype(np.min_scalar_type(n_codes - 1))
     order = np.argsort(cell_of_row, kind="stable")
     sorted_cells = cell_of_row[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1])))
@@ -513,36 +534,40 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
 
     mts = table.movement_time_s[order]
     devs = table.endpoint_deviation_m[order]
-    sd_mts = _cell_sds(mts, starts, counts)
-    sd_devs = _cell_sds(devs, starts, counts)
-    mts, devs = mts.tolist(), devs.tolist()
+    sd_mts, mean_mts = _cell_sds(mts, starts, counts)
+    sd_devs, mean_devs = _cell_sds(devs, starts, counts)
     with_errors = np.add.reduceat((table.error_attempts[order] > 0).astype(np.int64), starts)
     first = order[starts]
     cells = zip(starts.tolist(), counts.tolist(), with_errors.tolist(),
-                *(column[first].tolist() for column in codes), sd_mts, sd_devs)
+                *(column[first].tolist() for column in codes),
+                sd_mts, mean_mts, sd_devs, mean_devs)
 
     out: dict[ConditionKey, ConditionSummary] = {}
-    for a, n, errs, technique, posture, w, d, h, sd_mt, sd_dev in cells:
+    for a, n, errs, technique, posture, w, d, h, sd_mt, mean_mt, sd_dev, mean_dev in cells:
         key = _frozen(ConditionKey, technique=TECHNIQUES[technique], posture=POSTURES[posture],
                       width_m=widths[w], distance_m=distances[d], height_m=heights[h])
+        if mean_mt is None:
+            mean_mt = _cell_mean(mts[a:a + n], "movement_time_s", key)
+        if mean_dev is None:
+            mean_dev = _cell_mean(devs[a:a + n], "endpoint_deviation_m", key)
         out[key] = _frozen(
             ConditionSummary,
             key=key,
             n_trials=n,
-            mean_mt_s=_cell_mean(mts[a:a + n], "movement_time_s", key),
+            mean_mt_s=mean_mt,
             sd_mt_s=sd_mt,
-            mean_deviation_m=_cell_mean(devs[a:a + n], "endpoint_deviation_m", key),
+            mean_deviation_m=mean_dev,
             sd_deviation_m=sd_dev,
             error_rate=errs / n,
         )
     return out
 
 
-def _cell_mean(values: list[float], column: str, key: ConditionKey) -> float:
+def _cell_mean(values: np.ndarray, column: str, key: ConditionKey) -> float:
     """``statistics.fmean`` of a cell's values, or ValueError naming the cell
     where the sum overflows and fmean has no value either."""
     try:
-        return math.fsum(values) / len(values)
+        return math.fsum(values.tolist()) / len(values)
     except OverflowError:
         raise ValueError(
             f"{column} overflows when summed over cell {key.technique.value}/"
@@ -597,7 +622,8 @@ def collapse_over(
         ns, mts, sd_mts, devs, sd_devs, errs = zip(*map(_summary_stats, merged[cell]))
         n_total = sum(ns)
         w = [n / n_total for n in ns] if pooled else [1.0 / len(ns)] * len(ns)
-        mean_mt, mean_dev, err = (sum(map(operator.mul, w, column)) for column in (mts, devs, errs))
+        mean_mt, mean_dev, err = (left_sum(map(operator.mul, w, column))
+                                  for column in (mts, devs, errs))
         if pooled:
             sd_mt = _pooled_sd(ns, mts, sd_mts, mean_mt)
             sd_dev = _pooled_sd(ns, devs, sd_devs, mean_dev)
@@ -621,8 +647,8 @@ def _pooled_sd(ns: Sequence[int], means: Sequence[float], sds: Sequence[float],
     n_total = sum(ns)
     if n_total < 2:
         return 0.0
-    ss = sum((n - 1) * sd * sd + n * (m - grand_mean) ** 2
-             for n, m, sd in zip(ns, means, sds))
+    ss = left_sum((n - 1) * sd * sd + n * (m - grand_mean) ** 2
+                  for n, m, sd in zip(ns, means, sds))
     return math.sqrt(ss / (n_total - 1))
 
 

@@ -37,6 +37,7 @@ from telefitts.models import (
     PredictorRow,
     amplitude_from_grid,
     geometry_for_condition,
+    left_sum,
     predict_mt,
     predictors_for,
 )
@@ -310,8 +311,8 @@ def _pooled_sd(ns, means, sds, grand_mean):
     n_total = sum(ns)
     if n_total < 2:
         return 0.0
-    ss = sum((n - 1) * sd * sd + n * (m - grand_mean) ** 2
-             for n, m, sd in zip(ns, means, sds))
+    ss = left_sum((n - 1) * sd * sd + n * (m - grand_mean) ** 2
+                  for n, m, sd in zip(ns, means, sds))
     return math.sqrt(ss / (n_total - 1))
 
 
@@ -336,9 +337,9 @@ def collapse_over_reference(summaries, drop, pooled=False):
             w = [c.n_trials / n_total for c in cells]
         else:
             w = [1.0 / len(cells)] * len(cells)
-        mean_mt = sum(wi * c.mean_mt_s for wi, c in zip(w, cells))
-        mean_dev = sum(wi * c.mean_deviation_m for wi, c in zip(w, cells))
-        err = sum(wi * c.error_rate for wi, c in zip(w, cells))
+        mean_mt = left_sum(wi * c.mean_mt_s for wi, c in zip(w, cells))
+        mean_dev = left_sum(wi * c.mean_deviation_m for wi, c in zip(w, cells))
+        err = left_sum(wi * c.error_rate for wi, c in zip(w, cells))
         if pooled:
             ns = [c.n_trials for c in cells]
             sd_mt = _pooled_sd(ns, [c.mean_mt_s for c in cells],

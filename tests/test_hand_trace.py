@@ -183,6 +183,17 @@ class TestSampleInputChecks:
         with pytest.raises(ValueError, match="noise"):
             kalman_smooth(StationaryHand().trace(0.1), *noise)
 
+    @pytest.mark.parametrize("make, step", [
+        (lambda: HandTrace([0.0, 1e80], np.zeros((2, 3)), np.tile(FORWARD, (2, 1))), 0),
+        (lambda: HandTrace([0.0, 1.0, 1e80], np.zeros((3, 3)), np.tile(FORWARD, (3, 1))), 1),
+        (lambda: synth_hand_trace(np.zeros(3), np.ones(3), 2e80, sample_rate_hz=1e-80), 0),
+    ], ids=["off-grid", "off-grid-later-step", "grid"])
+    def test_kalman_rejects_a_time_step_whose_power_overflows(self, make, step):
+        """On and off a rate's grid; the gains' powers would raise OverflowError."""
+        with pytest.raises(ValueError, match=rf"^time step {step} of the trace \(.* s\) "
+                                             r"is too long to smooth$"):
+            kalman_smooth(make())
+
     @pytest.mark.parametrize("tremor", [math.nan, -0.002, math.inf])
     def test_synth_rejects_bad_tremor(self, tremor):
         with pytest.raises(ValueError, match="tremor_sd_m"):

@@ -3,10 +3,13 @@
 scipy (the test oracles' numerics) and PyYAML (config files only) each cost
 more to import than the analysis of a full study takes. The package itself
 is bare: names live in their submodules, and ``import telefitts`` loads none
-of them.
+of them. The package's source is also checked for float sums whose bits
+depend on the Python version.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -55,3 +58,24 @@ def test_package_imports_neither_scipy_nor_yaml(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+#: The builtin ``sum`` calls allowed in the package, all over integers. From
+#: Python 3.12 ``sum`` rounds a float sum differently, so floats are summed
+#: with ``telefitts.models.left_sum``.
+INTEGER_SUMS = {
+    ("trials.py", "sum(cell)"),
+    ("trials.py", "sum(map(operator.mul, cell, cell))"),
+    ("trials.py", "sum(ns)"),
+}
+
+
+def test_builtin_sum_is_called_only_on_integers():
+    calls, names = [], 0
+    for path in sorted(pathlib.Path(SRC, "telefitts").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names += isinstance(node, ast.Name) and node.id == "sum"
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "sum":
+                calls.append((path.name, ast.unparse(node)))
+    assert set(calls) <= INTEGER_SUMS, sorted(set(calls) - INTEGER_SUMS)
+    assert names == len(calls), "sum is named somewhere other than in a call"

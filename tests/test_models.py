@@ -11,6 +11,7 @@ from telefitts.models import (
     amplitude_from_grid,
     geometry_for_condition,
     id_shannon,
+    left_sum,
     predict_mt,
     predictors_for,
     predictors_proposed,
@@ -24,6 +25,20 @@ positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
 def geom(a=3.0, w=0.2, d=3.0, h=0.0, ctd=0.0):
     return TargetGeometry(amplitude_m=a, width_m=w, depth_m=d, altitude_m=h, ctd_m=ctd)
+
+
+class TestLeftSum:
+    """Float sums keep the bits of Python 3.11's ``sum`` on every version;
+    from 3.12 ``sum`` compensates, and gives 1.0 for the second sum here."""
+
+    def test_adds_one_value_at_a_time_left_to_right(self):
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum(iter([0.5, 0.25])) == 0.75
+
+    def test_starts_from_integer_zero(self):
+        assert left_sum([]) == 0 and type(left_sum([])) is int
+        assert math.copysign(1.0, left_sum([-0.0])) == 1.0
 
 
 class TestIdShannon:

@@ -14,6 +14,7 @@ from telefitts.throughput import render_throughput_records, throughput_by_group
 from telefitts.sim import (
     ConfigError,
     GroundTruth,
+    REFERENCE_PROPOSED_ALL,
     REFERENCE_STANDARD_ALL,
     SIMULABLE_PROPOSED_ALL,
     StudyConfig,
@@ -146,6 +147,13 @@ class TestGenerateStudy:
                 if offsets[a] < offsets[b] - 0.05:
                     assert means[a] < means[b]
 
+    def test_technique_offsets_keep_their_bits(self):
+        """The grand mean is a left-to-right sum; Python 3.12's compensated
+        ``sum`` would make RPRG's offset -0.05799999999999983."""
+        offsets = technique_offsets_from_means()
+        assert offsets[Technique.RPRG] == -0.058000000000000274
+        assert offsets[Technique.RPDW] == 0.24199999999999955
+
 
 #: Configs the generator must reproduce, with the sha256 prefix of the log
 #: each writes; the last redraws movement times and endpoints often.
@@ -190,6 +198,12 @@ class TestAgainstBlockByBlockGenerator:
         self.assert_same_as_reference(
             replace(realistic_preset(participants=2, seed=seed), mt_noise_sd_s=mt_noise_sd_s))
 
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    @pytest.mark.parametrize("truth", [REFERENCE_STANDARD_ALL, SIMULABLE_PROPOSED_ALL])
+    def test_same_columns_without_noise(self, truth, seed):
+        """With no noise the loop skips its check: no draw can fail it."""
+        self.assert_same_as_reference(model_exact_preset(truth, participants=3, seed=seed))
+
     def test_report_bytes_of_the_seed_1_study(self):
         """The comparison records, table and throughput records of the seed-1
         study keep their sha256 prefixes, which the benchmark records too."""
@@ -207,6 +221,9 @@ class TestAgainstBlockByBlockGenerator:
 
     @pytest.mark.parametrize("config", [
         model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0),
+        # without noise, a lowest expected time of exactly 0 or below 0 fails the check
+        model_exact_preset(GroundTruth(ModelKind.STANDARD, (0.0, 0.0)), participants=2, seed=4),
+        model_exact_preset(REFERENCE_PROPOSED_ALL, participants=2, seed=5),
         model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0,
                            mt_noise_sd_s=0.01),  # stops at the redraw cap
         # a later block fails, at the first bad cell of its shuffled grid

@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,6 +66,42 @@ SD_VALUES = st.one_of(
 def assert_same_dict(got, expected):
     assert got == expected
     assert list(got) == list(expected)
+
+
+#: Values for the group-by's exact means: +-0.0, subnormals, values spread
+#: over the whole float range, so that one cell can span it, and values whose
+#: sums overflow; the SD of values within +-1e308 stays finite.
+MEAN_VALUES = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-1075, 1022)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+_stdev = statistics.stdev
+
+
+def assert_grouped_as_the_reference(trials):
+    """group_by_condition(trials) equals the reference bit for bit, -0.0 and
+    nan included, or raises where the reference's ``statistics.fmean`` does
+    first: a sum that overflows fsum is a ValueError naming its cell. The
+    SD of a cell holding a value that is not finite, which
+    ``statistics.stdev`` cannot take, is nan."""
+    def stdev(values):
+        return _stdev(values) if all(map(math.isfinite, values)) else math.nan
+
+    with mock.patch.object(statistics, "stdev", stdev):
+        try:
+            expected = group_by_condition_reference(trials)
+        except OverflowError:
+            with pytest.raises(ValueError, match=r"^(movement_time_s|endpoint_deviation_m) "
+                                                 r"overflows when summed over cell "):
+                group_by_condition(trials)
+            return
+        except ValueError as exc:  # fsum meets -inf + inf
+            with pytest.raises(ValueError) as got:
+                group_by_condition(trials)
+            assert str(got.value) == str(exc)
+            return
+    assert repr(list(group_by_condition(trials).items())) == repr(list(expected.items()))
 
 
 def random_trials(rng: random.Random, n: int, grid_jitter: bool = True) -> list[Trial]:
@@ -206,6 +243,69 @@ class TestParityWithReference:
         assert_same_dict(group_by_condition(trials), group_by_condition_reference(trials))
 
 
+class TestExactMeans:
+    """The group-by's means come from each cell's exact sum, and from fsum
+    where that sum may overflow it or a value is not finite."""
+
+    @given(st.lists(st.tuples(st.sampled_from([Technique.RPRG, Technique.LPLG]),
+                              st.sampled_from([0.2, 0.7, 1.35]), MEAN_VALUES, MEAN_VALUES),
+                    min_size=1, max_size=40),
+           st.lists(st.tuples(st.integers(0, 39), st.booleans(),
+                              st.sampled_from([math.inf, -math.inf, math.nan])), max_size=2))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_hypothesis_cells(self, rows, non_finite):
+        trials = [Trial("P01", tech, Posture.SITTING, 0, i, w, 3.0, 0.0, 0.0, mt, dev, i % 3, True)
+                  for i, (tech, w, mt, dev) in enumerate(rows)]
+        for i, on_mt, value in non_finite:
+            if i < len(trials):
+                column = "movement_time_s" if on_mt else "endpoint_deviation_m"
+                trials[i] = replace(trials[i], **{column: value})
+        assert_grouped_as_the_reference(trials)
+
+    @pytest.mark.parametrize("values, error", [
+        ([1e308, 1e308, -1e308], "overflows when summed"),  # finite sum, fsum overflows
+        ([1.7e308, 1.7e308], "overflows when summed"),
+        ([8.9e307, 8.9e307, -1.0], None),
+        ([math.inf, 1.0, 2.0], None),
+        ([math.nan, -0.0], None),
+        ([math.inf, -math.inf], "-inf \\+ inf in fsum"),
+        ([-0.0, -0.0, -0.0], None),
+        ([5e-324, 5e-324, -2.5e-323], None),
+        ([2.0 ** 1000, 1.0, 2.0 ** -1074, -(2.0 ** 1000)], None),
+    ])
+    def test_edge_cells(self, values, error):
+        trial = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
+                      1.0, 0.01, 0, True)
+        for column in ("movement_time_s", "endpoint_deviation_m"):
+            trials = [replace(trial, trial_index=i, **{column: v}) for i, v in enumerate(values)]
+            assert_grouped_as_the_reference(trials)
+            if error:
+                with pytest.raises(ValueError, match=error):
+                    group_by_condition(trials)
+
+    @pytest.mark.parametrize("levels, dtype", [
+        ((5, 5, 1), np.uint8),     # 250 codes
+        ((20, 20, 16), np.uint16),  # 64,000 codes
+        ((20, 20, 20), np.int64),   # 80,000 codes
+    ])
+    def test_codes_sort_in_the_narrowest_type(self, monkeypatch, levels, dtype):
+        """Cell codes sort as 8- or 16-bit integers, numpy's radix sort, up to
+        2**8 and 2**16 codes, and as int64 beyond; thousands of cells group
+        as the reference groups them on every side of both bounds."""
+        rng = random.Random(sum(levels))
+        trials = [replace(t, width_m=0.1 + rng.randrange(levels[0]) / 10,
+                          distance_m=1.0 + rng.randrange(levels[1]) / 10,
+                          height_m=rng.randrange(levels[2]) / 10)
+                  for t in random_trials(rng, 3000, grid_jitter=False)]
+        sorted_types = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: sorted_types.append(a.dtype)
+                            or argsort(a, **kw))
+        assert_grouped_as_the_reference(trials)
+        assert sorted_types == [dtype]
+        assert len(group_by_condition(trials)) >= (250 if dtype == np.uint8 else 2000)
+
+
 class TestSampleSd:
     @pytest.mark.parametrize("values", [
         [1.0, 1.0],
@@ -243,9 +343,10 @@ class TestSampleSd:
         cells.append(np.zeros(5))
         counts = np.array([len(c) for c in cells])
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        got = trials_module._cell_sds(np.concatenate(cells), starts, counts)
+        got, means = trials_module._cell_sds(np.concatenate(cells), starts, counts)
         expected = [statistics.stdev(c.tolist()) if len(c) >= 2 else 0.0 for c in cells]
         assert got == expected
+        assert means == [statistics.fmean(c.tolist()) for c in cells]
 
     @given(st.lists(st.lists(SD_VALUES, min_size=1, max_size=12), min_size=1, max_size=8))
     @settings(max_examples=200)
@@ -257,8 +358,15 @@ class TestSampleSd:
         for cell, sd in zip(cells, expected):
             if len(cell) >= 2 and all(map(math.isfinite, cell)):
                 assert sd == statistics.stdev(cell)
-        got = trials_module._cell_sds(values, starts, counts)
+        got, means = trials_module._cell_sds(values, starts, counts)
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        for cell, mean in zip(cells, means):
+            # no cell here can overflow fsum: only a non-finite value leaves
+            # the mean to it
+            if all(map(math.isfinite, cell)):
+                assert mean.hex() == statistics.fmean(cell).hex()
+            else:
+                assert mean is None
 
     def test_cell_of_more_than_2_to_21_rows(self):
         """Mantissas with (nearly) every bit set: in 21-bit limbs, the product
@@ -268,8 +376,9 @@ class TestSampleSd:
         values[::1000] = [2.0 ** 53 - 3] * len(values[::1000])
         values[1::1000] = [2.0 ** 52 + 1] * len(values[1::1000])
         expected = sample_sd(values)
-        got = trials_module._cell_sds(np.array(values), np.array([0]), np.array([n]))
+        got, means = trials_module._cell_sds(np.array(values), np.array([0]), np.array([n]))
         assert got == [expected]
+        assert means == [math.fsum(values) / n]
 
     def test_non_finite_gives_nan(self):
         assert math.isnan(sample_sd([1.0, math.inf]))
