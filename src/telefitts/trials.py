@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import operator
+import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -388,10 +389,10 @@ def sample_sd(values: Sequence[float]) -> float:
 
 
 def _cell_sds(values: np.ndarray, starts: np.ndarray,
-              counts: np.ndarray) -> tuple[list[float], list[float | None]]:
+              counts: np.ndarray) -> tuple[list[float | None], list[float | None]]:
     """``sample_sd`` of each cell ``values[start:start + n]`` at once, cells
-    of fewer than two values getting 0.0, and each cell's mean, or None where
-    only ``math.fsum`` decides it.
+    of fewer than two values getting 0.0 and cells whose SD overflows None,
+    and each cell's mean, or None where only ``math.fsum`` decides it.
 
     Each float is d * 2**e with an integer d, |d| < 2**53; ``frexp`` takes
     the whole column apart, and within a cell every d is shifted onto the
@@ -420,7 +421,10 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray,
     all_finite = np.logical_and.reduceat(finite, starts).tolist()
     sds, means = [], []
     for n, a, b, e, t, ok in zip(counts.tolist(), s1, s2, cell_exp.tolist(), top, all_finite):
-        sds.append(0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan)
+        try:
+            sds.append(0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan)
+        except OverflowError:  # beyond the float range
+            sds.append(None)
         means.append((float(a << e) if e >= 0 else a / (1 << -e)) / n
                      if ok and t + n.bit_length() <= _SAFE_SUM_EXP else None)
     return sds, means
@@ -479,18 +483,60 @@ def _limb_sums(digits: np.ndarray, shifts: np.ndarray, starts: np.ndarray,
 # --- aggregation --------------------------------------------------------
 
 
+#: Distinct keys a column may hold to be coded by equality scans, one per
+#: key, rather than by a sort.
+_SCANNED_KEYS = 8
+
+
+def _scanned_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Index of each of the int64 ``keys`` among its distinct keys, and
+    those keys in order of first appearance, found by one equality scan per
+    distinct key; None for more than ``_SCANNED_KEYS`` distinct keys.
+
+    ``left`` marks the rows whose key no scan has matched yet, so a row's
+    code, the index of its key, is the number of scans it stays left
+    after; no step selects rows by a mask, which costs far more than a
+    scan on rows in random order."""
+    codes = np.zeros(len(keys), dtype=np.int64)
+    left = np.ones(len(keys), dtype=np.bool_)
+    distinct = []
+    first = 0
+    while len(keys) and left[first]:
+        if len(distinct) == _SCANNED_KEYS:
+            return None
+        distinct.append(keys[first])
+        left &= keys != keys[first]
+        codes += left
+        first = int(left.argmax())
+    return codes, np.array(distinct, dtype=np.int64)
+
+
 def _quantized_codes(column: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Integer code of each row's 1 mm-quantized value, and the quantized
-    level of each code in ascending order. Only the distinct raw values are
-    rounded; raw values that round alike share a code."""
-    raw, inverse = np.unique(column, return_inverse=True)
+    level of each code in ascending order: the codes and levels of the
+    distinct raw values as ``np.unique`` gives them (-0.0 equal to 0.0, one
+    nan). Only the distinct raw values are sorted and rounded; raw values
+    that round alike share a code.
+
+    A column of few distinct bit patterns is coded by equality scans and
+    only those values are sorted. A column holding nan or zeros of both
+    signs takes ``np.unique``, which alone decides the raw value it keeps."""
+    found = _scanned_codes(column.view(np.int64))
+    values = None if found is None else found[1].view(np.float64)
+    if values is None or np.isnan(values).any() or np.count_nonzero(values == 0.0) > 1:
+        raw, index = np.unique(column, return_inverse=True)
+        raw, order = raw.tolist(), range(len(raw))
+    else:
+        values = values.tolist()
+        order = sorted(range(len(values)), key=values.__getitem__)
+        index, raw = found[0], [values[i] for i in order]
     levels: list[float] = []
-    code_of_raw = []
-    for q in map(_quantize_mm, raw.tolist()):
+    code_of_index = [0] * len(raw)
+    for i, q in zip(order, map(_quantize_mm, raw)):
         if not levels or q != levels[-1]:
             levels.append(q)
-        code_of_raw.append(len(levels) - 1)
-    return np.asarray(code_of_raw, dtype=np.int64)[inverse.reshape(-1)], levels
+        code_of_index[i] = len(levels) - 1
+    return np.asarray(code_of_index, dtype=np.int64)[index.reshape(-1)], levels
 
 
 def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionSummary]:
@@ -499,7 +545,9 @@ def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionS
     Every trial lands in exactly one cell; cells come in (technique, posture,
     width, distance, height) order. Standard deviations use the n-1
     denominator; singleton cells get sd 0 by convention. Means and
-    SDs equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit.
+    SDs equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit; a
+    cell whose sum or SD is beyond the float range, where those raise
+    OverflowError, raises ValueError naming the cell.
 
     The cells of a :class:`TrialTable` are computed once and kept on the
     table; each call returns a new dict of them. Other sequences are
@@ -548,8 +596,12 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
                       width_m=widths[w], distance_m=distances[d], height_m=heights[h])
         if mean_mt is None:
             mean_mt = _cell_mean(mts[a:a + n], "movement_time_s", key)
+        if sd_mt is None:
+            raise _sd_overflow("movement_time_s", key)
         if mean_dev is None:
             mean_dev = _cell_mean(devs[a:a + n], "endpoint_deviation_m", key)
+        if sd_dev is None:
+            raise _sd_overflow("endpoint_deviation_m", key)
         out[key] = _frozen(
             ConditionSummary,
             key=key,
@@ -569,10 +621,18 @@ def _cell_mean(values: np.ndarray, column: str, key: ConditionKey) -> float:
     try:
         return math.fsum(values.tolist()) / len(values)
     except OverflowError:
-        raise ValueError(
-            f"{column} overflows when summed over cell {key.technique.value}/"
-            f"{key.posture.value} W={key.width_m} D={key.distance_m} H={key.height_m}"
-        ) from None
+        raise ValueError(f"{column} overflows when summed over cell {_cell_label(key)}") from None
+
+
+def _sd_overflow(column: str, key: ConditionKey) -> ValueError:
+    """The error for a cell whose SD is beyond the float range."""
+    return ValueError(f"{column} overflows when its SD is taken over cell {_cell_label(key)}")
+
+
+def _cell_label(key: ConditionKey) -> str:
+    """``technique/posture W= D= H=``, ``*`` for a collapsed factor."""
+    factors = ("*" if f is None else f.value for f in (key.technique, key.posture))
+    return f"{'/'.join(factors)} W={key.width_m} D={key.distance_m} H={key.height_m}"
 
 
 _COLLAPSIBLE = ("technique", "posture")
@@ -589,7 +649,8 @@ def collapse_over(
 
     Default is the unweighted mean of cell means (means-of-means). The
     ``pooled`` opt-in weights constituent cells by trial count instead,
-    reconstructing plain pooled-trial statistics.
+    reconstructing plain pooled-trial statistics. A merged cell whose SD is
+    beyond the float range raises ValueError naming the cell.
     """
     drop = set(drop)
     unknown = drop - set(_COLLAPSIBLE)
@@ -624,11 +685,8 @@ def collapse_over(
         w = [n / n_total for n in ns] if pooled else [1.0 / len(ns)] * len(ns)
         mean_mt, mean_dev, err = (left_sum(map(operator.mul, w, column))
                                   for column in (mts, devs, errs))
-        if pooled:
-            sd_mt = _pooled_sd(ns, mts, sd_mts, mean_mt)
-            sd_dev = _pooled_sd(ns, devs, sd_devs, mean_dev)
-        else:
-            sd_mt, sd_dev = (sample_sd(mts), sample_sd(devs)) if len(ns) >= 2 else (0.0, 0.0)
+        sd_mt = _merged_sd(ns, mts, sd_mts, mean_mt, pooled, "movement_time_s", key)
+        sd_dev = _merged_sd(ns, devs, sd_devs, mean_dev, pooled, "endpoint_deviation_m", key)
         out[key] = _frozen(
             ConditionSummary,
             key=key,
@@ -640,6 +698,19 @@ def collapse_over(
             error_rate=err,
         )
     return out
+
+
+def _merged_sd(ns: Sequence[int], means: Sequence[float], sds: Sequence[float],
+               grand_mean: float, pooled: bool, column: str, key: ConditionKey) -> float:
+    """SD of a merged cell: of its trials pooled, or the sample SD of its
+    cell means (0.0 for one cell); ValueError naming the cell where it is
+    beyond the float range."""
+    try:
+        if pooled:
+            return _pooled_sd(ns, means, sds, grand_mean)
+        return sample_sd(means) if len(ns) >= 2 else 0.0
+    except OverflowError:
+        raise _sd_overflow(column, key) from None
 
 
 def _pooled_sd(ns: Sequence[int], means: Sequence[float], sds: Sequence[float],
@@ -689,14 +760,46 @@ def _csv_field(text: str) -> str:
     return text
 
 
+#: Widest range of integer keys coded through a presence table, one entry per
+#: key in the range, rather than by a sort.
+_PRESENCE_SPAN = 1 << 16
+
+
+def _distinct_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code of each of the int64 ``keys`` and the distinct keys, ascending,
+    as ``np.unique(keys, return_inverse=True)`` returns them.
+
+    Keys that span at most ``_PRESENCE_SPAN`` values are coded in O(n): a
+    presence table over the span (``bincount > 0``) numbers the keys that
+    occur by its running count, so no sort is needed."""
+    if len(keys):
+        low = int(keys.min())
+        if int(keys.max()) - low < _PRESENCE_SPAN:
+            offsets = keys - low
+            present = np.bincount(offsets) > 0
+            return (np.cumsum(present) - 1)[offsets], np.flatnonzero(present) + low
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return inverse, distinct
+
+
 def _value_texts(column: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Code of each value of an int or float column, and the ``repr`` of the
     value of each code: one code per distinct value (per bit pattern for
     floats, so -0.0 keeps its sign). The repr of a Python float is its
-    shortest round-trip form."""
-    keys = column.view(np.int64) if column.dtype == np.float64 else column
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return inverse, list(map(repr, distinct.view(column.dtype).tolist()))
+    shortest round-trip form.
+
+    A float column of at most ``_SCANNED_KEYS`` bit patterns is coded by
+    equality scans, which hold less memory at once than a sort."""
+    if column.dtype != np.float64:
+        codes, distinct = _distinct_codes(column)
+        return codes, list(map(repr, distinct.tolist()))
+    bits = column.view(np.int64)
+    found = _scanned_codes(bits)
+    if found is None:
+        distinct, codes = np.unique(bits, return_inverse=True)
+    else:
+        codes, distinct = found
+    return codes, list(map(repr, distinct.view(np.float64).tolist()))
 
 
 def _joined_texts(
@@ -708,7 +811,7 @@ def _joined_texts(
     codes, texts = fields[0]
     for more_codes, more_texts in fields[1:]:
         n = len(more_texts)
-        pairs, codes = np.unique(codes * n + more_codes, return_inverse=True)
+        codes, pairs = _distinct_codes(codes * n + more_codes)
         texts = [f"{texts[p // n]},{more_texts[p % n]}" for p in pairs.tolist()]
     return codes, np.array(texts, dtype=object)
 
@@ -810,13 +913,19 @@ def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dic
     return columns
 
 
-#: Characters that send a whole log to the csv reader: a quote can change how
-#: lines split into records, numpy's tokenizer drops NUL, and it strips
-#: \x1c-\x1f around numbers where int() and float() do not. A carriage return
-#: does too, unless it is part of a \r\n line ending. So does a character
-#: beyond U+FFFF: numpy's loadtxt can crash the interpreter (a segmentation
-#: fault) while it words the error for a field that holds one.
-_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
+#: Characters that send a whole log to the csv reader: numpy's tokenizer
+#: drops NUL, and it strips \x1c-\x1f around numbers where int() and float()
+#: do not. A quote does too, unless it is csv.writer's quoting of a first
+#: field (``_QUOTED_FIRST_FIELD``), and so does a carriage return, unless it
+#: is part of a \r\n line ending. So does a character beyond U+FFFF: numpy's
+#: loadtxt can crash the interpreter (a segmentation fault) while it words
+#: the error for a field that holds one.
+_CSV_ONLY = '\0\x1c\x1d\x1e\x1f'
+#: A line whose first field is quoted as csv.writer quotes it (its quotes
+#: doubled), with no line break inside and a comma right after, and whose
+#: other fields hold no quote: groups are the field between its quotes and
+#: the rest of the line.
+_QUOTED_FIRST_FIELD = re.compile(r'"((?:[^"\r\n]|"")*)",([^"]*)')
 #: Lines that hold no row, for the csv reader as for numpy's tokenizer.
 _BLANK_LINES = ("\n", "\r\n")
 #: The header line as read: ended like a blank line, or last in the file.
@@ -837,53 +946,66 @@ _LOG_DTYPE = np.dtype([
 ])
 
 
-#: Distinct texts of a chunk's text column found by equality scans; any more
-#: are found by one sort, so a column of many distinct texts costs no more
-#: than a sort.
-_SCANNED_TEXTS = 8
-
-
 def _text_codes(column: np.ndarray, code_of) -> np.ndarray:
     """``code_of(text)`` of each row, called once per distinct text in order
     of first appearance; KeyError for text that may have been cut off.
 
-    A log holds few distinct texts per chunk: each of the first
-    ``_SCANNED_TEXTS`` is the first row not yet coded, and one equality scan
-    of the rows left finds all of its rows."""
+    In a log, a participant id stays the same for hundreds of rows and a
+    technique or posture for dozens, so each row is compared once with the
+    row before it, and only the first row of each run of equal text is
+    turned into a Python string and coded."""
 
     def code(text: str):
         if len(text) >= _TEXT_WIDTH:
             raise KeyError("text field as wide as the parse width")
         return code_of(text)
 
-    codes = np.empty(len(column), dtype=np.int64)
-    rows, rest = np.arange(len(column)), column
-    for _ in range(_SCANNED_TEXTS):
-        if not len(rows):
-            return codes
-        same = rest == rest[0]
-        codes[rows[same]] = code(str(rest[0]))
-        rows, rest = rows[~same], rest[~same]
-    distinct, first, inverse = np.unique(rest, return_index=True, return_inverse=True)
-    texts, values = distinct.tolist(), [0] * len(distinct)
-    for i in np.argsort(first).tolist():
-        values[i] = code(texts[i])
-    codes[rows] = np.array(values, dtype=np.int64)[inverse]
-    return codes
+    # the first row of each run, and one past the last row
+    edges = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1, [len(column)]))
+    texts = column[edges[:-1]].tolist()
+    code_of_text = {text: code(text) for text in dict.fromkeys(texts)}
+    codes = np.array(list(map(code_of_text.__getitem__, texts)), dtype=np.int64)
+    return np.repeat(codes, edges[1:] - edges[:-1])
+
+
+def _stand_in_quoted_ids(lines: list[str], quoted_ids: dict[str, str]) -> list[str] | None:
+    """``lines`` with each first field quoted as csv.writer quotes it
+    replaced by a stand-in: a quote and a number, which no other field of
+    the chunk can hold, so numpy's tokenizer reads it as plain text.
+    ``quoted_ids`` maps each stand-in to its participant id and gains the
+    new ones. None if a quote is anything else."""
+    stand_ins = {quoted: stand_in for stand_in, quoted in quoted_ids.items()}
+    mapped = []
+    for line in lines:
+        if '"' in line:
+            match = _QUOTED_FIRST_FIELD.fullmatch(line)
+            if match is None:
+                return None
+            participant, rest = match[1].replace('""', '"'), match[2]
+            if participant not in stand_ins:
+                stand_ins[participant] = f'"{len(quoted_ids)}'
+                quoted_ids[stand_ins[participant]] = participant
+            line = f"{stand_ins[participant]},{rest}"
+        mapped.append(line)
+    return mapped
 
 
 def _read_with_loadtxt(fh) -> TrialTable | None:
     """The log body parsed by ``np.loadtxt``, ``_CHUNK_ROWS`` lines at a time,
-    with codes taken from each chunk's distinct text values; None wherever
-    the csv reader must decide: a header other than the exact one, a log
-    with a ``_CSV_ONLY`` character, a character beyond U+FFFF or a carriage
+    with codes taken from the runs of each chunk's text columns; None
+    wherever the csv reader must decide: a header other than the exact one,
+    a log with a ``_CSV_ONLY`` character, a quote other than csv.writer's
+    quoting of a first field, a character beyond U+FFFF or a carriage
     return that does not end a ``\r\n`` line, a line longer than the csv
     field limit, a chunk that numpy or a code lookup rejects, or a log with
     no rows."""
     if fh.readline() not in _HEADER_LINES:
         return None
     ids: dict[str, int] = {}
-    code_of = dict(_CODE_OF_TEXT, participant_code=lambda text: ids.setdefault(text, len(ids)))
+    quoted_ids: dict[str, str] = {}  # stand-in -> participant id
+    code_of = dict(_CODE_OF_TEXT, participant_code=lambda text: ids.setdefault(
+        quoted_ids.get(text, text), len(ids)))
+    field_limit = csv.field_size_limit()
     parts = []
     line_no = 2
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
@@ -892,10 +1014,15 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
         if lines.count("\n") or lines.count("\r\n"):  # blank lines hold no row
             numbers = numbers[[text not in _BLANK_LINES for text in lines]]
         text = "".join(lines)
-        if (any(c in text for c in _CSV_ONLY) or text.count("\r") != text.count("\r\n")
+        if (any(c in text for c in _CSV_ONLY)
+                or "\r" in text and text.count("\r") != text.count("\r\n")
                 or not text.isascii() and max(text) > "\uffff"
-                or max(map(len, lines)) > csv.field_size_limit()):
+                or len(text) > field_limit and max(map(len, lines)) > field_limit):
             return None
+        if '"' in text:
+            lines = _stand_in_quoted_ids(lines, quoted_ids)
+            if lines is None:
+                return None
         if not len(numbers):
             continue
         try:

@@ -115,6 +115,48 @@ class TestWriter:
             write_trial_log(trials, str(path))
         assert path.read_text(encoding="utf-8").splitlines() == log_lines(trials)
 
+    @pytest.mark.parametrize("values, sorted_", [
+        ([-7, 3, -1, 0, -7, 12], False),  # negative values in a narrow span: presence table
+        ([0, 2 ** 62, 7, 2 ** 62 - 1], True),  # a span no presence table covers: one sort
+        ([-(2 ** 63), 2 ** 63 - 1, 0, -1], True),
+    ])
+    def test_int_columns_of_any_span(self, tmp_path, values, sorted_):
+        """Each of the three int columns is sorted only when its span is
+        too wide for a presence table."""
+        trials = [trial(f"P{i % 2}", block=values[i % len(values)],
+                        trial_index=values[(i + 1) % len(values)],
+                        error_attempts=values[(i + 2) % len(values)], success=i % 3 > 0)
+                  for i in range(5 * len(values))]
+        path = tmp_path / "log.csv"
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            write_trial_log(trials, str(path))
+        assert unique.called == sorted_
+        assert path.read_text(encoding="utf-8").splitlines() == log_lines(trials)
+
+    @pytest.mark.parametrize("patterns", [8, 9])
+    def test_float_columns_of_many_bit_patterns(self, tmp_path, patterns):
+        """A float column of at most eight bit patterns is coded by scans,
+        and one of more by a sort."""
+        values = [-0.0, 0.0, float("nan"), -float("nan"), 1e-7, 0.1, float("inf"), 5e-324, 2.5]
+        trials = [trial(f"P{i % 2}", trial_index=i, angle_deg=values[(i * 5) % patterns])
+                  for i in range(3 * patterns)]
+        path = tmp_path / "log.csv"
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            write_trial_log(trials, str(path))
+        assert unique.call_count == patterns - 8
+        assert path.read_text(encoding="utf-8").splitlines() == log_lines(trials)
+
+    def test_joined_combinations_beyond_the_presence_span(self, tmp_path):
+        """300 participant/technique/posture combinations times 300 blocks
+        span more than 2**16 joined codes, which takes the sort."""
+        trials = [trial(f"P{i % 300}", technique=list(Technique)[i % 5],
+                        posture=list(Posture)[i % 2], block=(7 * i) % 300, trial_index=i)
+                  for i in range(900)]
+        path = tmp_path / "log.csv"
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            write_trial_log(trials, str(path))
+        assert unique.call_count == 1
+        assert path.read_text(encoding="utf-8").splitlines() == log_lines(trials)
 
     @pytest.mark.parametrize("participant", ["P,01", 'P"01', "P\r01", "P\n01", '"', ',\r\n"'])
     def test_ids_that_need_quoting_round_trip(self, tmp_path, participant):
@@ -230,10 +272,9 @@ class TestLoadtxtPath:
         assert got.participant_ids == ("P02", "P01")
         assert got.line_numbers.tolist() == [2, 5, 6]
 
-    @pytest.mark.parametrize("scanned", [0, 2, 8])
-    def test_many_distinct_texts_in_one_chunk(self, tmp_path, scanned):
-        """Texts past the scanned ones are still coded in order of first
-        appearance, which is not their sorted order."""
+    def test_many_distinct_texts_in_one_chunk(self, tmp_path):
+        """Texts are coded in order of first appearance, which is not their
+        sorted order, from runs of one to seven rows."""
         ids = [f"P{i:02d}" for i in (7, 3, 12, 0, 9, 1, 11, 5, 2, 10, 4, 8, 6)]
         trials = [trial(ids[(i * 5) % 13] if i % 4 else ids[i % 13], trial_index=i,
                         technique=list(Technique)[i % 5], posture=list(Posture)[i // 7 % 2],
@@ -241,13 +282,13 @@ class TestLoadtxtPath:
                   for i in range(40)]
         path = tmp_path / "log.csv"
         write_lines(path, log_lines(trials))
-        with mock.patch.object(trials_module, "_SCANNED_TEXTS", scanned), csv_reader_refused():
+        with csv_reader_refused():
             got = read_trial_log(str(path))
         assert_same_table(got, read_trial_log_reference(str(path)))
         assert got == trials
 
     @pytest.mark.parametrize("edit", [
-        lambda line: line.replace("P01", '"P01"'),
+        lambda line: line.replace(",RPRG,", ',"RPRG",'),
         lambda line: line.replace("P01", "P0\x001"),
         lambda line: line.replace(",0,", ",0\x1c,"),
         lambda line: line.replace("P01", "P" * 40),
@@ -256,6 +297,14 @@ class TestLoadtxtPath:
         # numpy can crash wording the error of a field beyond U+FFFF
         lambda line: line.replace(",0,", ",\U00070f67,"),
         lambda line: line.replace("P01", "P\U0001f600"),
+        # quotes other than csv.writer's quoting of a first field on one line
+        lambda line: line.replace("P01", '"P01"x'),
+        lambda line: line.replace("P01", '"P01" '),
+        lambda line: line.replace("P01", 'P"01'),
+        lambda line: line.replace("P01", '"P"01"'),
+        lambda line: line.replace("P01", '"P\x0001"'),
+        lambda line: line.replace("P01", '"P01"') + ',""',
+        lambda line: line.replace("P01", '"P01\nP02"'),
     ])
     def test_logs_numpy_cannot_vouch_for_go_to_the_csv_reader(self, tmp_path, edit):
         lines = log_lines([trial(), trial(trial_index=1)])
@@ -265,6 +314,20 @@ class TestLoadtxtPath:
         with csv_reader_refused(), pytest.raises(AssertionError, match="csv reader"):
             read_trial_log(str(path))
         assert_readers_agree(path)
+
+    @pytest.mark.parametrize("participant", ['"P01"', '"P,01"', '"P""01"', '""""', '""',
+                                             '","', '"' + "P" * 40 + '"'])
+    def test_quoted_first_fields_stay_on_the_fast_path(self, tmp_path, participant):
+        """A first field quoted as csv.writer quotes it, on one line, is read
+        as the csv reader reads it, also where the quotes were not needed or
+        the id is longer than numpy's text width."""
+        lines = log_lines([trial(), trial(trial_index=1), trial("P02", trial_index=2)])
+        lines[2] = lines[2].replace("P01", participant)
+        path = tmp_path / "log.csv"
+        write_lines(path, lines)
+        with csv_reader_refused():
+            got = read_trial_log(str(path))
+        assert_same_table(got, read_trial_log_reference(str(path)))
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r"])
     def test_carriage_return_log_reads_like_the_reference(self, tmp_path, ending):
@@ -318,6 +381,86 @@ class TestLoadtxtPath:
         assert got.participant_ids == ("C", "B", "A", "D")
         assert got.line_numbers.tolist() == [2, 3, 4, 8, 9, 10, 11, 12]
         assert got == trials
+
+
+TECHNIQUES, POSTURES = list(Technique), list(Posture)
+
+
+def runs_log(n, id_run, technique_run, posture_run, ids=None):
+    """``n`` trials whose participant, technique and posture change every
+    ``id_run``, ``technique_run`` and ``posture_run`` rows."""
+    ids = ids or [f"P{i:02d}" for i in range(n // id_run + 1)]
+    return [trial(ids[i // id_run % len(ids)], trial_index=i,
+                  technique=TECHNIQUES[i // technique_run % 5],
+                  posture=POSTURES[i // posture_run % 2], success=i % 7 > 0,
+                  movement_time_s=0.5 + i / 1000, error_attempts=i % 3)
+            for i in range(n)]
+
+
+def with_blank_lines(lines, at):
+    """``lines`` with a blank line inserted before each line index in ``at``."""
+    out = list(lines)
+    for index in sorted(at, reverse=True):
+        out.insert(index, "")
+    return out
+
+
+def lenient_lines():
+    lines = log_lines(runs_log(1500, 300, 40, 20))
+    variants = [("Sitting", "sITTING"), ("Standing", "STANDING"), (",true", ", TRUE "),
+                (",false", ",False\t")]
+    for i in range(1, len(lines)):
+        old, new = variants[i % len(variants)]
+        lines[i] = lines[i].replace(old, new)
+    return lines
+
+
+def quoted_lines():
+    ids = ["P,01", 'P"01', '""', ",", "P01", "P," * 20]
+    lines = log_lines(runs_log(2100, 350, 40, 20, ids=ids))
+    # quotes that csv.writer would not write, on every other row of an id it
+    # also writes plain
+    return [line.replace("P01,", '"P01",', 1) if line.startswith("P01,") and i % 2 else line
+            for i, line in enumerate(lines)]
+
+
+#: (log lines, line ending, whether the loadtxt path reads it): each log
+#: crosses at least one 1024-row chunk boundary.
+ROUND_TRIP_LOGS = {
+    # every run one row long: the row-by-row coding
+    "ids-alternating-every-row": lambda: (log_lines(runs_log(2500, 1, 1, 1)), "\n", True),
+    "runs-across-chunk-boundaries": lambda: (log_lines(runs_log(3100, 700, 300, 1000)), "\n", True),
+    "texts-of-31-characters": lambda: (
+        [line.replace("P00", "P" * 31).replace(",true", "," + "true".ljust(31))
+         for line in log_lines(runs_log(1100, 500, 40, 20))], "\n", True),
+    "texts-of-32-characters": lambda: (
+        [line.replace("P01", "P" * 32) for line in log_lines(runs_log(1100, 500, 40, 20))],
+        "\n", False),
+    "success-of-32-characters": lambda: (
+        [line.replace(",true", "," + "true".ljust(32))
+         for line in log_lines(runs_log(1100, 500, 40, 20))], "\n", False),
+    "blank-lines-and-crlf": lambda: (
+        with_blank_lines(log_lines(runs_log(2100, 400, 40, 20)), [1, 2, 1024, 1025, 1500, 2101]),
+        "\r\n", True),
+    "lenient-posture-and-success": lambda: (lenient_lines(), "\n", True),
+    "quoted-ids": lambda: (quoted_lines(), "\n", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_LOGS))
+def test_fast_reader_reads_like_the_csv_reader(tmp_path, name):
+    """Columns, participant order and line numbers equal the csv reader's,
+    on the loadtxt path where it can vouch for the log."""
+    lines, ending, fast = ROUND_TRIP_LOGS[name]()
+    path = tmp_path / "log.csv"
+    write_lines(path, lines, ending)
+    want = read_trial_log_reference(str(path))
+    with contextlib.ExitStack() as stack:
+        if fast:
+            stack.enter_context(csv_reader_refused())
+        got = read_trial_log(str(path))
+    assert_same_table(got, want)
+    assert len(got) == sum(1 for line in lines[1:] if line)
 
 
 def assert_one_line(message):

@@ -76,24 +76,41 @@ MEAN_VALUES = st.one_of(
     st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-1075, 1022)),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
 )
-_stdev = statistics.stdev
+_fmean, _stdev = statistics.fmean, statistics.stdev
 
 
 def assert_grouped_as_the_reference(trials):
     """group_by_condition(trials) equals the reference bit for bit, -0.0 and
-    nan included, or raises where the reference's ``statistics.fmean`` does
-    first: a sum that overflows fsum is a ValueError naming its cell. The
+    nan included, or raises where the reference's ``statistics.fmean`` or
+    ``statistics.stdev`` does first: a sum that overflows fsum, or an SD
+    beyond the float range, is a ValueError naming its cell. The
     SD of a cell holding a value that is not finite, which
     ``statistics.stdev`` cannot take, is nan."""
-    def stdev(values):
-        return _stdev(values) if all(map(math.isfinite, values)) else math.nan
+    raised = []  # how the reference's OverflowError came about
 
-    with mock.patch.object(statistics, "stdev", stdev):
+    def fmean(values):
+        try:
+            return _fmean(values)
+        except OverflowError:
+            raised.append("summed")
+            raise
+
+    def stdev(values):
+        if not all(map(math.isfinite, values)):
+            return math.nan
+        try:
+            return _stdev(values)
+        except OverflowError:
+            raised.append("its SD is taken")
+            raise
+
+    with (mock.patch.object(statistics, "fmean", fmean),
+          mock.patch.object(statistics, "stdev", stdev)):
         try:
             expected = group_by_condition_reference(trials)
         except OverflowError:
             with pytest.raises(ValueError, match=r"^(movement_time_s|endpoint_deviation_m) "
-                                                 r"overflows when summed over cell "):
+                                                 rf"overflows when {raised[0]} over cell "):
                 group_by_condition(trials)
             return
         except ValueError as exc:  # fsum meets -inf + inf
@@ -265,6 +282,7 @@ class TestExactMeans:
     @pytest.mark.parametrize("values, error", [
         ([1e308, 1e308, -1e308], "overflows when summed"),  # finite sum, fsum overflows
         ([1.7e308, 1.7e308], "overflows when summed"),
+        ([1.7e308, -1.7e308], "overflows when its SD is taken"),  # mean 0, SD 2.4e308
         ([8.9e307, 8.9e307, -1.0], None),
         ([math.inf, 1.0, 2.0], None),
         ([math.nan, -0.0], None),
@@ -304,6 +322,80 @@ class TestExactMeans:
         assert_grouped_as_the_reference(trials)
         assert sorted_types == [dtype]
         assert len(group_by_condition(trials)) >= (250 if dtype == np.uint8 else 2000)
+
+
+class TestSdOverflow:
+    """An SD beyond the float range: ``sample_sd`` raises OverflowError as
+    ``statistics.stdev`` does, and the group-by and the collapse name the
+    cell in a ValueError."""
+
+    TRIAL = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
+                  1.0, 0.01, 0, True)
+
+    def test_sample_sd(self):
+        for sd in (statistics.stdev, sample_sd):
+            with pytest.raises(OverflowError):
+                sd([1.7e308, -1.7e308])
+
+    @pytest.mark.parametrize("column", ["movement_time_s", "endpoint_deviation_m"])
+    def test_group_by_condition(self, column):
+        trials = [replace(self.TRIAL, trial_index=i, **{column: v})
+                  for i, v in enumerate((1.7e308, -1.7e308))]
+        with pytest.raises(ValueError, match=rf"^{column} overflows when its SD is taken over "
+                                             r"cell RPRG/Sitting W=0.2 D=3.0 H=0.0$"):
+            group_by_condition(trials)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_collapse_over(self, pooled):
+        """Two cells of one trial each, means 1.7e308 and -1.7e308: their
+        sample SD, and in the pooled mode their squared distances from the
+        grand mean, overflow."""
+        trials = [replace(self.TRIAL, technique=technique, movement_time_s=mt)
+                  for technique, mt in ((Technique.RPRG, 1.7e308), (Technique.LPLG, -1.7e308))]
+        cells = group_by_condition(trials)
+        with pytest.raises(ValueError, match=r"^movement_time_s overflows when its SD is taken "
+                                             r"over cell \*/Sitting W=0.2 D=3.0 H=0.0$"):
+            collapse_over(cells, {"technique"}, pooled=pooled)
+        with pytest.raises(ValueError, match=r"over cell \*/\* W=0.2 D=3.0 H=0.0$"):
+            collapse_over(cells, {"technique", "posture"}, pooled=pooled)
+
+
+def quantized_codes_reference(column):
+    """Codes and levels through ``np.unique`` of the whole column."""
+    raw, inverse = np.unique(column, return_inverse=True)
+    levels, code_of_raw = [], []
+    for q in (round(x, 3) for x in raw.tolist()):
+        if not levels or q != levels[-1]:
+            levels.append(q)
+        code_of_raw.append(len(levels) - 1)
+    return np.asarray(code_of_raw, dtype=np.int64)[inverse], levels
+
+
+class TestQuantizedCodes:
+    @pytest.mark.parametrize("values", [
+        [0.2, 1.35],
+        [0.0, 3.0],
+        [-0.0, 3.0],  # one zero, negative: kept as -0.0
+        [-0.0, 0.0, 3.0],  # zeros of both signs: np.unique decides the zero kept
+        [math.nan, 1.0, -math.nan],  # nan: one level, as np.unique's equal_nan
+        [0.2, 0.2003, 0.1996, 1.35, 1.3504],  # raw values that round alike share a code
+        [math.inf, -math.inf, 5e-324, -5e-324, 1e308],
+        [float(v) for v in range(8)],  # as many values as the scans take
+        [float(v) for v in range(9)],  # one more: the sort
+        [v / 7 for v in range(40)],
+    ])
+    def test_codes_and_levels_match_np_unique(self, values):
+        rng = np.random.default_rng(len(values))
+        for n in (1, 2, 50, 3000):
+            column = np.array(values)[rng.permutation(n) % len(values)]
+            codes, levels = trials_module._quantized_codes(column)
+            want_codes, want_levels = quantized_codes_reference(column)
+            assert np.array_equal(codes, want_codes)
+            assert repr(levels) == repr(want_levels)
+
+    def test_empty_column(self):
+        codes, levels = trials_module._quantized_codes(np.array([]))
+        assert len(codes) == 0 and levels == []
 
 
 class TestSampleSd:
