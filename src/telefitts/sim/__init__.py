@@ -5,7 +5,6 @@ from .filters import kalman_smooth, sample_at, spike_compensate
 from .kinematics import parabola_landing, sphere_hit_test
 from .techniques import (
     DwellState,
-    LaunchSpeedModel,
     SceneSpec,
     TargetPlacement,
     TechniqueConfig,

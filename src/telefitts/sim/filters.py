@@ -17,10 +17,13 @@ from .hands import _NOT_FINITE, HandSample, HandTrace, _grid_times, _read_only
 #: threads the (T, T) x (T, 6) product: on a 2-vCPU VM it then took 7 ms where
 #: the O(T) loop took 0.85 ms, and at 400 samples 0.25 ms against 0.76 ms.
 _OPERATOR_MAX_SAMPLES = 400
+#: The noise model run_trial smooths a pointer with.
+KALMAN_PROCESS_NOISE = 50.0
+KALMAN_MEASUREMENT_NOISE = 1e-4
 
 
-def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
-                  measurement_noise: float = 1e-4) -> HandTrace:
+def kalman_smooth(trace: Sequence[HandSample], process_noise: float = KALMAN_PROCESS_NOISE,
+                  measurement_noise: float = KALMAN_MEASUREMENT_NOISE) -> HandTrace:
     """Per-axis constant-velocity Kalman filter over positions and directions.
 
     State per channel is (value, velocity). The six channels (three position
@@ -28,9 +31,10 @@ def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
     sequence, computed from the time steps alone, serves all; with its gains
     fixed the filter is a linear map, ``z[0] + M @ (z - z[0])`` on the
     stacked (T, 6) channels. The filter is causal, so on a rate's grid a
-    trace's gains and M are leading blocks of its ``_grid_filter``'s, bit for
-    bit: a grid trace of at most ``_OPERATOR_MAX_SAMPLES`` samples takes a
-    slice of M; longer grid traces and traces off a grid run the O(T) loop.
+    trace's M is a leading block of its ``_grid_filter``'s, bit for bit: a
+    grid trace of at most ``_OPERATOR_MAX_SAMPLES`` samples takes a slice of
+    M; longer grid traces and traces off a grid compute their gains and run
+    the O(T) loop.
     The first sample and a constant trace pass through untouched; directions
     are renormalized and positions checked finite. The result shares times,
     pinch and grid.
@@ -42,13 +46,12 @@ def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
         return trace
     n, rate, q, r = len(trace), trace._grid_rate_hz, float(process_noise), float(measurement_noise)
     z = np.concatenate((trace.position_m, trace.direction), axis=1)
-    grid = _grid_filter(rate, q, r) if rate is not None and n > 1 else None  # n = 1: no steps
-    if grid is not None and n <= _OPERATOR_MAX_SAMPLES:
+    if rate is not None and 1 < n <= _OPERATOR_MAX_SAMPLES:  # n = 1: no steps
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite output is rejected below
-            out = z[0] + grid.operator(n) @ (z - z[0])
+            out = z[0] + _grid_filter(rate, q, r).operator(n) @ (z - z[0])
     else:
-        gains = grid.gains(n) if grid is not None else _kalman_gains(np.diff(trace.t_s), q, r)
-        out = np.array([_filter_channel(c, *gains.tolist()) for c in z.T.tolist()]).T
+        gains = _kalman_gains(np.diff(trace.t_s), q, r).tolist()
+        out = np.array([_filter_channel(c, *gains) for c in z.T.tolist()]).T
     position, direction = out[:, :3], _unit(out[:, 3:])
     if not np.isfinite(position).all():
         raise ValueError(_NOT_FINITE)
@@ -57,26 +60,20 @@ def kalman_smooth(trace: Sequence[HandSample], process_noise: float = 50.0,
 
 
 class _GridFilter:
-    """The gains and the read-only operator of one rate's grid and (q, r),
-    grown when a longer grid trace asks; the operator holds at most
-    ``_OPERATOR_MAX_SAMPLES`` samples."""
+    """The read-only operator of one rate's grid and (q, r), grown when a
+    longer grid trace asks, up to ``_OPERATOR_MAX_SAMPLES`` samples."""
 
     def __init__(self, rate_hz: float, q: float, r: float) -> None:
         self.rate_hz, self.noise = rate_hz, (q, r)
-        self._gains, self._operator = np.empty((3, 0)), np.empty((0, 0))
-
-    def gains(self, n: int) -> np.ndarray:
-        """The (3, n - 1) gains of an n-sample grid trace."""
-        if self._gains.shape[1] < n - 1:
-            self._gains = _kalman_gains(np.diff(_grid_times(n, self.rate_hz)), *self.noise)
-        return self._gains[:, :n - 1]
+        self._operator = np.empty((0, 0))
 
     def operator(self, n: int) -> np.ndarray:
         """The (n, n) operator of an n-sample grid trace; a rebuild at least
         doubles it, up to the bound, so rising lengths rebuild it few times."""
         if len(self._operator) < n:
             size = min(max(n, 2 * len(self._operator)), _OPERATOR_MAX_SAMPLES)
-            self._operator = _read_only(_kalman_operator(self.gains(size)))
+            steps = np.diff(_grid_times(size, self.rate_hz))
+            self._operator = _read_only(_kalman_operator(_kalman_gains(steps, *self.noise)))
         return self._operator[:n, :n]
 
 

@@ -10,15 +10,29 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..models import START_CUBE_DEPTH_M
 from ..trials import Technique
-from .hands import HandSample, HandTrace, _time_aligned
+from .hands import HandSample, HandTrace, _read_only, _time_aligned
 from .kinematics import parabola_landing, sphere_hit_test
-from .filters import kalman_smooth, spike_compensate
+from .filters import KALMAN_MEASUREMENT_NOISE, KALMAN_PROCESS_NOISE, kalman_smooth, \
+    spike_compensate
+
+#: RPDW selects when the pointer hand stays within this radius of where it
+#: began holding for this long.
+DWELL_RADIUS_M = 0.3
+DWELL_THRESHOLD_S = 0.8
+#: Launch speed = base + gain * arm extension, the hand's distance from the
+#: shoulder over the arm length, clamped to [0, 1].
+LAUNCH_BASE_SPEED_M_S = 3.0
+LAUNCH_EXTENSION_GAIN_M_S = 9.0
+SHOULDER_M = _read_only(np.array([0.0, 1.4, 0.0]))
+ARM_LENGTH_M = 0.7
+START_CUBE_HEIGHT_M = 1.4
 
 #: (pointer hand, confirming hand); None = dwell confirms, not a pinch edge.
 _HANDS = {
@@ -33,20 +47,14 @@ _HANDS = {
 @dataclass(frozen=True)
 class TechniqueConfig:
     technique: Technique
-    dwell_threshold_s: float = 0.8
-    dwell_radius_m: float = 0.3
     spike_lookback_s: float = 0.1
-    kalman_process_noise: float = 50.0
-    kalman_measurement_noise: float = 1e-4
 
     def __post_init__(self) -> None:
         if not isinstance(self.technique, Technique):
             raise ValueError(f"technique must be a Technique, got {self.technique!r}")
-        for name, positive in _TECHNIQUE_CONFIG_CHECKS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                kind = "positive" if positive else "non-negative"
-                raise ValueError(f"{name} must be finite and {kind}, got {value}")
+        if not (math.isfinite(self.spike_lookback_s) and self.spike_lookback_s >= 0):
+            raise ValueError(f"spike_lookback_s must be finite and non-negative, "
+                             f"got {self.spike_lookback_s}")
 
     @property
     def pointer_hand(self) -> str:
@@ -57,30 +65,9 @@ class TechniqueConfig:
         return _HANDS[self.technique][1]
 
 
-#: (field, must be positive) of each number TechniqueConfig checks: every
-#: field after the technique; kalman_smooth needs noise > 0.
-_TECHNIQUE_CONFIG_CHECKS = tuple(
-    (f.name, f.name.startswith("kalman")) for f in fields(TechniqueConfig)[1:]
-)
-
-
-@dataclass(frozen=True)
-class LaunchSpeedModel:
-    """Arm extension controls how far the arc flies: speed = base + gain * extension."""
-
-    base_speed_m_s: float = 3.0
-    extension_gain_m_s: float = 9.0
-
-    def __post_init__(self) -> None:
-        _check_fields(self, base_speed_m_s="non-negative", extension_gain_m_s="non-negative")
-
-    def speed(self, extension_fraction: float) -> float:
-        return self.base_speed_m_s + self.extension_gain_m_s * min(max(extension_fraction, 0.0), 1.0)
-
-
 def _check_fields(spec: object, **kinds: str) -> None:
-    """Raise ValueError unless each named field of ``spec`` (a number or a
-    vector) is finite and, for kind "positive" or "non-negative", > 0 or >= 0."""
+    """Raise ValueError unless each named number of ``spec`` is finite and,
+    for kind "positive" or "non-negative", > 0 or >= 0."""
     for name, kind in kinds.items():
         value = getattr(spec, name)
         array = np.asarray(value, dtype=float)
@@ -114,22 +101,15 @@ class SceneSpec:
     """Task scene: fixed start cube, one spherical target on its platform."""
 
     target: TargetPlacement
-    gravity_m_s2: float = 9.81
-    launch: LaunchSpeedModel = LaunchSpeedModel()
-    shoulder_m: tuple[float, float, float] = (0.0, 1.4, 0.0)
-    arm_length_m: float = 0.7
-    start_cube_height_m: float = 1.4
-
-    def __post_init__(self) -> None:
-        _check_fields(self, gravity_m_s2="positive", arm_length_m="positive",
-                      start_cube_height_m="non-negative", shoulder_m="finite")
+    gravity_m_s2: ClassVar[float] = 9.81
 
     def start_cube_center(self) -> np.ndarray:
-        return np.array([0.0, self.start_cube_height_m, START_CUBE_DEPTH_M])
+        return np.array([0.0, START_CUBE_HEIGHT_M, START_CUBE_DEPTH_M])
 
     def launch_velocity(self, sample: HandSample) -> np.ndarray:
-        reach = float(np.linalg.norm(sample.position_m - np.asarray(self.shoulder_m)))
-        return sample.direction * self.launch.speed(reach / self.arm_length_m)
+        reach = float(np.linalg.norm(sample.position_m - SHOULDER_M))
+        extension = min(max(reach / ARM_LENGTH_M, 0.0), 1.0)
+        return sample.direction * (LAUNCH_BASE_SPEED_M_S + LAUNCH_EXTENSION_GAIN_M_S * extension)
 
 
 @dataclass
@@ -137,10 +117,6 @@ class DwellState:
     anchor_position_m: np.ndarray
     anchor_t_s: float
     elapsed_s: float = 0.0
-
-    def progress(self, threshold_s: float) -> float:
-        """Feedback fraction shown to the user while the timer runs."""
-        return 1.0 if threshold_s <= 0 else min(self.elapsed_s / threshold_s, 1.0)
 
 
 def _dwell_events(
@@ -171,8 +147,8 @@ def _dwell_events(
 def dwell_update(
     state: DwellState | None,
     sample: HandSample,
-    radius_m: float = 0.3,
-    threshold_s: float = 0.8,
+    radius_m: float = DWELL_RADIUS_M,
+    threshold_s: float = DWELL_THRESHOLD_S,
 ) -> tuple[DwellState, bool]:
     """Advance the dwell timer; True when a selection fires on this sample.
 
@@ -212,8 +188,8 @@ def run_trial(
     timeout of the pointer hand for RPDW) rolls the pointer back by the spike
     lookback, casts the arc and hit-tests the target sphere; a miss counts as
     an error attempt and the trial goes on. ``smooth_pointer`` first runs the
-    pointer trace through the config's Kalman filter, as a live pipeline
-    stabilizes tracking jitter.
+    pointer trace through the Kalman filter, as a live pipeline stabilizes
+    tracking jitter.
     """
     left, right = HandTrace.from_samples(left_trace), HandTrace.from_samples(right_trace)
     hands = {"left": left, "right": right}
@@ -223,11 +199,10 @@ def run_trial(
         raise ValueError("left/right samples must be time-aligned")
     pointer = hands[config.pointer_hand]
     if smooth_pointer:
-        pointer = kalman_smooth(pointer, config.kalman_process_noise,
-                                config.kalman_measurement_noise)
+        pointer = kalman_smooth(pointer, KALMAN_PROCESS_NOISE, KALMAN_MEASUREMENT_NOISE)
     if config.confirm_hand is None:
-        events = _dwell_events(pointer.t_s, pointer.position_m, config.dwell_radius_m,
-                               config.dwell_threshold_s)
+        events = _dwell_events(pointer.t_s, pointer.position_m, DWELL_RADIUS_M,
+                               DWELL_THRESHOLD_S)
         confirmations: Iterable[int] = (i for i, fired in events if fired)
     else:
         pinch = hands[config.confirm_hand].pinch

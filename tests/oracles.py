@@ -51,7 +51,9 @@ from telefitts.sim import (
     parabola_landing,
     sphere_hit_test,
 )
+from telefitts.sim.filters import KALMAN_MEASUREMENT_NOISE, KALMAN_PROCESS_NOISE
 from telefitts.sim.study import _MAX_REDRAWS
+from telefitts.sim.techniques import DWELL_RADIUS_M, DWELL_THRESHOLD_S
 from telefitts.throughput import (
     GRID_DISTANCES_M,
     GRID_HEIGHTS_M,
@@ -535,7 +537,7 @@ def run_trial_reference(config, scene, left_trace, right_trace, smooth_pointer=F
     if smooth_pointer:
         smoothed = kalman_smooth_reference(
             right_trace if pointer_right else left_trace,
-            config.kalman_process_noise, config.kalman_measurement_noise,
+            KALMAN_PROCESS_NOISE, KALMAN_MEASUREMENT_NOISE,
         )
         if pointer_right:
             right_trace = smoothed
@@ -547,10 +549,10 @@ def run_trial_reference(config, scene, left_trace, right_trace, smooth_pointer=F
         pointer = right if pointer_right else left
         history.append(pointer)
         if config.confirm_hand is None:
-            radius = config.dwell_radius_m
+            radius = DWELL_RADIUS_M
             if anchor is None or np.linalg.norm(pointer.position_m - anchor[1]) > radius:
                 anchor = (pointer.t_s, pointer.position_m.copy())
-            confirmed = pointer.t_s - anchor[0] >= config.dwell_threshold_s
+            confirmed = pointer.t_s - anchor[0] >= DWELL_THRESHOLD_S
             if confirmed:
                 anchor = (pointer.t_s, pointer.position_m.copy())
         else:

@@ -12,6 +12,7 @@ from telefitts.sim import (
     dwell_update,
     run_trial,
 )
+from telefitts.sim.techniques import DWELL_THRESHOLD_S
 
 
 def hand_trace(n, dt=0.01, pos=(0.0, 1.2, 0.2), pinch_at=None, positions=None):
@@ -102,14 +103,6 @@ class TestDwellUpdate:
         state, fired = dwell_update(None, samples[0], radius_m=0.3, threshold_s=0.0)
         assert fired
 
-    def test_progress_fraction(self):
-        samples = self._samples([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)], dt=0.4)
-        state, fired = dwell_update(None, samples[0], threshold_s=0.8)
-        assert not fired
-        state, fired = dwell_update(state, samples[1], threshold_s=0.8)
-        assert not fired
-        assert state.progress(0.8) == pytest.approx(0.5)
-
 
 class TestConfirmationRouting:
     def _run(self, technique, left_pinch, right_pinch, n=60):
@@ -149,23 +142,22 @@ class TestConfirmationRouting:
     def test_rpdw_ignores_all_pinches(self):
         # pinches on both hands, dwell threshold longer than the trace
         scene = aimed_scene()
-        config = TechniqueConfig(technique=Technique.RPDW, dwell_threshold_s=2.0,
-                                 spike_lookback_s=0.0)
+        config = TechniqueConfig(technique=Technique.RPDW, spike_lookback_s=0.0)
         n = 60
+        assert (n - 1) * 0.01 < DWELL_THRESHOLD_S
         left = hand_trace(n, pinch_at=0.2)
         right = aimed_trace(scene, n, pinch_at=0.3)
         assert run_trial(config, scene, left, right) is None
 
     def test_rpdw_fires_by_dwell(self):
         scene = aimed_scene()
-        config = TechniqueConfig(technique=Technique.RPDW, dwell_threshold_s=0.3,
-                                 spike_lookback_s=0.0)
-        n = 60
+        config = TechniqueConfig(technique=Technique.RPDW, spike_lookback_s=0.0)
+        n = 100
         left = hand_trace(n)
         right = aimed_trace(scene, n)
         outcome = run_trial(config, scene, left, right)
         assert outcome is not None
-        assert outcome.movement_time_s == pytest.approx(0.3)
+        assert outcome.movement_time_s == pytest.approx(DWELL_THRESHOLD_S)
 
 
 class TestMissAndRetry:
@@ -217,10 +209,7 @@ class TestSmoothedPointer:
     def test_smoothing_engages_and_trial_still_succeeds(self):
         rng = np.random.default_rng(6)
         scene = aimed_scene(width=3.0)
-        config = TechniqueConfig(
-            technique=Technique.RPRG, spike_lookback_s=0.0,
-            kalman_process_noise=20.0, kalman_measurement_noise=1e-3,
-        )
+        config = TechniqueConfig(technique=Technique.RPRG, spike_lookback_s=0.0)
         n = 80
         base = aimed_trace(scene, n, pinch_at=0.5)
         jittered = [

@@ -463,6 +463,20 @@ def test_fast_reader_reads_like_the_csv_reader(tmp_path, name):
     assert len(got) == sum(1 for line in lines[1:] if line)
 
 
+def test_crlf_blank_line_first_in_a_chunk(tmp_path):
+    """A blank line that starts a chunk, with no other blank line in it,
+    holds no row on the loadtxt path, as in the csv reader."""
+    lines = log_lines(runs_log(7, 3, 2, 2))
+    path = tmp_path / "log.csv"
+    write_lines(path, lines[:4] + [""] + lines[4:], "\r\n")  # the 4th body line, 2nd chunk
+    with mock.patch.object(trials_module, "_CHUNK_ROWS", 3):
+        want = trials_module._read_with_csv(str(path))
+        with csv_reader_refused():
+            got = read_trial_log(str(path))
+    assert_same_table(got, want)
+    assert got.line_numbers.tolist() == [2, 3, 4, 6, 7, 8, 9]
+
+
 def assert_one_line(message):
     """An error message of exactly one line, however its fields were quoted."""
     assert message.endswith("\n") and len(message.splitlines()) == 1, message
