@@ -25,6 +25,7 @@ from .models import (
     AmplitudeMode,
     ModelKind,
     PredictorRow,
+    _frozen,
     geometry_for_condition,
     predictors_for,
 )
@@ -42,6 +43,8 @@ from .trials import (
 )
 
 MODEL_ORDER = tuple(ModelKind)
+#: Each model's place in MODEL_ORDER, the tie-break of the rankings.
+_ORDER = {kind: i for i, kind in enumerate(MODEL_ORDER)}
 #: Fewest condition cells compared: every model keeps a residual degree of freedom.
 _MIN_CELLS = 5
 
@@ -113,7 +116,7 @@ def grade_delta(criterion: Criterion, delta: float) -> EvidenceGrade:
             g = BicEvidence.STRONG
         else:
             g = BicEvidence.VERY_STRONG
-    return EvidenceGrade(criterion, delta, g)
+    return _frozen(EvidenceGrade, criterion=criterion, delta=delta, grade=g)
 
 
 @dataclass(frozen=True)
@@ -179,20 +182,9 @@ def rows_for_model(
     if not all(map(math.isfinite, means)):  # raises, naming the first bad cell or row
         return Design.from_rows(_cell_rows(kind, amplitude_mode, cells, means))
     x, q, r = _cell_design(kind, amplitude_mode, cells)
-    return Design(x, np.array(means, dtype=float), q, r)
-
-
-def _deltas(values: Mapping[ModelKind, float]) -> dict[ModelKind, float]:
-    best = min(values.values())
-    out = {}
-    for kind, v in values.items():
-        out[kind] = 0.0 if v == best else v - best
-    return out
-
-
-def _ranking(values: Mapping[ModelKind, float]) -> tuple[ModelKind, ...]:
-    order = {kind: i for i, kind in enumerate(MODEL_ORDER)}
-    return tuple(sorted(values, key=lambda k: (values[k], order[k])))
+    y = np.array(means, dtype=float)
+    y.flags.writeable = False
+    return Design(x, y, q, r)
 
 
 def compare_models(
@@ -227,24 +219,33 @@ def build_report(
 ) -> ComparisonReport:
     """Everything a report derives from its four fits: the cell count, the
     deltas, grades and rankings, the equations and the nested F tests."""
-    delta_aic = _deltas({k: f.aic for k, f in fits.items()})
-    delta_bic = _deltas({k: f.bic for k, f in fits.items()})
+    standard = fits[ModelKind.STANDARD]
     nested: dict[ModelKind, tuple[float, float] | None] = {ModelKind.STANDARD: None}
     for kind in (ModelKind.TWO_PART, ModelKind.VERGENCE, ModelKind.PROPOSED):
-        nested[kind] = partial_f(fits[kind], fits[ModelKind.STANDARD])
+        nested[kind] = partial_f(fits[kind], standard)
+    best_aic = min(f.aic for f in fits.values())
+    best_bic = min(f.bic for f in fits.values())
+    delta_aic, delta_bic, aic_grades, bic_grades, equations = {}, {}, {}, {}, {}
+    for kind, fit in fits.items():
+        d = delta_aic[kind] = 0.0 if fit.aic == best_aic else fit.aic - best_aic
+        aic_grades[kind] = grade_delta(Criterion.AIC, d)
+        d = delta_bic[kind] = 0.0 if fit.bic == best_bic else fit.bic - best_bic
+        bic_grades[kind] = grade_delta(Criterion.BIC, d)
+        equations[kind] = MODEL_SPECS[kind].short_equation(fit.coefficients)
 
-    return ComparisonReport(
+    return _frozen(
+        ComparisonReport,
         group_label=group_label,
         amplitude_mode=amplitude_mode,
-        n_cells=fits[ModelKind.STANDARD].n,
+        n_cells=standard.n,
         fits=fits,
         delta_aic=delta_aic,
         delta_bic=delta_bic,
-        aic_grades={k: grade_delta(Criterion.AIC, d) for k, d in delta_aic.items()},
-        bic_grades={k: grade_delta(Criterion.BIC, d) for k, d in delta_bic.items()},
-        ranking_aic=_ranking({k: f.aic for k, f in fits.items()}),
-        ranking_bic=_ranking({k: f.bic for k, f in fits.items()}),
-        equations={k: MODEL_SPECS[k].equations(f.coefficients)[0] for k, f in fits.items()},
+        aic_grades=aic_grades,
+        bic_grades=bic_grades,
+        ranking_aic=tuple(sorted(fits, key=lambda k: (fits[k].aic, _ORDER[k]))),
+        ranking_bic=tuple(sorted(fits, key=lambda k: (fits[k].bic, _ORDER[k]))),
+        equations=equations,
         nested_f_vs_standard=nested,
     )
 
@@ -388,7 +389,7 @@ def _record(rep: ComparisonReport, kind: ModelKind) -> dict:
         "rank_aic": rep.ranking_aic.index(kind),
         "rank_bic": rep.ranking_bic.index(kind),
         "equation": rep.equations[kind],
-        "equation_signed": MODEL_SPECS[kind].equations(fit.coefficients)[1],
+        "equation_signed": MODEL_SPECS[kind].signed_equation(fit.coefficients),
         "nested_f_vs_standard": None if nested is None else list(nested),
     }
 

@@ -14,6 +14,7 @@ coefficient, so fitted slopes are expected positive across the board;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +31,17 @@ GRID_ANGLES_DEG = (-10.0, 0.0, 10.0)
 #: re-homes at the cube, so the change in target depth for a target at
 #: depth D is |D - START_CUBE_DEPTH_M|.
 START_CUBE_DEPTH_M = 0.59
+
+
+def _frozen(cls: type, **fields):
+    """An instance of ``cls`` holding these fields as given, without its
+    ``__init__`` and ``__post_init__``: for values that are already checked,
+    such as the group-by's quantized keys or a fit's diagnostics. A frozen
+    dataclass's fields must come in declaration order, the order its
+    ``__init__`` would set them in ``vars()``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -153,19 +165,25 @@ class ModelSpec:
     def predictor_count(self) -> int:
         return len(self.labels)
 
-    def equations(self, coefficients: Sequence[float]) -> tuple[str, str]:
-        """The short and the signed equation for (intercept, slopes...),
-        e.g. ``MT=0.83*ID-0.41`` and ``MT = 0.8300*log2(A/W+1) -0.4100``."""
-        intercept, slopes = coefficients[0], coefficients[1:]
-        short = "".join(f"{b:+.2f}*{label}" for b, label in zip(slopes, self.labels))
-        signed = " ".join(
-            f"{term[0]} {b:.4f}*{term[2:]}" for b, term in zip(slopes, self.terms)
-        )
-        # The first slope is written without a leading plus sign.
-        return (
-            f"MT={short.removeprefix('+')}{intercept:+.2f}",
-            f"MT = {signed.removeprefix('+ ')} {intercept:+.4f}",
-        )
+    def short_equation(self, coefficients: Sequence[float]) -> str:
+        """The short equation for (intercept, slopes...), e.g. ``MT=0.83*ID-0.41``."""
+        return self._formats[0].format(*coefficients)
+
+    def signed_equation(self, coefficients: Sequence[float]) -> str:
+        """The equation with its terms written out, e.g.
+        ``MT = 0.8300*log2(A/W+1) -0.4100``."""
+        return self._formats[1].format(*coefficients)
+
+    @functools.cached_property
+    def _formats(self) -> tuple[str, str]:
+        """``str.format`` templates of the short and the signed equation, with
+        the intercept as argument 0. The first slope is written without a
+        leading plus sign."""
+        short = "".join(f"{{{i}:{'+' if i > 1 else ''}.2f}}*{label}"
+                        for i, label in enumerate(self.labels, 1))
+        signed = " ".join(f"{term[0]} {{{i}:.4f}}*{term[2:]}"
+                          for i, term in enumerate(self.terms, 1))
+        return f"MT={short}{{0:+.2f}}", f"MT = {signed.removeprefix('+ ')} {{0:+.4f}}"
 
 
 MODEL_SPECS: dict[ModelKind, ModelSpec] = {

@@ -18,6 +18,7 @@ copy of ``q.T`` changes the rounding of the product).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PredictorRow
+from .models import PredictorRow, _frozen
 
 
 class CollinearPredictorsError(ValueError):
@@ -87,24 +88,35 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_TERMS + 1):
         m2 = 2 * m
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),  # d_2m
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):  # d_2m+1
-            d = 1.0 + aa * d
-            d = 1.0 / (d if abs(d) >= tiny else tiny)
-            c = 1.0 + aa / c
-            c = c if abs(c) >= tiny else tiny
-            step = d * c
-            h *= step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))  # d_2m
+        d = 1.0 + aa * d
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = 1.0 + aa / c
+        c = c if abs(c) >= tiny else tiny
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))  # d_2m+1
+        d = 1.0 + aa * d
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = 1.0 + aa / c
+        c = c if abs(c) >= tiny else tiny
+        step = d * c
+        h *= step
         if abs(step - 1.0) <= _CF_EPS:
             break
     return h
 
 
+@functools.lru_cache(maxsize=256)
+def _log_beta_inverse(a: float, b: float) -> float:
+    """ln(1 / B(a, b)) = lgamma(a + b) - lgamma(a) - lgamma(b); a report
+    asks for the same few degrees of freedom over and over."""
+    return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+
 def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
     """I_x(a, b) for 0 < x < 1, with y = 1 - x passed in so that neither is
     taken from the other by a cancelling subtraction."""
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log(y))
+    front = math.exp(_log_beta_inverse(a, b) + a * math.log(x) + b * math.log(y))
     if x >= (a + 1.0) / (a + b + 2.0):  # I_x(a, b) = 1 - I_y(b, a)
         return 1.0 - front * _beta_continued_fraction(b, a, y) / b
     return front * _beta_continued_fraction(a, b, x) / a
@@ -221,11 +233,11 @@ class Design(Sequence):
 
     :meth:`from_rows` checks plain rows and factors their matrix;
     ``comparison.rows_for_model`` builds a design from cached ``(x, q, r)``
-    and a new response, which is why the constructor trusts its factors.
+    and a new response, which is why the constructor trusts its factors
+    and takes every array read-only as given.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, q: np.ndarray, r: np.ndarray):
-        x.flags.writeable = y.flags.writeable = False
         self.x, self.y, self.q, self.r = x, y, q, r
 
     @classmethod
@@ -234,7 +246,7 @@ class Design(Sequence):
         as is. Raises ValueError on no rows, on the first row of the wrong
         length or with a non-finite value, and on fewer than p + 2 rows, and
         CollinearPredictorsError on a rank-deficient matrix."""
-        if isinstance(rows, Design):
+        if type(rows) is cls or isinstance(rows, Design):
             return rows
         if not rows:
             raise ValueError("no observations")
@@ -242,6 +254,7 @@ class Design(Sequence):
         n, cols = x.shape
         if n < cols + 1:
             raise ValueError(f"need at least p + 2 = {cols + 1} observations, got {n}")
+        x.flags.writeable = y.flags.writeable = False
         return cls(x, y, *_factor(x))
 
     def __len__(self) -> int:
@@ -284,7 +297,7 @@ def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     else:
         # slopes that explain nothing can leave rss a rounding error above tss
         r2 = max(0.0, 1.0 - rss / tss)
-    return fit_result(coef, rss, r2, n, p)
+    return fit_result(coef.tolist(), rss, r2, n, p)
 
 
 def fit_result(coefficients: Sequence[float], rss: float, r2: float, n: int, p: int) -> FitResult:
@@ -300,18 +313,9 @@ def fit_result(coefficients: Sequence[float], rss: float, r2: float, n: int, p: 
         f_stat, p_value = overall_f(r2, n, p)
         aic_val, bic_val = information_criteria(rss, n, p + 1)
 
-    return FitResult(
-        coefficients=tuple(float(c) for c in coefficients),
-        rss=rss,
-        r2=r2,
-        adj_r2=adj,
-        f_stat=f_stat,
-        p_value=p_value,
-        aic=aic_val,
-        bic=bic_val,
-        n=n,
-        p=p,
-    )
+    return _frozen(FitResult, coefficients=tuple(map(float, coefficients)), rss=rss, r2=r2,
+                   adj_r2=adj, f_stat=f_stat, p_value=p_value, aic=aic_val, bic=bic_val,
+                   n=n, p=p)
 
 
 def partial_f(full: FitResult, reduced: FitResult) -> tuple[float, float]:

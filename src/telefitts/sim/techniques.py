@@ -9,6 +9,7 @@ ignores pinches entirely.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import ClassVar
@@ -65,18 +66,23 @@ class TechniqueConfig:
         return _HANDS[self.technique][1]
 
 
+def _check_number(name: str, value: object, kind: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number, not
+    a bool, that is finite and, for kind "positive" or "non-negative", > 0 or
+    >= 0."""
+    ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+          and math.isfinite(value))
+    if ok and kind != "finite":
+        ok = value > 0 if kind == "positive" else value >= 0
+    if not ok:
+        rule = "finite" if kind == "finite" else f"finite, {kind}"
+        raise ValueError(f"{name} must be a {rule} number, got {value!r}")
+
+
 def _check_fields(spec: object, **kinds: str) -> None:
-    """Raise ValueError unless each named number of ``spec`` is finite and,
-    for kind "positive" or "non-negative", > 0 or >= 0."""
+    """:func:`_check_number` for each named field of ``spec``."""
     for name, kind in kinds.items():
-        value = getattr(spec, name)
-        array = np.asarray(value, dtype=float)
-        ok = np.isfinite(array)
-        if kind != "finite":
-            ok &= array > 0 if kind == "positive" else array >= 0
-        if not ok.all():
-            rule = "finite" if kind == "finite" else f"finite and {kind}"
-            raise ValueError(f"{type(spec).__name__}.{name} must be {rule}, got {value}")
+        _check_number(f"{type(spec).__name__}.{name}", getattr(spec, name), kind)
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,11 @@ def dwell_update(
     The anchor is the position where holding began; drifting beyond the
     radius re-anchors at the current sample and restarts the timer, as does
     a selection. This is :func:`run_trial`'s scan, one sample at a time.
+    Raises ValueError naming ``radius_m`` or ``threshold_s`` unless it is a
+    finite, non-negative number.
     """
+    _check_number("radius_m", radius_m, "non-negative")
+    _check_number("threshold_s", threshold_s, "non-negative")
     held = [] if state is None else [(state.anchor_t_s, state.anchor_position_m)]
     t_s, position_m = zip(*held, (sample.t_s, sample.position_m))
     anchor, fired = 0, False

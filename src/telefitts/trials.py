@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import left_sum
+from .models import _frozen, left_sum
 
 
 class Technique(Enum):
@@ -320,15 +320,6 @@ class ConditionSummary:
     mean_deviation_m: float
     sd_deviation_m: float
     error_rate: float
-
-
-def _frozen(cls: type, **fields):
-    """An instance of the frozen dataclass ``cls`` holding these fields as
-    given, without its ``__init__`` and ``__post_init__``: for the group-by's
-    keys and summaries, whose levels are already quantized."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 # --- exact sample standard deviation ------------------------------------

@@ -16,10 +16,12 @@ tokenizer, and the study generator that fills every column block by block
 and draws angles with ``rng.choice`` instead of the loop that keeps only the
 random draws.
 
-One reference shares its method on purpose: ``uncached_cell_fit`` repeats
+Two references share their method on purpose, so that the faster code can
+be required to match them bit for bit: ``uncached_cell_fit`` repeats
 ``ols_fit`` step for step, with the predictors and the QR computed afresh
-on every call, so that the cached fits can be required to match it bit for
-bit.
+on every call, and ``f_tail_by_loop_fraction`` sums the continued fraction
+of the F tail in its plain loop form, two steps per term taken in a loop
+over their coefficients, with every log-gamma term computed afresh.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +190,53 @@ def f_tail_by_mpmath(f_stat: float, d1: int, d2: int) -> float:
         x = d2 / (d2 + d1 * f)
         return float(mpmath.betainc(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, x,
                                     regularized=True))
+
+
+def _beta_continued_fraction_loop(a: float, b: float, x: float) -> float:
+    """The modified Lentz continued fraction of I_x(a, b), the two steps of
+    each term taken by a loop over their coefficients d_2m and d_2m+1."""
+    tiny = sys.float_info.min / sys.float_info.epsilon
+    eps = 2.0 * sys.float_info.epsilon
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for m in range(1, 10_001):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) >= tiny else tiny
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= eps:
+            break
+    return h
+
+
+def f_tail_by_loop_fraction(f_stat: float, d1: int, d2: int) -> float:
+    """P(F > f_stat) = I_x(d2/2, d1/2) for f_stat >= 0, summed by
+    ``_beta_continued_fraction_loop`` with the log-gamma terms computed on
+    every call."""
+    if f_stat == math.inf:
+        return 0.0
+    ratio = d2 / d1
+    x, y = ratio / (ratio + f_stat), f_stat / (ratio + f_stat)
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    if d1 == 2:
+        return x ** (d2 / 2.0)
+    a, b = d2 / 2.0, d1 / 2.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x >= (a + 1.0) / (a + b + 2.0):
+        return 1.0 - front * _beta_continued_fraction_loop(b, a, y) / b
+    return front * _beta_continued_fraction_loop(a, b, x) / a
 
 
 def scalar_kalman_positions(

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -440,3 +443,95 @@ class TestRendering:
         records = [json.loads(line) for line in render_records([report]).splitlines()]
         record = next(r for r in records if r["model"] == kind.value)
         assert (record["equation"], record["equation_signed"]) == (equation, signed)
+
+
+class TestConstructionPath:
+    """Fits, grades and reports are built without their dataclass
+    ``__init__``; each must be the object ``__init__`` builds from the same
+    fields, down to the order of its ``vars()``."""
+
+    @staticmethod
+    def _hash(obj):
+        try:
+            return hash(obj)
+        except TypeError as exc:  # a report holds dicts: both must fail alike
+            return str(exc)
+
+    def _assert_built_alike(self, built):
+        made = type(built)(**vars(built))
+        assert built == made
+        assert repr(built) == repr(made)
+        assert list(vars(built).items()) == list(vars(made).items())
+        assert self._hash(built) == self._hash(made)
+
+    def _reports(self):
+        finite = TestRendering()._reports()
+        saturated = compare_models(summaries_from_model(ModelKind.PROPOSED, (-2.46, 1.21, 3.00)))
+        parsed = parse_records(render_records(finite)) + parse_records(render_records([saturated]))
+        return [*finite, saturated, *parsed]
+
+    def test_fits_grades_and_reports_equal_their_init_built_twins(self):
+        for report in self._reports():
+            self._assert_built_alike(report)
+            for kind in ModelKind:
+                self._assert_built_alike(report.fits[kind])
+                self._assert_built_alike(report.aic_grades[kind])
+                self._assert_built_alike(report.bic_grades[kind])
+
+    def test_each_class_keeps_its_hash(self):
+        report = self._reports()[0]
+        assert type(hash(report.fits[ModelKind.STANDARD])) is int
+        assert type(hash(report.aic_grades[ModelKind.STANDARD])) is int
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
+
+
+#: sha256 prefixes of (render_records, render_table) of the reports of the
+#: participant-fits benchmark units 0-19, seed 1.
+PARTICIPANT_FITS_SEED_1 = [
+    ("c459086888b23693", "29480311f6c27841"),
+    ("2f068803815b9168", "196e855a6494edb0"),
+    ("e2cea0a3b2830fa0", "4d51bf1982f0e6d4"),
+    ("dc3cc68e9646439d", "cd5ccc5e8c0b6d5f"),
+    ("f80eb39d2bd78d1d", "20f020b16b6cbd9a"),
+    ("18a9f1b975396924", "45fddf98f6adb3d5"),
+    ("59a2442afec0eeb6", "1cc909375cf5d8b7"),
+    ("1418dbd145018cbe", "319a88b12f8f18b9"),
+    ("d7a909e8bf4a2b8c", "c14fd084f83d978e"),
+    ("9252624ca3822015", "7ad8c8075f7267a5"),
+    ("87509ffd90ba7351", "a7b259f457fe7e58"),
+    ("71acdda6db000967", "28775d8eaf053a74"),
+    ("78e639005cdb1859", "4dabae2f63468dbc"),
+    ("36aeb655eb695a17", "416c3dcbf3590743"),
+    ("d57e1790bb4b2c9f", "a6a9fb32fdc76849"),
+    ("557017219feff5c1", "b013511b89c30389"),
+    ("354fa1220c4f622d", "1deba685e6fefb08"),
+    ("dac849fdea107b0a", "1cf12cfea1ca08f3"),
+    ("7d79b5583eb937af", "7ec0d9cc72ec9bcc"),
+    ("caec21081317c0e6", "a0de15b9b6d3171d"),
+]
+
+
+@pytest.fixture(scope="module")
+def participant_fits(tmp_path_factory):
+    """The participant-fits benchmark workload of seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        from perfbench.workloads import ParticipantFits
+    finally:
+        sys.path.pop(0)
+    return ParticipantFits(1, str(tmp_path_factory.mktemp("participant-fits")))
+
+
+@pytest.mark.parametrize("unit", range(len(PARTICIPANT_FITS_SEED_1)))
+def test_participant_fits_workload_reports_are_pinned(participant_fits, unit):
+    """The benchmark's own units render the recorded records and tables, and
+    the records of each aggregation parse back to its reports."""
+    reports = participant_fits.run(unit)
+    records, table = render_records(reports), render_table(reports)
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+                    for text in (records, table))
+    assert digests == PARTICIPANT_FITS_SEED_1[unit]
+    half = len(reports) // 2  # the per-cell reports, then the pooled ones
+    for part in (reports[:half], reports[half:]):
+        assert parse_records(render_records(part)) == part

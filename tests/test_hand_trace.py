@@ -312,6 +312,21 @@ class TestSampleInputChecks:
             TargetPlacement(**fields)
 
     @pytest.mark.parametrize("field, value", [
+        ("width_m", "0.4"), ("width_m", True), ("distance_m", None),
+        ("height_m", np.bool_(False)), ("angle_deg", np.array(0.0)), ("angle_deg", 1j),
+    ])
+    def test_target_placement_rejects_values_that_are_not_numbers(self, field, value):
+        fields = {"width_m": 0.4, "distance_m": 4.0, "height_m": 0.0, **{field: value}}
+        with pytest.raises(ValueError, match=f"TargetPlacement.{field} must be a finite"):
+            TargetPlacement(**fields)
+
+    def test_target_placement_takes_ints_floats_and_numpy_numbers(self):
+        for width, distance in ((1, 4), (0.4, 4.0), (np.float64(0.4), np.float32(4.0)),
+                                (np.float16(0.5), np.int64(4))):
+            placement = TargetPlacement(width, distance, 0)
+            assert np.array_equal(placement.center(), [0.0, 0.0, float(distance)])
+
+    @pytest.mark.parametrize("field, value", [
         ("gravity_m_s2", 0.0), ("gravity_m_s2", -9.81), ("gravity_m_s2", math.inf),
     ])
     def test_scene_rejects_bad_fields(self, field, value):

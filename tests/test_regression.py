@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telefitts import regression
 from telefitts.models import PredictorRow
@@ -19,6 +21,7 @@ from telefitts.regression import (
 from oracles import (
     collinear_columns_by_rank,
     f_tail_by_betainc,
+    f_tail_by_loop_fraction,
     f_tail_by_mpmath,
     f_tail_by_quadrature,
     grid_search_ols,
@@ -263,6 +266,14 @@ class TestFTailProbability:
             exact = f_tail_by_mpmath(f, d1, d2)
             assert close_to_reference(mine, exact), (d1, d2, f, mine, exact)
             assert not close_to_reference(ref, exact), (d1, d2, f, ref, exact)
+
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    @given(d1=st.integers(1, 8), d2=st.integers(1, 60),
+           f=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+                       st.floats(1e-6, 1e6), st.sampled_from([0.0, math.inf])))
+    def test_equals_the_loop_form_fraction_bit_for_bit(self, d1, d2, f):
+        mine, loop = f_tail_probability(f, d1, d2), f_tail_by_loop_fraction(f, d1, d2)
+        assert mine.hex() == loop.hex(), (d1, d2, f)
 
     def test_two_numerator_degrees_are_a_power(self):
         for d2 in (1, 5, 12):

@@ -98,6 +98,18 @@ class TestDwellUpdate:
                 fired_times.append(s.t_s)
         assert not fired_times
 
+    @pytest.mark.parametrize("parameter, value", [
+        ("radius_m", math.nan), ("radius_m", math.inf), ("radius_m", -0.3),
+        ("threshold_s", math.nan), ("threshold_s", math.inf), ("threshold_s", -0.8),
+    ])
+    def test_rejects_a_bad_radius_or_threshold(self, parameter, value):
+        """A nan threshold never fired and a nan radius fired on any motion."""
+        samples = self._samples([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0)])
+        state, _ = dwell_update(None, samples[0])
+        for prior in (None, state):
+            with pytest.raises(ValueError, match=f"{parameter} must be a finite, non-negative"):
+                dwell_update(prior, samples[1], **{parameter: value})
+
     def test_zero_threshold_fires_immediately(self):
         samples = self._samples([(0.0, 0.0, 0.0)])
         state, fired = dwell_update(None, samples[0], radius_m=0.3, threshold_s=0.0)
