@@ -6,7 +6,9 @@ means (means-of-means), so the aggregation path here is the single source
 of the observation units used downstream.
 
 Logs are held column-wise in a :class:`TrialTable`; :class:`Trial` rows are
-built only when a caller indexes or iterates the table.
+built only when a caller indexes or iterates the table. One table of log
+fields, ``_FIELDS``, gives the header, both log readers, the writer and the
+TrialTable columns; only :class:`Trial` is written out by hand.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import operator
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -47,16 +50,9 @@ class Posture(Enum):
     __hash__ = object.__hash__  # as for Technique
 
 
-TRIAL_LOG_HEADER = (
-    "participant_id,technique,posture,block,trial_index,width_m,distance_m,"
-    "height_m,angle_deg,movement_time_s,endpoint_deviation_m,error_attempts,success"
-)
-
 #: Integer codes of the enum columns: a code is the member's declaration index.
 TECHNIQUES = tuple(Technique)
 POSTURES = tuple(Posture)
-_TECHNIQUE_CODE = {t: i for i, t in enumerate(TECHNIQUES)}
-_POSTURE_CODE = {p: i for i, p in enumerate(POSTURES)}
 
 
 @dataclass(frozen=True)
@@ -83,32 +79,128 @@ class Trial:
     success: bool
 
 
-_INT_COLUMNS = ("block", "trial_index", "error_attempts")
-_FLOAT_COLUMNS = (
-    "width_m", "distance_m", "height_m", "angle_deg",
-    "movement_time_s", "endpoint_deviation_m",
+# --- the log schema ------------------------------------------------------
+
+
+class _Kind:
+    """How a kind of log field is read and written, and how a TrialTable
+    column holds the values of its Trial field; ``ids`` is the participant
+    ids, a dict of id -> code while a column is built, else the table's.
+    This kind is a number that ``read`` parses, held as it is and written
+    as its ``repr``: once per distinct value or, ``per_row``, row by row. A
+    ``shared`` float's rows take one float object per distinct value."""
+
+    #: numpy's tokenizer reads the field as text to be coded, not as a number
+    text = False
+
+    def __init__(self, read=float, error: str = "", *, shared=False, per_row=False):
+        self.read, self.error, self.shared, self.per_row = read, error, shared, per_row
+
+    def parse(self, texts: Iterable[str], ids: dict[str, int]) -> list:
+        """The column values of ``texts``. Bad text raises ValueError, or
+        KeyError, or OverflowError once the values become an array; ``error``
+        words the last two."""
+        return list(map(self.read, texts))
+
+    def encode(self, values: Iterable, ids: dict[str, int]) -> list:
+        """The column values of the Trial field's values."""
+        return list(values)
+
+    def decode(self, column: np.ndarray, ids: Sequence[str]) -> list:
+        """The Trial field's value of each row of ``column``."""
+        if not self.shared:
+            return column.tolist()
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        return [values[i] for i in inverse.tolist()]
+
+    def texts(self, column: np.ndarray, ids: Sequence[str]) -> tuple | None:
+        """Each row's code and each code's text, or None if ``per_row``."""
+        return None if self.per_row else _value_texts(column)
+
+
+class _Coded(_Kind):
+    """One of a few ``texts``, read by their ``key`` and held as the index
+    of the text; ``members`` are the Trial values of the codes, an enum's
+    members, whose values are the texts, or None for a bool."""
+
+    text = True
+
+    def __init__(self, key, error: str, members: tuple | None = None, texts: tuple = ()):
+        super().__init__(error=error)
+        self.key, self.members = key, members
+        self.written = texts or tuple(member.value for member in members)
+        self.code_of_key = {key(text): i for i, text in enumerate(self.written)}
+        self.code_of = members and {member: i for i, member in enumerate(members)}
+
+    def parse(self, texts: Iterable[str], ids: dict[str, int]) -> list:
+        return [self.code_of_key[self.key(text)] for text in texts]
+
+    def encode(self, values: Iterable, ids: dict[str, int]) -> list:
+        return list(values) if self.members is None else [self.code_of[m] for m in values]
+
+    def decode(self, column: np.ndarray, ids: Sequence[str]) -> list:
+        codes = column.tolist()
+        return codes if self.members is None else [self.members[c] for c in codes]
+
+    def texts(self, column: np.ndarray, ids: Sequence[str]) -> tuple:
+        return column, self.written
+
+
+class _Participant(_Kind):
+    """Any text, held as the index of its id among the ids in order of
+    first appearance, and quoted as ``csv.writer`` quotes it."""
+
+    text = True
+
+    def parse(self, texts: Iterable[str], ids: dict[str, int]) -> list:
+        return [ids.setdefault(text, len(ids)) for text in texts]
+
+    encode = parse
+
+    def decode(self, column: np.ndarray, ids: Sequence[str]) -> list:
+        return [ids[c] for c in column.tolist()]
+
+    def texts(self, column: np.ndarray, ids: Sequence[str]) -> tuple:
+        return column, [_csv_field(p) for p in ids]
+
+
+#: A log field: its header name and Trial field, TrialTable column, dtype and kind.
+_Field = namedtuple("_Field", "name column dtype kind")
+_TECHNIQUE = _Coded(str, "{!r} is not a valid Technique", TECHNIQUES)
+_POSTURE = _Coded(str.lower, "{!r} is not a valid Posture", POSTURES)
+_INT = _Kind(int, "integer {!r} is out of range")
+_GRID, _MEASURED = _Kind(shared=True), _Kind(per_row=True)
+#: The fields in the order of the log, of Trial's fields and of the columns.
+_FIELDS = (
+    _Field("participant_id", "participant_code", np.int64, _Participant()),
+    _Field("technique", "technique_code", np.int8, _TECHNIQUE),
+    _Field("posture", "posture_code", np.int8, _POSTURE),
+    _Field("block", "block", np.int64, _INT),
+    _Field("trial_index", "trial_index", np.int64, _INT),
+    _Field("width_m", "width_m", np.float64, _GRID),
+    _Field("distance_m", "distance_m", np.float64, _GRID),
+    _Field("height_m", "height_m", np.float64, _GRID),
+    _Field("angle_deg", "angle_deg", np.float64, _GRID),
+    _Field("movement_time_s", "movement_time_s", np.float64, _MEASURED),
+    _Field("endpoint_deviation_m", "endpoint_deviation_m", np.float64, _MEASURED),
+    _Field("error_attempts", "error_attempts", np.int64, _INT),
+    _Field("success", "success", np.bool_, _Coded(
+        lambda text: text.strip().lower(), "{!r} is not a boolean (expected true/false)",
+        texts=("false", "true"))),
 )
+TRIAL_LOG_HEADER = ",".join(field.name for field in _FIELDS)
+_COLUMNS = tuple((field.column, field.dtype) for field in _FIELDS)
+#: The fields of a line in groups that repeat together, whose texts the
+#: writer joins once per distinct combination; a measured float stands alone.
+_WRITE_GROUPS = [[field for field in _FIELDS if field.name in names] for names in (
+    ("participant_id", "technique", "posture", "block"), ("trial_index",),
+    ("width_m", "distance_m", "height_m", "angle_deg"), ("movement_time_s",),
+    ("endpoint_deviation_m",), ("error_attempts", "success"),
+)]
 #: Rows converted to Trial objects or log lines, or parsed from a log, at a
 #: time; bounds the Python objects held at once.
 _CHUNK_ROWS = 1024
-
-#: (column, dtype) of every TrialTable column; participant first.
-_COLUMNS = (
-    ("participant_code", np.int64),
-    ("technique_code", np.int8),
-    ("posture_code", np.int8),
-    *((name, np.int64) for name in _INT_COLUMNS),
-    *((name, np.float64) for name in _FLOAT_COLUMNS),
-    ("success", np.bool_),
-)
-
-
-def _float_objects(column: np.ndarray) -> list[float]:
-    """The column as Python floats, one object per distinct bit pattern, so
-    that grid-valued columns do not hold one float object per row."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64).tolist()
-    return [values[i] for i in inverse.tolist()]
 
 
 class TrialTable(Sequence):
@@ -162,19 +254,9 @@ class TrialTable(Sequence):
             return trials
         rows = list(trials)
         ids: dict[str, int] = {}
-        codes = [ids.setdefault(t.participant_id, len(ids)) for t in rows]
-
-        def column(name: str) -> list:
-            return list(map(operator.attrgetter(name), rows))
-
-        return cls(
-            ids,
-            participant_code=codes,
-            technique_code=[_TECHNIQUE_CODE[t.technique] for t in rows],
-            posture_code=[_POSTURE_CODE[t.posture] for t in rows],
-            success=column("success"),
-            **{name: column(name) for name in _INT_COLUMNS + _FLOAT_COLUMNS},
-        )
+        columns = {field.column: field.kind.encode(map(operator.attrgetter(field.name), rows), ids)
+                   for field in _FIELDS}
+        return cls(ids, **columns)
 
     def __len__(self) -> int:
         return len(self.trial_index)
@@ -187,39 +269,19 @@ class TrialTable(Sequence):
                 **{name: getattr(self, name)[index] for name, _ in _COLUMNS},
             )
         i = range(len(self))[index]
-        return Trial(
-            self.participant_ids[self.participant_code[i]],
-            TECHNIQUES[self.technique_code[i]],
-            POSTURES[self.posture_code[i]],
-            int(self.block[i]),
-            int(self.trial_index[i]),
-            *(float(getattr(self, name)[i]) for name in _FLOAT_COLUMNS),
-            int(self.error_attempts[i]),
-            bool(self.success[i]),
-        )
+        return next(iter(self[i:i + 1]))
 
     def __iter__(self) -> Iterator[Trial]:
-        ids = self.participant_ids
         for start in range(0, len(self), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            yield from map(
-                Trial,
-                [ids[c] for c in self.participant_code[rows].tolist()],
-                [TECHNIQUES[c] for c in self.technique_code[rows].tolist()],
-                [POSTURES[c] for c in self.posture_code[rows].tolist()],
-                self.block[rows].tolist(),
-                self.trial_index[rows].tolist(),
-                *(_float_objects(getattr(self, name)[rows]) for name in _FLOAT_COLUMNS[:4]),
-                *(getattr(self, name)[rows].tolist() for name in _FLOAT_COLUMNS[4:]),
-                self.error_attempts[rows].tolist(),
-                self.success[rows].tolist(),
-            )
+            yield from map(Trial, *(field.kind.decode(getattr(self, field.column)[rows],
+                                                      self.participant_ids) for field in _FIELDS))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TrialTable):
             if len(self) != len(other) or not all(
                 np.array_equal(getattr(self, name), getattr(other, name))
-                for name, _ in _COLUMNS[1:]
+                for name, _ in _COLUMNS if name != "participant_code"
             ):
                 return False
             if self.participant_ids == other.participant_ids:
@@ -658,8 +720,8 @@ def collapse_over(
     for key, summary in summaries.items():
         technique, posture = key.technique, key.posture
         cell = (
-            _TECHNIQUE_CODE[technique] if keep_technique and technique is not None else -1,
-            _POSTURE_CODE[posture] if keep_posture and posture is not None else -1,
+            _TECHNIQUE.code_of[technique] if keep_technique and technique is not None else -1,
+            _POSTURE.code_of[posture] if keep_posture and posture is not None else -1,
             key.width_m, key.distance_m, key.height_m,
         )
         merged.setdefault(cell, []).append(summary)
@@ -733,16 +795,6 @@ class IncompleteGridError(ValueError):
         self.missing = tuple(missing)
 
 
-_TECHNIQUE_TEXT = tuple(t.value for t in TECHNIQUES)
-_POSTURE_TEXT = tuple(p.value for p in POSTURES)
-_BOOL_TEXT = ("false", "true")
-#: The TrialTable column of each log field, in file order.
-_LOG_COLUMNS = (
-    "participant_code", "technique_code", "posture_code", "block", "trial_index",
-    *_FLOAT_COLUMNS, "error_attempts", "success",
-)
-
-
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes a field: quoted, with its quotes
     doubled, when it holds a comma, a quote or a line break."""
@@ -793,12 +845,14 @@ def _value_texts(column: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return codes, list(map(repr, distinct.view(np.float64).tolist()))
 
 
-def _joined_texts(
-    fields: Sequence[tuple[np.ndarray, Sequence[str]]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Code of each row's combination of ``fields``, each a pair of per-row
-    codes and the text of each code, and the comma-joined text of each
-    combination that occurs, as an object array."""
+def _joined_texts(table: TrialTable, group: list[_Field]) -> tuple | np.ndarray:
+    """Code of each row's combination of the texts of the ``group`` fields,
+    and the comma-joined text of each combination that occurs, as an object
+    array; or the column of a field whose rows are formatted one by one."""
+    fields = [field.kind.texts(getattr(table, field.column), table.participant_ids)
+              for field in group]
+    if fields[0] is None:
+        return getattr(table, group[0].column)
     codes, texts = fields[0]
     for more_codes, more_texts in fields[1:]:
         n = len(more_texts)
@@ -811,25 +865,16 @@ def write_trial_log(trials: Sequence[Trial], path: str) -> None:
     """Write a UTF-8 CSV log with full round-trip float precision.
 
     Floats are written as ``repr`` of Python floats, so the bytes do not
-    depend on how numpy formats its own scalars. Every field but movement
-    time and endpoint deviation is formatted once per distinct value in the
-    table, and fields that always appear together are joined once per
-    distinct combination; those two are formatted row by row. A participant
+    depend on how numpy formats its own scalars. Every field but the
+    measured floats is formatted once per distinct value in the table, and
+    the fields of a ``_WRITE_GROUPS`` group are joined once per distinct
+    combination; the measured floats are formatted row by row. A participant
     id is quoted as ``csv.writer`` would quote it. Lines are written
     ``_CHUNK_ROWS`` rows at a time.
     """
     table = TrialTable.from_trials(trials)
-    participant = (table.participant_code, [_csv_field(p) for p in table.participant_ids])
     # the fields of a line in file order: joined texts, or a float column
-    parts = (
-        _joined_texts([participant, (table.technique_code, _TECHNIQUE_TEXT),
-                       (table.posture_code, _POSTURE_TEXT), _value_texts(table.block)]),
-        _joined_texts([_value_texts(table.trial_index)]),
-        _joined_texts([_value_texts(getattr(table, name)) for name in _FLOAT_COLUMNS[:4]]),
-        table.movement_time_s,
-        table.endpoint_deviation_m,
-        _joined_texts([_value_texts(table.error_attempts), (table.success, _BOOL_TEXT)]),
-    )
+    parts = [_joined_texts(table, group) for group in _WRITE_GROUPS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRIAL_LOG_HEADER + "\n")
         for start in range(0, len(table), _CHUNK_ROWS):
@@ -839,69 +884,36 @@ def write_trial_log(trials: Sequence[Trial], path: str) -> None:
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-_INT64_RANGE = range(-(2 ** 63), 2 ** 63)
-_TECHNIQUE_BY_TEXT = {text: i for i, text in enumerate(_TECHNIQUE_TEXT)}
-_POSTURE_BY_TEXT = {text.lower(): i for i, text in enumerate(_POSTURE_TEXT)}
-_BOOL_BY_TEXT = {text: bool(i) for i, text in enumerate(_BOOL_TEXT)}
-
-
-def _parse_int(text: str) -> int:
-    value = int(text)
-    if value not in _INT64_RANGE:
-        raise ValueError(f"integer {text!r} is out of range")
-    return value
-
-
 def _parse_row(row: list[str], line_no: int) -> None:
     """Parse one row field by field, raising LogFormatError at the first
     bad field; the slow path that names a bad line exactly."""
-    if len(row) != 13:
-        raise LogFormatError(f"expected 13 fields, found {len(row)}", line_no)
-    try:
-        Technique(row[1])
-        if row[2].lower() not in _POSTURE_BY_TEXT:
-            raise ValueError(f"{row[2]!r} is not a valid Posture")
-        for text in row[3:5]:
-            _parse_int(text)
-        for text in row[5:11]:
-            float(text)
-        _parse_int(row[11])
-    except ValueError as exc:
-        raise LogFormatError(str(exc), line_no) from None
-    if row[12].strip().lower() not in _BOOL_BY_TEXT:
-        raise LogFormatError(f"{row[12]!r} is not a boolean (expected true/false)", line_no)
-
-
-def _parse_columns(rows: list[list[str]], ids: dict[str, int]) -> dict[str, np.ndarray]:
-    """The fast path: whole columns at once. Raises ValueError, KeyError or
-    OverflowError on any bad field, without saying where."""
-    if any(len(row) != 13 for row in rows):
-        raise ValueError("ragged rows")
-    cols = list(zip(*rows)) or [()] * 13
-    parsed = {
-        "participant_code": [ids.setdefault(p, len(ids)) for p in cols[0]],
-        "technique_code": [_TECHNIQUE_BY_TEXT[t] for t in cols[1]],
-        "posture_code": [_POSTURE_BY_TEXT[p.lower()] for p in cols[2]],
-        "block": list(map(int, cols[3])),
-        "trial_index": list(map(int, cols[4])),
-        **{name: list(map(float, col)) for name, col in zip(_FLOAT_COLUMNS, cols[5:11])},
-        "error_attempts": list(map(int, cols[11])),
-        "success": [_BOOL_BY_TEXT[s.strip().lower()] for s in cols[12]],
-    }
-    return {name: np.array(parsed[name], dtype=dtype) for name, dtype in _COLUMNS}
+    if len(row) != len(_FIELDS):
+        raise LogFormatError(f"expected {len(_FIELDS)} fields, found {len(row)}", line_no)
+    for field, text in zip(_FIELDS, row):
+        try:
+            np.array(field.kind.parse([text], {}), dtype=field.dtype)
+        except (KeyError, OverflowError):
+            raise LogFormatError(field.kind.error.format(text), line_no) from None
+        except ValueError as exc:
+            raise LogFormatError(str(exc), line_no) from None
 
 
 def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dict[str, np.ndarray]:
-    """Columns of ``chunk``'s (row, line) pairs, or LogFormatError at the
-    first bad row."""
+    """Columns of ``chunk``'s (row, line) pairs, each parsed at once; where
+    that fails, the rows one by one, for LogFormatError at the first bad row."""
+    rows = [row for row, _ in chunk]
     try:
-        columns = _parse_columns([row for row, _ in chunk], ids)
+        if all(len(row) == len(_FIELDS) for row in rows):
+            texts = zip(*rows) if rows else [()] * len(_FIELDS)
+            columns = {field.column: np.array(field.kind.parse(column, ids), dtype=field.dtype)
+                       for field, column in zip(_FIELDS, texts)}
+            columns["line_numbers"] = np.array([line for _, line in chunk], dtype=np.int64)
+            return columns
     except (ValueError, KeyError, OverflowError):
-        for row, line_no in chunk:
-            _parse_row(row, line_no)
-        raise AssertionError("column parse failed on rows that parse one by one") from None
-    columns["line_numbers"] = np.array([line for _, line in chunk], dtype=np.int64)
-    return columns
+        pass
+    for row, line_no in chunk:
+        _parse_row(row, line_no)
+    raise AssertionError("column parse failed on rows that parse one by one")
 
 
 #: Characters that send a whole log to the csv reader: numpy's tokenizer
@@ -924,37 +936,26 @@ _HEADER_LINES = (TRIAL_LOG_HEADER, *(TRIAL_LOG_HEADER + end for end in _BLANK_LI
 #: Characters kept of each text field by numpy's tokenizer, which cuts longer
 #: text off without a word; a field this long sends the log to the csv reader.
 _TEXT_WIDTH = 32
-#: Text field -> the code of one of its distinct values (KeyError if none).
-_CODE_OF_TEXT = {
-    "technique_code": _TECHNIQUE_BY_TEXT.__getitem__,
-    "posture_code": lambda text: _POSTURE_BY_TEXT[text.lower()],
-    "success": lambda text: _BOOL_BY_TEXT[text.strip().lower()],
-}
-_LOG_DTYPE = np.dtype([
-    (name, np.dtype((np.str_, _TEXT_WIDTH))
-     if name in _CODE_OF_TEXT or name == "participant_code" else dict(_COLUMNS)[name])
-    for name in _LOG_COLUMNS
-])
+_LOG_DTYPE = np.dtype([(field.column, (np.str_, _TEXT_WIDTH) if field.kind.text else field.dtype)
+                       for field in _FIELDS])
 
 
-def _text_codes(column: np.ndarray, code_of) -> np.ndarray:
-    """``code_of(text)`` of each row, called once per distinct text in order
-    of first appearance; KeyError for text that may have been cut off.
+def _text_codes(column: np.ndarray, kind: _Kind, ids: dict, quoted_ids: dict) -> np.ndarray:
+    """``kind``'s code of each row's text, parsed once per distinct text in
+    order of first appearance, a stand-in in ``quoted_ids`` as the id it
+    stands in for; KeyError for text that may have been cut off.
 
     In a log, a participant id stays the same for hundreds of rows and a
     technique or posture for dozens, so each row is compared once with the
     row before it, and only the first row of each run of equal text is
     turned into a Python string and coded."""
-
-    def code(text: str):
-        if len(text) >= _TEXT_WIDTH:
-            raise KeyError("text field as wide as the parse width")
-        return code_of(text)
-
     # the first row of each run, and one past the last row
     edges = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1, [len(column)]))
     texts = column[edges[:-1]].tolist()
-    code_of_text = {text: code(text) for text in dict.fromkeys(texts)}
+    distinct = list(dict.fromkeys(texts))
+    if any(len(text) >= _TEXT_WIDTH for text in distinct):
+        raise KeyError("text field as wide as the parse width")
+    code_of_text = dict(zip(distinct, kind.parse([quoted_ids.get(t, t) for t in distinct], ids)))
     codes = np.array(list(map(code_of_text.__getitem__, texts)), dtype=np.int64)
     return np.repeat(codes, edges[1:] - edges[:-1])
 
@@ -994,8 +995,6 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
         return None
     ids: dict[str, int] = {}
     quoted_ids: dict[str, str] = {}  # stand-in -> participant id
-    code_of = dict(_CODE_OF_TEXT, participant_code=lambda text: ids.setdefault(
-        quoted_ids.get(text, text), len(ids)))
     field_limit = csv.field_size_limit()
     parts = []
     line_no = 2
@@ -1021,8 +1020,8 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
             if len(rows) != len(numbers):
                 return None
             # copies, so that the chunk's wide text fields can be freed
-            part = {name: _text_codes(rows[name], code_of[name]) if name in code_of
-                    else rows[name].copy() for name in _LOG_COLUMNS}
+            part = {field.column: _text_codes(rows[field.column], field.kind, ids, quoted_ids)
+                    if field.kind.text else rows[field.column].copy() for field in _FIELDS}
         except (ValueError, KeyError):
             return None
         part["line_numbers"] = numbers
@@ -1061,7 +1060,7 @@ def _read_with_csv(path: str) -> TrialTable:
             header = next(reader, None)
             if header is None:
                 raise LogFormatError("empty file, expected header row", 1)
-            if ",".join(header) != TRIAL_LOG_HEADER:
+            if header != TRIAL_LOG_HEADER.split(","):  # each name may be quoted
                 raise LogFormatError("unexpected header row", 1)
             for row in reader:
                 if row:

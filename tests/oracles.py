@@ -674,7 +674,7 @@ def read_trial_log_reference(path):
             header = next(reader, None)
             if header is None:
                 raise LogFormatError("empty file, expected header row", 1)
-            if ",".join(header) != TRIAL_LOG_HEADER:
+            if header != TRIAL_LOG_HEADER.split(","):
                 raise LogFormatError("unexpected header row", 1)
             for row in reader:
                 if row:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from telefitts.comparison import render_records, render_table, run_table1_suite
-from telefitts.trials import _COLUMNS, Posture, Technique, write_trial_log
+from telefitts.trials import _FIELDS, Posture, Technique, write_trial_log
 from telefitts.models import AmplitudeMode, ModelKind, geometry_for_condition, predict_mt
 from telefitts.throughput import render_throughput_records, throughput_by_group
 from telefitts.sim import (
@@ -177,7 +177,7 @@ class TestAgainstBlockByBlockGenerator:
         table = generate_study(config)
         expected = generate_study_reference(config)
         assert table.participant_ids == expected.participant_ids
-        for name, _ in _COLUMNS:
+        for name in [field.column for field in _FIELDS]:
             got, want = getattr(table, name), getattr(expected, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         return table

@@ -3,9 +3,11 @@ csv reader in ``oracles``, on valid logs and on mutated ones."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,7 +30,7 @@ from telefitts.trials import (
 
 from oracles import read_trial_log_reference
 
-COLUMNS = [name for name, _ in trials_module._COLUMNS]
+COLUMNS = [field.column for field in trials_module._FIELDS]
 
 
 def assert_same_table(got, want):
@@ -216,14 +218,15 @@ def written_tables(draw):
         min_size=1, max_size=4, unique=True))
     floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
     ints = st.one_of(st.sampled_from(SPECIAL_INTS), st.integers(-(2 ** 63), 2 ** 63 - 1))
+    pools = {np.int64: ints, np.float64: floats}
     table = trials_module.TrialTable(
         ids,
         participant_code=rng.integers(0, len(ids), n),
         technique_code=rng.integers(0, len(Technique), n),
         posture_code=rng.integers(0, len(Posture), n),
         success=rng.integers(0, 2, n).astype(bool),
-        **{name: column(ints, np.int64) for name in trials_module._INT_COLUMNS},
-        **{name: column(floats, np.float64) for name in trials_module._FLOAT_COLUMNS},
+        **{field.column: column(pools[field.dtype], field.dtype)
+           for field in trials_module._FIELDS if not field.kind.text},
     )
     return table, chunk
 
@@ -496,6 +499,51 @@ class TestFormatErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: line ")
         assert_one_line(err)
+
+
+class TestHeader:
+    def test_quoted_names_are_the_header(self, tmp_path):
+        trials = [trial(), trial(trial_index=1)]
+        lines = log_lines(trials)
+        lines[0] = ",".join(f'"{name}"' for name in TRIAL_LOG_HEADER.split(","))
+        path = tmp_path / "log.csv"
+        write_lines(path, lines)
+        assert assert_readers_agree(path) == trials
+
+    def test_joined_names_in_one_field_are_not_the_header(self, tmp_path, capsys):
+        """A 12-field header whose first field is "participant_id,technique"
+        joins to the header text but is refused."""
+        lines = log_lines([trial(), trial(trial_index=1), trial(trial_index=2)])
+        lines[0] = '"participant_id,technique",' + TRIAL_LOG_HEADER.split(",", 2)[2]
+        path = tmp_path / "log.csv"
+        write_lines(path, lines)
+        for reader in (read_trial_log, read_trial_log_reference):
+            with pytest.raises(LogFormatError) as err:
+                reader(str(path))
+            assert str(err.value) == "line 1: unexpected header row"
+        assert cli.main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 1: unexpected header row\n"
+
+
+def test_field_table_matches_trial_header_and_table_columns():
+    """``Trial`` is written out by hand; its fields, the header and the
+    columns TrialTable takes follow the field table."""
+    names = [field.name for field in trials_module._FIELDS]
+    assert [field.name for field in dataclasses.fields(Trial)] == names
+    assert TRIAL_LOG_HEADER.split(",") == names
+    columns = {field.column: [] for field in trials_module._FIELDS}
+    assert len(trials_module.TrialTable([], **columns)) == 0
+    for name in columns:
+        with pytest.raises(TypeError):
+            trials_module.TrialTable([], **{k: v for k, v in columns.items() if k != name})
+    with pytest.raises(TypeError):
+        trials_module.TrialTable([], extra=[], **columns)
+
+
+def test_readme_header_block_is_the_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Trial logs\n", 1)[1]
+    assert section.split("```text\n", 1)[1].split("\n```", 1)[0] == TRIAL_LOG_HEADER
 
 
 # --- differential fuzz test ------------------------------------------------

@@ -498,7 +498,7 @@ class TestTrialTable:
         movement time and deviation come one per row, as ``tolist`` gives."""
         table = generate_study(PRESETS["realistic"])
         chunk = list(table)[:trials_module._CHUNK_ROWS]
-        for name in trials_module._FLOAT_COLUMNS:
+        for name in [field.name for field in trials_module._FIELDS if field.dtype is np.float64]:
             column = getattr(table, name)[:len(chunk)]
             values = [getattr(t, name) for t in chunk]
             assert all(type(v) is float for v in values)
@@ -559,7 +559,8 @@ class TestOwnershipAndGroupMemo:
     def test_table_owns_its_columns(self):
         trials = random_trials(random.Random(3), 30)
         source = TrialTable.from_trials(trials)
-        columns = {name: np.array(getattr(source, name)) for name, _ in trials_module._COLUMNS}
+        columns = {field.column: np.array(getattr(source, field.column))
+                   for field in trials_module._FIELDS}
         lines = np.arange(2, 32)
         table = TrialTable(source.participant_ids, line_numbers=lines, **columns)
         before = group_by_condition(table)
