@@ -202,5 +202,5 @@ def render_throughput_records(summaries: Sequence[ThroughputSummary]) -> str:
                 for c in s.cells
             ],
         }
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + "\n"
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)

@@ -102,9 +102,14 @@ class _Kind:
         words the last two."""
         return list(map(self.read, texts))
 
-    def encode(self, values: Iterable, ids: dict[str, int]) -> list:
-        """The column values of the Trial field's values."""
-        return list(values)
+    def encode(self, values: list, ids: dict[str, int], dtype: type) -> np.ndarray | list:
+        """The column values of the Trial field's values; TypeError or
+        KeyError for values a ``dtype`` column cannot hold as they are: here,
+        values whose dtype, as numpy infers it, does not cast safely."""
+        column = np.array(values)
+        if values and not np.can_cast(column, dtype):
+            raise TypeError
+        return column
 
     def decode(self, column: np.ndarray, ids: Sequence[str]) -> list:
         """The Trial field's value of each row of ``column``."""
@@ -136,8 +141,10 @@ class _Coded(_Kind):
     def parse(self, texts: Iterable[str], ids: dict[str, int]) -> list:
         return [self.code_of_key[self.key(text)] for text in texts]
 
-    def encode(self, values: Iterable, ids: dict[str, int]) -> list:
-        return list(values) if self.members is None else [self.code_of[m] for m in values]
+    def encode(self, values: list, ids: dict[str, int], dtype: type) -> np.ndarray | list:
+        if self.members is None:
+            return super().encode(values, ids, dtype)
+        return [self.code_of[m] for m in values]
 
     def decode(self, column: np.ndarray, ids: Sequence[str]) -> list:
         codes = column.tolist()
@@ -156,7 +163,11 @@ class _Participant(_Kind):
     def parse(self, texts: Iterable[str], ids: dict[str, int]) -> list:
         return [ids.setdefault(text, len(ids)) for text in texts]
 
-    encode = parse
+    def encode(self, values: list, ids: dict[str, int], dtype: type) -> list:
+        codes = self.parse(values, ids)
+        if not all(isinstance(p, str) for p in ids):
+            raise TypeError
+        return codes
 
     def decode(self, column: np.ndarray, ids: Sequence[str]) -> list:
         return [ids[c] for c in column.tolist()]
@@ -249,13 +260,26 @@ class TrialTable(Sequence):
 
     @classmethod
     def from_trials(cls, trials: Iterable[Trial]) -> "TrialTable":
-        """Columns of a sequence of trials; a table is returned as is."""
+        """Columns of a sequence of trials; a table is returned as is.
+        TypeError names the field and the first row of a value that its
+        column cannot hold as it is, such as a str where a float belongs."""
         if isinstance(trials, TrialTable):
             return trials
         rows = list(trials)
         ids: dict[str, int] = {}
-        columns = {field.column: field.kind.encode(map(operator.attrgetter(field.name), rows), ids)
-                   for field in _FIELDS}
+        columns = {}
+        for field in _FIELDS:
+            values = list(map(operator.attrgetter(field.name), rows))
+            try:
+                columns[field.column] = field.kind.encode(values, ids, field.dtype)
+            except (KeyError, TypeError):
+                for row, value in enumerate(values):  # the first value that fails alone
+                    try:
+                        field.kind.encode([value], {}, field.dtype)
+                    except (KeyError, TypeError):
+                        raise TypeError(f"row {row}: {field.name} {value!r} is not a valid "
+                                        f"{Trial.__annotations__[field.name]}") from None
+                raise
         return cls(ids, **columns)
 
     def __len__(self) -> int:
@@ -290,7 +314,7 @@ class TrialTable(Sequence):
                    for t in (self, other)]
             return bool(np.all(ids[0] == ids[1]))
         if isinstance(other, list):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+            return list(self) == other
         return NotImplemented
 
     def line_number(self, index: int) -> int:
@@ -924,11 +948,11 @@ def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dic
 #: loadtxt can crash the interpreter (a segmentation fault) while it words
 #: the error for a field that holds one.
 _CSV_ONLY = '\0\x1c\x1d\x1e\x1f'
-#: A line whose first field is quoted as csv.writer quotes it (its quotes
-#: doubled), with no line break inside and a comma right after, and whose
-#: other fields hold no quote: groups are the field between its quotes and
-#: the rest of the line.
-_QUOTED_FIRST_FIELD = re.compile(r'"((?:[^"\r\n]|"")*)",([^"]*)')
+#: A line whose first field is quoted as csv.writer quotes it (quotes
+#: doubled, no line break inside, a comma right after) and whose other
+#: fields hold no quote: numpy's ``quotechar`` reads it as the csv reader
+#: does, but numpy also reads a quote left open at the end of its input.
+_QUOTED_FIRST_FIELD = re.compile(r'"[^"\r\n]*(?:""[^"\r\n]*)*",[^"]*')
 #: Lines that hold no row, for the csv reader as for numpy's tokenizer.
 _BLANK_LINES = ("\n", "\r\n")
 #: The header line as read: ended like a blank line, or last in the file.
@@ -940,10 +964,9 @@ _LOG_DTYPE = np.dtype([(field.column, (np.str_, _TEXT_WIDTH) if field.kind.text 
                        for field in _FIELDS])
 
 
-def _text_codes(column: np.ndarray, kind: _Kind, ids: dict, quoted_ids: dict) -> np.ndarray:
+def _text_codes(column: np.ndarray, kind: _Kind, ids: dict) -> np.ndarray:
     """``kind``'s code of each row's text, parsed once per distinct text in
-    order of first appearance, a stand-in in ``quoted_ids`` as the id it
-    stands in for; KeyError for text that may have been cut off.
+    order of first appearance; KeyError for text that may have been cut off.
 
     In a log, a participant id stays the same for hundreds of rows and a
     technique or posture for dozens, so each row is compared once with the
@@ -955,31 +978,9 @@ def _text_codes(column: np.ndarray, kind: _Kind, ids: dict, quoted_ids: dict) ->
     distinct = list(dict.fromkeys(texts))
     if any(len(text) >= _TEXT_WIDTH for text in distinct):
         raise KeyError("text field as wide as the parse width")
-    code_of_text = dict(zip(distinct, kind.parse([quoted_ids.get(t, t) for t in distinct], ids)))
+    code_of_text = dict(zip(distinct, kind.parse(distinct, ids)))
     codes = np.array(list(map(code_of_text.__getitem__, texts)), dtype=np.int64)
     return np.repeat(codes, edges[1:] - edges[:-1])
-
-
-def _stand_in_quoted_ids(lines: list[str], quoted_ids: dict[str, str]) -> list[str] | None:
-    """``lines`` with each first field quoted as csv.writer quotes it
-    replaced by a stand-in: a quote and a number, which no other field of
-    the chunk can hold, so numpy's tokenizer reads it as plain text.
-    ``quoted_ids`` maps each stand-in to its participant id and gains the
-    new ones. None if a quote is anything else."""
-    stand_ins = {quoted: stand_in for stand_in, quoted in quoted_ids.items()}
-    mapped = []
-    for line in lines:
-        if '"' in line:
-            match = _QUOTED_FIRST_FIELD.fullmatch(line)
-            if match is None:
-                return None
-            participant, rest = match[1].replace('""', '"'), match[2]
-            if participant not in stand_ins:
-                stand_ins[participant] = f'"{len(quoted_ids)}'
-                quoted_ids[stand_ins[participant]] = participant
-            line = f"{stand_ins[participant]},{rest}"
-        mapped.append(line)
-    return mapped
 
 
 def _read_with_loadtxt(fh) -> TrialTable | None:
@@ -994,7 +995,6 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
     if fh.readline() not in _HEADER_LINES:
         return None
     ids: dict[str, int] = {}
-    quoted_ids: dict[str, str] = {}  # stand-in -> participant id
     field_limit = csv.field_size_limit()
     parts = []
     line_no = 2
@@ -1007,20 +1007,19 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
         if (any(c in text for c in _CSV_ONLY)
                 or "\r" in text and text.count("\r") != text.count("\r\n")
                 or not text.isascii() and max(text) > "\uffff"
-                or len(text) > field_limit and max(map(len, lines)) > field_limit):
+                or len(text) > field_limit and max(map(len, lines)) > field_limit
+                or '"' in text and not all(map(_QUOTED_FIRST_FIELD.fullmatch,
+                                               (line for line in lines if '"' in line)))):
             return None
-        if '"' in text:
-            lines = _stand_in_quoted_ids(lines, quoted_ids)
-            if lines is None:
-                return None
         if not len(numbers):
             continue
         try:
-            rows = np.loadtxt(lines, dtype=_LOG_DTYPE, delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(lines, dtype=_LOG_DTYPE, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
             if len(rows) != len(numbers):
                 return None
             # copies, so that the chunk's wide text fields can be freed
-            part = {field.column: _text_codes(rows[field.column], field.kind, ids, quoted_ids)
+            part = {field.column: _text_codes(rows[field.column], field.kind, ids)
                     if field.kind.text else rows[field.column].copy() for field in _FIELDS}
         except (ValueError, KeyError):
             return None

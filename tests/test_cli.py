@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from telefitts.cli import main
 from telefitts.comparison import parse_records
-from telefitts.trials import read_trial_log
+from telefitts.trials import TRIAL_LOG_HEADER, read_trial_log
 
 
 @pytest.fixture()
@@ -188,6 +188,17 @@ class TestThroughput:
             "throughput", "--input", str(bad), "--output", str(out),
             "--allow-partial-grid",
         ]) == 0
+
+    def test_partial_grid_override_of_a_log_with_no_rows(self, tmp_path):
+        """No rows: an empty JSONL stream, not one empty line."""
+        empty = tmp_path / "empty.csv"
+        empty.write_text(TRIAL_LOG_HEADER + "\n", encoding="utf-8")
+        out = tmp_path / "tp.jsonl"
+        assert main([
+            "throughput", "--input", str(empty), "--output", str(out),
+            "--allow-partial-grid",
+        ]) == 0
+        assert out.read_bytes() == b""
 
 
 #: (damage, part of its one-line error): record streams that compare never writes.

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import math
+import string
 import sys
 from pathlib import Path
 from unittest import mock
@@ -308,6 +309,8 @@ class TestLoadtxtPath:
         lambda line: line.replace("P01", '"P\x0001"'),
         lambda line: line.replace("P01", '"P01"') + ',""',
         lambda line: line.replace("P01", '"P01\nP02"'),
+        # a quoted id as wide as numpy's text width
+        lambda line: line.replace("P01", '"' + "P" * 40 + '"'),
     ])
     def test_logs_numpy_cannot_vouch_for_go_to_the_csv_reader(self, tmp_path, edit):
         lines = log_lines([trial(), trial(trial_index=1)])
@@ -319,11 +322,10 @@ class TestLoadtxtPath:
         assert_readers_agree(path)
 
     @pytest.mark.parametrize("participant", ['"P01"', '"P,01"', '"P""01"', '""""', '""',
-                                             '","', '"' + "P" * 40 + '"'])
+                                             '","'])
     def test_quoted_first_fields_stay_on_the_fast_path(self, tmp_path, participant):
         """A first field quoted as csv.writer quotes it, on one line, is read
-        as the csv reader reads it, also where the quotes were not needed or
-        the id is longer than numpy's text width."""
+        as the csv reader reads it, also where the quotes were not needed."""
         lines = log_lines([trial(), trial(trial_index=1), trial("P02", trial_index=2)])
         lines[2] = lines[2].replace("P01", participant)
         path = tmp_path / "log.csv"
@@ -418,8 +420,7 @@ def lenient_lines():
     return lines
 
 
-def quoted_lines():
-    ids = ["P,01", 'P"01', '""', ",", "P01", "P," * 20]
+def quoted_lines(ids):
     lines = log_lines(runs_log(2100, 350, 40, 20, ids=ids))
     # quotes that csv.writer would not write, on every other row of an id it
     # also writes plain
@@ -446,7 +447,11 @@ ROUND_TRIP_LOGS = {
         with_blank_lines(log_lines(runs_log(2100, 400, 40, 20)), [1, 2, 1024, 1025, 1500, 2101]),
         "\r\n", True),
     "lenient-posture-and-success": lambda: (lenient_lines(), "\n", True),
-    "quoted-ids": lambda: (quoted_lines(), "\n", True),
+    "quoted-ids": lambda: (quoted_lines(["P,01", 'P"01', '""', ",", "P01", "P," * 15]),
+                           "\n", True),
+    # a quoted id as wide as numpy's text width goes to the csv reader, as a plain one does
+    "quoted-ids-of-40-characters": lambda: (
+        quoted_lines(["P,01", 'P"01', '""', ",", "P01", "P," * 20]), "\n", False),
 }
 
 
@@ -464,6 +469,33 @@ def test_fast_reader_reads_like_the_csv_reader(tmp_path, name):
         got = read_trial_log(str(path))
     assert_same_table(got, want)
     assert len(got) == sum(1 for line in lines[1:] if line)
+
+
+def force_quoted_lines(trials):
+    """``log_lines`` with every participant id quoted, needed or not."""
+    lines = log_lines([dataclasses.replace(t, participant_id="X") for t in trials])
+    return lines[:1] + ['"' + t.participant_id.replace('"', '""') + '"' + line[1:]
+                        for t, line in zip(trials, lines[1:])]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ids=st.lists(st.text(alphabet=string.ascii_letters + '," \t', max_size=31),
+                    min_size=1, max_size=4, unique=True),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+def test_ids_under_the_text_width_stay_on_the_fast_path(tmp_path_factory, ids, picks):
+    """Ids of fewer than 32 characters, of letters, commas, quotes and
+    whitespace, written by ``write_trial_log`` or all quoted, read as the
+    csv reader reads them, without it."""
+    trials = [trial(ids[k % len(ids)], trial_index=i) for i, k in enumerate(picks)]
+    written, quoted = (tmp_path_factory.getbasetemp() / name
+                       for name in ("ids-written.csv", "ids-quoted.csv"))
+    write_trial_log(trials, str(written))
+    write_lines(quoted, force_quoted_lines(trials))
+    for path in (written, quoted):
+        with csv_reader_refused():
+            got = read_trial_log(str(path))
+        assert_same_table(got, read_trial_log_reference(str(path)))
 
 
 def test_crlf_blank_line_first_in_a_chunk(tmp_path):

@@ -3,6 +3,7 @@ against the per-trial reference implementations in ``oracles``."""
 
 import math
 import random
+import re
 import statistics
 from dataclasses import replace
 from unittest import mock
@@ -22,6 +23,7 @@ from telefitts.trials import (
     group_by_condition,
     read_trial_log,
     sample_sd,
+    validate_log,
     write_trial_log,
 )
 from telefitts.models import AmplitudeMode
@@ -533,6 +535,42 @@ class TestTrialTable:
         table = TrialTable.from_trials([])
         assert len(table) == 0 and table == []
         assert group_by_condition(table) == {}
+
+    @pytest.mark.parametrize("field, value, type_name", [
+        ("success", "false", "bool"),
+        ("success", 1, "bool"),
+        ("width_m", "0.2", "float"),
+        ("movement_time_s", None, "float"),
+        ("block", 1.5, "int"),
+        ("error_attempts", 2 ** 63, "int"),
+        ("participant_id", 7, "str"),
+        ("technique", "RPRG", "Technique"),
+        ("posture", [Posture.SITTING], "Posture"),
+    ])
+    def test_from_trials_rejects_values_of_another_type(self, tmp_path, field, value, type_name):
+        """TypeError names the field and the first bad row, from every entry
+        point that takes a sequence of trials."""
+        trials = random_trials(random.Random(5), 6)
+        for i in (3, 5):
+            trials[i] = replace(trials[i], **{field: value})
+        message = rf"^row 3: {field} {re.escape(repr(value))} is not a valid {type_name}$"
+        for entry in (TrialTable.from_trials, validate_log, group_by_condition,
+                      lambda t: write_trial_log(t, str(tmp_path / "log.csv"))):
+            with pytest.raises(TypeError, match=message):
+                entry(trials)
+
+    def test_from_trials_takes_values_that_convert_exactly(self):
+        """ints and bools where floats belong, bools where ints belong and
+        numpy scalars are held as their column's dtype holds them."""
+        trials = random_trials(random.Random(5), 3)
+        trials[1] = replace(trials[1], width_m=1, height_m=True, block=np.int32(4),
+                            error_attempts=False, movement_time_s=np.float32(0.5),
+                            success=np.True_)
+        table = TrialTable.from_trials(trials)
+        row = table[1]
+        assert (row.width_m, row.height_m, row.block, row.error_attempts,
+                row.movement_time_s, row.success) == (1.0, 1.0, 4, 0, 0.5, True)
+        assert [type(v) for v in (row.width_m, row.block, row.success)] == [float, int, bool]
 
     def test_generated_columns_match_rows(self):
         config = PRESETS["proposed-noisy"]
