@@ -361,7 +361,7 @@ def render_table(reports: Sequence[ComparisonReport]) -> str:
                 rep.bic_grades[kind].grade.value,
                 rep.equations[kind],
             ])
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
+    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
     for r in rows:
@@ -396,9 +396,8 @@ def _record(rep: ComparisonReport, kind: ModelKind) -> dict:
 
 def render_records(reports: Sequence[ComparisonReport]) -> str:
     """Machine-readable report: one JSON record per model x group."""
-    lines = [json.dumps(_record(rep, kind), sort_keys=True)
-             for rep in reports for kind in MODEL_ORDER]
-    return "\n".join(lines) + "\n"
+    return "".join(json.dumps(_record(rep, kind), sort_keys=True) + "\n"
+                   for rep in reports for kind in MODEL_ORDER)
 
 
 #: The independent values of a fit, in fit_result's order, with their JSON types.
@@ -411,10 +410,13 @@ def _field(obj: dict, name: str, kind: type, where: str):
         raise ValueError(f"{where}: missing field {name!r}")
     value = obj[name]
     if issubclass(kind, Enum):
+        if type(value) is str:
+            try:
+                return kind(value)
+            except ValueError:
+                pass
         allowed = [m.value for m in kind]
-        if type(value) is not str or value not in allowed:
-            raise ValueError(f"{where}: field {name!r} must be one of {allowed}, got {value!r}")
-        return kind(value)
+        raise ValueError(f"{where}: field {name!r} must be one of {allowed}, got {value!r}")
     if type(value) is not kind:
         raise ValueError(f"{where}: field {name!r} has the wrong type ({value!r})")
     return value

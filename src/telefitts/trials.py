@@ -90,7 +90,8 @@ class _Kind:
     as its ``repr``: once per distinct value or, ``per_row``, row by row. A
     ``shared`` float's rows take one float object per distinct value."""
 
-    #: numpy's tokenizer reads the field as text to be coded, not as a number
+    #: numpy's tokenizer reads the field as text to be coded, not as a number,
+    #: first ``width`` characters wide
     text = False
 
     def __init__(self, read=float, error: str = "", *, shared=False, per_row=False):
@@ -127,7 +128,8 @@ class _Kind:
 class _Coded(_Kind):
     """One of a few ``texts``, read by their ``key`` and held as the index
     of the text; ``members`` are the Trial values of the codes, an enum's
-    members, whose values are the texts, or None for a bool."""
+    members, whose values are the texts, or None for a bool. No written
+    text fills the field's ``width``."""
 
     text = True
 
@@ -135,6 +137,7 @@ class _Coded(_Kind):
         super().__init__(error=error)
         self.key, self.members = key, members
         self.written = texts or tuple(member.value for member in members)
+        self.width = 1 + max(map(len, self.written))
         self.code_of_key = {key(text): i for i, text in enumerate(self.written)}
         self.code_of = members and {member: i for i, member in enumerate(members)}
 
@@ -158,7 +161,7 @@ class _Participant(_Kind):
     """Any text, held as the index of its id among the ids in order of
     first appearance, and quoted as ``csv.writer`` quotes it."""
 
-    text = True
+    text, width = True, 8
 
     def parse(self, texts: Iterable[str], ids: dict[str, int]) -> list:
         return [ids.setdefault(text, len(ids)) for text in texts]
@@ -960,13 +963,17 @@ _HEADER_LINES = (TRIAL_LOG_HEADER, *(TRIAL_LOG_HEADER + end for end in _BLANK_LI
 #: Characters kept of each text field by numpy's tokenizer, which cuts longer
 #: text off without a word; a field this long sends the log to the csv reader.
 _TEXT_WIDTH = 32
-_LOG_DTYPE = np.dtype([(field.column, (np.str_, _TEXT_WIDTH) if field.kind.text else field.dtype)
-                       for field in _FIELDS])
+#: The fields as a chunk is first read, each text field ``kind.width``
+#: characters wide, and as it is read again once a text fills its field.
+_NARROW_DTYPE, _LOG_DTYPE = (np.dtype([
+    (field.column, (np.str_, width or field.kind.width) if field.kind.text else field.dtype)
+    for field in _FIELDS]) for width in (0, _TEXT_WIDTH))
 
 
-def _text_codes(column: np.ndarray, kind: _Kind, ids: dict) -> np.ndarray:
+def _text_codes(column: np.ndarray, kind: _Kind, ids: dict) -> np.ndarray | None:
     """``kind``'s code of each row's text, parsed once per distinct text in
-    order of first appearance; KeyError for text that may have been cut off.
+    order of first appearance; None, before any text is coded, if a text
+    fills the column's width and so may have been cut off.
 
     In a log, a participant id stays the same for hundreds of rows and a
     technique or posture for dozens, so each row is compared once with the
@@ -976,8 +983,8 @@ def _text_codes(column: np.ndarray, kind: _Kind, ids: dict) -> np.ndarray:
     edges = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1, [len(column)]))
     texts = column[edges[:-1]].tolist()
     distinct = list(dict.fromkeys(texts))
-    if any(len(text) >= _TEXT_WIDTH for text in distinct):
-        raise KeyError("text field as wide as the parse width")
+    if any(len(text) >= column.dtype.itemsize // 4 for text in distinct):  # 4 bytes a character
+        return None
     code_of_text = dict(zip(distinct, kind.parse(distinct, ids)))
     codes = np.array(list(map(code_of_text.__getitem__, texts)), dtype=np.int64)
     return np.repeat(codes, edges[1:] - edges[:-1])
@@ -985,19 +992,22 @@ def _text_codes(column: np.ndarray, kind: _Kind, ids: dict) -> np.ndarray:
 
 def _read_with_loadtxt(fh) -> TrialTable | None:
     """The log body parsed by ``np.loadtxt``, ``_CHUNK_ROWS`` lines at a time,
-    with codes taken from the runs of each chunk's text columns; None
-    wherever the csv reader must decide: a header other than the exact one,
-    a log with a ``_CSV_ONLY`` character, a quote other than csv.writer's
-    quoting of a first field, a character beyond U+FFFF or a carriage
-    return that does not end a ``\r\n`` line, a line longer than the csv
-    field limit, a chunk that numpy or a code lookup rejects, or a log with
-    no rows."""
+    with codes taken from the runs of each chunk's text columns. Text fields
+    are read ``kind.width`` characters wide until a chunk's text fills one;
+    that chunk and the rest of the log are then read ``_TEXT_WIDTH`` wide.
+    None wherever the csv reader must decide: a header other than the exact
+    one, a log with a ``_CSV_ONLY`` character, a quote other than
+    csv.writer's quoting of a first field, a character beyond U+FFFF or a
+    carriage return that does not end a ``\r\n`` line, a line longer than
+    the csv field limit, a text of ``_TEXT_WIDTH`` characters or more, a
+    chunk that numpy or a code lookup rejects, or a log with no rows."""
     if fh.readline() not in _HEADER_LINES:
         return None
     ids: dict[str, int] = {}
     field_limit = csv.field_size_limit()
     parts = []
     line_no = 2
+    dtype = _NARROW_DTYPE
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
         numbers = np.arange(line_no, line_no + len(lines))
         line_no += len(lines)
@@ -1013,15 +1023,20 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
             return None
         if not len(numbers):
             continue
-        try:
-            rows = np.loadtxt(lines, dtype=_LOG_DTYPE, delimiter=",", comments=None,
-                              quotechar='"', ndmin=1)
-            if len(rows) != len(numbers):
+        for dtype in (dtype, _LOG_DTYPE) if dtype is _NARROW_DTYPE else (dtype,):
+            try:
+                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
+                if len(rows) != len(numbers):
+                    return None
+                # copies, so that the chunk's text fields can be freed
+                part = {field.column: _text_codes(rows[field.column], field.kind, ids)
+                        if field.kind.text else rows[field.column].copy() for field in _FIELDS}
+            except (ValueError, KeyError):
                 return None
-            # copies, so that the chunk's wide text fields can be freed
-            part = {field.column: _text_codes(rows[field.column], field.kind, ids)
-                    if field.kind.text else rows[field.column].copy() for field in _FIELDS}
-        except (ValueError, KeyError):
+            if all(codes is not None for codes in part.values()):
+                break
+        else:
             return None
         part["line_numbers"] = numbers
         parts.append(part)

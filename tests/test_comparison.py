@@ -412,6 +412,24 @@ class TestRendering:
             assert kind.value in text
         assert "note:" in text
 
+    def test_no_reports_render_no_records_and_a_table_without_rows(self):
+        assert render_records([]) == ""
+        names = render_table(self._reports()).splitlines()[0].split()
+        lines = render_table([]).split("\n")
+        assert lines[0].split() == names
+        assert lines[1] == "  ".join("-" * len(name) for name in lines[0].split("  "))
+        assert lines[2:] == ["", *(f"note: {note}" for note in comparison._TABLE_FOOTNOTES), ""]
+
+    @pytest.mark.parametrize("value", ["Fitts", "STANDARD", 3, None])
+    def test_unknown_enum_value_names_the_allowed_values(self, value):
+        lines = render_records(self._reports()[:1]).splitlines()
+        record = json.loads(lines[0])
+        record["model"] = value
+        with pytest.raises(ValueError) as err:
+            parse_records("\n".join([json.dumps(record), *lines[1:]]))
+        assert str(err.value) == ("record on line 1: field 'model' must be one of "
+                                  f"['Standard', 'TwoPart', 'Vergence', 'Proposed'], got {value!r}")
+
     def test_infinite_values_survive_round_trip(self):
         summaries = summaries_from_model(ModelKind.PROPOSED, (-2.46, 1.21, 3.00))
         report = compare_models(summaries, group_label="All")

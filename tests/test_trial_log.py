@@ -452,6 +452,16 @@ ROUND_TRIP_LOGS = {
     # a quoted id as wide as numpy's text width goes to the csv reader, as a plain one does
     "quoted-ids-of-40-characters": lambda: (
         quoted_lines(["P,01", 'P"01', '""', ",", "P01", "P," * 20]), "\n", False),
+    # ids that fill the narrow width from the third chunk on, and ids of the
+    # first chunks again after them
+    "id-of-20-characters-from-row-2048": lambda: (
+        log_lines(runs_log(3100, 512, 40, 20, ids=["P00", "P01", "P02", "P03", "P" * 20])),
+        "\n", True),
+    # from the second chunk on, where new ids are coded before the chunk is
+    # read again: a success padded past its narrow width, a posture in mixed case
+    "padded-success-and-mixed-case-posture": lambda: (
+        [line.replace(",true", ",  true ").replace("Standing", "sTaNdInG") if i > 1024 else line
+         for i, line in enumerate(log_lines(runs_log(2100, 350, 40, 20)))], "\n", True),
 }
 
 
@@ -469,6 +479,40 @@ def test_fast_reader_reads_like_the_csv_reader(tmp_path, name):
         got = read_trial_log(str(path))
     assert_same_table(got, want)
     assert len(got) == sum(1 for line in lines[1:] if line)
+
+
+def loadtxt_widths(path):
+    """The table read from ``path`` without the csv reader, and the width
+    of the participant field of each ``np.loadtxt`` call, in call order."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, csv_reader_refused():
+        table = read_trial_log(str(path))
+    return table, [call.kwargs["dtype"]["participant_code"].itemsize // 4
+                   for call in loadtxt.call_args_list]
+
+
+def test_written_texts_are_read_once_at_their_narrow_width(tmp_path):
+    """No text the writer writes fills its kind's narrow width, so a log of
+    every technique, posture and success, with ids of 7 characters, is read
+    once per chunk."""
+    for field in trials_module._FIELDS:
+        if isinstance(field.kind, trials_module._Coded):
+            assert all(len(text) < field.kind.width for text in field.kind.written), field.name
+    path = tmp_path / "log.csv"
+    write_trial_log(runs_log(2100, 300, 40, 20, ids=[f"P{i:06d}" for i in range(8)]), str(path))
+    table, widths = loadtxt_widths(path)
+    assert widths == [8, 8, 8]
+    assert_same_table(table, read_trial_log_reference(str(path)))
+
+
+def test_a_filled_field_reads_its_chunk_and_the_rest_at_full_width(tmp_path):
+    """Ids of 16 characters fill the narrow width in the first chunk, which
+    is read again at the full width, as the later chunks are, once each."""
+    path = tmp_path / "log.csv"
+    write_lines(path, log_lines(runs_log(2100, 300, 40, 20,
+                                         ids=[f"participant-{i:04d}" for i in range(8)])))
+    table, widths = loadtxt_widths(path)
+    assert widths == [8, 32, 32, 32]
+    assert_same_table(table, read_trial_log_reference(str(path)))
 
 
 def force_quoted_lines(trials):
