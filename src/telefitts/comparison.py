@@ -29,7 +29,14 @@ from .models import (
     geometry_for_condition,
     predictors_for,
 )
-from .regression import Design, FitResult, fit_result, ols_fit, partial_f
+from .regression import (
+    Design,
+    FitResult,
+    fit_result,
+    ols_fit,
+    partial_f,
+    total_sum_of_squares,
+)
 from .trials import (
     ConditionKey,
     ConditionSummary,
@@ -168,23 +175,45 @@ _mean_mt = operator.attrgetter("mean_mt_s")
 _cell, _response = operator.itemgetter(0), operator.itemgetter(1)
 
 
+@dataclass(frozen=True)
+class CellResponse:
+    """The response of one group's cells, which its four models share: the
+    cells' (W, D, H) in sorted order, cells of one geometry in their given
+    order, the read-only cell means ``y`` in that order, their
+    ``regression.total_sum_of_squares`` ``tss``, and whether every mean is
+    finite."""
+
+    cells: tuple[tuple[float, float, float], ...]
+    y: np.ndarray
+    tss: float
+    finite: bool
+
+    @classmethod
+    def from_summaries(cls, summaries: Mapping[ConditionKey, ConditionSummary]
+                       ) -> "CellResponse":
+        items = sorted(zip(map(_geometry, summaries), map(_mean_mt, summaries.values())),
+                       key=_cell)
+        means = list(map(_response, items))
+        y = np.array(means, dtype=float)
+        y.flags.writeable = False
+        return _frozen(cls, cells=tuple(map(_cell, items)), y=y, tss=total_sum_of_squares(y),
+                       finite=all(map(math.isfinite, means)))
+
+
 def rows_for_model(
     kind: ModelKind,
-    summaries: Mapping[ConditionKey, ConditionSummary],
+    response: CellResponse,
     amplitude_mode: AmplitudeMode,
 ) -> Design:
-    """One model's design over the cells in (W, D, H) order, cells of one
-    geometry in their given order, with the cell means as the response.
-    Raises the errors of ``Design.from_rows`` on the cells' rows, and
-    ValueError on a cell geometry the model cannot take."""
-    items = sorted(zip(map(_geometry, summaries), map(_mean_mt, summaries.values())), key=_cell)
-    cells, means = tuple(map(_cell, items)), list(map(_response, items))
-    if not all(map(math.isfinite, means)):  # raises, naming the first bad cell or row
-        return Design.from_rows(_cell_rows(kind, amplitude_mode, cells, means))
-    x, q, r = _cell_design(kind, amplitude_mode, cells)
-    y = np.array(means, dtype=float)
-    y.flags.writeable = False
-    return Design(x, y, q, r)
+    """One model's design over the response's cells, in their order, with
+    the response's ``y`` and ``tss``. Raises the errors of
+    ``Design.from_rows`` on the cells' rows, and ValueError on a cell
+    geometry the model cannot take."""
+    if not response.finite:  # raises, naming the first bad cell or row
+        return Design.from_rows(
+            _cell_rows(kind, amplitude_mode, response.cells, response.y.tolist()))
+    x, q, r = _cell_design(kind, amplitude_mode, response.cells)
+    return Design(x, response.y, q, r, response.tss)
 
 
 def compare_models(
@@ -194,18 +223,20 @@ def compare_models(
 ) -> ComparisonReport:
     """Fit every model on one group's condition means and grade the deltas.
 
-    The response vector is shared across models; only the predictors differ.
-    A fit whose sums of squares overflow raises ValueError naming the group,
-    the amplitude mode and the model.
+    The cells are sorted and the response built once, and the four models'
+    designs share it; only the predictors differ. A fit whose sums of
+    squares overflow raises ValueError naming the group, the amplitude mode
+    and the model, the Standard model first.
     """
     if len(summaries) < _MIN_CELLS:
         raise ValueError(
             f"need at least {_MIN_CELLS} condition cells for a nonzero-df comparison, "
             f"got {len(summaries)}"
         )
+    response = CellResponse.from_summaries(summaries)
     fits: dict[ModelKind, FitResult] = {}
     for kind in MODEL_ORDER:
-        rows = rows_for_model(kind, summaries, amplitude_mode)
+        rows = rows_for_model(kind, response, amplitude_mode)
         try:
             fits[kind] = ols_fit(rows)
         except OverflowError as exc:

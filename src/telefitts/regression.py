@@ -122,14 +122,18 @@ def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
     return front * _beta_continued_fraction(a, b, x) / a
 
 
-def f_tail_probability(f_stat: float, d1: int, d2: int) -> float:
+def f_tail_probability(f_stat: float, d1: float, d2: float) -> float:
     """Upper tail of the F(d1, d2) distribution via the regularized
     incomplete beta function: P(F > f) = I_x(d2/2, d1/2), x = d2/(d2 + d1 f).
 
+    The degrees of freedom are real numbers of at least 1, such as the
+    Greenhouse-Geisser corrected eps*(d1, d2) of a repeated-measures test.
     For d1 = 2 this is x**(d2/2) exactly; otherwise the continued fraction
     of I_x is summed. Against 40-digit values it is within 2e-13 relative
-    for d1 <= 8 and d2 <= 60; past about a thousand degrees of freedom the
-    lgamma differences lose digits (1e-10 relative at 1e5).
+    for integer d1 <= 8 and d2 <= 60, and within 1e-13 at eps*(d1, d2) for
+    eps from 0.25 to 0.9 (sampled); past about a thousand degrees of freedom
+    the lgamma differences lose digits (1e-10 relative at 1e5, and 1.6e-13
+    already at 0.9*(99, 297)).
     ``f_stat = inf`` is the saturated-fit sentinel and gives 0.0; nan and
     negative statistics are errors.
     """
@@ -197,6 +201,14 @@ def _design_matrix(rows: Sequence[PredictorRow]) -> tuple[np.ndarray, np.ndarray
     raise ValueError("the rows do not form a numeric design matrix")
 
 
+def total_sum_of_squares(y: np.ndarray) -> float:
+    """sum((y - mean(y))**2), the mean taken as np.mean takes it; inf or nan,
+    with no numpy warning, when it overflows (``ols_fit`` raises on that)."""
+    with np.errstate(all="ignore"):
+        ybar = float(y.sum()) / len(y)
+        return float(((y - ybar) ** 2).sum())
+
+
 def _collinear_columns(x: np.ndarray, r: np.ndarray) -> list[int]:
     """Predictor indices (1-based within the slope block) that add no rank.
 
@@ -228,17 +240,20 @@ def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Design(Sequence):
     """A regression design held column-wise: the design matrix ``x`` (n, p + 1),
     intercept column first, the response ``y`` (n,) and the QR factors
-    ``q``, ``r`` of ``x``, all read-only. As a ``Sequence[PredictorRow]`` it
-    builds a row only when indexed or iterated.
+    ``q``, ``r`` of ``x``, all read-only, and ``tss``, the
+    :func:`total_sum_of_squares` of ``y``. As a ``Sequence[PredictorRow]``
+    it builds a row only when indexed or iterated.
 
     :meth:`from_rows` checks plain rows and factors their matrix;
     ``comparison.rows_for_model`` builds a design from cached ``(x, q, r)``
-    and a new response, which is why the constructor trusts its factors
-    and takes every array read-only as given.
+    and a response shared by the four models of a group, which is why the
+    constructor trusts its factors and ``tss`` and takes every array
+    read-only as given.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, q: np.ndarray, r: np.ndarray):
-        self.x, self.y, self.q, self.r = x, y, q, r
+    def __init__(self, x: np.ndarray, y: np.ndarray, q: np.ndarray, r: np.ndarray,
+                 tss: float):
+        self.x, self.y, self.q, self.r, self.tss = x, y, q, r, tss
 
     @classmethod
     def from_rows(cls, rows: Sequence[PredictorRow]) -> "Design":
@@ -255,7 +270,7 @@ class Design(Sequence):
         if n < cols + 1:
             raise ValueError(f"need at least p + 2 = {cols + 1} observations, got {n}")
         x.flags.writeable = y.flags.writeable = False
-        return cls(x, y, *_factor(x))
+        return cls(x, y, *_factor(x), total_sum_of_squares(y))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -279,15 +294,13 @@ def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
     total sum of squares overflows (a response near the float limit).
     """
     design = Design.from_rows(rows)
-    x, y, q, r = design.x, design.y, design.q, design.r
+    x, y, q, r, tss = design.x, design.y, design.q, design.r, design.tss
     n, cols = x.shape
     p = cols - 1
     with np.errstate(all="ignore"):  # a response near the float limit: raised below
         coef = np.linalg.solve(r, q.T @ y)
         resid = y - x @ coef
         rss = float(resid @ resid)
-        ybar = float(y.sum()) / n  # np.mean's sum and division
-        tss = float(((y - ybar) ** 2).sum())
     for name, value in (("residual", rss), ("total", tss)):
         if not math.isfinite(value):
             raise OverflowError(f"{name} sum of squares overflows to {value}")

@@ -87,8 +87,9 @@ def pinv_ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def uncached_cell_rows(kind, summaries, amplitude_mode):
-    """The rows of ``rows_for_model(...)`` as a list, each cell's geometry
-    and predictors computed afresh."""
+    """The rows of ``rows_for_model(kind, CellResponse.from_summaries(summaries),
+    amplitude_mode)`` as a list, each cell's geometry and predictors computed
+    afresh."""
     rows = []
     for key in sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m)):
         g = geometry_for_condition(key.width_m, key.distance_m, key.height_m, amplitude_mode)
@@ -97,8 +98,9 @@ def uncached_cell_rows(kind, summaries, amplitude_mode):
 
 
 def uncached_cell_fit(kind, summaries, amplitude_mode):
-    """``ols_fit(rows_for_model(...))`` written as loops, computing every
-    cell's geometry and predictors and the design's QR afresh."""
+    """``ols_fit`` of the same rows written as loops, computing every cell's
+    geometry and predictors, the design's QR and the total sum of squares
+    afresh."""
     rows = uncached_cell_rows(kind, summaries, amplitude_mode)
     x = np.empty((len(rows), len(rows[0].predictors) + 1))
     x[:, 0] = 1.0

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from telefitts.comparison import (
     TABLE_GROUPS,
     AicEvidence,
     BicEvidence,
+    CellResponse,
     Criterion,
     compare_models,
     grade_delta,
@@ -180,6 +182,21 @@ class TestCompareModels:
             assert rep_a.delta_aic[kind] == pytest.approx(rep_b.delta_aic[kind], abs=1e-6)
         assert rep_a.ranking_aic == rep_b.ranking_aic
 
+    @pytest.mark.parametrize("slope, which", [
+        (1e155, "total"),  # the squared residuals stay finite
+        (1e170, "residual"),  # both overflow: the residual is checked first
+    ])
+    def test_sum_of_squares_overflow_names_the_group_and_the_standard_fit(self, slope,
+                                                                            which):
+        summaries = summaries_from_model(ModelKind.STANDARD, (0.3, slope))
+        assert CellResponse.from_summaries(summaries).tss == math.inf  # in every model
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ValueError) as excinfo:
+                compare_models(summaries, AmplitudeMode.EUCLIDEAN, "All Sit")
+        assert str(excinfo.value) == (f"group 'All Sit' (euclidean): the Standard fit's "
+                                      f"{which} sum of squares overflows to inf")
+
     def test_nested_f_present_for_two_predictor_models(self):
         bumps = [0.02, -0.01, 0.005, 0.03, -0.02, 0.01, -0.005, 0.015]
         report = compare_models(
@@ -272,26 +289,41 @@ class TestRepeatedDesigns:
         summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="height_m must be non-negative"):
-                comparison.rows_for_model(ModelKind.STANDARD, summaries,
+                comparison.rows_for_model(ModelKind.STANDARD,
+                                          CellResponse.from_summaries(summaries),
                                           AmplitudeMode.EUCLIDEAN)
 
     def test_one_predictor_and_one_fit_call_per_model(self, monkeypatch):
-        """perfbench's per-layer spans wrap these module attributes."""
-        calls = {"rows_for_model": 0, "ols_fit": 0}
-        for name in calls:
+        """perfbench's per-layer spans wrap these module attributes. The
+        cells are sorted once per comparison, and the four designs share
+        one response."""
+        calls = {"rows_for_model": 0, "ols_fit": 0, "sorted": 0}
+        designs = []
+        for name in ("rows_for_model", "ols_fit"):
             original = getattr(comparison, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
-                return _original(*args)
+                result = _original(*args)
+                if _name == "rows_for_model":
+                    designs.append(result)
+                return result
 
             monkeypatch.setattr(comparison, name, counted)
+
+        def counted_sorted(*args, **kwargs):
+            calls["sorted"] += kwargs.get("key") is comparison._cell  # a sort of the cells
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(comparison, "sorted", counted_sorted, raising=False)
         summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
         self._clear_caches()
         for cache in ("cold", "warm"):
-            calls.update(rows_for_model=0, ols_fit=0)
+            calls.update(rows_for_model=0, ols_fit=0, sorted=0)
+            designs.clear()
             compare_models(summaries)
-            assert calls == {"rows_for_model": 4, "ols_fit": 4}, cache
+            assert calls == {"rows_for_model": 4, "ols_fit": 4, "sorted": 1}, cache
+            assert len({id(d.y) for d in designs}) == 1, cache
 
 
 class TestCellDesign:
@@ -300,9 +332,9 @@ class TestCellDesign:
     MODES = tuple(AmplitudeMode)
 
     def test_design_is_read_only(self):
-        design = comparison.rows_for_model(ModelKind.PROPOSED,
-                                           summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)),
-                                           AmplitudeMode.EUCLIDEAN)
+        response = CellResponse.from_summaries(
+            summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)))
+        design = comparison.rows_for_model(ModelKind.PROPOSED, response, AmplitudeMode.EUCLIDEAN)
         for array in (design.x, design.y, design.q, design.r):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -315,7 +347,7 @@ class TestCellDesign:
         summaries = summaries_from_model(ModelKind.PROPOSED, (0.5, 0.8, 0.3), mode,
                                          bump=[0.01 * (-1) ** i for i in range(8)])
         summaries = dict(reversed(summaries.items()))  # rows come in (W, D, H) order
-        design = comparison.rows_for_model(kind, summaries, mode)
+        design = comparison.rows_for_model(kind, CellResponse.from_summaries(summaries), mode)
         rows = uncached_cell_rows(kind, summaries, mode)
         assert list(design) == rows and len(design) == 8
         assert design[-1] == rows[-1] and design[2:5] == rows[2:5]
@@ -384,7 +416,8 @@ class TestCellDesign:
         three = dict(list(summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)).items())[:3])
         for _ in range(2):
             with pytest.raises(ValueError, match="need at least p \\+ 2 = 4 observations, got 3"):
-                ols_fit(comparison.rows_for_model(ModelKind.TWO_PART, three,
+                ols_fit(comparison.rows_for_model(ModelKind.TWO_PART,
+                                                  CellResponse.from_summaries(three),
                                                   AmplitudeMode.EUCLIDEAN))
         assert comparison._cell_design.cache_info().currsize == 0  # nothing was cached
 
