@@ -18,25 +18,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .models import (
     MODEL_SPECS,
     AmplitudeMode,
     ModelKind,
-    PredictorRow,
     _frozen,
     geometry_for_condition,
     predictors_for,
 )
-from .regression import (
-    Design,
-    FitResult,
-    fit_result,
-    ols_fit,
-    partial_f,
-    total_sum_of_squares,
-)
+from .regression import Design, FitResult, fit_result, ols_fit, partial_f, response
 from .trials import (
     ConditionKey,
     ConditionSummary,
@@ -147,73 +137,23 @@ class ComparisonReport:
         return (self.ranking_aic if criterion is Criterion.AIC else self.ranking_bic)[0]
 
 
-def _cell_rows(kind: ModelKind, amplitude_mode: AmplitudeMode,
-               cells: Sequence[tuple[float, float, float]],
-               responses: Sequence[float]) -> list[PredictorRow]:
-    """One model's plain rows over (W, D, H) cells, computed afresh; a
-    geometry error names the first bad cell."""
-    return [
-        PredictorRow(predictors_for(kind, geometry_for_condition(*cell, amplitude_mode)), y)
-        for cell, y in zip(cells, responses)
-    ]
-
-
 @functools.lru_cache(maxsize=256)
-def _cell_design(kind: ModelKind, amplitude_mode: AmplitudeMode,
-                 cells: tuple[tuple[float, float, float], ...]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only (x, q, r) of one model's design over sorted (W, D, H)
-    cells: every report group of a study repeats the same few designs. A
-    geometry error or a design that cannot be fitted raises on every call:
-    an exception is not cached."""
-    design = Design.from_rows(_cell_rows(kind, amplitude_mode, cells, [0.0] * len(cells)))
-    return design.x, design.q, design.r
+def rows_for_model(
+    kind: ModelKind,
+    cells: tuple[tuple[float, float, float], ...],
+    amplitude_mode: AmplitudeMode,
+) -> Design:
+    """One model's design over (W, D, H) cells, in their order: every report
+    group of a study repeats the same few designs, so they are cached.
+    Raises ValueError on a cell geometry the model cannot take and the
+    errors of ``Design`` on every call: an exception is not cached."""
+    return Design([predictors_for(kind, geometry_for_condition(*cell, amplitude_mode))
+                   for cell in cells])
 
 
 _geometry = operator.attrgetter("width_m", "distance_m", "height_m")
 _mean_mt = operator.attrgetter("mean_mt_s")
 _cell, _response = operator.itemgetter(0), operator.itemgetter(1)
-
-
-@dataclass(frozen=True)
-class CellResponse:
-    """The response of one group's cells, which its four models share: the
-    cells' (W, D, H) in sorted order, cells of one geometry in their given
-    order, the read-only cell means ``y`` in that order, their
-    ``regression.total_sum_of_squares`` ``tss``, and whether every mean is
-    finite."""
-
-    cells: tuple[tuple[float, float, float], ...]
-    y: np.ndarray
-    tss: float
-    finite: bool
-
-    @classmethod
-    def from_summaries(cls, summaries: Mapping[ConditionKey, ConditionSummary]
-                       ) -> "CellResponse":
-        items = sorted(zip(map(_geometry, summaries), map(_mean_mt, summaries.values())),
-                       key=_cell)
-        means = list(map(_response, items))
-        y = np.array(means, dtype=float)
-        y.flags.writeable = False
-        return _frozen(cls, cells=tuple(map(_cell, items)), y=y, tss=total_sum_of_squares(y),
-                       finite=all(map(math.isfinite, means)))
-
-
-def rows_for_model(
-    kind: ModelKind,
-    response: CellResponse,
-    amplitude_mode: AmplitudeMode,
-) -> Design:
-    """One model's design over the response's cells, in their order, with
-    the response's ``y`` and ``tss``. Raises the errors of
-    ``Design.from_rows`` on the cells' rows, and ValueError on a cell
-    geometry the model cannot take."""
-    if not response.finite:  # raises, naming the first bad cell or row
-        return Design.from_rows(
-            _cell_rows(kind, amplitude_mode, response.cells, response.y.tolist()))
-    x, q, r = _cell_design(kind, amplitude_mode, response.cells)
-    return Design(x, response.y, q, r, response.tss)
 
 
 def compare_models(
@@ -223,37 +163,49 @@ def compare_models(
 ) -> ComparisonReport:
     """Fit every model on one group's condition means and grade the deltas.
 
-    The cells are sorted and the response built once, and the four models'
-    designs share it; only the predictors differ. A fit whose sums of
-    squares overflow raises ValueError naming the group, the amplitude mode
-    and the model, the Standard model first.
+    The cells are sorted by (W, D, H) once, cells of one geometry in their
+    given order, and the four models fit the one response of their means;
+    only the designs differ. A non-finite mean is named before any design
+    is built. A fit whose sums of squares overflow, or a nested F test that
+    fails, raises ValueError naming the group and the amplitude mode, and
+    the model, the Standard model first.
     """
     if len(summaries) < _MIN_CELLS:
         raise ValueError(
             f"need at least {_MIN_CELLS} condition cells for a nonzero-df comparison, "
             f"got {len(summaries)}"
         )
-    response = CellResponse.from_summaries(summaries)
+    items = sorted(zip(map(_geometry, summaries), map(_mean_mt, summaries.values())),
+                   key=_cell)
+    cells = tuple(map(_cell, items))
+    y, tss = response(list(map(_response, items)))
     fits: dict[ModelKind, FitResult] = {}
     for kind in MODEL_ORDER:
-        rows = rows_for_model(kind, response, amplitude_mode)
+        design = rows_for_model(kind, cells, amplitude_mode)
         try:
-            fits[kind] = ols_fit(rows)
+            fits[kind] = ols_fit(design, y, tss)
         except OverflowError as exc:
             raise ValueError(f"group {group_label!r} ({amplitude_mode.value}): the "
                              f"{kind.value} fit's {exc}") from None
-    return build_report(group_label, amplitude_mode, fits)
+    try:
+        return build_report(group_label, amplitude_mode, fits)
+    except ValueError as exc:
+        raise ValueError(f"group {group_label!r} ({amplitude_mode.value}): {exc}") from None
 
 
 def build_report(
     group_label: str, amplitude_mode: AmplitudeMode, fits: Mapping[ModelKind, FitResult]
 ) -> ComparisonReport:
     """Everything a report derives from its four fits: the cell count, the
-    deltas, grades and rankings, the equations and the nested F tests."""
+    deltas, grades and rankings, the equations and the nested F tests. A
+    nested F test that fails raises ValueError naming its model."""
     standard = fits[ModelKind.STANDARD]
     nested: dict[ModelKind, tuple[float, float] | None] = {ModelKind.STANDARD: None}
     for kind in (ModelKind.TWO_PART, ModelKind.VERGENCE, ModelKind.PROPOSED):
-        nested[kind] = partial_f(fits[kind], standard)
+        try:
+            nested[kind] = partial_f(fits[kind], standard)
+        except ValueError as exc:
+            raise ValueError(f"the {kind.value} fit's F test against Standard: {exc}") from None
     best_aic = min(f.aic for f in fits.values())
     best_bic = min(f.bic for f in fits.values())
     delta_aic, delta_bic, aic_grades, bic_grades, equations = {}, {}, {}, {}, {}

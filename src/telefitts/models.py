@@ -105,14 +105,6 @@ class TargetGeometry:
             raise ValueError(f"ctd_m must be non-negative, got {self.ctd_m}")
 
 
-@dataclass(frozen=True)
-class PredictorRow:
-    """One regression observation: predictors plus the mean movement time."""
-
-    predictors: tuple[float, ...]
-    response_mt_s: float
-
-
 def id_shannon(amplitude_m: float, width_m: float) -> float:
     """Index of difficulty in bits: log2(A/W + 1)."""
     if not (math.isfinite(width_m) and width_m > 0):

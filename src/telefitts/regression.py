@@ -7,13 +7,14 @@ infinity sentinels instead of meaningless log-ratios.
 
 A report fits many responses on few designs: every group of a study shares
 its (W, D, H) cells, so the four models' design matrices repeat from group
-to group. A fit's input is a :class:`Design`, which holds the matrix, the
-response and the matrix's read-only QR factors. Plain rows are checked and
-factored once per distinct design: later rows with the same design bytes
-reuse the cached factors. The fits stay bit-identical to factoring afresh,
-because the cache holds exactly what ``np.linalg.qr`` returns and the solve
-multiplies by ``q.T`` as a view of it, as an uncached fit does (a contiguous
-copy of ``q.T`` changes the rounding of the product).
+to group. A :class:`Design` is one model's matrix over one set of cells and
+its read-only QR factors, with no response: ``ols_fit`` fits it to the
+response that :func:`response` checks, so one design serves every response
+on its cells (``comparison.rows_for_model`` caches them). The fits stay
+bit-identical to factoring afresh, because a design holds exactly what
+``np.linalg.qr`` returns and the solve multiplies by ``q.T`` as a view of
+it, as an uncached fit does (a contiguous copy of ``q.T`` changes the
+rounding of the product).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PredictorRow, _frozen
+from .models import _frozen
 
 
 class CollinearPredictorsError(ValueError):
@@ -182,31 +183,40 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
     return aic_val, bic_val
 
 
-def _design_matrix(rows: Sequence[PredictorRow]) -> tuple[np.ndarray, np.ndarray]:
-    p = len(rows[0].predictors)
+def _design_matrix(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    p = len(rows[0])
     x = np.ones((len(rows), p + 1))
     try:
-        x[:, 1:] = [r.predictors for r in rows]
-        y = np.array([r.response_mt_s for r in rows], dtype=float)
-        if np.isfinite(x).all() and np.isfinite(y).all():
-            return x, y
+        x[:, 1:] = rows
+        if np.isfinite(x).all():
+            return x
     except ValueError:  # rows of unequal length
         pass
     for i, r in enumerate(rows):  # name the first offending row
-        if len(r.predictors) != p:
-            raise ValueError(f"row {i} has {len(r.predictors)} predictors, expected {p}")
-        for v in (*r.predictors, r.response_mt_s):
-            if not math.isfinite(v):
-                raise ValueError(f"row {i} contains a non-finite value")
+        if len(r) != p:
+            raise ValueError(f"row {i} has {len(r)} predictors, expected {p}")
+        if not all(map(math.isfinite, r)):
+            raise ValueError(f"row {i} contains a non-finite value")
     raise ValueError("the rows do not form a numeric design matrix")
 
 
-def total_sum_of_squares(y: np.ndarray) -> float:
-    """sum((y - mean(y))**2), the mean taken as np.mean takes it; inf or nan,
-    with no numpy warning, when it overflows (``ols_fit`` raises on that)."""
+def response(values: Sequence[float]) -> tuple[np.ndarray, float]:
+    """The read-only response ``y`` of ``values`` and its total sum of
+    squares, sum((y - mean(y))**2) with the mean taken as np.mean takes it:
+    inf or nan, with no numpy warning, when it overflows (``ols_fit`` raises
+    on that). Raises ValueError naming the first value that is not finite."""
+    y = np.array(values, dtype=float)
+    if len(y) == 0:
+        raise ValueError("no observations")
     with np.errstate(all="ignore"):
         ybar = float(y.sum()) / len(y)
-        return float(((y - ybar) ** 2).sum())
+        tss = float(((y - ybar) ** 2).sum())
+    if not math.isfinite(tss):  # a non-finite value makes tss nan
+        bad = np.flatnonzero(~np.isfinite(y))
+        if len(bad):
+            raise ValueError(f"row {bad[0]} contains a non-finite value")
+    y.flags.writeable = False
+    return y, tss
 
 
 def _collinear_columns(x: np.ndarray, r: np.ndarray) -> list[int]:
@@ -237,64 +247,39 @@ def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-class Design(Sequence):
-    """A regression design held column-wise: the design matrix ``x`` (n, p + 1),
-    intercept column first, the response ``y`` (n,) and the QR factors
-    ``q``, ``r`` of ``x``, all read-only, and ``tss``, the
-    :func:`total_sum_of_squares` of ``y``. As a ``Sequence[PredictorRow]``
-    it builds a row only when indexed or iterated.
+class Design:
+    """One model's regression design held column-wise: the design matrix
+    ``x`` (n, p + 1), intercept column first, and its QR factors ``q``,
+    ``r``, all read-only. It holds no response, so one design fits any
+    response of n values.
 
-    :meth:`from_rows` checks plain rows and factors their matrix;
-    ``comparison.rows_for_model`` builds a design from cached ``(x, q, r)``
-    and a response shared by the four models of a group, which is why the
-    constructor trusts its factors and ``tss`` and takes every array
-    read-only as given.
+    It is built from predictor rows, one sequence of p predictors per
+    observation. Raises ValueError on no rows, on the first row of the wrong
+    length or with a non-finite value, and on fewer than p + 2 rows, and
+    CollinearPredictorsError on a rank-deficient matrix.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, q: np.ndarray, r: np.ndarray,
-                 tss: float):
-        self.x, self.y, self.q, self.r, self.tss = x, y, q, r, tss
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[PredictorRow]) -> "Design":
-        """The checked, factored design of plain rows; a design is returned
-        as is. Raises ValueError on no rows, on the first row of the wrong
-        length or with a non-finite value, and on fewer than p + 2 rows, and
-        CollinearPredictorsError on a rank-deficient matrix."""
-        if type(rows) is cls or isinstance(rows, Design):
-            return rows
-        if not rows:
+    def __init__(self, rows: Sequence[Sequence[float]]):
+        if len(rows) == 0:
             raise ValueError("no observations")
-        x, y = _design_matrix(rows)
+        x = _design_matrix(rows)
         n, cols = x.shape
         if n < cols + 1:
             raise ValueError(f"need at least p + 2 = {cols + 1} observations, got {n}")
-        x.flags.writeable = y.flags.writeable = False
-        return cls(x, y, *_factor(x), total_sum_of_squares(y))
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        return PredictorRow(tuple(self.x[i, 1:].tolist()), float(self.y[i]))
-
-    def __repr__(self) -> str:
-        return f"Design({len(self)} rows, {self.x.shape[1] - 1} predictors)"
+        x.flags.writeable = False
+        self.x = x
+        self.q, self.r = _factor(x)
 
 
-def ols_fit(rows: Sequence[PredictorRow]) -> FitResult:
-    """Least-squares fit with intercept and the full diagnostic set, of plain
-    rows or of a :class:`Design` (see :meth:`Design.from_rows` for the
-    errors of the rows).
+def ols_fit(design: Design, y: np.ndarray, tss: float) -> FitResult:
+    """Least-squares fit with intercept and the full diagnostic set of the
+    response ``y``, with total sum of squares ``tss``, as :func:`response`
+    returns them, on ``design``.
 
     Raises OverflowError, and emits no numpy warning, when the residual or
     total sum of squares overflows (a response near the float limit).
     """
-    design = Design.from_rows(rows)
-    x, y, q, r, tss = design.x, design.y, design.q, design.r, design.tss
+    x, q, r = design.x, design.q, design.r
     n, cols = x.shape
     p = cols - 1
     with np.errstate(all="ignore"):  # a response near the float limit: raised below

@@ -22,6 +22,8 @@ be required to match them bit for bit: ``uncached_cell_fit`` repeats
 on every call, and ``f_tail_by_loop_fraction`` sums the continued fraction
 of the F tail in its plain loop form, two steps per term taken in a loop
 over their coefficients, with every log-gamma term computed afresh.
+``fit_rows`` is no oracle: it is the tests' one way to fit plain rows with
+the package's own ``Design``, ``response`` and ``ols_fit``.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from scipy.integrate import quad
 from scipy.special import betainc, betaincc
 
 from telefitts.models import (
-    PredictorRow,
     amplitude_from_grid,
     geometry_for_condition,
     left_sum,
     predict_mt,
     predictors_for,
 )
-from telefitts.regression import fit_result
+from telefitts.regression import Design, fit_result, ols_fit, response
 from telefitts.sim import (
     ConfigError,
     HandSample,
@@ -86,27 +87,35 @@ def pinv_ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, float(resid @ resid)
 
 
+def fit_rows(predictors, responses):
+    """``ols_fit`` of plain rows: the design of the predictor rows fitted to
+    the response values, the design's errors raised first."""
+    design = Design(predictors)
+    return ols_fit(design, *response(responses))
+
+
 def uncached_cell_rows(kind, summaries, amplitude_mode):
-    """The rows of ``rows_for_model(kind, CellResponse.from_summaries(summaries),
-    amplitude_mode)`` as a list, each cell's geometry and predictors computed
-    afresh."""
-    rows = []
+    """The predictor rows and responses that ``compare_models`` fits for one
+    model, as lists in (W, D, H) order, each cell's geometry and predictors
+    computed afresh."""
+    predictors, responses = [], []
     for key in sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m)):
         g = geometry_for_condition(key.width_m, key.distance_m, key.height_m, amplitude_mode)
-        rows.append(PredictorRow(predictors_for(kind, g), summaries[key].mean_mt_s))
-    return rows
+        predictors.append(predictors_for(kind, g))
+        responses.append(summaries[key].mean_mt_s)
+    return predictors, responses
 
 
 def uncached_cell_fit(kind, summaries, amplitude_mode):
     """``ols_fit`` of the same rows written as loops, computing every cell's
     geometry and predictors, the design's QR and the total sum of squares
     afresh."""
-    rows = uncached_cell_rows(kind, summaries, amplitude_mode)
-    x = np.empty((len(rows), len(rows[0].predictors) + 1))
+    predictors, responses = uncached_cell_rows(kind, summaries, amplitude_mode)
+    x = np.empty((len(predictors), len(predictors[0]) + 1))
     x[:, 0] = 1.0
-    for i, r in enumerate(rows):
-        x[i, 1:] = r.predictors
-    y = np.array([r.response_mt_s for r in rows])
+    for i, row in enumerate(predictors):
+        x[i, 1:] = row
+    y = np.array(responses)
     q, r = np.linalg.qr(x)
     coef = np.linalg.solve(r, q.T @ y)
     resid = y - x @ coef

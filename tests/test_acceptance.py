@@ -23,12 +23,11 @@ from telefitts.trials import (
 from telefitts.models import (
     AmplitudeMode,
     ModelKind,
-    PredictorRow,
     geometry_for_condition,
     predict_mt,
     predictors_for,
 )
-from telefitts.regression import adj_r2, f_tail_probability, information_criteria, ols_fit
+from telefitts.regression import adj_r2, f_tail_probability, information_criteria
 from telefitts.comparison import (
     AicEvidence,
     BicEvidence,
@@ -62,7 +61,7 @@ from telefitts.sim import (
     spike_compensate,
 )
 
-from oracles import f_tail_by_quadrature, pinv_ols, rk4_landing_batch
+from oracles import f_tail_by_quadrature, fit_rows, pinv_ols, rk4_landing_batch
 
 
 @contextmanager
@@ -93,34 +92,20 @@ def test_criterion_1_coefficient_recovery():
     with criterion(1, "noiseless coefficient recovery for both reference fits"):
         start = time.perf_counter()
         for mode in (AmplitudeMode.EUCLIDEAN, AmplitudeMode.DEPTH_ONLY):
-            rows = [
-                PredictorRow(
-                    predictors_for(ModelKind.STANDARD, geometry_for_condition(w, d, h, mode)),
-                    predict_mt(
-                        ModelKind.STANDARD,
-                        REFERENCE_STANDARD_ALL.coefficients,
-                        geometry_for_condition(w, d, h, mode),
-                    ),
-                )
-                for w, d, h in GRID
-            ]
-            fit = ols_fit(rows)
+            geometries = [geometry_for_condition(w, d, h, mode) for w, d, h in GRID]
+            fit = fit_rows(
+                [predictors_for(ModelKind.STANDARD, g) for g in geometries],
+                [predict_mt(ModelKind.STANDARD, REFERENCE_STANDARD_ALL.coefficients, g) for g in geometries],
+            )
             assert abs(fit.coefficients[0] - (-0.41)) <= 1e-9
             assert abs(fit.coefficients[1] - 0.83) <= 1e-9
             assert fit.r2 == 1.0
 
-            rows = [
-                PredictorRow(
-                    predictors_for(ModelKind.PROPOSED, geometry_for_condition(w, d, h, mode)),
-                    predict_mt(
-                        ModelKind.PROPOSED,
-                        REFERENCE_PROPOSED_ALL.coefficients,
-                        geometry_for_condition(w, d, h, mode),
-                    ),
-                )
-                for w, d, h in GRID
-            ]
-            fit = ols_fit(rows)
+            geometries = [geometry_for_condition(w, d, h, mode) for w, d, h in GRID]
+            fit = fit_rows(
+                [predictors_for(ModelKind.PROPOSED, g) for g in geometries],
+                [predict_mt(ModelKind.PROPOSED, REFERENCE_PROPOSED_ALL.coefficients, g) for g in geometries],
+            )
             assert abs(fit.coefficients[0] - (-2.46)) <= 1e-9
             assert abs(fit.coefficients[1] - 1.21) <= 1e-9
             assert abs(fit.coefficients[2] - 3.00) <= 1e-9
@@ -201,15 +186,13 @@ def test_criterion_4_ols_oracle_equivalence():
                 continue
             x = np.column_stack([np.ones(n), rng.normal(0.0, 1.0, (n, p))])
             y = rng.normal(0.0, 1.0, n)
-            rows = [PredictorRow(tuple(x[i, 1:]), float(y[i])) for i in range(n)]
-            fit = ols_fit(rows)
+            fit = fit_rows(x[:, 1:].tolist(), y.tolist())
             coef, _rss = pinv_ols(x, y)
             denom = np.maximum(np.abs(coef), 1.0)
             assert np.all(np.abs(np.asarray(fit.coefficients) - coef) / denom <= 1e-9)
 
             if p >= 2:
-                reduced = ols_fit([PredictorRow(r.predictors[:-1], r.response_mt_s)
-                                   for r in rows])
+                reduced = fit_rows(x[:, 1:-1].tolist(), y.tolist())
                 assert fit.rss <= reduced.rss + 1e-12
             checked += 1
         assert time.perf_counter() - start < 10.0

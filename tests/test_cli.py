@@ -289,6 +289,22 @@ class TestInputBoundary:
             assert (f"error: group '{group}' (euclidean): the Standard fit's residual sum "
                     f"of squares overflows to inf" in self._one_line_error(capsys))
 
+    def test_failed_nesting_check_exits_2_naming_the_group_and_model(self, tmp_path, capsys):
+        """A common offset near 1e20 s leaves the fits' rss as rounding noise,
+        so a two-predictor fit's rss can exceed the Standard fit's."""
+        cfg = tmp_path / "offset.yaml"
+        cfg.write_text("preset: realistic\nseed: 3\nparticipants: 1\n"
+                       "technique_offsets_s: {RPRG: 1.0e20}\n")
+        log = str(tmp_path / "l.csv")
+        assert main(["simulate", "--input", str(cfg), "--output", log]) == 0
+        capsys.readouterr()
+        for command, group, model in (("compare", "RPRG", "Vergence"),
+                                      ("fit", "All", "TwoPart")):
+            assert main([command, "--input", log]) == 2
+            assert self._one_line_error(capsys) == (
+                f"error: group '{group}' (euclidean): the {model} fit's F test against "
+                f"Standard: models are not nested: full rss exceeds reduced rss\n")
+
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "deep.yaml"
         cfg.write_text("seed: 3\nparticipants: " + "[" * 5000 + "]" * 5000 + "\n")

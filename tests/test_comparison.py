@@ -30,7 +30,6 @@ from telefitts.comparison import (
     TABLE_GROUPS,
     AicEvidence,
     BicEvidence,
-    CellResponse,
     Criterion,
     compare_models,
     grade_delta,
@@ -41,11 +40,16 @@ from telefitts.comparison import (
     table1_cells,
 )
 
-from oracles import uncached_cell_fit, uncached_cell_rows
+from oracles import fit_rows, uncached_cell_fit, uncached_cell_rows
 
 GRID = [
     (w, d, h) for w in (0.2, 1.35) for d in (3.0, 9.0) for h in (0.0, 3.0)
 ]
+
+
+def sorted_cells(summaries):
+    """The (W, D, H) cells of ``summaries`` in the order compare_models fits them."""
+    return tuple(sorted((k.width_m, k.distance_m, k.height_m) for k in summaries))
 
 
 def summaries_from_model(kind: ModelKind, coefficients, mode=AmplitudeMode.EUCLIDEAN,
@@ -189,7 +193,8 @@ class TestCompareModels:
     def test_sum_of_squares_overflow_names_the_group_and_the_standard_fit(self, slope,
                                                                             which):
         summaries = summaries_from_model(ModelKind.STANDARD, (0.3, slope))
-        assert CellResponse.from_summaries(summaries).tss == math.inf  # in every model
+        means = [s.mean_mt_s for s in summaries.values()]
+        assert regression.response(means)[1] == math.inf  # in every model
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             with pytest.raises(ValueError) as excinfo:
@@ -265,7 +270,7 @@ class TestRepeatedDesigns:
 
     @staticmethod
     def _clear_caches():
-        comparison._cell_design.cache_clear()
+        comparison.rows_for_model.cache_clear()
 
     def test_suite_fits_equal_uncached_fits_bit_for_bit(self):
         from telefitts.sim import generate_study, realistic_preset
@@ -289,25 +294,33 @@ class TestRepeatedDesigns:
         summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="height_m must be non-negative"):
-                comparison.rows_for_model(ModelKind.STANDARD,
-                                          CellResponse.from_summaries(summaries),
+                comparison.rows_for_model(ModelKind.STANDARD, sorted_cells(summaries),
                                           AmplitudeMode.EUCLIDEAN)
+
+    def test_a_non_finite_mean_is_named_before_a_bad_geometry(self):
+        summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
+        key = ConditionKey(None, None, 0.2, 3.0, -1.0)  # sorts first: row 0
+        summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
+        last = max(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m))
+        summaries[last] = ConditionSummary(last, 10, math.nan, 0.1, 0.05, 0.01, 0.0)
+        with pytest.raises(ValueError, match="^row 8 contains a non-finite value$"):
+            compare_models(summaries)
 
     def test_one_predictor_and_one_fit_call_per_model(self, monkeypatch):
         """perfbench's per-layer spans wrap these module attributes. The
-        cells are sorted once per comparison, and the four designs share
-        one response."""
+        cells are sorted once per comparison, and the four fits share one
+        response."""
+        self._clear_caches()
         calls = {"rows_for_model": 0, "ols_fit": 0, "sorted": 0}
-        designs = []
+        responses = []
         for name in ("rows_for_model", "ols_fit"):
             original = getattr(comparison, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
-                result = _original(*args)
-                if _name == "rows_for_model":
-                    designs.append(result)
-                return result
+                if _name == "ols_fit":
+                    responses.append(args[1])
+                return _original(*args)
 
             monkeypatch.setattr(comparison, name, counted)
 
@@ -317,29 +330,45 @@ class TestRepeatedDesigns:
 
         monkeypatch.setattr(comparison, "sorted", counted_sorted, raising=False)
         summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
-        self._clear_caches()
         for cache in ("cold", "warm"):
             calls.update(rows_for_model=0, ols_fit=0, sorted=0)
-            designs.clear()
+            responses.clear()
             compare_models(summaries)
             assert calls == {"rows_for_model": 4, "ols_fit": 4, "sorted": 1}, cache
-            assert len({id(d.y) for d in designs}) == 1, cache
+            assert len({id(y) for y in responses}) == 1, cache
+
+    def test_groups_that_share_their_cells_fit_through_one_design(self, monkeypatch):
+        from telefitts.sim import generate_study, realistic_preset
+
+        cells = table1_cells(generate_study(realistic_preset(2, 1)))
+        assert sorted_cells(cells["RPRG"]) == sorted_cells(cells["All Sit"])
+        original = comparison.rows_for_model
+        designs = {}
+
+        def recorded(kind, *args):
+            designs.setdefault(kind, []).append(original(kind, *args))
+            return designs[kind][-1]
+
+        self._clear_caches()
+        monkeypatch.setattr(comparison, "rows_for_model", recorded)
+        for label in ("RPRG", "All Sit"):
+            compare_models(cells[label], AmplitudeMode.EUCLIDEAN, label)
+        for kind in ModelKind:
+            first, second = designs[kind]
+            assert first is second, kind
 
 
 class TestCellDesign:
-    """rows_for_model returns a read-only Design view on cached (x, q, r)."""
+    """rows_for_model returns a cached, read-only Design."""
 
     MODES = tuple(AmplitudeMode)
 
     def test_design_is_read_only(self):
-        response = CellResponse.from_summaries(
-            summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)))
-        design = comparison.rows_for_model(ModelKind.PROPOSED, response, AmplitudeMode.EUCLIDEAN)
-        for array in (design.x, design.y, design.q, design.r):
+        cells = sorted_cells(summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)))
+        design = comparison.rows_for_model(ModelKind.PROPOSED, cells, AmplitudeMode.EUCLIDEAN)
+        for array in (design.x, design.q, design.r):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        with pytest.raises(TypeError):
-            design[0] = design[1]
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("mode", MODES)
@@ -347,12 +376,11 @@ class TestCellDesign:
         summaries = summaries_from_model(ModelKind.PROPOSED, (0.5, 0.8, 0.3), mode,
                                          bump=[0.01 * (-1) ** i for i in range(8)])
         summaries = dict(reversed(summaries.items()))  # rows come in (W, D, H) order
-        design = comparison.rows_for_model(kind, CellResponse.from_summaries(summaries), mode)
-        rows = uncached_cell_rows(kind, summaries, mode)
-        assert list(design) == rows and len(design) == 8
-        assert design[-1] == rows[-1] and design[2:5] == rows[2:5]
-        assert regression.Design.from_rows(design) is design
-        assert repr(ols_fit(design)) == repr(ols_fit(list(design))) == repr(ols_fit(rows))
+        design = comparison.rows_for_model(kind, sorted_cells(summaries), mode)
+        predictors, means = uncached_cell_rows(kind, summaries, mode)
+        assert design.x[:, 1:].tolist() == [list(row) for row in predictors]
+        fit = ols_fit(design, *regression.response(means))
+        assert repr(fit) == repr(fit_rows(predictors, means))
 
     def test_participant_sized_fits_equal_uncached_fits_bit_for_bit(self):
         """One participant's 400 rows, as a list: every group, aggregation
@@ -374,11 +402,11 @@ class TestCellDesign:
 
     def test_second_comparison_hits_the_design_cache(self):
         summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
-        comparison._cell_design.cache_clear()
+        comparison.rows_for_model.cache_clear()
         compare_models(summaries)
-        cold = comparison._cell_design.cache_info()
+        cold = comparison.rows_for_model.cache_info()
         compare_models(summaries)
-        warm = comparison._cell_design.cache_info()
+        warm = comparison.rows_for_model.cache_info()
         assert (cold.hits, cold.misses, cold.currsize) == (0, 4, 4)
         assert (warm.hits, warm.misses, warm.currsize) == (4, 4, 4)
 
@@ -397,14 +425,14 @@ class TestCellDesign:
         else:
             key = ConditionKey(None, None, *bad["cell"])
             summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
-        comparison._cell_design.cache_clear()
+        comparison.rows_for_model.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
                 compare_models(summaries)
-        assert comparison._cell_design.cache_info().currsize == 0
+        assert comparison.rows_for_model.cache_info().currsize == 0
 
     def test_collinear_or_short_design_raises_on_every_call(self):
-        comparison._cell_design.cache_clear()
+        comparison.rows_for_model.cache_clear()
         # five techniques at one (W, D, H): every predictor is constant
         cells = {}
         for technique, mt in zip(Technique, (1.0, 0.6, 1.1, 0.5, 0.9)):
@@ -416,10 +444,9 @@ class TestCellDesign:
         three = dict(list(summaries_from_model(ModelKind.STANDARD, (0.3, 0.2)).items())[:3])
         for _ in range(2):
             with pytest.raises(ValueError, match="need at least p \\+ 2 = 4 observations, got 3"):
-                ols_fit(comparison.rows_for_model(ModelKind.TWO_PART,
-                                                  CellResponse.from_summaries(three),
-                                                  AmplitudeMode.EUCLIDEAN))
-        assert comparison._cell_design.cache_info().currsize == 0  # nothing was cached
+                comparison.rows_for_model(ModelKind.TWO_PART, sorted_cells(three),
+                                          AmplitudeMode.EUCLIDEAN)
+        assert comparison.rows_for_model.cache_info().currsize == 0  # nothing was cached
 
 
 class TestRendering:

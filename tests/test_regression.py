@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telefitts import regression
-from telefitts.models import PredictorRow
 from telefitts.regression import (
     CollinearPredictorsError,
     adj_r2,
@@ -24,63 +23,74 @@ from oracles import (
     f_tail_by_loop_fraction,
     f_tail_by_mpmath,
     f_tail_by_quadrature,
+    fit_rows,
     grid_search_ols,
     pinv_ols,
 )
 
 
-def rows_from_xy(xs, ys):
-    return [PredictorRow((float(x),), float(y)) for x, y in zip(xs, ys)]
+def fit_xy(xs, ys):
+    return fit_rows([(float(x),) for x in xs], [float(y) for y in ys])
 
 
 class TestOlsFit:
     def test_exact_line(self):
-        fit = ols_fit(rows_from_xy([1, 2, 3], [2, 4, 6]))
+        fit = fit_xy([1, 2, 3], [2, 4, 6])
         assert fit.coefficients == pytest.approx((0.0, 2.0), abs=1e-12)
         assert fit.r2 == 1.0
         assert fit.rss == pytest.approx(0.0, abs=1e-24)
 
     def test_hand_worked_simple_regression(self):
-        fit = ols_fit(rows_from_xy([0, 1, 2, 3], [1, 2, 2, 4]))
+        fit = fit_xy([0, 1, 2, 3], [1, 2, 2, 4])
         assert fit.coefficients == pytest.approx((0.9, 0.9), rel=1e-12)
         assert fit.rss == pytest.approx(0.70, rel=1e-12)
         assert fit.r2 == pytest.approx(0.8526315789473684, rel=1e-12)
 
     def test_duplicate_predictor_column(self):
-        rows = [PredictorRow((x, x), y) for x, y in [(1, 2), (2, 3), (3, 5), (4, 6)]]
+        rows = [(x, x) for x in (1, 2, 3, 4)]
         for _ in range(2):
             with pytest.raises(CollinearPredictorsError, match="collinear predictors"):
-                ols_fit(rows)
+                fit_rows(rows, [2, 3, 5, 6])
 
     def test_design_columns_and_factors_are_read_only(self):
-        rows = rows_from_xy([0.1, 0.9, 2.2, 3.1, 4.7], [1.0, 1.9, 3.2, 3.9, 5.6])
-        design = regression.Design.from_rows(rows)
-        for array in (design.x, design.y, design.q, design.r):
+        design = regression.Design([(x,) for x in (0.1, 0.9, 2.2, 3.1, 4.7)])
+        y, _ = regression.response([1.0, 1.9, 3.2, 3.9, 5.6])
+        for array in (design.x, design.q, design.r, y):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        assert repr(ols_fit(design)) == repr(ols_fit(rows))
 
-    def test_design_carries_the_total_sum_of_squares_of_its_response(self):
+    def test_response_total_sum_of_squares_takes_the_mean_as_numpy_does(self):
         ys = [1.0, 1.9, 3.2, 3.9, 5.6]
-        design = regression.Design.from_rows(rows_from_xy([0.1, 0.9, 2.2, 3.1, 4.7], ys))
-        y = np.array(ys)
-        assert design.tss == regression.total_sum_of_squares(y) == float(
-            np.sum((y - np.mean(y)) ** 2))
+        y, tss = regression.response(ys)
+        assert y.tolist() == ys
+        assert tss == float(np.sum((y - np.mean(y)) ** 2))
+
+    def test_one_design_fits_many_responses(self):
+        xs = [0.1, 0.9, 2.2, 3.1, 4.7]
+        design = regression.Design([(x,) for x in xs])
+        for ys in ([1.0, 1.9, 3.2, 3.9, 5.6], [0.3, 0.1, 0.7, 0.1, 0.3]):
+            got = ols_fit(design, *regression.response(ys))
+            assert repr(got) == repr(fit_xy(xs, ys))
 
     @pytest.mark.parametrize("rows, message", [
-        ([PredictorRow((1.0,), 1.0), PredictorRow((1.0, 2.0), 2.0),
-          PredictorRow((math.nan,), 3.0)], "row 1 has 2 predictors, expected 1"),
-        ([PredictorRow((1.0,), 1.0), PredictorRow((2.0,), math.inf),
-          PredictorRow((3.0, 4.0), 3.0)], "row 1 contains a non-finite value"),
-    ], ids=["length-first", "non-finite-first"])
+        ([(1.0,), (1.0, 2.0), (math.nan,)], "row 1 has 2 predictors, expected 1"),
+        ([(1.0,), (math.inf,), (3.0, 4.0)], "row 1 contains a non-finite value"),
+    ], ids=["length-first", "non-finite-predictor-first"])
     def test_names_the_first_bad_row(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            ols_fit(rows)
+            regression.Design(rows)
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, math.inf, math.nan], "row 1 contains a non-finite value"),
+        ([], "no observations"),
+    ], ids=["non-finite-response-first", "empty"])
+    def test_response_names_the_first_non_finite_value(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            regression.response(values)
 
     def test_constant_predictor_collides_with_intercept(self):
-        rows = [PredictorRow((1.0,), y) for y in [1.0, 2.0, 3.0]]
         with pytest.raises(CollinearPredictorsError):
-            ols_fit(rows)
+            fit_rows([(1.0,)] * 3, [1.0, 2.0, 3.0])
 
     def test_collinear_columns_match_matrix_rank(self):
         # Designs of 4-11 rows whose slope columns are drawn at scales from
@@ -102,29 +112,28 @@ class TestOlsFit:
                     x[:, j] = scale
                 else:
                     x[:, j] = x[:, :j] @ rng.normal(0.0, scale, j)
-            rows = [PredictorRow(tuple(r[1:]), float(y))
-                    for r, y in zip(x, rng.normal(size=len(x)))]
+            rows, ys = x[:, 1:].tolist(), rng.normal(size=len(x)).tolist()
             expected = collinear_columns_by_rank(x)
             if expected:
                 flagged += 1
                 with pytest.raises(CollinearPredictorsError) as err:
-                    ols_fit(rows)
+                    fit_rows(rows, ys)
                 assert err.value.columns == tuple(expected)
             else:
-                ols_fit(rows)
+                fit_rows(rows, ys)
         assert 600 < flagged < 2400  # both outcomes are well represented
 
     def test_response_symmetric_about_the_predictor_mean(self):
         # the slope is zero, and rounding leaves rss just above tss
-        fit = ols_fit(rows_from_xy([1, 2, 3, 4, 5], [0.3, 0.1, 0.7, 0.1, 0.3]))
+        fit = fit_xy([1, 2, 3, 4, 5], [0.3, 0.1, 0.7, 0.1, 0.3])
         assert (fit.r2, fit.f_stat, fit.p_value) == (0.0, 0.0, 1.0)
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="observations"):
-            ols_fit(rows_from_xy([1, 2], [1, 2]))
+            fit_xy([1, 2], [1, 2])
 
     def test_constant_response_is_saturated(self):
-        fit = ols_fit(rows_from_xy([1, 2, 3, 4], [5, 5, 5, 5]))
+        fit = fit_xy([1, 2, 3, 4], [5, 5, 5, 5])
         assert fit.r2 == 1.0
         assert fit.aic == -math.inf
         assert fit.f_stat == math.inf
@@ -136,14 +145,13 @@ class TestOlsFit:
         ([1, 2, 3, 4, 5], [0.3, 0.1, 0.7, 0.1, 0.3]),  # rss a rounding error above tss
     ])
     def test_five_values_rebuild_the_fit(self, xs, ys):
-        fit = ols_fit(rows_from_xy(xs, ys))
+        fit = fit_xy(xs, ys)
         assert fit_result(fit.coefficients, fit.rss, fit.r2, fit.n, fit.p) == fit
 
     def test_deterministic_repeat(self):
-        rows = rows_from_xy([0.1, 0.9, 2.2, 3.1, 4.7], [1.0, 1.9, 3.2, 3.9, 5.6])
-        a = ols_fit(rows)
-        b = ols_fit(rows)
-        assert a == b
+        design = regression.Design([(x,) for x in (0.1, 0.9, 2.2, 3.1, 4.7)])
+        y, tss = regression.response([1.0, 1.9, 3.2, 3.9, 5.6])
+        assert ols_fit(design, y, tss) == ols_fit(design, y, tss)
 
     def test_matches_pinv_oracle_on_random_instances(self):
         rng = np.random.default_rng(20240811)
@@ -154,8 +162,7 @@ class TestOlsFit:
                 continue
             x = np.column_stack([np.ones(n), rng.normal(0, 1, (n, p))])
             y = rng.normal(0, 1, n)
-            rows = [PredictorRow(tuple(x[i, 1:]), float(y[i])) for i in range(n)]
-            fit = ols_fit(rows)
+            fit = fit_rows(x[:, 1:].tolist(), y.tolist())
             coef, rss = pinv_ols(x, y)
             scale = max(1.0, float(np.max(np.abs(coef))))
             assert np.allclose(fit.coefficients, coef, rtol=1e-9, atol=1e-9 * scale)
@@ -167,8 +174,7 @@ class TestOlsFit:
             n = 8
             x = np.column_stack([np.ones(n), rng.normal(0, 1, n)])
             y = x @ np.array([1.0, 2.0]) + rng.normal(0, 0.3, n)
-            rows = [PredictorRow((float(x[i, 1]),), float(y[i])) for i in range(n)]
-            fit = ols_fit(rows)
+            fit = fit_rows(x[:, 1:].tolist(), y.tolist())
             grid_step = 0.02
             best = grid_search_ols(x, y, np.asarray(fit.coefficients), 0.5, 51)
             assert np.all(np.abs(best - np.asarray(fit.coefficients)) <= grid_step / 2 + 1e-12)
@@ -180,10 +186,8 @@ class TestOlsFit:
             x1 = rng.normal(0, 1, n)
             x2 = rng.normal(0, 1, n)
             y = rng.normal(0, 1, n)
-            reduced = ols_fit([PredictorRow((float(a),), float(b)) for a, b in zip(x1, y)])
-            full = ols_fit(
-                [PredictorRow((float(a), float(c)), float(b)) for a, c, b in zip(x1, x2, y)]
-            )
+            reduced = fit_rows([(float(a),) for a in x1], y.tolist())
+            full = fit_rows([(float(a), float(c)) for a, c in zip(x1, x2)], y.tolist())
             assert full.rss <= reduced.rss + 1e-12
 
 
