@@ -455,13 +455,18 @@ def _sd_of_sums(n: int, s1: int, s2: int, exp: int) -> float:
 
 def sample_sd(values: Sequence[float]) -> float:
     """Sample standard deviation (n - 1 denominator), equal bit for bit to
-    ``statistics.stdev`` on finite floats; nan if a value is not finite."""
+    ``statistics.stdev`` on finite floats; nan if a value is not finite.
+
+    Values that are all one value (-0.0 and 0.0 alike) have SD 0.0, as
+    stdev gives, and take no integer sums."""
     if len(values) < 2:
         raise ValueError(f"sample SD needs >= 2 values, got {len(values)}")
     try:
         ratios = [float(x).as_integer_ratio() for x in values]
     except (OverflowError, ValueError):
         return math.nan
+    if ratios.count(ratios[0]) == len(ratios):
+        return 0.0
     den = max(d for _, d in ratios)  # every denominator is a power of two
     cell = [m * (den // d) for m, d in ratios]
     return _sd_of_sums(len(cell), sum(cell), sum(map(operator.mul, cell, cell)),
@@ -486,7 +491,21 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray,
     overflow fsum's partial sums, which stay below three times the sum of the
     magnitudes: that sum is below 2**(top + n.bit_length()) for values below
     2**top.
+
+    A column in which every cell holds one finite value x (-0.0 and 0.0
+    alike; a singleton counts) takes no integer sums: each SD is 0.0, and
+    each mean is n * x rounded once, which is the exact sum rounded once,
+    over n, plus 0.0 so that a zero sum gives 0.0 as above. The mean is None
+    where the bound above leaves it to fsum, which covers every cell whose
+    n * x overflows. Both are ``fmean``'s and ``stdev``'s results bit for
+    bit. A column with a cell of two values, or of a value that is not
+    finite, takes the sums.
     """
+    firsts = values[starts]
+    if np.isfinite(firsts).all() and np.array_equal(values, np.repeat(firsts, counts)):
+        means = [n * x / n + 0.0 if math.frexp(x)[1] + n.bit_length() <= _SAFE_SUM_EXP else None
+                 for n, x in zip(counts.tolist(), firsts.tolist())]
+        return [0.0] * len(means), means
     finite = np.isfinite(values)
     mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
     top = np.maximum.reduceat(exponent, starts).tolist()

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telefitts.trials import (
@@ -52,6 +52,10 @@ PRESETS = {
         SIMULABLE_PROPOSED_ALL, participants=3, seed=13,
         mt_noise_sd_s=0.05, endpoint_sd_fraction_of_width=0.2,
     ),
+    # a varying movement-time column beside an all-zero endpoint column
+    "proposed-mt-noise": model_exact_preset(
+        SIMULABLE_PROPOSED_ALL, participants=3, seed=14, mt_noise_sd_s=0.05,
+    ),
 }
 
 
@@ -63,6 +67,10 @@ SD_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
                      math.nan, math.inf, -math.inf]),
 )
+
+#: Cells of one value repeated, which the SDs take without integer sums
+#: where every cell of the column is one finite value.
+ONE_VALUE_CELLS = st.builds(lambda v, n: [v] * n, SD_VALUES, st.integers(1, 12))
 
 
 def assert_same_dict(got, expected):
@@ -193,7 +201,7 @@ class TestParityWithReference:
     @pytest.mark.parametrize("mode", list(AmplitudeMode))
     def test_throughput_on_presets(self, preset, mode):
         table = generate_study(PRESETS[preset])
-        if preset == "standard-exact":  # no endpoint spread anywhere
+        if PRESETS[preset].endpoint_sd_fraction_of_width == 0:  # no endpoint spread anywhere
             with pytest.raises(ValueError, match="zero endpoint spread"):
                 throughput_by_group(table, mode)
             with pytest.raises(ValueError):
@@ -292,6 +300,14 @@ class TestExactMeans:
         ([-0.0, -0.0, -0.0], None),
         ([5e-324, 5e-324, -2.5e-323], None),
         ([2.0 ** 1000, 1.0, 2.0 ** -1074, -(2.0 ** 1000)], None),
+        # cells of one value
+        ([1e308, 1e308], "overflows when summed"),
+        ([8.9e307] * 2, None),
+        ([-1.7e308] * 2, "overflows when summed"),
+        ([5e-324] * 3, None),
+        ([-0.0, 0.0], None),
+        ([math.inf] * 2, None),
+        ([math.nan] * 2, None),
     ])
     def test_edge_cells(self, values, error):
         trial = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
@@ -302,6 +318,23 @@ class TestExactMeans:
             if error:
                 with pytest.raises(ValueError, match=error):
                     group_by_condition(trials)
+
+    def test_one_value_columns_take_no_integer_sums(self, monkeypatch):
+        """A model-exact Standard study holds one value per cell in both
+        columns, and its collapsed cell means agree across the factors
+        dropped: its group-by and both collapses take no integer sums. A
+        realistic study's varying columns still take them."""
+        def unreachable(*args):
+            raise AssertionError("integer sums taken")
+
+        monkeypatch.setattr(trials_module, "_limb_sums", unreachable)
+        monkeypatch.setattr(trials_module, "_sd_of_sums", unreachable)
+        table = generate_study(PRESETS["standard-exact"])
+        for pooled in (False, True):
+            table1_cells(table, pooled)
+        assert_same_dict(group_by_condition(table), group_by_condition_reference(list(table)))
+        with pytest.raises(AssertionError, match="integer sums taken"):
+            group_by_condition(generate_study(PRESETS["realistic"]))
 
     @pytest.mark.parametrize("levels, dtype", [
         ((5, 5, 1), np.uint8),     # 250 codes
@@ -413,9 +446,13 @@ class TestSampleSd:
         [1.0 + 2.0 ** -52, 1.0, 1.0 - 2.0 ** -53],
         [1e154, -1e154, 3e153],
         [0.0, -0.0, 7.0],
+        [-0.0, -0.0],
+        [5e-324] * 4,
+        [1e308] * 3,
+        [7, 7],
     ])
     def test_adversarial_inputs(self, values):
-        assert sample_sd(values) == statistics.stdev(values)
+        assert sample_sd(values).hex() == statistics.stdev(values).hex()
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150,
                               max_value=1e150), min_size=2, max_size=30))
@@ -442,7 +479,12 @@ class TestSampleSd:
         assert got == expected
         assert means == [statistics.fmean(c.tolist()) for c in cells]
 
-    @given(st.lists(st.lists(SD_VALUES, min_size=1, max_size=12), min_size=1, max_size=8))
+    @given(st.one_of(
+        st.lists(st.one_of(st.lists(SD_VALUES, min_size=1, max_size=12), ONE_VALUE_CELLS),
+                 min_size=1, max_size=8),
+        st.lists(ONE_VALUE_CELLS, min_size=1, max_size=8),
+    ))
+    @example([[0.1] * 3, [-0.0, 0.0], [5e-324], [-2.5e-320] * 5, [1e6] * 12])
     @settings(max_examples=200)
     def test_cell_sds_exact(self, cells):
         counts = np.array([len(c) for c in cells])
@@ -451,7 +493,7 @@ class TestSampleSd:
         expected = [0.0 if len(c) < 2 else sample_sd(c) for c in cells]
         for cell, sd in zip(cells, expected):
             if len(cell) >= 2 and all(map(math.isfinite, cell)):
-                assert sd == statistics.stdev(cell)
+                assert sd.hex() == statistics.stdev(cell).hex()
         got, means = trials_module._cell_sds(values, starts, counts)
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
         for cell, mean in zip(cells, means):
@@ -477,6 +519,8 @@ class TestSampleSd:
     def test_non_finite_gives_nan(self):
         assert math.isnan(sample_sd([1.0, math.inf]))
         assert math.isnan(sample_sd([math.nan, 1.0, 2.0]))
+        assert math.isnan(sample_sd([math.inf, math.inf]))
+        assert math.isnan(sample_sd([math.nan, math.nan]))
 
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match=">= 2"):
