@@ -219,6 +219,22 @@ class TestAgainstBlockByBlockGenerator:
         assert digests == {"jsonl": "8cb67f114abe3bb4", "table": "3b34d5cffe32baa9",
                            "throughput": "05f3616bd632b30e"}
 
+    @pytest.mark.parametrize("pooled, expected", [
+        (True, {"jsonl": "8eda7214155980a5", "table": "ec3f180dde6d2264"}),
+        (False, {"jsonl": "157fdbfe72d43c55", "table": "c222096dc1ad7a06"}),
+    ])
+    def test_report_bytes_of_an_unbalanced_study(self, pooled, expected):
+        """The seed-1 study is balanced, so its pooled cell means are its
+        means-of-means. Without its last 130 trials some cells hold fewer
+        trials than the rest, and the two aggregations keep their own sha256
+        prefixes."""
+        table = generate_study(realistic_preset(20, 1))[:7870]
+        reports = [report for mode in AmplitudeMode
+                   for report in run_table1_suite(table, mode, pooled=pooled)]
+        digests = {name: hashlib.sha256(render(reports).encode("utf-8")).hexdigest()[:16]
+                   for name, render in (("jsonl", render_records), ("table", render_table))}
+        assert digests == expected
+
     @pytest.mark.parametrize("config", [
         model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0),
         # without noise, a lowest expected time of exactly 0 or below 0 fails the check
