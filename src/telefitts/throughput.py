@@ -45,7 +45,7 @@ def effective_width(endpoint_deviations_m: Sequence[float]) -> float:
 
 def effective_amplitude(amplitudes_m: Sequence[float]) -> float:
     """Mean realized movement amplitude over a cell's trials."""
-    if not amplitudes_m:
+    if len(amplitudes_m) == 0:
         raise ValueError("effective amplitude needs at least one trial")
     return statistics.fmean(amplitudes_m)
 

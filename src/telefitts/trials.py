@@ -396,19 +396,18 @@ class ConditionKey:
 
 @dataclass(frozen=True)
 class ConditionSummary:
-    """Descriptive statistics for one aggregation cell.
+    """One aggregation cell: what the model fits read, its mean movement
+    time, and what throughput reads, its endpoint-deviation SD.
 
-    ``error_rate`` is the fraction of trials that needed at least one failed
-    attempt before succeeding.
+    ``sd_deviation_m`` is None for a cell merged by :func:`collapse_over`,
+    as None marks a collapsed factor in its key; throughput reads only the
+    cells of the group-by.
     """
 
     key: ConditionKey
     n_trials: int
     mean_mt_s: float
-    sd_mt_s: float
-    mean_deviation_m: float
-    sd_deviation_m: float
-    error_rate: float
+    sd_deviation_m: float | None
 
 
 # --- exact sample standard deviation ------------------------------------
@@ -417,9 +416,6 @@ class ConditionSummary:
 #: plus guard bits, so the integer root carries the round-to-odd sticky bit
 #: below every bit that the final rounding looks at.
 _RADICAND_BITS = 2 * sys.float_info.mant_dig + 3
-#: Cells whose magnitudes sum below 2**_SAFE_SUM_EXP cannot overflow fsum:
-#: three times that sum is still below 2**1023.
-_SAFE_SUM_EXP = sys.float_info.max_exp - 3
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -455,29 +451,22 @@ def _sd_of_sums(n: int, s1: int, s2: int, exp: int) -> float:
 
 def sample_sd(values: Sequence[float]) -> float:
     """Sample standard deviation (n - 1 denominator), equal bit for bit to
-    ``statistics.stdev`` on finite floats; nan if a value is not finite.
-
-    Values that are all one value (-0.0 and 0.0 alike) have SD 0.0, as
-    stdev gives, and take no integer sums."""
+    ``statistics.stdev`` on finite floats; nan if a value is not finite."""
     if len(values) < 2:
         raise ValueError(f"sample SD needs >= 2 values, got {len(values)}")
     try:
         ratios = [float(x).as_integer_ratio() for x in values]
     except (OverflowError, ValueError):
         return math.nan
-    if ratios.count(ratios[0]) == len(ratios):
-        return 0.0
     den = max(d for _, d in ratios)  # every denominator is a power of two
     cell = [m * (den // d) for m, d in ratios]
     return _sd_of_sums(len(cell), sum(cell), sum(map(operator.mul, cell, cell)),
                        1 - den.bit_length())
 
 
-def _cell_sds(values: np.ndarray, starts: np.ndarray,
-              counts: np.ndarray) -> tuple[list[float | None], list[float | None]]:
+def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float | None]:
     """``sample_sd`` of each cell ``values[start:start + n]`` at once, cells
-    of fewer than two values getting 0.0 and cells whose SD overflows None,
-    and each cell's mean, or None where only ``math.fsum`` decides it.
+    of fewer than two values getting 0.0 and cells whose SD overflows None.
 
     Each float is d * 2**e with an integer d, |d| < 2**53; ``frexp`` takes
     the whole column apart, and within a cell every d is shifted onto the
@@ -485,30 +474,16 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray,
     exact sums of the integers m and m**2, taken in int64 limbs
     (``_limb_sums``).
 
-    The exact sum of m, rounded once, is the correctly rounded sum that
-    ``fsum`` returns, so over n it is ``fmean``'s mean bit for bit. The mean
-    is None for a cell that holds a value that is not finite, or that may
-    overflow fsum's partial sums, which stay below three times the sum of the
-    magnitudes: that sum is below 2**(top + n.bit_length()) for values below
-    2**top.
-
-    A column in which every cell holds one finite value x (-0.0 and 0.0
-    alike; a singleton counts) takes no integer sums: each SD is 0.0, and
-    each mean is n * x rounded once, which is the exact sum rounded once,
-    over n, plus 0.0 so that a zero sum gives 0.0 as above. The mean is None
-    where the bound above leaves it to fsum, which covers every cell whose
-    n * x overflows. Both are ``fmean``'s and ``stdev``'s results bit for
-    bit. A column with a cell of two values, or of a value that is not
-    finite, takes the sums.
+    A column in which every cell holds one finite value (-0.0 and 0.0
+    alike; a singleton counts) takes no integer sums: each SD is 0.0, as
+    ``stdev`` gives. A column with a cell of two values, or of a value that
+    is not finite, takes the sums.
     """
     firsts = values[starts]
     if np.isfinite(firsts).all() and np.array_equal(values, np.repeat(firsts, counts)):
-        means = [n * x / n + 0.0 if math.frexp(x)[1] + n.bit_length() <= _SAFE_SUM_EXP else None
-                 for n, x in zip(counts.tolist(), firsts.tolist())]
-        return [0.0] * len(means), means
+        return [0.0] * len(starts)
     finite = np.isfinite(values)
     mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
-    top = np.maximum.reduceat(exponent, starts).tolist()
     digits = (mantissa * 2.0 ** sys.float_info.mant_dig).astype(np.int64)
     exponent = exponent.astype(np.int64) - sys.float_info.mant_dig
     zero = digits == 0
@@ -518,15 +493,13 @@ def _cell_sds(values: np.ndarray, starts: np.ndarray,
     shifts = np.where(zero, 0, exponent - np.repeat(cell_exp, counts))
     s1, s2 = _limb_sums(digits, shifts, starts, counts)
     all_finite = np.logical_and.reduceat(finite, starts).tolist()
-    sds, means = [], []
-    for n, a, b, e, t, ok in zip(counts.tolist(), s1, s2, cell_exp.tolist(), top, all_finite):
+    sds = []
+    for n, a, b, e, ok in zip(counts.tolist(), s1, s2, cell_exp.tolist(), all_finite):
         try:
             sds.append(0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan)
         except OverflowError:  # beyond the float range
             sds.append(None)
-        means.append((float(a << e) if e >= 0 else a / (1 << -e)) / n
-                     if ok and t + n.bit_length() <= _SAFE_SUM_EXP else None)
-    return sds, means
+    return sds
 
 
 def _limb_sums(digits: np.ndarray, shifts: np.ndarray, starts: np.ndarray,
@@ -642,11 +615,11 @@ def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionS
     """Aggregate trials into per-condition cells.
 
     Every trial lands in exactly one cell; cells come in (technique, posture,
-    width, distance, height) order. Standard deviations use the n-1
-    denominator; singleton cells get sd 0 by convention. Means and
-    SDs equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit; a
-    cell whose sum or SD is beyond the float range, where those raise
-    OverflowError, raises ValueError naming the cell.
+    width, distance, height) order. The endpoint-deviation SD uses the n-1
+    denominator; singleton cells get sd 0 by convention. The MT mean and
+    the SD equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit;
+    a cell whose MT sum or deviation SD is beyond the float range, where
+    those raise OverflowError, raises ValueError naming the cell.
 
     The cells of a :class:`TrialTable` are computed once and kept on the
     table; each call returns a new dict of them. Other sequences are
@@ -679,53 +652,27 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
     starts = np.flatnonzero(np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1])))
     counts = np.diff(np.append(starts, len(order)))
 
-    mts = table.movement_time_s[order]
-    devs = table.endpoint_deviation_m[order]
-    sd_mts, mean_mts = _cell_sds(mts, starts, counts)
-    sd_devs, mean_devs = _cell_sds(devs, starts, counts)
-    with_errors = np.add.reduceat((table.error_attempts[order] > 0).astype(np.int64), starts)
+    mts = memoryview(table.movement_time_s[order])  # fsum reads a slice's items as floats
+    sd_devs = _cell_sds(table.endpoint_deviation_m[order], starts, counts)
     first = order[starts]
-    cells = zip(starts.tolist(), counts.tolist(), with_errors.tolist(),
-                *(column[first].tolist() for column in codes),
-                sd_mts, mean_mts, sd_devs, mean_devs)
+    cells = zip(starts.tolist(), counts.tolist(), *(column[first].tolist() for column in codes),
+                sd_devs)
 
     out: dict[ConditionKey, ConditionSummary] = {}
-    for a, n, errs, technique, posture, w, d, h, sd_mt, mean_mt, sd_dev, mean_dev in cells:
+    for a, n, technique, posture, w, d, h, sd_dev in cells:
         key = _frozen(ConditionKey, technique=TECHNIQUES[technique], posture=POSTURES[posture],
                       width_m=widths[w], distance_m=distances[d], height_m=heights[h])
-        if mean_mt is None:
-            mean_mt = _cell_mean(mts[a:a + n], "movement_time_s", key)
-        if sd_mt is None:
-            raise _sd_overflow("movement_time_s", key)
-        if mean_dev is None:
-            mean_dev = _cell_mean(devs[a:a + n], "endpoint_deviation_m", key)
+        try:  # the correctly rounded sum over n: statistics.fmean bit for bit
+            mean_mt = math.fsum(mts[a:a + n]) / n
+        except OverflowError:
+            raise ValueError("movement_time_s overflows when summed over cell "
+                             f"{_cell_label(key)}") from None
         if sd_dev is None:
-            raise _sd_overflow("endpoint_deviation_m", key)
-        out[key] = _frozen(
-            ConditionSummary,
-            key=key,
-            n_trials=n,
-            mean_mt_s=mean_mt,
-            sd_mt_s=sd_mt,
-            mean_deviation_m=mean_dev,
-            sd_deviation_m=sd_dev,
-            error_rate=errs / n,
-        )
+            raise ValueError("endpoint_deviation_m overflows when its SD is taken over cell "
+                             f"{_cell_label(key)}")
+        out[key] = _frozen(ConditionSummary, key=key, n_trials=n, mean_mt_s=mean_mt,
+                           sd_deviation_m=sd_dev)
     return out
-
-
-def _cell_mean(values: np.ndarray, column: str, key: ConditionKey) -> float:
-    """``statistics.fmean`` of a cell's values, or ValueError naming the cell
-    where the sum overflows and fmean has no value either."""
-    try:
-        return math.fsum(values.tolist()) / len(values)
-    except OverflowError:
-        raise ValueError(f"{column} overflows when summed over cell {_cell_label(key)}") from None
-
-
-def _sd_overflow(column: str, key: ConditionKey) -> ValueError:
-    """The error for a cell whose SD is beyond the float range."""
-    return ValueError(f"{column} overflows when its SD is taken over cell {_cell_label(key)}")
 
 
 def _cell_label(key: ConditionKey) -> str:
@@ -735,8 +682,6 @@ def _cell_label(key: ConditionKey) -> str:
 
 
 _COLLAPSIBLE = ("technique", "posture")
-_summary_stats = operator.attrgetter("n_trials", "mean_mt_s", "sd_mt_s", "mean_deviation_m",
-                                     "sd_deviation_m", "error_rate")
 
 
 def collapse_over(
@@ -746,11 +691,14 @@ def collapse_over(
 ) -> dict[ConditionKey, ConditionSummary]:
     """Remove factors from the keys, merging cells that become identical.
 
-    Default is the unweighted mean of cell means (means-of-means). The
-    ``pooled`` opt-in weights constituent cells by trial count instead,
-    reconstructing plain pooled-trial statistics. A merged cell whose SD is
-    beyond the float range raises ValueError naming the cell.
+    A merged cell's mean MT is by default the unweighted mean of its cell
+    means (means-of-means). The ``pooled`` opt-in weights constituent cells
+    by trial count instead, which gives the mean of the pooled trials. A
+    merged cell has no endpoint-deviation SD (``sd_deviation_m`` None).
+    ``drop`` is a collection of factor names; a bare str is a TypeError.
     """
+    if isinstance(drop, str):
+        raise TypeError(f"drop must be a collection of factor names, not the str {drop!r}")
     drop = set(drop)
     unknown = drop - set(_COLLAPSIBLE)
     if unknown:
@@ -779,47 +727,12 @@ def collapse_over(
                       technique=None if technique < 0 else TECHNIQUES[technique],
                       posture=None if posture < 0 else POSTURES[posture],
                       width_m=width, distance_m=distance, height_m=height)
-        ns, mts, sd_mts, devs, sd_devs, errs = zip(*map(_summary_stats, merged[cell]))
+        ns, mts = zip(*((s.n_trials, s.mean_mt_s) for s in merged[cell]))
         n_total = sum(ns)
         w = [n / n_total for n in ns] if pooled else [1.0 / len(ns)] * len(ns)
-        mean_mt, mean_dev, err = (left_sum(map(operator.mul, w, column))
-                                  for column in (mts, devs, errs))
-        sd_mt = _merged_sd(ns, mts, sd_mts, mean_mt, pooled, "movement_time_s", key)
-        sd_dev = _merged_sd(ns, devs, sd_devs, mean_dev, pooled, "endpoint_deviation_m", key)
-        out[key] = _frozen(
-            ConditionSummary,
-            key=key,
-            n_trials=n_total,
-            mean_mt_s=mean_mt,
-            sd_mt_s=sd_mt,
-            mean_deviation_m=mean_dev,
-            sd_deviation_m=sd_dev,
-            error_rate=err,
-        )
+        out[key] = _frozen(ConditionSummary, key=key, n_trials=n_total,
+                           mean_mt_s=left_sum(map(operator.mul, w, mts)), sd_deviation_m=None)
     return out
-
-
-def _merged_sd(ns: Sequence[int], means: Sequence[float], sds: Sequence[float],
-               grand_mean: float, pooled: bool, column: str, key: ConditionKey) -> float:
-    """SD of a merged cell: of its trials pooled, or the sample SD of its
-    cell means (0.0 for one cell); ValueError naming the cell where it is
-    beyond the float range."""
-    try:
-        if pooled:
-            return _pooled_sd(ns, means, sds, grand_mean)
-        return sample_sd(means) if len(ns) >= 2 else 0.0
-    except OverflowError:
-        raise _sd_overflow(column, key) from None
-
-
-def _pooled_sd(ns: Sequence[int], means: Sequence[float], sds: Sequence[float],
-               grand_mean: float) -> float:
-    n_total = sum(ns)
-    if n_total < 2:
-        return 0.0
-    ss = left_sum((n - 1) * sd * sd + n * (m - grand_mean) ** 2
-                  for n, m, sd in zip(ns, means, sds))
-    return math.sqrt(ss / (n_total - 1))
 
 
 # --- CSV logs ------------------------------------------------------------

@@ -356,31 +356,18 @@ def group_by_condition_reference(trials):
     out = {}
     for key in sorted(buckets, key=_key_order):
         cell = buckets[key]
-        mts = [t.movement_time_s for t in cell]
         devs = [t.endpoint_deviation_m for t in cell]
         out[key] = ConditionSummary(
             key=key,
             n_trials=len(cell),
-            mean_mt_s=statistics.fmean(mts),
-            sd_mt_s=statistics.stdev(mts) if len(cell) >= 2 else 0.0,
-            mean_deviation_m=statistics.fmean(devs),
+            mean_mt_s=statistics.fmean(t.movement_time_s for t in cell),
             sd_deviation_m=statistics.stdev(devs) if len(cell) >= 2 else 0.0,
-            error_rate=sum(1 for t in cell if t.error_attempts > 0) / len(cell),
         )
     return out
 
 
-def _pooled_sd(ns, means, sds, grand_mean):
-    n_total = sum(ns)
-    if n_total < 2:
-        return 0.0
-    ss = left_sum((n - 1) * sd * sd + n * (m - grand_mean) ** 2
-                  for n, m, sd in zip(ns, means, sds))
-    return math.sqrt(ss / (n_total - 1))
-
-
 def collapse_over_reference(summaries, drop, pooled=False):
-    """Merge cells by rewriting keys, SDs of cell means by ``statistics``."""
+    """Merge cells by rewriting keys, a merged cell taking no SD."""
     drop = set(drop)
     if not drop:
         return dict(summaries)
@@ -401,22 +388,8 @@ def collapse_over_reference(summaries, drop, pooled=False):
         else:
             w = [1.0 / len(cells)] * len(cells)
         mean_mt = left_sum(wi * c.mean_mt_s for wi, c in zip(w, cells))
-        mean_dev = left_sum(wi * c.mean_deviation_m for wi, c in zip(w, cells))
-        err = left_sum(wi * c.error_rate for wi, c in zip(w, cells))
-        if pooled:
-            ns = [c.n_trials for c in cells]
-            sd_mt = _pooled_sd(ns, [c.mean_mt_s for c in cells],
-                               [c.sd_mt_s for c in cells], mean_mt)
-            sd_dev = _pooled_sd(ns, [c.mean_deviation_m for c in cells],
-                                [c.sd_deviation_m for c in cells], mean_dev)
-        else:
-            two = len(cells) >= 2
-            sd_mt = statistics.stdev([c.mean_mt_s for c in cells]) if two else 0.0
-            sd_dev = statistics.stdev([c.mean_deviation_m for c in cells]) if two else 0.0
-        out[key] = ConditionSummary(
-            key=key, n_trials=n_total, mean_mt_s=mean_mt, sd_mt_s=sd_mt,
-            mean_deviation_m=mean_dev, sd_deviation_m=sd_dev, error_rate=err,
-        )
+        out[key] = ConditionSummary(key=key, n_trials=n_total, mean_mt_s=mean_mt,
+                                    sd_deviation_m=None)
     return out
 
 

@@ -84,7 +84,7 @@ def grid_summaries(kind: ModelKind, coefficients, mode=AmplitudeMode.EUCLIDEAN):
     for w, d, h in GRID:
         mt = predict_mt(kind, coefficients, geometry_for_condition(w, d, h, mode))
         key = ConditionKey(None, None, w, d, h)
-        cells[key] = ConditionSummary(key, 100, mt, 0.0, 0.0, 0.0, 0.0)
+        cells[key] = ConditionSummary(key, 100, mt, 0.0)
     return cells
 
 

@@ -61,7 +61,7 @@ def summaries_from_model(kind: ModelKind, coefficients, mode=AmplitudeMode.EUCLI
         if bump is not None:
             mt += bump[i]
         key = ConditionKey(None, None, w, d, h)
-        out[key] = ConditionSummary(key, 10, mt, 0.1, 0.05, 0.01, 0.0)
+        out[key] = ConditionSummary(key, 10, mt, 0.01)
     return out
 
 
@@ -134,7 +134,7 @@ class TestCompareModels:
         key_values = {}
         for w, d, h in GRID:
             key = ConditionKey(None, None, w, d, h)
-            key_values[key] = ConditionSummary(key, 10, 2.5, 0.0, 0.0, 0.0, 0.0)
+            key_values[key] = ConditionSummary(key, 10, 2.5, 0.0)
         report = compare_models(key_values, group_label="All")
         assert all(v == 0.0 for v in report.delta_aic.values())
         assert report.ranking_aic == tuple(ModelKind)
@@ -291,7 +291,7 @@ class TestRepeatedDesigns:
     def test_geometry_error_raises_on_every_call(self):
         summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
         key = ConditionKey(None, None, 0.2, 3.0, -1.0)
-        summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
+        summaries[key] = ConditionSummary(key, 10, 1.0, 0.01)
         for _ in range(2):
             with pytest.raises(ValueError, match="height_m must be non-negative"):
                 comparison.rows_for_model(ModelKind.STANDARD, sorted_cells(summaries),
@@ -300,9 +300,9 @@ class TestRepeatedDesigns:
     def test_a_non_finite_mean_is_named_before_a_bad_geometry(self):
         summaries = summaries_from_model(ModelKind.STANDARD, (0.3, 0.2))
         key = ConditionKey(None, None, 0.2, 3.0, -1.0)  # sorts first: row 0
-        summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
+        summaries[key] = ConditionSummary(key, 10, 1.0, 0.01)
         last = max(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m))
-        summaries[last] = ConditionSummary(last, 10, math.nan, 0.1, 0.05, 0.01, 0.0)
+        summaries[last] = ConditionSummary(last, 10, math.nan, 0.01)
         with pytest.raises(ValueError, match="^row 8 contains a non-finite value$"):
             compare_models(summaries)
 
@@ -421,10 +421,10 @@ class TestCellDesign:
         keys = sorted(summaries, key=lambda k: (k.width_m, k.distance_m, k.height_m))
         if "mean" in bad:
             key = keys[bad["at"]]
-            summaries[key] = ConditionSummary(key, 10, bad["mean"], 0.1, 0.05, 0.01, 0.0)
+            summaries[key] = ConditionSummary(key, 10, bad["mean"], 0.01)
         else:
             key = ConditionKey(None, None, *bad["cell"])
-            summaries[key] = ConditionSummary(key, 10, 1.0, 0.1, 0.05, 0.01, 0.0)
+            summaries[key] = ConditionSummary(key, 10, 1.0, 0.01)
         comparison.rows_for_model.cache_clear()
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
@@ -437,7 +437,7 @@ class TestCellDesign:
         cells = {}
         for technique, mt in zip(Technique, (1.0, 0.6, 1.1, 0.5, 0.9)):
             key = ConditionKey(technique, None, 0.2, 3.0, 0.0)
-            cells[key] = ConditionSummary(key, 10, mt, 0.1, 0.05, 0.01, 0.0)
+            cells[key] = ConditionSummary(key, 10, mt, 0.01)
         for _ in range(2):
             with pytest.raises(regression.CollinearPredictorsError):
                 compare_models(cells)

@@ -59,13 +59,15 @@ class TestEffectiveAmplitude:
 
     def test_midpoint(self):
         assert effective_amplitude([8.9, 9.1]) == pytest.approx(9.0, rel=1e-12)
+        assert effective_amplitude(np.array([8.9, 9.1])) == effective_amplitude([8.9, 9.1])
 
     def test_mean(self):
         assert effective_amplitude([2.8, 3.0, 3.2]) == pytest.approx(3.0, rel=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            effective_amplitude([])
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="at least one trial"):
+                effective_amplitude(empty)
 
 
 class TestEffectiveId:

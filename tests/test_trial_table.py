@@ -78,7 +78,7 @@ def assert_same_dict(got, expected):
     assert list(got) == list(expected)
 
 
-#: Values for the group-by's exact means: +-0.0, subnormals, values spread
+#: Values for the group-by's means and SDs: +-0.0, subnormals, values spread
 #: over the whole float range, so that one cell can span it, and values whose
 #: sums overflow; the SD of values within +-1e308 stays finite.
 MEAN_VALUES = st.one_of(
@@ -92,17 +92,17 @@ _fmean, _stdev = statistics.fmean, statistics.stdev
 def assert_grouped_as_the_reference(trials):
     """group_by_condition(trials) equals the reference bit for bit, -0.0 and
     nan included, or raises where the reference's ``statistics.fmean`` or
-    ``statistics.stdev`` does first: a sum that overflows fsum, or an SD
-    beyond the float range, is a ValueError naming its cell. The
-    SD of a cell holding a value that is not finite, which
-    ``statistics.stdev`` cannot take, is nan."""
+    ``statistics.stdev`` does first: a movement-time sum that overflows
+    fsum, or an endpoint-deviation SD beyond the float range, is a
+    ValueError naming its cell. The SD of a cell holding a value that is not
+    finite, which ``statistics.stdev`` cannot take, is nan."""
     raised = []  # how the reference's OverflowError came about
 
     def fmean(values):
         try:
             return _fmean(values)
         except OverflowError:
-            raised.append("summed")
+            raised.append("movement_time_s overflows when summed")
             raise
 
     def stdev(values):
@@ -111,7 +111,7 @@ def assert_grouped_as_the_reference(trials):
         try:
             return _stdev(values)
         except OverflowError:
-            raised.append("its SD is taken")
+            raised.append("endpoint_deviation_m overflows when its SD is taken")
             raise
 
     with (mock.patch.object(statistics, "fmean", fmean),
@@ -119,8 +119,7 @@ def assert_grouped_as_the_reference(trials):
         try:
             expected = group_by_condition_reference(trials)
         except OverflowError:
-            with pytest.raises(ValueError, match=r"^(movement_time_s|endpoint_deviation_m) "
-                                                 rf"overflows when {raised[0]} over cell "):
+            with pytest.raises(ValueError, match=rf"^{raised[0]} over cell "):
                 group_by_condition(trials)
             return
         except ValueError as exc:  # fsum meets -inf + inf
@@ -197,6 +196,14 @@ class TestParityWithReference:
             assert_same_dict(group_summaries(summaries, label, pooled=pooled),
                              group_summaries(reference, label, pooled=pooled))
 
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_report_cells_take_no_deviation_sd(self, pooled):
+        """Every report group collapses a factor, so no report cell keeps an
+        endpoint-deviation SD; throughput reads the group-by's cells."""
+        cells = table1_cells(generate_study(PRESETS["realistic"]), pooled)
+        assert list(cells) == list(TABLE_GROUPS)
+        assert all(s.sd_deviation_m is None for group in cells.values() for s in group.values())
+
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("mode", list(AmplitudeMode))
     def test_throughput_on_presets(self, preset, mode):
@@ -271,8 +278,8 @@ class TestParityWithReference:
 
 
 class TestExactMeans:
-    """The group-by's means come from each cell's exact sum, and from fsum
-    where that sum may overflow it or a value is not finite."""
+    """The group-by's movement-time means are each cell's fsum over n, and
+    its endpoint-deviation SDs come from each cell's exact sums."""
 
     @given(st.lists(st.tuples(st.sampled_from([Technique.RPRG, Technique.LPLG]),
                               st.sampled_from([0.2, 0.7, 1.35]), MEAN_VALUES, MEAN_VALUES),
@@ -289,30 +296,31 @@ class TestExactMeans:
                 trials[i] = replace(trials[i], **{column: value})
         assert_grouped_as_the_reference(trials)
 
-    @pytest.mark.parametrize("values, error", [
-        ([1e308, 1e308, -1e308], "overflows when summed"),  # finite sum, fsum overflows
-        ([1.7e308, 1.7e308], "overflows when summed"),
-        ([1.7e308, -1.7e308], "overflows when its SD is taken"),  # mean 0, SD 2.4e308
-        ([8.9e307, 8.9e307, -1.0], None),
-        ([math.inf, 1.0, 2.0], None),
-        ([math.nan, -0.0], None),
-        ([math.inf, -math.inf], "-inf \\+ inf in fsum"),
-        ([-0.0, -0.0, -0.0], None),
-        ([5e-324, 5e-324, -2.5e-323], None),
-        ([2.0 ** 1000, 1.0, 2.0 ** -1074, -(2.0 ** 1000)], None),
+    @pytest.mark.parametrize("values, mt_error, dev_error", [
+        ([1e308, 1e308, -1e308], "overflows when summed", None),  # finite sum, fsum overflows
+        ([1.7e308, 1.7e308], "overflows when summed", None),
+        # mean 0, SD 2.4e308: only the deviations take an SD
+        ([1.7e308, -1.7e308], None, "overflows when its SD is taken"),
+        ([8.9e307, 8.9e307, -1.0], None, None),
+        ([math.inf, 1.0, 2.0], None, None),
+        ([math.nan, -0.0], None, None),
+        ([math.inf, -math.inf], "-inf \\+ inf in fsum", None),
+        ([-0.0, -0.0, -0.0], None, None),
+        ([5e-324, 5e-324, -2.5e-323], None, None),
+        ([2.0 ** 1000, 1.0, 2.0 ** -1074, -(2.0 ** 1000)], None, None),
         # cells of one value
-        ([1e308, 1e308], "overflows when summed"),
-        ([8.9e307] * 2, None),
-        ([-1.7e308] * 2, "overflows when summed"),
-        ([5e-324] * 3, None),
-        ([-0.0, 0.0], None),
-        ([math.inf] * 2, None),
-        ([math.nan] * 2, None),
+        ([1e308, 1e308], "overflows when summed", None),
+        ([8.9e307] * 2, None, None),
+        ([-1.7e308] * 2, "overflows when summed", None),
+        ([5e-324] * 3, None, None),
+        ([-0.0, 0.0], None, None),
+        ([math.inf] * 2, None, None),
+        ([math.nan] * 2, None, None),
     ])
-    def test_edge_cells(self, values, error):
+    def test_edge_cells(self, values, mt_error, dev_error):
         trial = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
                       1.0, 0.01, 0, True)
-        for column in ("movement_time_s", "endpoint_deviation_m"):
+        for column, error in (("movement_time_s", mt_error), ("endpoint_deviation_m", dev_error)):
             trials = [replace(trial, trial_index=i, **{column: v}) for i, v in enumerate(values)]
             assert_grouped_as_the_reference(trials)
             if error:
@@ -320,10 +328,9 @@ class TestExactMeans:
                     group_by_condition(trials)
 
     def test_one_value_columns_take_no_integer_sums(self, monkeypatch):
-        """A model-exact Standard study holds one value per cell in both
-        columns, and its collapsed cell means agree across the factors
-        dropped: its group-by and both collapses take no integer sums. A
-        realistic study's varying columns still take them."""
+        """A model-exact Standard study's endpoint column is all zeros: its
+        group-by takes no integer sums, and neither do both collapses, which
+        take no SD. A realistic study's varying deviations still take them."""
         def unreachable(*args):
             raise AssertionError("integer sums taken")
 
@@ -361,8 +368,8 @@ class TestExactMeans:
 
 class TestSdOverflow:
     """An SD beyond the float range: ``sample_sd`` raises OverflowError as
-    ``statistics.stdev`` does, and the group-by and the collapse name the
-    cell in a ValueError."""
+    ``statistics.stdev`` does, and the group-by names the cell of an
+    endpoint-deviation SD in a ValueError. Movement times take no SD."""
 
     TRIAL = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
                   1.0, 0.01, 0, True)
@@ -372,27 +379,27 @@ class TestSdOverflow:
             with pytest.raises(OverflowError):
                 sd([1.7e308, -1.7e308])
 
-    @pytest.mark.parametrize("column", ["movement_time_s", "endpoint_deviation_m"])
-    def test_group_by_condition(self, column):
-        trials = [replace(self.TRIAL, trial_index=i, **{column: v})
+    def test_group_by_condition(self):
+        trials = [replace(self.TRIAL, trial_index=i, endpoint_deviation_m=v)
                   for i, v in enumerate((1.7e308, -1.7e308))]
-        with pytest.raises(ValueError, match=rf"^{column} overflows when its SD is taken over "
-                                             r"cell RPRG/Sitting W=0.2 D=3.0 H=0.0$"):
+        with pytest.raises(ValueError, match=r"^endpoint_deviation_m overflows when its SD is "
+                                             r"taken over cell RPRG/Sitting W=0.2 D=3.0 H=0.0$"):
             group_by_condition(trials)
 
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_collapse_over(self, pooled):
-        """Two cells of one trial each, means 1.7e308 and -1.7e308: their
-        sample SD, and in the pooled mode their squared distances from the
-        grand mean, overflow."""
-        trials = [replace(self.TRIAL, technique=technique, movement_time_s=mt)
-                  for technique, mt in ((Technique.RPRG, 1.7e308), (Technique.LPLG, -1.7e308))]
-        cells = group_by_condition(trials)
-        with pytest.raises(ValueError, match=r"^movement_time_s overflows when its SD is taken "
-                                             r"over cell \*/Sitting W=0.2 D=3.0 H=0.0$"):
-            collapse_over(cells, {"technique"}, pooled=pooled)
-        with pytest.raises(ValueError, match=r"over cell \*/\* W=0.2 D=3.0 H=0.0$"):
-            collapse_over(cells, {"technique", "posture"}, pooled=pooled)
+    def test_movement_times_take_no_sd(self):
+        """A cell of movement times 1.7e308 and -1.7e308 groups with fmean's
+        mean 0.0, and so do two cells of one of them each, merged."""
+        mts = [1.7e308, -1.7e308]
+        trials = [replace(self.TRIAL, trial_index=i, movement_time_s=mt)
+                  for i, mt in enumerate(mts)]
+        [cell] = group_by_condition(trials).values()
+        assert (cell.n_trials, cell.mean_mt_s, cell.sd_deviation_m) == (2, 0.0, 0.0)
+        assert cell.mean_mt_s == statistics.fmean(mts)
+        cells = group_by_condition([replace(trial, technique=technique) for trial, technique
+                                    in zip(trials, (Technique.RPRG, Technique.LPLG))])
+        for pooled in (False, True):
+            [merged] = collapse_over(cells, {"technique"}, pooled=pooled).values()
+            assert (merged.n_trials, merged.mean_mt_s, merged.sd_deviation_m) == (2, 0.0, None)
 
 
 def quantized_codes_reference(column):
@@ -474,10 +481,9 @@ class TestSampleSd:
         cells.append(np.zeros(5))
         counts = np.array([len(c) for c in cells])
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        got, means = trials_module._cell_sds(np.concatenate(cells), starts, counts)
+        got = trials_module._cell_sds(np.concatenate(cells), starts, counts)
         expected = [statistics.stdev(c.tolist()) if len(c) >= 2 else 0.0 for c in cells]
         assert got == expected
-        assert means == [statistics.fmean(c.tolist()) for c in cells]
 
     @given(st.one_of(
         st.lists(st.one_of(st.lists(SD_VALUES, min_size=1, max_size=12), ONE_VALUE_CELLS),
@@ -494,15 +500,8 @@ class TestSampleSd:
         for cell, sd in zip(cells, expected):
             if len(cell) >= 2 and all(map(math.isfinite, cell)):
                 assert sd.hex() == statistics.stdev(cell).hex()
-        got, means = trials_module._cell_sds(values, starts, counts)
+        got = trials_module._cell_sds(values, starts, counts)
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
-        for cell, mean in zip(cells, means):
-            # no cell here can overflow fsum: only a non-finite value leaves
-            # the mean to it
-            if all(map(math.isfinite, cell)):
-                assert mean.hex() == statistics.fmean(cell).hex()
-            else:
-                assert mean is None
 
     def test_cell_of_more_than_2_to_21_rows(self):
         """Mantissas with (nearly) every bit set: in 21-bit limbs, the product
@@ -512,9 +511,8 @@ class TestSampleSd:
         values[::1000] = [2.0 ** 53 - 3] * len(values[::1000])
         values[1::1000] = [2.0 ** 52 + 1] * len(values[1::1000])
         expected = sample_sd(values)
-        got, means = trials_module._cell_sds(np.array(values), np.array([0]), np.array([n]))
+        got = trials_module._cell_sds(np.array(values), np.array([0]), np.array([n]))
         assert got == [expected]
-        assert means == [math.fsum(values) / n]
 
     def test_non_finite_gives_nan(self):
         assert math.isnan(sample_sd([1.0, math.inf]))
@@ -625,7 +623,7 @@ class TestTrialTable:
 
 
 def count_cell_sds(monkeypatch) -> list[int]:
-    """Count the calls of the group-by's SD kernel (two per group-by)."""
+    """Count the calls of the group-by's SD kernel (one per group-by)."""
     calls = [0]
     cell_sds = trials_module._cell_sds
 
@@ -670,7 +668,7 @@ class TestOwnershipAndGroupMemo:
         for mode in (AmplitudeMode.EUCLIDEAN, AmplitudeMode.DEPTH_ONLY):
             run_table1_suite(table, mode)
         throughput_by_group(table)
-        assert calls[0] == 2
+        assert calls[0] == 1
 
     def test_second_suite_collapses_nothing(self, monkeypatch):
         table = generate_study(PRESETS["realistic"])
@@ -701,7 +699,7 @@ class TestOwnershipAndGroupMemo:
         calls = count_cell_sds(monkeypatch)
         first = group_by_condition(trials)
         assert_same_dict(group_by_condition(trials), first)
-        assert calls[0] == 4
+        assert calls[0] == 2
 
 
 class TestNoPerRowObjects:

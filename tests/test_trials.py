@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from telefitts.trials import (
     TRIAL_LOG_HEADER,
     ConditionKey,
+    ConditionSummary,
     LogFormatError,
     Posture,
     Technique,
@@ -70,26 +72,24 @@ class TestValidateLog:
 
 class TestGroupByCondition:
     def test_mean_and_sd_hand_example(self):
-        trials = [make_trial(movement_time_s=mt, trial_index=i)
+        trials = [make_trial(movement_time_s=mt, endpoint_deviation_m=mt / 10, trial_index=i)
                   for i, mt in enumerate([1.0, 2.0, 3.0])]
         summaries = group_by_condition(trials)
         assert len(summaries) == 1
         s = next(iter(summaries.values()))
         assert s.n_trials == 3
         assert s.mean_mt_s == pytest.approx(2.0, abs=1e-12)
-        assert s.sd_mt_s == pytest.approx(1.0, abs=1e-12)
-
-    def test_error_rate_counts_trials_not_attempts(self):
-        trials = [make_trial(error_attempts=e, trial_index=i)
-                  for i, e in enumerate([0, 0, 1, 2])]
-        s = next(iter(group_by_condition(trials).values()))
-        assert s.error_rate == pytest.approx(0.5)
+        assert s.sd_deviation_m == pytest.approx(0.1, abs=1e-12)
 
     def test_singleton_cell(self):
         s = next(iter(group_by_condition([make_trial(movement_time_s=1.7)]).values()))
         assert s.n_trials == 1
         assert s.mean_mt_s == 1.7
-        assert s.sd_mt_s == 0.0
+        assert s.sd_deviation_m == 0.0
+
+    def test_a_cell_keeps_what_the_fits_and_throughput_read(self):
+        assert [f.name for f in dataclasses.fields(ConditionSummary)] == [
+            "key", "n_trials", "mean_mt_s", "sd_deviation_m"]
 
     def test_empty_input_gives_empty_map(self):
         assert group_by_condition([]) == {}
@@ -156,6 +156,11 @@ class TestCollapseOver:
     def test_unknown_factor(self):
         with pytest.raises(ValueError, match="unknown factor"):
             collapse_over(self._summaries(), {"width"})
+
+    def test_bare_str_rejected(self):
+        with pytest.raises(TypeError, match=r"^drop must be a collection of factor names, "
+                                            r"not the str 'technique'$"):
+            collapse_over(self._summaries(), "technique")
 
     def test_grand_mean_equals_mean_of_cell_means(self):
         summaries = self._summaries()
