@@ -235,6 +235,33 @@ class TestAgainstBlockByBlockGenerator:
                    for name, render in (("jsonl", render_records), ("table", render_table))}
         assert digests == expected
 
+    @pytest.mark.parametrize("mode, expected", [
+        (AmplitudeMode.EUCLIDEAN, "76c57f0aacbf806a"),
+        (AmplitudeMode.DEPTH_ONLY, "e8f824b72a7c625b"),
+    ])
+    def test_throughput_bytes_of_an_unbalanced_study(self, mode, expected):
+        """The throughput records of the seed-1 study without its last 130
+        trials, whose cells hold unequal trial counts, keep their prefixes."""
+        table = generate_study(realistic_preset(20, 1))[:7870]
+        records = render_throughput_records(throughput_by_group(table, mode))
+        assert hashlib.sha256(records.encode("utf-8")).hexdigest()[:16] == expected
+
+    @pytest.mark.parametrize("mode, expected", [
+        (AmplitudeMode.EUCLIDEAN, "2c1eb91fe8a70d8b"),
+        (AmplitudeMode.DEPTH_ONLY, "46f18f8748d7d7e9"),
+    ])
+    def test_throughput_bytes_of_a_partial_grid(self, mode, expected):
+        """The seed-1 study without the rows of its first cell (RPRG/Sitting
+        W=0.2 D=3.0 H=3.0), as a list of trials, under allow_partial_grid."""
+        table = generate_study(realistic_preset(20, 1))
+        rows = [t for t in table if (t.technique, t.posture, t.width_m, t.distance_m,
+                                     t.height_m) != (Technique.RPRG, Posture.SITTING, 0.2, 3.0, 3.0)]
+        assert len(rows) == 7900
+        records = render_throughput_records(
+            throughput_by_group(rows, mode, allow_partial_grid=True))
+        assert records.count('"width_m"') == 79
+        assert hashlib.sha256(records.encode("utf-8")).hexdigest()[:16] == expected
+
     @pytest.mark.parametrize("config", [
         model_exact_preset(GroundTruth(ModelKind.STANDARD, (-10.0, 0.83)), participants=1, seed=0),
         # without noise, a lowest expected time of exactly 0 or below 0 fails the check
