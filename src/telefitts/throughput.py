@@ -1,13 +1,15 @@
 """ISO-9241-9-style throughput with the accuracy correction.
 
 Effective width rescales the nominal target width to the spread actually
-produced by the user (W_e = 4.133 x SD of selection endpoints), effective
-amplitude is the realized movement distance, and throughput is the
-means-of-means average of ID_e / MT over the amplitude x width grid.
+produced by the user (W_e = 4.133 x SD of selection endpoints). Logs carry
+no realized pointer amplitudes, so the effective amplitude A_e is the
+nominal grid amplitude of the cell. Throughput is the means-of-means
+average of ID_e / MT over the amplitude x width grid.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import statistics
 from dataclasses import dataclass
@@ -26,28 +28,14 @@ from .trials import (
     Posture,
     Technique,
     Trial,
+    TrialTable,
+    _cell_label,
+    endpoint_sds,
     group_by_condition,
-    sample_sd,
 )
 
 #: Endpoint-spread multiplier mapping an SD to the width containing ~96% of hits.
 WE_SD_FACTOR = 4.133
-
-
-def effective_width(endpoint_deviations_m: Sequence[float]) -> float:
-    """W_e = 4.133 x sample SD (n-1 denominator) of the scalar deviations."""
-    if len(endpoint_deviations_m) < 2:
-        raise ValueError(
-            f"effective width needs >= 2 endpoint samples, got {len(endpoint_deviations_m)}"
-        )
-    return WE_SD_FACTOR * sample_sd(endpoint_deviations_m)
-
-
-def effective_amplitude(amplitudes_m: Sequence[float]) -> float:
-    """Mean realized movement amplitude over a cell's trials."""
-    if len(amplitudes_m) == 0:
-        raise ValueError("effective amplitude needs at least one trial")
-    return statistics.fmean(amplitudes_m)
 
 
 def effective_id(ae_m: float, we_m: float) -> float:
@@ -63,8 +51,6 @@ def effective_id(ae_m: float, we_m: float) -> float:
 class ThroughputCell:
     """One amplitude x width cell of a technique/posture group."""
 
-    technique: Technique
-    posture: Posture
     width_m: float
     distance_m: float
     height_m: float
@@ -116,15 +102,17 @@ def throughput_by_group(
     """Throughput for every (technique, posture) present in the log.
 
     Cells are the condition cells of ``group_by_condition``: W_e is 4.133 x
-    a cell's ``sd_deviation_m`` and MT its ``mean_mt_s``. Logs carry no
-    realized pointer amplitudes, so A_e falls back to the nominal grid
-    amplitude. Cells whose endpoint spread is exactly zero cannot produce a
-    finite ID_e; they are dropped and counted, shrinking that group's cell
-    average.
+    a cell's ``endpoint_sds`` and MT its ``mean_mt_s``, and A_e is the
+    nominal grid amplitude. Cells whose endpoint spread is exactly zero
+    cannot produce a finite ID_e; they are dropped and counted, shrinking
+    that group's cell average. A W_e that is not finite raises ValueError
+    naming its cell.
     """
+    table = TrialTable.from_trials(trials)
     groups: dict[tuple[Technique, Posture], list[ConditionSummary]] = {}
-    for key, summary in group_by_condition(trials).items():
+    for key, summary in group_by_condition(table).items():
         groups.setdefault((key.technique, key.posture), []).append(summary)
+    sds = endpoint_sds(table)
 
     summaries: list[ThroughputSummary] = []
     for (technique, posture), group in groups.items():
@@ -136,17 +124,18 @@ def throughput_by_group(
         cells: list[ThroughputCell] = []
         degenerate = 0
         for s in sorted(group, key=lambda s: (s.key.distance_m, s.key.height_m, s.key.width_m)):
-            we = WE_SD_FACTOR * s.sd_deviation_m
-            if s.n_trials < 2 or we == 0.0:
+            k = s.key
+            we = WE_SD_FACTOR * sds[k]  # 0.0 for a cell of one trial
+            if we == 0.0:
                 degenerate += 1
                 continue
-            k = s.key
+            if not math.isfinite(we):
+                raise ValueError(f"effective width W_e = {WE_SD_FACTOR} x endpoint SD is {we} "
+                                 f"over cell {_cell_label(k)}")
             ae = amplitude_from_grid(k.distance_m, k.height_m, amplitude_mode)
             ide = effective_id(ae, we)
             cells.append(
                 ThroughputCell(
-                    technique=technique,
-                    posture=posture,
                     width_m=k.width_m,
                     distance_m=k.distance_m,
                     height_m=k.height_m,
@@ -178,8 +167,6 @@ def throughput_by_group(
 
 def render_throughput_records(summaries: Sequence[ThroughputSummary]) -> str:
     """One JSON record per (technique, posture) with nested cell detail."""
-    import json
-
     lines = []
     for s in summaries:
         record = {
@@ -187,20 +174,7 @@ def render_throughput_records(summaries: Sequence[ThroughputSummary]) -> str:
             "posture": s.posture.value,
             "tp_bits_per_s": s.tp_bits_per_s,
             "degenerate_cells": s.degenerate_cells,
-            "cells": [
-                {
-                    "width_m": c.width_m,
-                    "distance_m": c.distance_m,
-                    "height_m": c.height_m,
-                    "n_trials": c.n_trials,
-                    "ae_m": c.ae_m,
-                    "we_m": c.we_m,
-                    "ide_bits": c.ide_bits,
-                    "mean_mt_s": c.mean_mt_s,
-                    "tp_bits_per_s": c.tp_bits_per_s,
-                }
-                for c in s.cells
-            ],
+            "cells": [vars(c) for c in s.cells],
         }
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)

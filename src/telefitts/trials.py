@@ -231,8 +231,8 @@ class TrialTable(Sequence):
 
     The table owns its columns: they are copied at construction, so a caller
     that later changes the arrays it passed in does not change the table.
-    That is what lets :func:`group_by_condition` and
-    ``comparison.table1_cells`` keep their results on the table.
+    That is what lets the group-by and ``comparison.table1_cells`` keep
+    their results on the table.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -255,8 +255,8 @@ class TrialTable(Sequence):
                 raise ValueError("line_numbers must have one entry per row")
             line_numbers.flags.writeable = False
         self.line_numbers = line_numbers
-        #: group_by_condition's cells, computed on its first call
-        self._condition_cells: dict[ConditionKey, ConditionSummary] | None = None
+        #: the group-by's rows and cells, computed on its first use
+        self._grouping: _Grouping | None = None
         #: comparison.table1_cells's collapsed cells of each report group, per
         #: ``pooled`` value, computed on its first call with that value
         self._report_cells: dict[bool, dict[str, dict[ConditionKey, ConditionSummary]]] = {}
@@ -397,17 +397,12 @@ class ConditionKey:
 @dataclass(frozen=True)
 class ConditionSummary:
     """One aggregation cell: what the model fits read, its mean movement
-    time, and what throughput reads, its endpoint-deviation SD.
-
-    ``sd_deviation_m`` is None for a cell merged by :func:`collapse_over`,
-    as None marks a collapsed factor in its key; throughput reads only the
-    cells of the group-by.
-    """
+    time over its trials. Throughput takes its endpoint SDs apart, through
+    :func:`endpoint_sds`."""
 
     key: ConditionKey
     n_trials: int
     mean_mt_s: float
-    sd_deviation_m: float | None
 
 
 # --- exact sample standard deviation ------------------------------------
@@ -449,39 +444,18 @@ def _sd_of_sums(n: int, s1: int, s2: int, exp: int) -> float:
     return _sqrt_of_ratio(num, n * (n - 1) << -2 * exp)
 
 
-def sample_sd(values: Sequence[float]) -> float:
-    """Sample standard deviation (n - 1 denominator), equal bit for bit to
-    ``statistics.stdev`` on finite floats; nan if a value is not finite."""
-    if len(values) < 2:
-        raise ValueError(f"sample SD needs >= 2 values, got {len(values)}")
-    try:
-        ratios = [float(x).as_integer_ratio() for x in values]
-    except (OverflowError, ValueError):
-        return math.nan
-    den = max(d for _, d in ratios)  # every denominator is a power of two
-    cell = [m * (den // d) for m, d in ratios]
-    return _sd_of_sums(len(cell), sum(cell), sum(map(operator.mul, cell, cell)),
-                       1 - den.bit_length())
-
-
 def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float | None]:
-    """``sample_sd`` of each cell ``values[start:start + n]`` at once, cells
-    of fewer than two values getting 0.0 and cells whose SD overflows None.
+    """Sample SD (n - 1 denominator) of each cell ``values[start:start + n]``
+    at once, equal bit for bit to ``statistics.stdev``: cells of fewer than
+    two values get 0.0, cells holding a value that is not finite nan, and
+    cells whose SD is beyond the float range None.
 
     Each float is d * 2**e with an integer d, |d| < 2**53; ``frexp`` takes
     the whole column apart, and within a cell every d is shifted onto the
     cell's smallest exponent, m = d << s, so that ``_sd_of_sums`` sees the
     exact sums of the integers m and m**2, taken in int64 limbs
     (``_limb_sums``).
-
-    A column in which every cell holds one finite value (-0.0 and 0.0
-    alike; a singleton counts) takes no integer sums: each SD is 0.0, as
-    ``stdev`` gives. A column with a cell of two values, or of a value that
-    is not finite, takes the sums.
     """
-    firsts = values[starts]
-    if np.isfinite(firsts).all() and np.array_equal(values, np.repeat(firsts, counts)):
-        return [0.0] * len(starts)
     finite = np.isfinite(values)
     mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
     digits = (mantissa * 2.0 ** sys.float_info.mant_dig).astype(np.int64)
@@ -611,29 +585,54 @@ def _quantized_codes(column: np.ndarray) -> tuple[np.ndarray, list[float]]:
     return np.asarray(code_of_index, dtype=np.int64)[index.reshape(-1)], levels
 
 
+#: A table's group-by: its rows in cell order, each cell's first position
+#: in that order and its count of rows, and its cells in the same order.
+_Grouping = namedtuple("_Grouping", "order starts counts cells")
+
+
 def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionSummary]:
     """Aggregate trials into per-condition cells.
 
     Every trial lands in exactly one cell; cells come in (technique, posture,
-    width, distance, height) order. The endpoint-deviation SD uses the n-1
-    denominator; singleton cells get sd 0 by convention. The MT mean and
-    the SD equal ``statistics.fmean`` and ``statistics.stdev`` bit for bit;
-    a cell whose MT sum or deviation SD is beyond the float range, where
-    those raise OverflowError, raises ValueError naming the cell.
+    width, distance, height) order. A cell's MT mean equals
+    ``statistics.fmean`` bit for bit; a cell whose MT sum is beyond the
+    float range, where fmean raises OverflowError, raises ValueError naming
+    the cell.
 
-    The cells of a :class:`TrialTable` are computed once and kept on the
-    table; each call returns a new dict of them. Other sequences are
-    grouped on every call.
+    A :class:`TrialTable` is grouped once and keeps its grouping, which
+    :func:`endpoint_sds` reads too; each call returns a new dict of the
+    cells. Other sequences are grouped on every call.
     """
+    return dict(_grouped(TrialTable.from_trials(trials)).cells)
+
+
+def endpoint_sds(trials: Sequence[Trial]) -> dict[ConditionKey, float]:
+    """Each cell's endpoint-deviation SD, keyed and ordered as the cells of
+    :func:`group_by_condition`, whose errors it raises: the n - 1 sample SD,
+    equal to ``statistics.stdev`` bit for bit, 0.0 for a cell of one trial
+    and nan for a cell holding a deviation that is not finite. A cell whose
+    SD is beyond the float range, where stdev raises OverflowError, raises
+    ValueError naming the cell."""
     table = TrialTable.from_trials(trials)
-    if table._condition_cells is None:
-        table._condition_cells = _condition_cells(table)
-    return dict(table._condition_cells)
-
-
-def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
-    if len(table) == 0:
+    order, starts, counts, cells = _grouped(table)
+    if not cells:
         return {}
+    sds = dict(zip(cells, _cell_sds(table.endpoint_deviation_m[order], starts, counts)))
+    for key, sd in sds.items():
+        if sd is None:
+            raise ValueError("endpoint_deviation_m overflows when its SD is taken over cell "
+                             f"{_cell_label(key)}")
+    return sds
+
+
+def _grouped(table: TrialTable) -> _Grouping:
+    """The table's grouping, computed on first use and kept on the table."""
+    if table._grouping is not None:
+        return table._grouping
+    if len(table) == 0:
+        no_rows = np.zeros(0, dtype=np.int64)
+        table._grouping = _Grouping(no_rows, no_rows, no_rows, {})
+        return table._grouping
     w_codes, widths = _quantized_codes(table.width_m)
     d_codes, distances = _quantized_codes(table.distance_m)
     h_codes, heights = _quantized_codes(table.height_m)
@@ -653,13 +652,11 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
     counts = np.diff(np.append(starts, len(order)))
 
     mts = memoryview(table.movement_time_s[order])  # fsum reads a slice's items as floats
-    sd_devs = _cell_sds(table.endpoint_deviation_m[order], starts, counts)
     first = order[starts]
-    cells = zip(starts.tolist(), counts.tolist(), *(column[first].tolist() for column in codes),
-                sd_devs)
+    cells = zip(starts.tolist(), counts.tolist(), *(column[first].tolist() for column in codes))
 
     out: dict[ConditionKey, ConditionSummary] = {}
-    for a, n, technique, posture, w, d, h, sd_dev in cells:
+    for a, n, technique, posture, w, d, h in cells:
         key = _frozen(ConditionKey, technique=TECHNIQUES[technique], posture=POSTURES[posture],
                       width_m=widths[w], distance_m=distances[d], height_m=heights[h])
         try:  # the correctly rounded sum over n: statistics.fmean bit for bit
@@ -667,12 +664,9 @@ def _condition_cells(table: TrialTable) -> dict[ConditionKey, ConditionSummary]:
         except OverflowError:
             raise ValueError("movement_time_s overflows when summed over cell "
                              f"{_cell_label(key)}") from None
-        if sd_dev is None:
-            raise ValueError("endpoint_deviation_m overflows when its SD is taken over cell "
-                             f"{_cell_label(key)}")
-        out[key] = _frozen(ConditionSummary, key=key, n_trials=n, mean_mt_s=mean_mt,
-                           sd_deviation_m=sd_dev)
-    return out
+        out[key] = _frozen(ConditionSummary, key=key, n_trials=n, mean_mt_s=mean_mt)
+    table._grouping = _Grouping(order, starts, counts, out)
+    return table._grouping
 
 
 def _cell_label(key: ConditionKey) -> str:
@@ -693,8 +687,7 @@ def collapse_over(
 
     A merged cell's mean MT is by default the unweighted mean of its cell
     means (means-of-means). The ``pooled`` opt-in weights constituent cells
-    by trial count instead, which gives the mean of the pooled trials. A
-    merged cell has no endpoint-deviation SD (``sd_deviation_m`` None).
+    by trial count instead, which gives the mean of the pooled trials.
     ``drop`` is a collection of factor names; a bare str is a TypeError.
     """
     if isinstance(drop, str):
@@ -731,7 +724,7 @@ def collapse_over(
         n_total = sum(ns)
         w = [n / n_total for n in ns] if pooled else [1.0 / len(ns)] * len(ns)
         out[key] = _frozen(ConditionSummary, key=key, n_trials=n_total,
-                           mean_mt_s=left_sum(map(operator.mul, w, mts)), sd_deviation_m=None)
+                           mean_mt_s=left_sum(map(operator.mul, w, mts)))
     return out
 
 

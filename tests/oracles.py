@@ -348,26 +348,36 @@ def _key_order(key):
     return (tech, post, key.width_m, key.distance_m, key.height_m)
 
 
-def group_by_condition_reference(trials):
-    """One ConditionKey per trial, a dict of lists, ``statistics`` per cell."""
+def _condition_buckets(trials):
+    """One ConditionKey per trial: the trials of each cell, in cell order."""
     buckets = {}
     for t in trials:
         buckets.setdefault(ConditionKey(t.technique, t.posture, t.width_m, t.distance_m, t.height_m), []).append(t)
+    return {key: buckets[key] for key in sorted(buckets, key=_key_order)}
+
+
+def group_by_condition_reference(trials):
+    """A dict of lists, ``statistics.fmean`` per cell."""
+    return {
+        key: ConditionSummary(key=key, n_trials=len(cell),
+                              mean_mt_s=statistics.fmean(t.movement_time_s for t in cell))
+        for key, cell in _condition_buckets(trials).items()
+    }
+
+
+def endpoint_sds_reference(trials):
+    """``statistics.stdev`` of each cell's deviations; 0.0 for one trial,
+    nan for a cell holding a deviation that stdev cannot take."""
     out = {}
-    for key in sorted(buckets, key=_key_order):
-        cell = buckets[key]
+    for key, cell in _condition_buckets(trials).items():
         devs = [t.endpoint_deviation_m for t in cell]
-        out[key] = ConditionSummary(
-            key=key,
-            n_trials=len(cell),
-            mean_mt_s=statistics.fmean(t.movement_time_s for t in cell),
-            sd_deviation_m=statistics.stdev(devs) if len(cell) >= 2 else 0.0,
-        )
+        out[key] = (0.0 if len(devs) < 2 else statistics.stdev(devs)
+                    if all(map(math.isfinite, devs)) else math.nan)
     return out
 
 
 def collapse_over_reference(summaries, drop, pooled=False):
-    """Merge cells by rewriting keys, a merged cell taking no SD."""
+    """Merge cells by rewriting keys."""
     drop = set(drop)
     if not drop:
         return dict(summaries)
@@ -388,8 +398,7 @@ def collapse_over_reference(summaries, drop, pooled=False):
         else:
             w = [1.0 / len(cells)] * len(cells)
         mean_mt = left_sum(wi * c.mean_mt_s for wi, c in zip(w, cells))
-        out[key] = ConditionSummary(key=key, n_trials=n_total, mean_mt_s=mean_mt,
-                                    sd_deviation_m=None)
+        out[key] = ConditionSummary(key=key, n_trials=n_total, mean_mt_s=mean_mt)
     return out
 
 
@@ -425,11 +434,13 @@ def throughput_by_group_reference(trials, amplitude_mode, allow_partial_grid=Fal
             if we == 0.0:
                 degenerate += 1
                 continue
+            if not math.isfinite(we):
+                raise ValueError("effective width not finite")
             ae = amplitude_from_grid(d, h, amplitude_mode)
             ide = effective_id(ae, we)
             mean_mt = statistics.fmean(t.movement_time_s for t in cell_trials)
             cells.append(ThroughputCell(
-                technique=gkey[0], posture=gkey[1], width_m=w, distance_m=d, height_m=h,
+                width_m=w, distance_m=d, height_m=h,
                 n_trials=len(cell_trials), ae_m=ae, we_m=we, ide_bits=ide,
                 mean_mt_s=mean_mt, tp_bits_per_s=ide / mean_mt,
             ))

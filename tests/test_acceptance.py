@@ -17,6 +17,7 @@ from telefitts.trials import (
     ConditionSummary,
     Posture,
     Technique,
+    Trial,
     group_by_condition,
     validate_log,
 )
@@ -39,7 +40,6 @@ from telefitts.comparison import (
 )
 from telefitts.throughput import (
     ThroughputCell,
-    effective_width,
     throughput_by_group,
     throughput_mean_of_means,
 )
@@ -84,7 +84,7 @@ def grid_summaries(kind: ModelKind, coefficients, mode=AmplitudeMode.EUCLIDEAN):
     for w, d, h in GRID:
         mt = predict_mt(kind, coefficients, geometry_for_condition(w, d, h, mode))
         key = ConditionKey(None, None, w, d, h)
-        cells[key] = ConditionSummary(key, 100, mt, 0.0)
+        cells[key] = ConditionSummary(key, 100, mt)
     return cells
 
 
@@ -233,16 +233,17 @@ def test_criterion_5_statistical_identities():
 def test_criterion_6_throughput_worked_examples():
     with criterion(6, "throughput worked examples are exact"):
         cells = [
-            ThroughputCell(Technique.RPRG, Posture.SITTING, 0.2, 3.0, 0.0, 10,
-                           3.0, 0.3, 2.0, 1.0, 2.0 / 1.0),
-            ThroughputCell(Technique.RPRG, Posture.SITTING, 1.35, 3.0, 0.0, 10,
-                           3.0, 0.3, 3.0, 2.0, 3.0 / 2.0),
+            ThroughputCell(0.2, 3.0, 0.0, 10, 3.0, 0.3, 2.0, 1.0, 2.0 / 1.0),
+            ThroughputCell(1.35, 3.0, 0.0, 10, 3.0, 0.3, 3.0, 2.0, 3.0 / 2.0),
         ]
         assert throughput_mean_of_means(cells) == 1.75
 
         deviations = [0.1, 0.15, 0.2]  # sample SD exactly 0.05
         assert statistics.stdev(deviations) == 0.05
-        assert effective_width(deviations) == 0.20665
+        trials = [Trial("P01", Technique.RPRG, Posture.SITTING, 0, i, 0.5, 3.0, 0.0, 0.0,
+                        1.0, dev, 0, True) for i, dev in enumerate(deviations)]
+        [summary] = throughput_by_group(trials, allow_partial_grid=True)
+        assert summary.cells[0].we_m == 0.20665
 
 
 def test_criterion_7_parabola_against_numeric_integration():

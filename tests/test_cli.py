@@ -274,6 +274,25 @@ class TestInputBoundary:
             assert ("error: movement_time_s overflows when summed over cell RPRG/Sitting "
                     in self._one_line_error(capsys))
 
+    def test_non_finite_effective_width_exits_2_from_throughput(self, tmp_path, capsys):
+        """A failed selection may land far off; one at 1.7e308 m is a valid
+        row whose cell's W_e overflows, which only throughput takes."""
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text("preset: realistic\nseed: 1\nparticipants: 2\n")
+        log = tmp_path / "l.csv"
+        assert main(["simulate", "--input", str(cfg), "--output", str(log)]) == 0
+        header, first, *rest = log.read_text().splitlines()
+        fields = first.split(",")
+        fields[10], fields[12] = "1.7e308", "false"  # endpoint_deviation_m, success
+        log.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        for command in ("validate", "compare"):
+            assert main([command, "--input", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["throughput", "--input", str(log)]) == 2
+        err = self._one_line_error(capsys)
+        assert err.startswith("error: effective width W_e = 4.133 x endpoint SD is inf over "
+                              "cell RPRG/Sitting W=")
+
     def test_residual_overflow_exits_2_naming_the_group(self, tmp_path, capsys):
         """Cell sums stay finite, but the fits' squared residuals overflow."""
         cfg = tmp_path / "offset.yaml"

@@ -6,49 +6,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefitts.trials import IncompleteGridError, Posture, Technique
+from telefitts.trials import IncompleteGridError, Posture, Technique, Trial
 from telefitts.throughput import (
     ThroughputCell,
-    effective_amplitude,
     effective_id,
-    effective_width,
     throughput_by_group,
     throughput_mean_of_means,
 )
 from telefitts.sim import generate_study, realistic_preset
 
 
-def make_cell(ide, mt, technique=Technique.RPRG, posture=Posture.SITTING,
-              w=0.2, d=3.0, h=0.0):
+def make_cell(ide, mt, w=0.2, d=3.0, h=0.0):
     return ThroughputCell(
-        technique=technique, posture=posture, width_m=w, distance_m=d, height_m=h,
+        width_m=w, distance_m=d, height_m=h,
         n_trials=10, ae_m=3.0, we_m=0.2, ide_bits=ide, mean_mt_s=mt,
         tp_bits_per_s=ide / mt,
     )
 
 
+def one_cell(deviations, width_m=0.5):
+    """Trials of the one cell RPRG/Sitting W=width_m D=3.0 H=0.0."""
+    return [Trial("P01", Technique.RPRG, Posture.SITTING, 0, i, width_m, 3.0, 0.0, 0.0,
+                  1.0, dev, 0, True) for i, dev in enumerate(deviations)]
+
+
+def we_of(deviations):
+    [summary] = throughput_by_group(one_cell(deviations), allow_partial_grid=True)
+    return summary.cells[0].we_m
+
+
 class TestEffectiveWidth:
+    """W_e = 4.133 x the sample SD (n-1 denominator) of a cell's deviations."""
+
     def test_zero_variance(self):
-        assert effective_width([0.05, 0.05, 0.05]) == 0.0
+        with pytest.raises(ValueError, match="zero endpoint spread"):
+            throughput_by_group(one_cell([0.05, 0.05, 0.05]), allow_partial_grid=True)
 
     def test_sd_scaling(self):
         devs = [0.0, 0.1]
-        sd = statistics.stdev(devs)
-        assert effective_width(devs) == pytest.approx(4.133 * sd, rel=1e-12)
-        assert effective_width(devs) == pytest.approx(0.29224723266440017, rel=1e-12)
+        assert we_of(devs) == 4.133 * statistics.stdev(devs)
+        assert we_of(devs) == pytest.approx(0.29224723266440017, rel=1e-12)
 
     def test_known_sd(self):
-        # symmetric around 0.1 with sample SD exactly 0.05
+        # symmetric around 0.1 with sample SD exactly 0.05 * sqrt(2)
         devs = [0.05, 0.15]
         assert statistics.stdev(devs) == pytest.approx(0.05 * math.sqrt(2), rel=1e-12)
-        devs = [0.1 - 0.05, 0.1 + 0.05]
-        assert effective_width(devs) == pytest.approx(
-            4.133 * statistics.stdev(devs), rel=1e-12
-        )
+        assert we_of(devs) == 4.133 * statistics.stdev(devs)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            effective_width([0.1])
+        """A cell of one trial has no spread: it is dropped and counted."""
+        trials = one_cell([0.1]) + one_cell([0.0, 0.1], width_m=1.35)
+        [summary] = throughput_by_group(trials, allow_partial_grid=True)
+        assert (len(summary.cells), summary.degenerate_cells) == (1, 1)
+
+    @pytest.mark.parametrize("devs, we", [([0.0, 1.7e308], "inf"), ([math.nan, 0.1], "nan")])
+    def test_non_finite_width_names_its_cell(self, devs, we):
+        with pytest.raises(ValueError, match=rf"^effective width W_e = 4.133 x endpoint SD is "
+                                             rf"{we} over cell RPRG/Sitting W=0.5 D=3.0 H=0.0$"):
+            throughput_by_group(one_cell(devs), allow_partial_grid=True)
 
 
 class TestEffectiveAmplitude:
@@ -56,18 +71,6 @@ class TestEffectiveAmplitude:
         from telefitts.models import amplitude_from_grid
 
         assert amplitude_from_grid(3.0, 0.0) == 3.0
-
-    def test_midpoint(self):
-        assert effective_amplitude([8.9, 9.1]) == pytest.approx(9.0, rel=1e-12)
-        assert effective_amplitude(np.array([8.9, 9.1])) == effective_amplitude([8.9, 9.1])
-
-    def test_mean(self):
-        assert effective_amplitude([2.8, 3.0, 3.2]) == pytest.approx(3.0, rel=1e-12)
-
-    def test_empty_rejected(self):
-        for empty in ([], np.array([])):
-            with pytest.raises(ValueError, match="at least one trial"):
-                effective_amplitude(empty)
 
 
 class TestEffectiveId:
@@ -108,7 +111,7 @@ class TestThroughputMeanOfMeans:
         ]
         doubled = [
             ThroughputCell(
-                technique=c.technique, posture=c.posture, width_m=c.width_m,
+                width_m=c.width_m,
                 distance_m=c.distance_m, height_m=c.height_m, n_trials=c.n_trials,
                 ae_m=c.ae_m, we_m=c.we_m, ide_bits=c.ide_bits,
                 mean_mt_s=2.0 * c.mean_mt_s,

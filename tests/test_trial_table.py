@@ -6,7 +6,6 @@ import random
 import re
 import statistics
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +19,9 @@ from telefitts.trials import (
     Trial,
     TrialTable,
     collapse_over,
+    endpoint_sds,
     group_by_condition,
     read_trial_log,
-    sample_sd,
     validate_log,
     write_trial_log,
 )
@@ -41,6 +40,7 @@ from telefitts.sim import (
 
 from oracles import (
     collapse_over_reference,
+    endpoint_sds_reference,
     group_by_condition_reference,
     throughput_by_group_reference,
 )
@@ -68,8 +68,7 @@ SD_VALUES = st.one_of(
                      math.nan, math.inf, -math.inf]),
 )
 
-#: Cells of one value repeated, which the SDs take without integer sums
-#: where every cell of the column is one finite value.
+#: Cells of one value repeated.
 ONE_VALUE_CELLS = st.builds(lambda v, n: [v] * n, SD_VALUES, st.integers(1, 12))
 
 
@@ -86,48 +85,36 @@ MEAN_VALUES = st.one_of(
     st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-1075, 1022)),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
 )
-_fmean, _stdev = statistics.fmean, statistics.stdev
 
 
 def assert_grouped_as_the_reference(trials):
-    """group_by_condition(trials) equals the reference bit for bit, -0.0 and
-    nan included, or raises where the reference's ``statistics.fmean`` or
-    ``statistics.stdev`` does first: a movement-time sum that overflows
-    fsum, or an endpoint-deviation SD beyond the float range, is a
-    ValueError naming its cell. The SD of a cell holding a value that is not
-    finite, which ``statistics.stdev`` cannot take, is nan."""
-    raised = []  # how the reference's OverflowError came about
-
-    def fmean(values):
+    """group_by_condition and endpoint_sds of one table of ``trials`` equal
+    their references bit for bit, -0.0 and nan included, or raise where the
+    references' ``statistics.fmean`` or ``statistics.stdev`` does first: a
+    movement-time sum that overflows fsum, which both raise, or an
+    endpoint-deviation SD beyond the float range, which endpoint_sds
+    raises, is a ValueError naming its cell."""
+    table = TrialTable.from_trials(trials)
+    try:
+        expected = group_by_condition_reference(trials)
+    except OverflowError:
+        error = "^movement_time_s overflows when summed over cell "
+    except ValueError as exc:  # fsum meets -inf + inf
+        error = f"^{re.escape(str(exc))}$"
+    else:
+        assert repr(list(group_by_condition(table).items())) == repr(list(expected.items()))
         try:
-            return _fmean(values)
+            expected = endpoint_sds_reference(trials)
         except OverflowError:
-            raised.append("movement_time_s overflows when summed")
-            raise
-
-    def stdev(values):
-        if not all(map(math.isfinite, values)):
-            return math.nan
-        try:
-            return _stdev(values)
-        except OverflowError:
-            raised.append("endpoint_deviation_m overflows when its SD is taken")
-            raise
-
-    with (mock.patch.object(statistics, "fmean", fmean),
-          mock.patch.object(statistics, "stdev", stdev)):
-        try:
-            expected = group_by_condition_reference(trials)
-        except OverflowError:
-            with pytest.raises(ValueError, match=rf"^{raised[0]} over cell "):
-                group_by_condition(trials)
-            return
-        except ValueError as exc:  # fsum meets -inf + inf
-            with pytest.raises(ValueError) as got:
-                group_by_condition(trials)
-            assert str(got.value) == str(exc)
-            return
-    assert repr(list(group_by_condition(trials).items())) == repr(list(expected.items()))
+            with pytest.raises(ValueError, match="^endpoint_deviation_m overflows when its SD "
+                                                 "is taken over cell "):
+                endpoint_sds(table)
+        else:
+            assert repr(list(endpoint_sds(table).items())) == repr(list(expected.items()))
+        return
+    for grouped in (group_by_condition, endpoint_sds):
+        with pytest.raises(ValueError, match=error):
+            grouped(table)
 
 
 def random_trials(rng: random.Random, n: int, grid_jitter: bool = True) -> list[Trial]:
@@ -163,6 +150,15 @@ class TestParityWithReference:
         table = generate_study(PRESETS[preset])
         assert_same_dict(group_by_condition(table), group_by_condition_reference(list(table)))
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_endpoint_sds_on_presets(self, preset):
+        """Each cell's SD is ``statistics.stdev`` of its deviations, bit for
+        bit, keyed and ordered as the group-by's cells."""
+        table = generate_study(PRESETS[preset])
+        sds = endpoint_sds(table)
+        assert list(sds) == list(group_by_condition(table))
+        assert repr(list(sds.items())) == repr(list(endpoint_sds_reference(list(table)).items()))
+
     def test_cell_means_near_the_float_limit(self):
         trial = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
                       1.0e308, 0.01, 0, True)
@@ -195,14 +191,6 @@ class TestParityWithReference:
         for label in TABLE_GROUPS:
             assert_same_dict(group_summaries(summaries, label, pooled=pooled),
                              group_summaries(reference, label, pooled=pooled))
-
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_report_cells_take_no_deviation_sd(self, pooled):
-        """Every report group collapses a factor, so no report cell keeps an
-        endpoint-deviation SD; throughput reads the group-by's cells."""
-        cells = table1_cells(generate_study(PRESETS["realistic"]), pooled)
-        assert list(cells) == list(TABLE_GROUPS)
-        assert all(s.sd_deviation_m is None for group in cells.values() for s in group.values())
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("mode", list(AmplitudeMode))
@@ -279,7 +267,7 @@ class TestParityWithReference:
 
 class TestExactMeans:
     """The group-by's movement-time means are each cell's fsum over n, and
-    its endpoint-deviation SDs come from each cell's exact sums."""
+    ``endpoint_sds`` come from each cell's exact sums."""
 
     @given(st.lists(st.tuples(st.sampled_from([Technique.RPRG, Technique.LPLG]),
                               st.sampled_from([0.2, 0.7, 1.35]), MEAN_VALUES, MEAN_VALUES),
@@ -320,28 +308,28 @@ class TestExactMeans:
     def test_edge_cells(self, values, mt_error, dev_error):
         trial = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
                       1.0, 0.01, 0, True)
-        for column, error in (("movement_time_s", mt_error), ("endpoint_deviation_m", dev_error)):
+        for column, error, grouped in (("movement_time_s", mt_error, group_by_condition),
+                                       ("endpoint_deviation_m", dev_error, endpoint_sds)):
             trials = [replace(trial, trial_index=i, **{column: v}) for i, v in enumerate(values)]
             assert_grouped_as_the_reference(trials)
             if error:
                 with pytest.raises(ValueError, match=error):
-                    group_by_condition(trials)
+                    grouped(trials)
 
-    def test_one_value_columns_take_no_integer_sums(self, monkeypatch):
-        """A model-exact Standard study's endpoint column is all zeros: its
-        group-by takes no integer sums, and neither do both collapses, which
-        take no SD. A realistic study's varying deviations still take them."""
+    def test_report_cells_take_no_integer_sums(self, monkeypatch):
+        """A realistic study's varying deviations: its group-by and both
+        aggregations' report cells take no integer sums; its endpoint SDs do."""
         def unreachable(*args):
             raise AssertionError("integer sums taken")
 
         monkeypatch.setattr(trials_module, "_limb_sums", unreachable)
         monkeypatch.setattr(trials_module, "_sd_of_sums", unreachable)
-        table = generate_study(PRESETS["standard-exact"])
+        table = generate_study(PRESETS["realistic"])
         for pooled in (False, True):
             table1_cells(table, pooled)
         assert_same_dict(group_by_condition(table), group_by_condition_reference(list(table)))
         with pytest.raises(AssertionError, match="integer sums taken"):
-            group_by_condition(generate_study(PRESETS["realistic"]))
+            endpoint_sds(table)
 
     @pytest.mark.parametrize("levels, dtype", [
         ((5, 5, 1), np.uint8),     # 250 codes
@@ -367,24 +355,24 @@ class TestExactMeans:
 
 
 class TestSdOverflow:
-    """An SD beyond the float range: ``sample_sd`` raises OverflowError as
-    ``statistics.stdev`` does, and the group-by names the cell of an
-    endpoint-deviation SD in a ValueError. Movement times take no SD."""
+    """An SD beyond the float range, where ``statistics.stdev`` raises
+    OverflowError: ``endpoint_sds`` names the cell in a ValueError, and the
+    group-by, which takes no SD, groups the cell. Movement times take no SD."""
 
     TRIAL = Trial("P01", Technique.RPRG, Posture.SITTING, 0, 0, 0.2, 3.0, 0.0, 0.0,
                   1.0, 0.01, 0, True)
 
-    def test_sample_sd(self):
-        for sd in (statistics.stdev, sample_sd):
-            with pytest.raises(OverflowError):
-                sd([1.7e308, -1.7e308])
-
-    def test_group_by_condition(self):
+    def test_endpoint_sds(self):
+        values = [1.7e308, -1.7e308]
+        with pytest.raises(OverflowError):
+            statistics.stdev(values)
         trials = [replace(self.TRIAL, trial_index=i, endpoint_deviation_m=v)
-                  for i, v in enumerate((1.7e308, -1.7e308))]
+                  for i, v in enumerate(values)]
         with pytest.raises(ValueError, match=r"^endpoint_deviation_m overflows when its SD is "
                                              r"taken over cell RPRG/Sitting W=0.2 D=3.0 H=0.0$"):
-            group_by_condition(trials)
+            endpoint_sds(trials)
+        [cell] = group_by_condition(trials).values()
+        assert (cell.n_trials, cell.mean_mt_s) == (2, 1.0)
 
     def test_movement_times_take_no_sd(self):
         """A cell of movement times 1.7e308 and -1.7e308 groups with fmean's
@@ -393,13 +381,14 @@ class TestSdOverflow:
         trials = [replace(self.TRIAL, trial_index=i, movement_time_s=mt)
                   for i, mt in enumerate(mts)]
         [cell] = group_by_condition(trials).values()
-        assert (cell.n_trials, cell.mean_mt_s, cell.sd_deviation_m) == (2, 0.0, 0.0)
+        assert (cell.n_trials, cell.mean_mt_s) == (2, 0.0)
+        assert endpoint_sds(trials) == {cell.key: 0.0}
         assert cell.mean_mt_s == statistics.fmean(mts)
         cells = group_by_condition([replace(trial, technique=technique) for trial, technique
                                     in zip(trials, (Technique.RPRG, Technique.LPLG))])
         for pooled in (False, True):
             [merged] = collapse_over(cells, {"technique"}, pooled=pooled).values()
-            assert (merged.n_trials, merged.mean_mt_s, merged.sd_deviation_m) == (2, 0.0, None)
+            assert (merged.n_trials, merged.mean_mt_s) == (2, 0.0)
 
 
 def quantized_codes_reference(column):
@@ -440,7 +429,16 @@ class TestQuantizedCodes:
         assert len(codes) == 0 and levels == []
 
 
-class TestSampleSd:
+def one_cell_sd(values) -> float:
+    """The SD kernel's SD of one cell of ``values``."""
+    [sd] = trials_module._cell_sds(np.array(values, dtype=np.float64), np.array([0]),
+                                   np.array([len(values)]))
+    return sd
+
+
+class TestCellSds:
+    """The SD kernel against ``statistics.stdev``, its contract."""
+
     @pytest.mark.parametrize("values", [
         [1.0, 1.0],
         [0.1] * 17,
@@ -459,20 +457,20 @@ class TestSampleSd:
         [7, 7],
     ])
     def test_adversarial_inputs(self, values):
-        assert sample_sd(values).hex() == statistics.stdev(values).hex()
+        assert one_cell_sd(values).hex() == statistics.stdev(values).hex()
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150,
                               max_value=1e150), min_size=2, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_random_floats(self, values):
-        assert sample_sd(values) == statistics.stdev(values)
+        assert one_cell_sd(values) == statistics.stdev(values)
 
     def test_random_magnitudes(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(2, 60))
             values = (rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)).tolist()
-            assert sample_sd(values) == statistics.stdev(values)
+            assert one_cell_sd(values) == statistics.stdev(values)
 
     def test_cell_sds_match_per_cell(self):
         rng = np.random.default_rng(4)
@@ -496,10 +494,8 @@ class TestSampleSd:
         counts = np.array([len(c) for c in cells])
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         values = np.array([v for c in cells for v in c])
-        expected = [0.0 if len(c) < 2 else sample_sd(c) for c in cells]
-        for cell, sd in zip(cells, expected):
-            if len(cell) >= 2 and all(map(math.isfinite, cell)):
-                assert sd.hex() == statistics.stdev(cell).hex()
+        expected = [0.0 if len(c) < 2 else statistics.stdev(c) if all(map(math.isfinite, c))
+                    else math.nan for c in cells]
         got = trials_module._cell_sds(values, starts, counts)
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
@@ -510,19 +506,18 @@ class TestSampleSd:
         values = [2.0 ** 53 - 1] * n
         values[::1000] = [2.0 ** 53 - 3] * len(values[::1000])
         values[1::1000] = [2.0 ** 52 + 1] * len(values[1::1000])
-        expected = sample_sd(values)
-        got = trials_module._cell_sds(np.array(values), np.array([0]), np.array([n]))
-        assert got == [expected]
+        assert one_cell_sd(values) == statistics.stdev(values)
 
     def test_non_finite_gives_nan(self):
-        assert math.isnan(sample_sd([1.0, math.inf]))
-        assert math.isnan(sample_sd([math.nan, 1.0, 2.0]))
-        assert math.isnan(sample_sd([math.inf, math.inf]))
-        assert math.isnan(sample_sd([math.nan, math.nan]))
+        assert math.isnan(one_cell_sd([1.0, math.inf]))
+        assert math.isnan(one_cell_sd([math.nan, 1.0, 2.0]))
+        assert math.isnan(one_cell_sd([math.inf, math.inf]))
+        assert math.isnan(one_cell_sd([math.nan, math.nan]))
 
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            sample_sd([1.0])
+    def test_cells_of_one_value_give_0(self):
+        """statistics.stdev takes no SD of one value; a cell of one gets 0.0."""
+        for value in (1.0, -0.0, math.inf, math.nan):
+            assert one_cell_sd([value]).hex() == "0x0.0p+0"
 
 
 class TestTrialTable:
@@ -622,17 +617,27 @@ class TestTrialTable:
         assert set(table.trial_index.tolist()) == set(range(40))
 
 
-def count_cell_sds(monkeypatch) -> list[int]:
-    """Count the calls of the group-by's SD kernel (one per group-by)."""
+def count_calls(monkeypatch, owner, name) -> list[int]:
+    """Count the calls of ``owner.name``."""
     calls = [0]
-    cell_sds = trials_module._cell_sds
+    function = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return cell_sds(*args)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(trials_module, "_cell_sds", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_cell_sds(monkeypatch) -> list[int]:
+    """Count the calls of the SD kernel, one per ``endpoint_sds``."""
+    return count_calls(monkeypatch, trials_module, "_cell_sds")
+
+
+def count_sorts(monkeypatch) -> list[int]:
+    """Count the sorts of a table's rows into cells, one per grouping."""
+    return count_calls(monkeypatch, np, "argsort")
 
 
 class TestOwnershipAndGroupMemo:
@@ -664,11 +669,26 @@ class TestOwnershipAndGroupMemo:
 
     def test_suites_and_throughput_group_one_table_once(self, monkeypatch):
         table = generate_study(PRESETS["realistic"])
-        calls = count_cell_sds(monkeypatch)
+        sorts = count_sorts(monkeypatch)
         for mode in (AmplitudeMode.EUCLIDEAN, AmplitudeMode.DEPTH_ONLY):
             run_table1_suite(table, mode)
         throughput_by_group(table)
+        assert sorts[0] == 1
+
+    def test_only_throughput_takes_endpoint_sds(self, monkeypatch):
+        """The suites, in both modes and both aggregations, take no SD;
+        throughput takes them once, on a table or on a list."""
+        table = generate_study(PRESETS["realistic"])
+        calls = count_cell_sds(monkeypatch)
+        for pooled in (False, True):
+            for mode in AmplitudeMode:
+                run_table1_suite(table, mode, pooled=pooled)
+        assert calls[0] == 0
+        throughput_by_group(table)
         assert calls[0] == 1
+        sorts = count_sorts(monkeypatch)
+        throughput_by_group(list(table))
+        assert (calls[0], sorts[0]) == (2, 1)
 
     def test_second_suite_collapses_nothing(self, monkeypatch):
         table = generate_study(PRESETS["realistic"])
@@ -696,10 +716,10 @@ class TestOwnershipAndGroupMemo:
 
     def test_lists_are_grouped_on_every_call(self, monkeypatch):
         trials = random_trials(random.Random(4), 40)
-        calls = count_cell_sds(monkeypatch)
+        sorts = count_sorts(monkeypatch)
         first = group_by_condition(trials)
         assert_same_dict(group_by_condition(trials), first)
-        assert calls[0] == 2
+        assert sorts[0] == 2
 
 
 class TestNoPerRowObjects:

@@ -14,6 +14,7 @@ from telefitts.trials import (
     Technique,
     Trial,
     collapse_over,
+    endpoint_sds,
     group_by_condition,
     read_trial_log,
     validate_log,
@@ -79,17 +80,18 @@ class TestGroupByCondition:
         s = next(iter(summaries.values()))
         assert s.n_trials == 3
         assert s.mean_mt_s == pytest.approx(2.0, abs=1e-12)
-        assert s.sd_deviation_m == pytest.approx(0.1, abs=1e-12)
+        assert endpoint_sds(trials)[s.key] == pytest.approx(0.1, abs=1e-12)
 
     def test_singleton_cell(self):
-        s = next(iter(group_by_condition([make_trial(movement_time_s=1.7)]).values()))
+        trials = [make_trial(movement_time_s=1.7)]
+        s = next(iter(group_by_condition(trials).values()))
         assert s.n_trials == 1
         assert s.mean_mt_s == 1.7
-        assert s.sd_deviation_m == 0.0
+        assert endpoint_sds(trials) == {s.key: 0.0}
 
-    def test_a_cell_keeps_what_the_fits_and_throughput_read(self):
+    def test_a_cell_keeps_what_the_fits_read(self):
         assert [f.name for f in dataclasses.fields(ConditionSummary)] == [
-            "key", "n_trials", "mean_mt_s", "sd_deviation_m"]
+            "key", "n_trials", "mean_mt_s"]
 
     def test_empty_input_gives_empty_map(self):
         assert group_by_condition([]) == {}
