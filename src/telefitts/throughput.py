@@ -102,11 +102,12 @@ def throughput_by_group(
     """Throughput for every (technique, posture) present in the log.
 
     Cells are the condition cells of ``group_by_condition``: W_e is 4.133 x
-    a cell's ``endpoint_sds`` and MT its ``mean_mt_s``, and A_e is the
-    nominal grid amplitude. Cells whose endpoint spread is exactly zero
-    cannot produce a finite ID_e; they are dropped and counted, shrinking
-    that group's cell average. A W_e that is not finite raises ValueError
-    naming its cell.
+    a cell's ``endpoint_sds``, within the bound that function states, MT
+    its ``mean_mt_s``, and A_e the nominal grid amplitude. A cell of one
+    trial or of one deviation repeated has an SD of exactly 0.0 and cannot
+    produce a finite ID_e; it is dropped and counted, shrinking that
+    group's cell average. A W_e that is not finite (an SD beyond the float
+    range is inf) raises ValueError naming its cell.
     """
     table = TrialTable.from_trials(trials)
     groups: dict[tuple[Technique, Posture], list[ConditionSummary]] = {}

@@ -18,7 +18,6 @@ import itertools
 import math
 import operator
 import re
-import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -405,125 +404,32 @@ class ConditionSummary:
     mean_mt_s: float
 
 
-# --- exact sample standard deviation ------------------------------------
-
-#: Bits of the scaled radicand in _sqrt_of_ratio: twice the float precision
-#: plus guard bits, so the integer root carries the round-to-odd sticky bit
-#: below every bit that the final rounding looks at.
-_RADICAND_BITS = 2 * sys.float_info.mant_dig + 3
-
-
-def _sqrt_of_ratio(num: int, den: int) -> float:
-    """Correctly rounded square root of num/den (num >= 0, den > 0).
-
-    The integer root of the scaled ratio is rounded to odd (its last bit
-    records whether anything was cut off), so the one int-to-float rounding
-    at the end rounds to nearest as if the root were exact.
-    """
-    shift = (num.bit_length() - den.bit_length() - _RADICAND_BITS) // 2
-    if shift >= 0:
-        den <<= 2 * shift
-    else:
-        num <<= -2 * shift
-    root = math.isqrt(num // den)
-    root |= root * root * den != num
-    return float(root << shift) if shift >= 0 else root / (1 << -shift)
-
-
-def _sd_of_sums(n: int, s1: int, s2: int, exp: int) -> float:
-    """Sample SD of n values ``m * 2**exp`` whose integers m sum to s1 and
-    whose squares sum to s2.
-
-    The sum of squared deviations is exactly
-    2**(2 exp) * (n * s2 - s1**2) / n, so its correctly rounded root over
-    n - 1 is what ``statistics.stdev`` returns, bit for bit.
-    """
-    num = n * s2 - s1 * s1
-    if exp >= 0:
-        return _sqrt_of_ratio(num << 2 * exp, n * (n - 1))
-    return _sqrt_of_ratio(num, n * (n - 1) << -2 * exp)
-
-
-def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float | None]:
+def _cell_sds(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> list[float]:
     """Sample SD (n - 1 denominator) of each cell ``values[start:start + n]``
-    at once, equal bit for bit to ``statistics.stdev``: cells of fewer than
-    two values get 0.0, cells holding a value that is not finite nan, and
-    cells whose SD is beyond the float range None.
+    at once, within the bound that :func:`endpoint_sds` states.
 
-    Each float is d * 2**e with an integer d, |d| < 2**53; ``frexp`` takes
-    the whole column apart, and within a cell every d is shifted onto the
-    cell's smallest exponent, m = d << s, so that ``_sd_of_sums`` sees the
-    exact sums of the integers m and m**2, taken in int64 limbs
-    (``_limb_sums``).
+    Each cell is scaled by 2**-e, e the ``frexp`` exponent of its largest
+    |x| (M), so that no square overflows, and the sum of squared deviations
+    from the computed mean is corrected by (their sum)**2 / n: the corrected
+    two-pass algorithm (Chan, Golub & LeVeque, Am. Stat. 1983). Each of its
+    two sums is off by at most (n + 1) u times its terms' magnitudes
+    (u = 2**-53), so it is within (2n + 4) u S + (4n + 7) u D of the exact S,
+    D = n (mean's error)**2, about n**3 u**2 M**2 at most; the division, the
+    square root and the SD's rounding add 3u. Scaling underflow is far below D.
     """
     finite = np.isfinite(values)
-    mantissa, exponent = np.frexp(np.where(finite, values, 0.0))
-    digits = (mantissa * 2.0 ** sys.float_info.mant_dig).astype(np.int64)
-    exponent = exponent.astype(np.int64) - sys.float_info.mant_dig
-    zero = digits == 0
-    exponent[zero] = np.iinfo(np.int64).max
-    cell_exp = np.minimum.reduceat(exponent, starts)
-    cell_exp[cell_exp == np.iinfo(np.int64).max] = 0  # cells of zeros only
-    shifts = np.where(zero, 0, exponent - np.repeat(cell_exp, counts))
-    s1, s2 = _limb_sums(digits, shifts, starts, counts)
-    all_finite = np.logical_and.reduceat(finite, starts).tolist()
-    sds = []
-    for n, a, b, e, ok in zip(counts.tolist(), s1, s2, cell_exp.tolist(), all_finite):
-        try:
-            sds.append(0.0 if n < 2 else _sd_of_sums(n, a, b, e) if ok else math.nan)
-        except OverflowError:  # beyond the float range
-            sds.append(None)
-    return sds
-
-
-def _limb_sums(digits: np.ndarray, shifts: np.ndarray, starts: np.ndarray,
-               counts: np.ndarray) -> tuple[list[int], list[int]]:
-    """Each cell's sum of m and of m**2, m = digits << shifts, as Python ints.
-
-    An m can be thousands of bits long, so the sums are taken in int64
-    limbs: each |m| is cut into limbs of ``width`` bits,
-    |m| = sum_k limb_k << (width k), and then
-
-        sum m    = sum_k (sum of sign * limb_k) << (width k)
-        sum m**2 = sum_(j,k) (sum of limb_j * limb_k) << (width (j + k)).
-
-    ``np.add.reduceat`` takes these limb sums for every cell at once, and
-    they are put together as Python ints per cell. The column takes as many
-    limbs as its largest shift needs. A 53-bit |d| touches at most
-    ``2 + 51 // width`` adjacent limbs, so limbs further apart never meet in
-    one row and their products are not summed.
-
-    No int64 sum can overflow: a limb is below 2**width, so a product of two
-    is below 2**(2 width) and a cell of n rows sums to less than
-    n * 2**(2 width); ``width`` is the largest with n * 2**(2 width) <= 2**63
-    for the largest cell: 28 bits for cells of up to 127 rows, 21 bits below
-    2**21 rows, and 1 bit for any cell below 2**61 rows.
-    """
-    width = (63 - int(counts.max()).bit_length()) // 2
-    n_limbs = -(-(sys.float_info.mant_dig + int(shifts.max())) // width)
-    reach = min(n_limbs, 2 + (sys.float_info.mant_dig - 2) // width)
-    magnitude, shifts = np.abs(digits).astype(np.uint64), shifts.astype(np.uint64)
-    sign = np.sign(digits) if (digits < 0).any() else None
-    mask = np.uint64((1 << width) - 1)
-    # sums[k]: each cell's sum of sign * limb_k; products: its sums of
-    # limb_k * limb_(k-d), worth ``weights`` each in sum m**2 (a product of
-    # two different limbs occurs twice in m**2)
-    sums, products, weights = [], [], []
-    limbs: list[np.ndarray] = []  # limb k, k - 1, ..., back as far as reach
-    for k in range(n_limbs):
-        below = np.minimum(shifts, width * k)  # bits of m below limb k taken from d
-        left = np.minimum(shifts, width * (k + 1)) - below
-        right = np.minimum(width * k - below, 63)
-        limb = (((magnitude << left) >> right) & mask).view(np.int64)
-        limbs = [limb, *limbs[:reach - 1]]
-        sums.append(np.add.reduceat(limb if sign is None else sign * limb, starts))
-        for d, other in enumerate(limbs):
-            products.append(np.add.reduceat(limb * other, starts))
-            weights.append((1 if d == 0 else 2) << width * (2 * k - d))
-    s1 = (np.stack(sums, axis=1).astype(object)
-          * [1 << width * k for k in range(n_limbs)]).sum(axis=1)
-    s2 = (np.stack(products, axis=1).astype(object) * weights).sum(axis=1)
-    return s1.tolist(), s2.tolist()
+    x = np.where(finite, values, 0.0)
+    _, e = np.frexp(np.maximum.reduceat(np.abs(x), starts))
+    y = np.ldexp(x, -np.repeat(e, counts))
+    n = counts.astype(np.float64)
+    d = y - np.repeat(np.add.reduceat(y, starts) / n, counts)
+    ss = np.add.reduceat(d * d, starts) - np.add.reduceat(d, starts) ** 2 / n
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 / 0 for one trial; inf
+        sds = np.ldexp(np.sqrt(np.maximum(ss, 0.0) / (n - 1)), e)
+    sds[np.maximum.reduceat(x, starts) == np.minimum.reduceat(x, starts)] = 0.0
+    sds[~np.logical_and.reduceat(finite, starts)] = np.nan
+    sds[counts < 2] = 0.0
+    return sds.tolist()
 
 
 # --- aggregation --------------------------------------------------------
@@ -609,20 +515,25 @@ def group_by_condition(trials: Sequence[Trial]) -> dict[ConditionKey, ConditionS
 def endpoint_sds(trials: Sequence[Trial]) -> dict[ConditionKey, float]:
     """Each cell's endpoint-deviation SD, keyed and ordered as the cells of
     :func:`group_by_condition`, whose errors it raises: the n - 1 sample SD,
-    equal to ``statistics.stdev`` bit for bit, 0.0 for a cell of one trial
-    and nan for a cell holding a deviation that is not finite. A cell whose
-    SD is beyond the float range, where stdev raises OverflowError, raises
-    ValueError naming the cell."""
+    0.0 for a cell of one trial or of one value repeated, nan for a cell
+    holding a deviation that is not finite, and inf for an SD beyond the
+    float range.
+
+    A cell of n trials whose largest |deviation| is M gets an SD within
+
+        (n + 8) * 2**-53 * s  +  16 * n**3 * 2**-159 * M**2 / s  +  2**-1074
+
+    both of its exact SD s and of s correctly rounded, which is what
+    ``statistics.stdev`` returns from Python 3.11 on; the SD does not depend
+    on a Python version's stdev. The first term covers the summation errors
+    in any order and the roundings of the division, the square root and s;
+    the second, the computed mean's error, matters only for a spread near
+    the last bit of M; the third is the spacing of subnormal results."""
     table = TrialTable.from_trials(trials)
     order, starts, counts, cells = _grouped(table)
     if not cells:
         return {}
-    sds = dict(zip(cells, _cell_sds(table.endpoint_deviation_m[order], starts, counts)))
-    for key, sd in sds.items():
-        if sd is None:
-            raise ValueError("endpoint_deviation_m overflows when its SD is taken over cell "
-                             f"{_cell_label(key)}")
-    return sds
+    return dict(zip(cells, _cell_sds(table.endpoint_deviation_m[order], starts, counts)))
 
 
 def _grouped(table: TrialTable) -> _Grouping:

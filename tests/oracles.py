@@ -14,7 +14,8 @@ machine stepped sample by sample) instead of the array kinematic layer, and
 the csv-module trial-log reader, one row at a time, instead of numpy's
 tokenizer, and the study generator that fills every column block by block
 and draws angles with ``rng.choice`` instead of the loop that keeps only the
-random draws.
+random draws. Endpoint SDs are held to the bound that ``endpoint_sds``
+states against the exact SD, taken from integer sums, not the float kernel.
 
 Two references share their method on purpose, so that the faster code can
 be required to match them bit for bit: ``uncached_cell_fit`` repeats
@@ -33,6 +34,7 @@ import math
 import statistics
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -365,15 +367,70 @@ def group_by_condition_reference(trials):
     }
 
 
-def endpoint_sds_reference(trials):
-    """``statistics.stdev`` of each cell's deviations; 0.0 for one trial,
-    nan for a cell holding a deviation that stdev cannot take."""
-    out = {}
-    for key, cell in _condition_buckets(trials).items():
-        devs = [t.endpoint_deviation_m for t in cell]
-        out[key] = (0.0 if len(devs) < 2 else statistics.stdev(devs)
-                    if all(map(math.isfinite, devs)) else math.nan)
-    return out
+#: The unit roundoff of a float.
+_U = Fraction(1, 2 ** 53)
+
+
+def _exact_sd_bracket(values):
+    """Fractions lo <= s <= hi around the exact sample SD s of ``values``,
+    at most 2**-600 s apart, from integer sums: every value times the
+    largest of their power-of-two denominators is an integer."""
+    scale = max(x.as_integer_ratio()[1] for x in values)
+    ints = [p * (scale // q) for p, q in map(float.as_integer_ratio, values)]
+    n = len(ints)
+    num = n * sum(a * a for a in ints) - sum(ints) ** 2
+    den = n * (n - 1) * scale * scale * 2 ** 600
+    root = math.isqrt(num * den * 2 ** 600)  # s = sqrt(num * den * 2**600) / den
+    return Fraction(root, den), Fraction(root + 1, den)
+
+
+def sd_error_bound(values):
+    """How far from the exact SD s of a cell of ``values``, finite and not
+    all equal, ``endpoint_sds`` states its SD to lie:
+    (n + 8) u s + 16 n**3 u**3 M**2 / s + 2**-1074, with u = 2**-53 and M the
+    largest |value|, each term at its largest over the bracket of s."""
+    n, top = len(values), Fraction(max(abs(x) for x in values))
+    lo, hi = _exact_sd_bracket(values)
+    return (n + 8) * _U * hi + 16 * n ** 3 * _U ** 3 * top ** 2 / lo + Fraction(1, 2 ** 1074)
+
+
+def assert_sd_within_bound(sd, values):
+    """``sd``, the package's SD of one cell of ``values``, is what
+    ``endpoint_sds`` states: 0.0 for fewer than two values or one finite
+    value repeated, nan for a value that is not finite, inf for an exact SD
+    beyond the float range, and otherwise a finite SD within
+    ``sd_error_bound`` of the exact SD. No ``statistics.stdev`` is taken,
+    so the check holds whichever way a Python version rounds stdev."""
+    finite = all(map(math.isfinite, values))
+    if len(values) < 2 or finite and min(values) == max(values):
+        assert sd.hex() == "0x0.0p+0", values
+    elif not finite:
+        assert math.isnan(sd), values
+    else:
+        lo, hi = _exact_sd_bracket(values)
+        if lo > sys.float_info.max:
+            assert sd == math.inf, values
+        else:
+            assert math.isfinite(sd), values
+            assert max(Fraction(sd) - lo, hi - Fraction(sd)) <= sd_error_bound(values), values
+
+
+def we_relative_bound(values):
+    """How far, relative to 4.133 x ``statistics.stdev``, a W_e of a cell of
+    ``values`` may lie: ``sd_error_bound`` over the exact SD, which stdev
+    rounds correctly, plus 3u for the two roundings of W_e = 4.133 x SD,
+    one on each side."""
+    return float(sd_error_bound(values) / _exact_sd_bracket(values)[0]) + 3 * 2.0 ** -53
+
+
+def assert_sds_within_bound(sds, trials):
+    """``sds``, ``endpoint_sds`` of ``trials``, holds the cells of
+    ``group_by_condition_reference`` in its order, each SD as
+    ``assert_sd_within_bound`` states it."""
+    buckets = _condition_buckets(trials)
+    assert list(sds) == list(buckets)
+    for key, cell in buckets.items():
+        assert_sd_within_bound(sds[key], [t.endpoint_deviation_m for t in cell])
 
 
 def collapse_over_reference(summaries, drop, pooled=False):
@@ -452,6 +509,43 @@ def throughput_by_group_reference(trials, amplitude_mode, allow_partial_grid=Fal
             cells=tuple(cells), degenerate_cells=degenerate,
         ))
     return summaries
+
+
+def assert_throughput_within_bound(got, expected, trials):
+    """``got``, throughput of ``trials``, equals ``expected``, its
+    ``throughput_by_group_reference``, but for the fields that take the
+    endpoint SD. With r a cell's ``we_relative_bound``, they may differ by
+    what r carries through each rounded step:
+
+    - W_e by r W_e;
+    - ID_e = log2(A_e / W_e + 1) by (r (1 + 2r) + 4u) / ln 2 + 4u ID_e, the
+      four roundings of the quotient and the sum and two of log2;
+    - ID_e / MT by that over MT plus 3u of it;
+    - a group's mean by the mean of its cells' plus 3u of it."""
+    deviations = {}
+    for t in trials:
+        deviations.setdefault((t.technique, t.posture, round(t.distance_m, 3),
+                               round(t.height_m, 3), round(t.width_m, 3)),
+                              []).append(t.endpoint_deviation_m)
+    u = 2.0 ** -53
+    assert [(g.technique, g.posture, g.degenerate_cells, len(g.cells)) for g in got] == [
+        (e.technique, e.posture, e.degenerate_cells, len(e.cells)) for e in expected]
+    for group, reference in zip(got, expected):
+        group_tolerance = 0.0
+        for cell, want in zip(group.cells, reference.cells):
+            assert replace(cell, we_m=want.we_m, ide_bits=want.ide_bits,
+                           tp_bits_per_s=want.tp_bits_per_s) == want
+            values = deviations[(group.technique, group.posture, want.distance_m,
+                                 want.height_m, want.width_m)]
+            r = we_relative_bound(values)
+            ide_tolerance = (r * (1 + 2 * r) + 4 * u) / math.log(2) + 4 * u * want.ide_bits
+            tp_tolerance = ide_tolerance / want.mean_mt_s + 3 * u * want.tp_bits_per_s
+            assert abs(cell.we_m - want.we_m) <= r * want.we_m
+            assert abs(cell.ide_bits - want.ide_bits) <= ide_tolerance
+            assert abs(cell.tp_bits_per_s - want.tp_bits_per_s) <= tp_tolerance
+            group_tolerance += tp_tolerance / len(reference.cells)
+        assert abs(group.tp_bits_per_s - reference.tp_bits_per_s) <= (
+            group_tolerance + 3 * u * reference.tp_bits_per_s)
 
 
 # --- per-sample kinematic layer -------------------------------------------

@@ -15,6 +15,8 @@ from telefitts.throughput import (
 )
 from telefitts.sim import generate_study, realistic_preset
 
+from oracles import we_relative_bound
+
 
 def make_cell(ide, mt, w=0.2, d=3.0, h=0.0):
     return ThroughputCell(
@@ -35,6 +37,13 @@ def we_of(deviations):
     return summary.cells[0].we_m
 
 
+def assert_we_within_bound(deviations):
+    """W_e of a cell of ``deviations`` is 4.133 x ``statistics.stdev`` of
+    them, within the SD's stated bound carried through W_e's roundings."""
+    expected = 4.133 * statistics.stdev(deviations)
+    assert abs(we_of(deviations) - expected) <= we_relative_bound(deviations) * expected
+
+
 class TestEffectiveWidth:
     """W_e = 4.133 x the sample SD (n-1 denominator) of a cell's deviations."""
 
@@ -44,14 +53,14 @@ class TestEffectiveWidth:
 
     def test_sd_scaling(self):
         devs = [0.0, 0.1]
-        assert we_of(devs) == 4.133 * statistics.stdev(devs)
+        assert_we_within_bound(devs)
         assert we_of(devs) == pytest.approx(0.29224723266440017, rel=1e-12)
 
     def test_known_sd(self):
         # symmetric around 0.1 with sample SD exactly 0.05 * sqrt(2)
         devs = [0.05, 0.15]
         assert statistics.stdev(devs) == pytest.approx(0.05 * math.sqrt(2), rel=1e-12)
-        assert we_of(devs) == 4.133 * statistics.stdev(devs)
+        assert_we_within_bound(devs)
 
     def test_needs_two_samples(self):
         """A cell of one trial has no spread: it is dropped and counted."""
