@@ -439,51 +439,23 @@ def _first_difference(got: dict, want: dict) -> tuple[str, str, str]:
 
 
 def parse_records(text: str) -> list[ComparisonReport]:
-    """Rebuild reports from the record stream; inverse of render_records.
+    """Rebuild reports from a record stream that ``compare`` writes; inverse
+    of render_records.
 
-    Only the labels and each fit's coefficients, rss, r2, n and p are read;
-    each group is rebuilt from its four fits by :func:`build_report`, and
-    every record must be exactly the one render_records writes for it.
-    Raises ValueError naming the line on a record that is not JSON, lacks a
-    field read or gives it the wrong type, repeats its group and model,
-    names a group outside TABLE_GROUPS, has a fit the five values cannot
-    describe, or differs from its rebuilt record; on a group without all
-    four models or one shared n; and on a stream with no records.
+    For each amplitude mode it holds, in AmplitudeMode order, the stream
+    holds every group of TABLE_GROUPS in that order, each as its four
+    records in MODEL_ORDER. Only the labels and each fit's coefficients,
+    rss, r2, n and p are read; each group is rebuilt from its four fits by
+    :func:`build_report`, and every record must be exactly the one
+    render_records writes for it. Raises ValueError naming the line on a
+    record that is not JSON, lacks a field read or gives it the wrong type,
+    or has a fit the five values cannot describe; then on the first record
+    out of compare's place, or the first one missing at the end of the
+    stream; then, group by group, on four fits without one shared n and on
+    a record that differs from its rebuilt record; and on a stream with no
+    records.
     """
-    return _parse_records(text)[0]
-
-
-def parse_compare_records(text: str) -> list[ComparisonReport]:
-    """:func:`parse_records` for a stream that ``compare`` could have written:
-    for each amplitude mode it holds, in AmplitudeMode order, every group of
-    TABLE_GROUPS in that order, each as its four records in MODEL_ORDER.
-    Raises ValueError naming the first record out of that place, or the
-    first one missing at the end of the stream.
-    """
-    reports, layout = _parse_records(text)
-    modes = [m for m in AmplitudeMode if any(mode is m for _, mode, _, _ in layout)]
-    expected = [(m, g, k) for m in modes for g in TABLE_GROUPS for k in MODEL_ORDER]
-
-    def name(mode: AmplitudeMode, group: str, kind: ModelKind) -> str:
-        return f"the {kind.value} record of group {group!r} ({mode.value})"
-
-    for (line_no, *got), want in zip(layout, expected):
-        if tuple(got) != want:
-            raise ValueError(f"record on line {line_no}: compare writes {name(*want)} here, "
-                             f"not {name(*got)}")
-    if len(layout) < len(expected):
-        raise ValueError(f"the stream ends on line {layout[-1][0]}, before "
-                         f"{name(*expected[len(layout)])} that compare writes next")
-    return reports
-
-
-def _parse_records(
-    text: str,
-) -> tuple[list[ComparisonReport], list[tuple[int, AmplitudeMode, str, ModelKind]]]:
-    """The reports of :func:`parse_records`, and the line number, mode,
-    group and model of each record in stream order."""
-    groups: dict[tuple[str, AmplitudeMode], dict[ModelKind, tuple]] = {}
-    layout = []
+    records = []
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -493,47 +465,50 @@ def _parse_records(
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError and an integer past int's digit limit
             raise ValueError(f"{where}: invalid JSON ({exc})") from None
-        group, mode, kind, values = _read_record(rec, where)
-        models = groups.setdefault((group, mode), {})
-        if kind in models:
-            raise ValueError(f"{where} repeats the {kind.value} record of group "
-                             f"{group!r} ({mode.value}) on line {models[kind][0]}")
-        models[kind] = (line_no, line, rec, values)
-        layout.append((line_no, mode, group, kind))
-    if not groups:
+        records.append((line_no, line, rec, *_read_record(rec, where)))
+    if not records:
         raise ValueError("the record stream holds no records")
 
+    modes = [m for m in AmplitudeMode if any(mode is m for *_, mode, _, _ in records)]
+    expected = [(g, m, k) for m in modes for g in TABLE_GROUPS for k in MODEL_ORDER]
+
+    def name(group: str, mode: AmplitudeMode, kind: ModelKind) -> str:
+        return f"the {kind.value} record of group {group!r} ({mode.value})"
+
+    for (line_no, _, _, *got, _), want in zip(records, [*expected, None]):
+        if tuple(got) != want:
+            place = "no record" if want is None else name(*want)
+            raise ValueError(f"record on line {line_no}: compare writes {place} here, "
+                             f"not {name(*got)}")
+    if len(records) < len(expected):
+        raise ValueError(f"the stream ends on line {records[-1][0]}, before "
+                         f"{name(*expected[len(records)])} that compare writes next")
+
     reports = []
-    for (group, mode), models in groups.items():
-        lines = [line_no for line_no, *_ in models.values()]
-        if group not in _GROUPS:
-            raise ValueError(f"record on line {lines[0]}: field 'group' must be one of "
-                             f"{list(TABLE_GROUPS)}, got {group!r}")
-        where = f"records on lines {', '.join(map(str, lines))}"
-        missing = [k.value for k in MODEL_ORDER if k not in models]
-        if missing:
-            raise ValueError(f"{where}: group {group!r} ({mode.value}) misses models {missing}")
-        cells = {values[3] for *_, values in models.values()}  # each fit's n
+    for start in range(0, len(records), len(MODEL_ORDER)):
+        run = records[start:start + len(MODEL_ORDER)]
+        where = f"records on lines {', '.join(str(line_no) for line_no, *_ in run)}"
+        cells = {values[3] for *_, values in run}  # each fit's n
         if len(cells) > 1 or min(cells) < _MIN_CELLS:
             raise ValueError(f"{where}: the four fits need one shared n of at least "
                              f"{_MIN_CELLS}, got {sorted(cells)}")
         fits = {}
-        for kind in MODEL_ORDER:
-            line_no, *_, values = models[kind]
+        for line_no, *_, kind, values in run:
             try:
                 fits[kind] = fit_result(*values)
             except (ValueError, ArithmeticError) as exc:  # OverflowError: n past float range
                 raise ValueError(f"record on line {line_no}: {exc}") from None
+        group, mode, _ = expected[start]
         try:
             report = build_report(group, mode, fits)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{where}: {exc}") from None
-        for kind, (line_no, line, rec, _) in models.items():
+        for line_no, line, rec, _, _, kind, _ in run:
             want = _record(report, kind)
             dumped = json.dumps(want, sort_keys=True)  # a record as compare writes it
             if line != dumped and json.dumps(rec, sort_keys=True) != dumped:
-                name, got, wanted = _first_difference(rec, want)
-                raise ValueError(f"record on line {line_no}: field {name!r} is {got}, "
+                field, got, wanted = _first_difference(rec, want)
+                raise ValueError(f"record on line {line_no}: field {field!r} is {got}, "
                                  f"but its fits give {wanted}")
         reports.append(report)
-    return reports, layout
+    return reports

@@ -130,12 +130,10 @@ def predictors_vergence(g: TargetGeometry) -> tuple[float, ...]:
 
 
 def predictors_proposed(g: TargetGeometry) -> tuple[float, ...]:
-    dominant = max(g.depth_m, g.altitude_m)
-    if dominant <= 0:
-        raise ValueError("max(depth_m, altitude_m) must be positive")
+    # TargetGeometry holds a positive depth, so max(D, H) is positive
     return (
         id_shannon(g.amplitude_m, g.width_m),
-        -math.log2(g.width_m / dominant + 1.0),
+        -math.log2(g.width_m / max(g.depth_m, g.altitude_m) + 1.0),
     )
 
 

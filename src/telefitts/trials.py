@@ -17,7 +17,6 @@ import csv
 import itertools
 import math
 import operator
-import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -780,22 +779,11 @@ def _parse_chunk(chunk: list[tuple[list[str], int]], ids: dict[str, int]) -> dic
 
 
 #: Characters that send a whole log to the csv reader: numpy's tokenizer
-#: drops NUL, and it strips \x1c-\x1f around numbers where int() and float()
-#: do not. A quote does too, unless it is csv.writer's quoting of a first
-#: field (``_QUOTED_FIRST_FIELD``), and so does a carriage return, unless it
-#: is part of a \r\n line ending. So does a character beyond U+FFFF: numpy's
-#: loadtxt can crash the interpreter (a segmentation fault) while it words
-#: the error for a field that holds one.
-_CSV_ONLY = '\0\x1c\x1d\x1e\x1f'
-#: A line whose first field is quoted as csv.writer quotes it (quotes
-#: doubled, no line break inside, a comma right after) and whose other
-#: fields hold no quote: numpy's ``quotechar`` reads it as the csv reader
-#: does, but numpy also reads a quote left open at the end of its input.
-_QUOTED_FIRST_FIELD = re.compile(r'"[^"\r\n]*(?:""[^"\r\n]*)*",[^"]*')
-#: Lines that hold no row, for the csv reader as for numpy's tokenizer.
-_BLANK_LINES = ("\n", "\r\n")
-#: The header line as read: ended like a blank line, or last in the file.
-_HEADER_LINES = (TRIAL_LOG_HEADER, *(TRIAL_LOG_HEADER + end for end in _BLANK_LINES))
+#: drops NUL and strips \x1c-\x1f around numbers where int() and float() do
+#: not, and a quote or a carriage return can change how lines split into rows.
+_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
+#: The header line as read: ended by a line feed, or last in the file.
+_HEADER_LINES = (TRIAL_LOG_HEADER, TRIAL_LOG_HEADER + "\n")
 #: Characters kept of each text field by numpy's tokenizer, which cuts longer
 #: text off without a word; a field this long sends the log to the csv reader.
 _TEXT_WIDTH = 32
@@ -832,11 +820,9 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
     are read ``kind.width`` characters wide until a chunk's text fills one;
     that chunk and the rest of the log are then read ``_TEXT_WIDTH`` wide.
     None wherever the csv reader must decide: a header other than the exact
-    one, a log with a ``_CSV_ONLY`` character, a quote other than
-    csv.writer's quoting of a first field, a character beyond U+FFFF or a
-    carriage return that does not end a ``\r\n`` line, a line longer than
-    the csv field limit, a text of ``_TEXT_WIDTH`` characters or more, a
-    chunk that numpy or a code lookup rejects, or a log with no rows."""
+    one, a log that is not ASCII or holds a ``_CSV_ONLY`` character, a line
+    longer than the csv field limit, a text of ``_TEXT_WIDTH`` characters or
+    more, a chunk that numpy or a code lookup rejects, or a log with no rows."""
     if fh.readline() not in _HEADER_LINES:
         return None
     ids: dict[str, int] = {}
@@ -847,22 +833,17 @@ def _read_with_loadtxt(fh) -> TrialTable | None:
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
         numbers = np.arange(line_no, line_no + len(lines))
         line_no += len(lines)
-        if lines.count("\n") or lines.count("\r\n"):  # blank lines hold no row
-            numbers = numbers[[text not in _BLANK_LINES for text in lines]]
+        if lines.count("\n"):  # blank lines hold no row
+            numbers = numbers[[text != "\n" for text in lines]]
         text = "".join(lines)
-        if (any(c in text for c in _CSV_ONLY)
-                or "\r" in text and text.count("\r") != text.count("\r\n")
-                or not text.isascii() and max(text) > "\uffff"
-                or len(text) > field_limit and max(map(len, lines)) > field_limit
-                or '"' in text and not all(map(_QUOTED_FIRST_FIELD.fullmatch,
-                                               (line for line in lines if '"' in line)))):
+        if (not text.isascii() or any(c in text for c in _CSV_ONLY)
+                or len(text) > field_limit and max(map(len, lines)) > field_limit):
             return None
         if not len(numbers):
             continue
         for dtype in (dtype, _LOG_DTYPE) if dtype is _NARROW_DTYPE else (dtype,):
             try:
-                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=1)
+                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
                 if len(rows) != len(numbers):
                     return None
                 # copies, so that the chunk's text fields can be freed
@@ -886,9 +867,10 @@ def read_trial_log(path: str) -> TrialTable:
     1-based line of the first bad row. Blank lines are skipped; every row
     keeps its physical line number in ``line_numbers``.
 
-    numpy's tokenizer reads what it parses exactly as the csv reader does;
-    every log it cannot vouch for is read by the csv reader, which decides
-    what a log may hold and words every error.
+    numpy's tokenizer reads only plain logs (ASCII, no quote, no carriage
+    return), which it parses exactly as the csv reader does; every other
+    log is read by the csv reader, which decides what a log may hold and
+    words every error.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -203,8 +203,9 @@ class TestThroughput:
 
 #: (damage, part of its one-line error): record streams that compare never writes.
 _INCONSISTENT_RECORDS = [
-    ("repeated-record", "record on line 3 repeats the TwoPart record of group 'RPRG' "
-                        "(euclidean) on line 2"),
+    ("repeated-record", "record on line 3: compare writes the Vergence record of group "
+                        "'RPRG' (euclidean) here, not the TwoPart record of group 'RPRG' "
+                        "(euclidean)"),
     ("infinite-delta-rank-0", "record on line 3: field 'delta_aic' is Infinity"),
     ("edited-aic-grade", "record on line 3: field 'aic_grade' is \"Less\""),
     ("edited-fit-aic", "record on line 3: field 'fit.aic' is -1000000000.0"),
@@ -215,7 +216,9 @@ _INCONSISTENT_RECORDS = [
     ("wrong-p", "record on line 3, fit: Vergence needs p = 2 and 3 float coefficients"),
     ("unknown-model", "record on line 3: field 'model' must be one of"),
     ("unknown-mode", "record on line 3: field 'amplitude_mode' must be one of"),
-    ("unknown-group", "record on line 1: field 'group' must be one of ['RPRG', "),
+    ("unknown-group", "record on line 1: compare writes the Standard record of group "
+                      "'RPRG' (euclidean) here, not the Standard record of group "
+                      "'Everything' (euclidean)"),
 ]
 
 
@@ -538,6 +541,10 @@ class TestInputBoundary:
                            "'RPRG' (euclidean) here, not the TwoPart record"),
         ("all-missing", "the stream ends on line 28, before the Standard record of group "
                         "'All' (euclidean) that compare writes next"),
+        ("rprg-only", "the stream ends on line 4, before the Standard record of group "
+                      "'LPLG' (euclidean) that compare writes next"),
+        ("last-repeated", "record on line 33: compare writes no record here, not the "
+                          "Proposed record of group 'All' (euclidean)"),
         ("depth-first", "record on line 1: compare writes the Standard record of group "
                         "'RPRG' (euclidean) here, not the Standard record of group 'RPRG' "
                         "(depth)"),
@@ -545,8 +552,8 @@ class TestInputBoundary:
     def test_report_rejects_a_layout_compare_never_writes(
         self, records_lines, tmp_path, capsys, layout, message
     ):
-        """Each record is valid and each group complete; only the order or
-        the set of groups differs from what compare writes."""
+        """Each record is valid; only the order or the set of records
+        differs from what compare writes."""
         lines = list(records_lines)
         if layout == "all-first":
             lines = lines[-4:] + lines[:-4]
@@ -556,6 +563,10 @@ class TestInputBoundary:
             lines[0], lines[1] = lines[1], lines[0]
         elif layout == "all-missing":
             lines = lines[:-4]
+        elif layout == "rprg-only":  # one complete report
+            lines = lines[:4]
+        elif layout == "last-repeated":
+            lines = lines + lines[-1:]
         elif layout == "depth-first":
             depth = [line.replace('"amplitude_mode": "euclidean"', '"amplitude_mode": "depth"')
                      for line in lines]

@@ -449,6 +449,13 @@ class TestCellDesign:
         assert comparison.rows_for_model.cache_info().currsize == 0  # nothing was cached
 
 
+def saturated_reports():
+    """A report whose Proposed fit is exact (AIC -inf), under every group
+    label in report order: a stream as compare lays it out."""
+    summaries = summaries_from_model(ModelKind.PROPOSED, (-2.46, 1.21, 3.00))
+    return [compare_models(summaries, group_label=label) for label in TABLE_GROUPS]
+
+
 class TestRendering:
     def _reports(self):
         from telefitts.sim import generate_study, model_exact_preset, REFERENCE_STANDARD_ALL
@@ -491,11 +498,9 @@ class TestRendering:
                                   f"['Standard', 'TwoPart', 'Vergence', 'Proposed'], got {value!r}")
 
     def test_infinite_values_survive_round_trip(self):
-        summaries = summaries_from_model(ModelKind.PROPOSED, (-2.46, 1.21, 3.00))
-        report = compare_models(summaries, group_label="All")
-        assert report.fits[ModelKind.PROPOSED].aic == -math.inf
-        parsed = parse_records(render_records([report]))
-        assert parsed == [report]
+        reports = saturated_reports()
+        assert all(report.fits[ModelKind.PROPOSED].aic == -math.inf for report in reports)
+        assert parse_records(render_records(reports)) == reports
 
     def test_equation_string_shapes(self):
         reports = self._reports()
@@ -543,10 +548,9 @@ class TestConstructionPath:
         assert self._hash(built) == self._hash(made)
 
     def _reports(self):
-        finite = TestRendering()._reports()
-        saturated = compare_models(summaries_from_model(ModelKind.PROPOSED, (-2.46, 1.21, 3.00)))
-        parsed = parse_records(render_records(finite)) + parse_records(render_records([saturated]))
-        return [*finite, saturated, *parsed]
+        finite, saturated = TestRendering()._reports(), saturated_reports()
+        parsed = parse_records(render_records(finite)) + parse_records(render_records(saturated))
+        return [*finite, *saturated, *parsed]
 
     def test_fits_grades_and_reports_equal_their_init_built_twins(self):
         for report in self._reports():
@@ -604,7 +608,8 @@ def participant_fits(tmp_path_factory):
 @pytest.mark.parametrize("unit", range(len(PARTICIPANT_FITS_SEED_1)))
 def test_participant_fits_workload_reports_are_pinned(participant_fits, unit):
     """The benchmark's own units render the recorded records and tables, and
-    the records of each aggregation parse back to its reports."""
+    the records of each aggregation, in compare's mode-major order, parse
+    back to its reports."""
     reports = participant_fits.run(unit)
     records, table = render_records(reports), render_table(reports)
     digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -612,4 +617,7 @@ def test_participant_fits_workload_reports_are_pinned(participant_fits, unit):
     assert digests == PARTICIPANT_FITS_SEED_1[unit]
     half = len(reports) // 2  # the per-cell reports, then the pooled ones
     for part in (reports[:half], reports[half:]):
+        # the unit runs both modes per group; sorted is stable, so each
+        # mode keeps the groups in report order
+        part = sorted(part, key=lambda rep: list(AmplitudeMode).index(rep.amplitude_mode))
         assert parse_records(render_records(part)) == part

@@ -71,6 +71,21 @@ def csv_reader_refused():
         yield
 
 
+def assert_fast_reader_reads(path):
+    """The log stays off the csv reader, and reads as the reference reads it."""
+    with csv_reader_refused():
+        got = read_trial_log(str(path))
+    assert_same_table(got, read_trial_log_reference(str(path)))
+    return got
+
+
+def assert_csv_reader_reads(path):
+    """The log goes to the csv reader, and reads as the reference reads it."""
+    with csv_reader_refused(), pytest.raises(AssertionError, match="csv reader"):
+        read_trial_log(str(path))
+    return assert_readers_agree(path)
+
+
 def write_lines(path, lines, ending="\n"):
     path.write_bytes(("".join(line + ending for line in lines)).encode("utf-8"))
 
@@ -298,10 +313,11 @@ class TestLoadtxtPath:
         lambda line: line.replace("P01", "P" * 40),
         lambda line: line.replace(",0,", ",1_000,"),
         lambda line: line.replace("Sitting", "Lying"),
-        # numpy can crash wording the error of a field beyond U+FFFF
+        # non-ASCII text; beyond U+FFFF numpy can crash wording a field's error
         lambda line: line.replace(",0,", ",\U00070f67,"),
         lambda line: line.replace("P01", "P\U0001f600"),
-        # quotes other than csv.writer's quoting of a first field on one line
+        lambda line: line.replace("P01", "Jürgen"),
+        # quotes, of a first field or of any other
         lambda line: line.replace("P01", '"P01"x'),
         lambda line: line.replace("P01", '"P01" '),
         lambda line: line.replace("P01", 'P"01'),
@@ -317,22 +333,18 @@ class TestLoadtxtPath:
         lines[2] = edit(lines[2])
         path = tmp_path / "log.csv"
         write_lines(path, lines)
-        with csv_reader_refused(), pytest.raises(AssertionError, match="csv reader"):
-            read_trial_log(str(path))
-        assert_readers_agree(path)
+        assert_csv_reader_reads(path)
 
     @pytest.mark.parametrize("participant", ['"P01"', '"P,01"', '"P""01"', '""""', '""',
                                              '","'])
-    def test_quoted_first_fields_stay_on_the_fast_path(self, tmp_path, participant):
-        """A first field quoted as csv.writer quotes it, on one line, is read
-        as the csv reader reads it, also where the quotes were not needed."""
+    def test_quoted_first_fields_go_to_the_csv_reader(self, tmp_path, participant):
+        """A first field quoted as csv.writer quotes it, also where the quotes
+        were not needed, is read by the csv reader."""
         lines = log_lines([trial(), trial(trial_index=1), trial("P02", trial_index=2)])
         lines[2] = lines[2].replace("P01", participant)
         path = tmp_path / "log.csv"
         write_lines(path, lines)
-        with csv_reader_refused():
-            got = read_trial_log(str(path))
-        assert_same_table(got, read_trial_log_reference(str(path)))
+        assert_csv_reader_reads(path)
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r"])
     def test_carriage_return_log_reads_like_the_reference(self, tmp_path, ending):
@@ -343,16 +355,14 @@ class TestLoadtxtPath:
         got = assert_readers_agree(path)
         assert got.line_numbers.tolist() == [2, 4]
 
-    def test_crlf_log_stays_on_the_fast_path(self, tmp_path):
+    def test_crlf_log_goes_to_the_csv_reader(self, tmp_path):
         table = generate_study(realistic_preset(participants=3, seed=6))
         lines = log_lines(table)
         lines[4:4] = ["", ""]
         path = tmp_path / "log.csv"
         write_lines(path, lines, ending="\r\n")
-        with csv_reader_refused():
-            got = read_trial_log(str(path))
+        got = assert_csv_reader_reads(path)
         assert got == table
-        assert_same_table(got, read_trial_log_reference(str(path)))
         assert got.line_numbers.tolist()[2:4] == [4, 7]
 
     @pytest.mark.parametrize("endings", [
@@ -363,9 +373,7 @@ class TestLoadtxtPath:
         lines = log_lines([trial(), trial(trial_index=1)])
         path = tmp_path / "log.csv"
         path.write_bytes("".join(map(str.__add__, lines, endings)).encode("utf-8"))
-        with csv_reader_refused(), pytest.raises(AssertionError, match="csv reader"):
-            read_trial_log(str(path))
-        assert_readers_agree(path)
+        assert_csv_reader_reads(path)
 
     def test_field_over_the_csv_limit_is_a_format_error(self, tmp_path):
         lines = log_lines([trial(), trial(trial_index=1)])
@@ -428,8 +436,8 @@ def quoted_lines(ids):
             for i, line in enumerate(lines)]
 
 
-#: (log lines, line ending, whether the loadtxt path reads it): each log
-#: crosses at least one 1024-row chunk boundary.
+#: (log lines, line ending, whether the loadtxt path reads it, not the csv
+#: reader): each log crosses at least one 1024-row chunk boundary.
 ROUND_TRIP_LOGS = {
     # every run one row long: the row-by-row coding
     "ids-alternating-every-row": lambda: (log_lines(runs_log(2500, 1, 1, 1)), "\n", True),
@@ -443,13 +451,16 @@ ROUND_TRIP_LOGS = {
     "success-of-32-characters": lambda: (
         [line.replace(",true", "," + "true".ljust(32))
          for line in log_lines(runs_log(1100, 500, 40, 20))], "\n", False),
+    "blank-lines": lambda: (
+        with_blank_lines(log_lines(runs_log(2100, 400, 40, 20)), [1, 2, 1024, 1025, 1500, 2101]),
+        "\n", True),
     "blank-lines-and-crlf": lambda: (
         with_blank_lines(log_lines(runs_log(2100, 400, 40, 20)), [1, 2, 1024, 1025, 1500, 2101]),
-        "\r\n", True),
+        "\r\n", False),
     "lenient-posture-and-success": lambda: (lenient_lines(), "\n", True),
     "quoted-ids": lambda: (quoted_lines(["P,01", 'P"01', '""', ",", "P01", "P," * 15]),
-                           "\n", True),
-    # a quoted id as wide as numpy's text width goes to the csv reader, as a plain one does
+                           "\n", False),
+    # quoted ids, one as wide as numpy's text width
     "quoted-ids-of-40-characters": lambda: (
         quoted_lines(["P,01", 'P"01', '""', ",", "P01", "P," * 20]), "\n", False),
     # ids that fill the narrow width from the third chunk on, and ids of the
@@ -472,12 +483,7 @@ def test_fast_reader_reads_like_the_csv_reader(tmp_path, name):
     lines, ending, fast = ROUND_TRIP_LOGS[name]()
     path = tmp_path / "log.csv"
     write_lines(path, lines, ending)
-    want = read_trial_log_reference(str(path))
-    with contextlib.ExitStack() as stack:
-        if fast:
-            stack.enter_context(csv_reader_refused())
-        got = read_trial_log(str(path))
-    assert_same_table(got, want)
+    got = (assert_fast_reader_reads if fast else assert_csv_reader_reads)(path)
     assert len(got) == sum(1 for line in lines[1:] if line)
 
 
@@ -527,32 +533,30 @@ def force_quoted_lines(trials):
 @given(ids=st.lists(st.text(alphabet=string.ascii_letters + '," \t', max_size=31),
                     min_size=1, max_size=4, unique=True),
        picks=st.lists(st.integers(0, 3), min_size=1, max_size=12))
-def test_ids_under_the_text_width_stay_on_the_fast_path(tmp_path_factory, ids, picks):
+def test_ids_under_the_text_width_read_like_the_reference(tmp_path_factory, ids, picks):
     """Ids of fewer than 32 characters, of letters, commas, quotes and
     whitespace, written by ``write_trial_log`` or all quoted, read as the
-    csv reader reads them, without it."""
+    csv reference reads them: without the csv reader where the file holds
+    no quote, by it where it does."""
     trials = [trial(ids[k % len(ids)], trial_index=i) for i, k in enumerate(picks)]
     written, quoted = (tmp_path_factory.getbasetemp() / name
                        for name in ("ids-written.csv", "ids-quoted.csv"))
     write_trial_log(trials, str(written))
     write_lines(quoted, force_quoted_lines(trials))
     for path in (written, quoted):
-        with csv_reader_refused():
-            got = read_trial_log(str(path))
-        assert_same_table(got, read_trial_log_reference(str(path)))
+        quoted_any = b'"' in path.read_bytes()
+        (assert_csv_reader_reads if quoted_any else assert_fast_reader_reads)(path)
 
 
-def test_crlf_blank_line_first_in_a_chunk(tmp_path):
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_blank_line_first_in_a_chunk(tmp_path, ending):
     """A blank line that starts a chunk, with no other blank line in it,
-    holds no row on the loadtxt path, as in the csv reader."""
+    holds no row on the loadtxt path (LF) or in the csv reader (CRLF)."""
     lines = log_lines(runs_log(7, 3, 2, 2))
     path = tmp_path / "log.csv"
-    write_lines(path, lines[:4] + [""] + lines[4:], "\r\n")  # the 4th body line, 2nd chunk
+    write_lines(path, lines[:4] + [""] + lines[4:], ending)  # the 4th body line, 2nd chunk
     with mock.patch.object(trials_module, "_CHUNK_ROWS", 3):
-        want = trials_module._read_with_csv(str(path))
-        with csv_reader_refused():
-            got = read_trial_log(str(path))
-    assert_same_table(got, want)
+        got = (assert_fast_reader_reads if ending == "\n" else assert_csv_reader_reads)(path)
     assert got.line_numbers.tolist() == [2, 3, 4, 6, 7, 8, 9]
 
 
